@@ -63,6 +63,17 @@ class _UsageError(ValueError):
     pass
 
 
+def _number(text: str, kind, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise _UsageError(f"malformed {what} {text!r}") from None
+
+
+def _numbers(text: str, kind, what: str) -> list:
+    return [_number(t, kind, what) for t in text.split(",")]
+
+
 def _parse_params(text: str) -> dict:
     params = {}
     if text:
@@ -73,7 +84,7 @@ def _parse_params(text: str) -> dict:
             try:
                 params[k] = int(v)
             except ValueError:
-                params[k] = float(v)
+                params[k] = _number(v, float, f"--params value for {k}")
     return params
 
 
@@ -81,18 +92,21 @@ def _parse_indices(text: str):
     if not text:
         raise _UsageError("family-trend needs --indices (e.g. 1-10)")
     if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",")]
+        lo, hi = _numbers(text.replace("-", ",", 1), int, "--indices")
+        return list(range(lo, hi + 1))
+    return _numbers(text, int, "--indices")
 
 
-def _parse_pair(text: str):
+def _parse_pair(text: str, space: PointedMetricSpace):
     if not text:
         raise _UsageError("this command needs --pair X,Y")
-    parts = text.split(",")
+    parts = _numbers(text, int, "--pair")
     if len(parts) != 2:
         raise _UsageError("--pair wants two comma-separated indices")
-    return int(parts[0]), int(parts[1])
+    if not all(0 <= i < space.n for i in parts):
+        raise _UsageError(f"--pair {text} is out of range for {space.n} "
+                          "points")
+    return parts[0], parts[1]
 
 
 def _load_space(args, check: bool = True) -> PointedMetricSpace:
@@ -126,13 +140,24 @@ def _load_element(args, space):
     if not args.element:
         raise _UsageError("this command needs --element FILE")
     with open(args.element) as fh:
-        return element_from_json(space, json.load(fh))
+        obj = json.load(fh)
+    try:
+        return element_from_json(space, obj)
+    except (FreeSpaceError, ValueError, TypeError, KeyError) as exc:
+        raise _UsageError(f"malformed element file: {exc}") from None
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise _UsageError(f"this command needs --{name.replace('_', '-')}")
+
+
+def _check_tolerance() -> None:
+    try:
+        lp_tol()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _report(args, statement: str, inputs: dict, outputs: dict) -> dict:
@@ -207,7 +232,7 @@ def _cmd_represent(args):
 
 def _cmd_classify_pair(args):
     space = _load_space(args)
-    x, y = _parse_pair(args.pair)
+    x, y = _parse_pair(args.pair, space)
     rep = analyze_pair(space, x, y)
     _emit(args, _report(args, "pair-level product gap, rotundity ratio and "
                         "concavity profile by enumeration",
@@ -246,7 +271,7 @@ def _cmd_modulus(args):
         raise _UsageError("modulus needs --seed for reproducibility")
     if not args.eta_grid:
         raise _UsageError("modulus needs --eta-grid a,b,c")
-    grid = [float(t) for t in args.eta_grid.split(",")]
+    grid = _numbers(args.eta_grid, float, "--eta-grid")
     curve = exposedness_probe(mu, grid, args.samples, args.seed)
     _emit(args, _report(args, "sampled lower bound on the exposedness "
                         "modulus of the dual face",
@@ -282,7 +307,7 @@ def _cmd_perturb(args):
 def _cmd_perturb_single(args):
     space = _load_space(args)
     _require(args, "epsilon")
-    x, y = _parse_pair(args.pair)
+    x, y = _parse_pair(args.pair, space)
     f = aux_f_xy(space, x, y)
     gamma_peak = peaking_check(f, x, y)
     if gamma_peak is None:
@@ -347,6 +372,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_tolerance()
         return _COMMANDS[args.command](args)
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

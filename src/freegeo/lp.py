@@ -11,11 +11,27 @@ their dual and the primal optimizer is recovered from the dual solve's own
 dual vector.  Every optimal solution is re-verified against the original
 data (primal feasibility, dual feasibility, duality gap); the dualized path
 falls back to a direct solve if its certificate does not check out.
+
+Warm starts.  Every optimal solution carries its final basis
+(`LpSolution.basis`).  Passing it as `solve(problem, start=basis)` for a
+problem with the same constraint matrix and senses re-optimizes instead of
+re-solving: the tableau is rebuilt from the original data as B^-1 [A | b]
+(no tableau is carried over, so roundoff does not pile up across solves).
+If that basis is still primal feasible (only the objective changed),
+primal phase 2 runs directly; if it is dual feasible (only the right-hand
+side changed), a dual simplex restores primal feasibility first.  In the
+dualized form the two cases swap: a new objective is a new right-hand side
+of the dual.  Any other start -- wrong length or path, out-of-range
+columns, a singular B, neither primal nor dual feasible, a dual simplex
+that finds no entering column -- falls back to the cold two-phase solve.
+Warm and cold answers are refined and certified by the same checks, and a
+warm answer that fails them is recomputed cold before `LpError` is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +45,8 @@ _SENSES = (LE, EQ, GE)
 
 _MAX_ITER = 50_000
 _STALL_LIMIT = 80
+# largest |B^-1 B - I| entry accepted from a warm-start basis
+_WARM_BASIS_TOL = 1e-9
 
 
 class LpError(Exception):
@@ -72,6 +90,19 @@ class LpProblem:
         return LpProblem(c, A, tuple(senses), b, lb, ub, maximize)
 
 
+DIRECT = "direct"
+DUALIZED = "dualized"
+
+
+@dataclass(frozen=True)
+class LpBasis:
+    """Optimal basis of a solve: the path it took (direct or dualized) and
+    the basic columns of that path's standard form.  Opaque to callers."""
+
+    path: str
+    cols: tuple
+
+
 @dataclass
 class LpSolution:
     status: str                     # "optimal" | "infeasible" | "unbounded"
@@ -82,6 +113,7 @@ class LpSolution:
     dual_residual: float = np.nan
     gap: float = np.nan
     cs_residual: float = np.nan
+    basis: LpBasis | None = None    # pass as solve(..., start=) to re-optimize
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +172,149 @@ def _iterate(T, basis, cvec, blocked, tol):
     raise LpError("simplex iteration limit exceeded")
 
 
-def _solve_cf(c, A, senses, b, tol):
+def _dual_iterate(T, basis, cvec, tol):
+    """Dual simplex on a dual-feasible tableau, in place.  Returns
+    'optimal' once every basic value is >= -tol, 'infeasible' when a row
+    with a negative value has no negative entry to pivot on, and 'stalled'
+    at the iteration limit."""
+    bland = False
+    stall = 0
+    prev_obj = -np.inf
+    for _ in range(_MAX_ITER):
+        rhs = T[:, -1]
+        if bland:
+            rows = np.nonzero(rhs < -tol)[0]
+            if rows.size == 0:
+                return "optimal"
+            row = int(rows[np.argmin(basis[rows])])
+        else:
+            row = int(np.argmin(rhs))
+            if rhs[row] >= -tol:
+                return "optimal"
+        a = T[row, :-1]
+        cand = a < -tol
+        cand[basis] = False
+        cand = np.nonzero(cand)[0]
+        if cand.size == 0:
+            return "infeasible"
+        r = cvec[cand] - cvec[basis] @ T[:, cand]
+        ratios = np.maximum(r, 0.0) / -a[cand]
+        best = ratios.min()
+        # entering tie break: lowest column index (Bland-compatible)
+        j = int(cand[np.nonzero(ratios <= best + tol * (1.0 + best))[0][0]])
+        _pivot(T, basis, row, j)
+        obj = float(cvec[basis] @ T[:, -1])
+        if obj <= prev_obj + tol * (1.0 + abs(obj)):
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        prev_obj = obj
+    return "stalled"
+
+
+def _warm_start(A2, b, cvec, start, tol):
+    """Re-optimize from the basic columns `start` of [A2 | b].
+
+    The tableau is rebuilt from the original data as B^-1 [A2 | b].  A
+    primal-feasible start goes straight to phase 2; a dual-feasible one runs
+    the dual simplex first.  Returns the optimal (T, basis), or None when the
+    start is malformed, singular, neither primal nor dual feasible, or does
+    not lead to an optimum; the caller then solves cold.
+    """
+    m, n2 = A2.shape
+    cols = np.asarray(start)
+    if cols.shape != (m,) or cols.dtype.kind not in "iu":
+        return None
+    if m and (cols.min() < 0 or cols.max() >= n2
+              or np.unique(cols).size != m):
+        return None
+    try:
+        T = np.linalg.solve(A2[:, cols], np.hstack([A2, b[:, None]]))
+    except np.linalg.LinAlgError:
+        return None
+    eye = np.eye(m)
+    if not np.isfinite(T).all() or \
+            np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
+        return None
+    T[:, cols] = eye
+    basis = cols.astype(int)
+    if np.min(T[:, -1], initial=0.0) < -tol:
+        r = cvec - cvec[basis] @ T[:, :-1]
+        r[basis] = 0.0
+        if r.min(initial=0.0) < -tol or \
+                _dual_iterate(T, basis, cvec, tol) != "optimal":
+            return None
+    if _iterate(T, basis, cvec, np.zeros(n2, dtype=bool), tol) != "optimal":
+        return None
+    return T, basis
+
+
+def _two_phase(A2, b, c, slack_of_row, tol):
+    """Cold solve from a slack/artificial basis: phase 1, then phase 2.
+    Returns (status, T, basis, A_std, keep_rows, c2) with A_std = [A2 |
+    artificials], keep_rows the rows phase 1 kept and c2 the phase-2 costs."""
+    m, n2 = A2.shape
+    n = c.size
+    basis = np.empty(m, dtype=int)
+    art_rows = []
+    for i in range(m):
+        j = slack_of_row[i]
+        if j >= 0 and A2[i, j] > 0:
+            basis[i] = j
+        else:
+            art_rows.append(i)
+    n_art = len(art_rows)
+    Aart = np.zeros((m, n_art))
+    for t, i in enumerate(art_rows):
+        Aart[i, t] = 1.0
+        basis[i] = n2 + t
+    A_std = np.hstack([A2, Aart])
+    total = A_std.shape[1]
+    T = np.hstack([A_std, b[:, None]])
+    keep_rows = np.arange(m)
+
+    blocked = np.zeros(total, dtype=bool)
+    if n_art:
+        c1 = np.zeros(total)
+        c1[n2:] = 1.0
+        status = _iterate(T, basis, c1, blocked, tol)
+        phase1 = float(c1[basis] @ T[:, -1])
+        if phase1 > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
+            return "infeasible", None, None, None, None, None
+        # drive remaining artificials out of the basis
+        drop = []
+        for i in range(T.shape[0]):
+            if basis[i] >= n2:
+                cand = np.nonzero(np.abs(T[i, :n2]) > tol)[0]
+                cand = [j for j in cand if j not in set(basis)]
+                if cand:
+                    _pivot(T, basis, i, int(cand[0]))
+                else:
+                    drop.append(i)  # redundant row
+        if drop:
+            mask = np.ones(T.shape[0], dtype=bool)
+            mask[drop] = False
+            T = T[mask]
+            basis = basis[mask]
+            keep_rows = keep_rows[mask]
+    blocked[n2:] = True
+
+    c2 = np.zeros(total)
+    c2[:n] = c
+    status = _iterate(T, basis, c2, blocked, tol)
+    return status, T, basis, A_std, keep_rows, c2
+
+
+def _solve_cf(c, A, senses, b, tol, start=None):
     """Two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
 
-    Returns (status, value, z, y) where y holds one dual per row with the
-    min-problem sign convention: y <= 0 on '<=' rows, y >= 0 on '>=' rows.
+    Returns (status, value, z, y, basis) where y holds one dual per row with
+    the min-problem sign convention: y <= 0 on '<=' rows, y >= 0 on '>='
+    rows, and basis the optimal basic columns of [A | slacks] (None if
+    phase 1 dropped redundant rows).  A `start` basis is tried first; see
+    `_warm_start`.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -170,57 +340,22 @@ def _solve_cf(c, A, senses, b, tol):
     A2[neg] *= -1.0
     b[neg] *= -1.0
     row_sign[neg] = -1.0
-
-    basis = np.empty(m, dtype=int)
-    art_rows = []
-    for i in range(m):
-        j = slack_of_row[i]
-        if j >= 0 and A2[i, j] > 0:
-            basis[i] = j
-        else:
-            art_rows.append(i)
     n2 = A2.shape[1]
-    n_art = len(art_rows)
-    Aart = np.zeros((m, n_art))
-    for t, i in enumerate(art_rows):
-        Aart[i, t] = 1.0
-        basis[i] = n2 + t
-    A_std = np.hstack([A2, Aart])
-    total = A_std.shape[1]
-    T = np.hstack([A_std, b[:, None]])
-    keep_rows = np.arange(m)
 
-    blocked = np.zeros(total, dtype=bool)
-    if n_art:
-        c1 = np.zeros(total)
-        c1[n2:] = 1.0
-        status = _iterate(T, basis, c1, blocked, tol)
-        phase1 = float(c1[basis] @ T[:, -1])
-        if phase1 > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
-            return "infeasible", np.nan, None, None
-        # drive remaining artificials out of the basis
-        drop = []
-        for i in range(T.shape[0]):
-            if basis[i] >= n2:
-                cand = np.nonzero(np.abs(T[i, :n2]) > tol)[0]
-                cand = [j for j in cand if j not in set(basis)]
-                if cand:
-                    _pivot(T, basis, i, int(cand[0]))
-                else:
-                    drop.append(i)  # redundant row
-        if drop:
-            mask = np.ones(T.shape[0], dtype=bool)
-            mask[drop] = False
-            T = T[mask]
-            basis = basis[mask]
-            keep_rows = keep_rows[mask]
-    blocked[n2:] = True
-
-    c2 = np.zeros(total)
-    c2[:n] = c
-    status = _iterate(T, basis, c2, blocked, tol)
-    if status == "unbounded":
-        return "unbounded", np.nan, None, None
+    warm = None
+    if start is not None:
+        c2 = np.zeros(n2)
+        c2[:n] = c
+        warm = _warm_start(A2, b, c2, start, tol)
+    if warm is not None:
+        T, basis = warm
+        A_std = A2
+        keep_rows = np.arange(m)
+    else:
+        status, T, basis, A_std, keep_rows, c2 = _two_phase(
+            A2, b, c, slack_of_row, tol)
+        if status != "optimal":
+            return status, np.nan, None, None, None
 
     # refine from original data to shed accumulated tableau error
     B = A_std[np.ix_(keep_rows, basis)]
@@ -230,7 +365,7 @@ def _solve_cf(c, A, senses, b, tol):
     except np.linalg.LinAlgError:
         xB = T[:, -1].copy()
         yk = None
-    z = np.zeros(total)
+    z = np.zeros(A_std.shape[1])
     z[basis] = xB
     y = np.zeros(m)
     if yk is not None:
@@ -242,7 +377,8 @@ def _solve_cf(c, A, senses, b, tol):
             if j >= 0:
                 y[i] = -r[j] * (1.0 if senses[i] == LE else -1.0)
     y *= row_sign
-    return "optimal", float(c @ z[:n]), z[:n], y
+    out_basis = basis.copy() if basis.size == m else None
+    return "optimal", float(c @ z[:n]), z[:n], y, out_basis
 
 
 # ---------------------------------------------------------------------------
@@ -266,104 +402,105 @@ class _MidForm:
 
 def _to_midform(p: LpProblem) -> _MidForm:
     c = -p.c.copy() if p.maximize else p.c.copy()
-    A = p.A.copy()
+    A = p.A
     n = A.shape[1]
-    shift = np.zeros(n)
-    sign = np.ones(n)
-    free = np.zeros(n, dtype=bool)
-    extra_rows = []
-    extra_b = []
-    for j in range(n):
-        lo, hi = p.lb[j], p.ub[j]
-        if np.isinf(lo) and np.isinf(hi):
-            free[j] = True
-        elif not np.isinf(lo):
-            shift[j] = lo
-            if not np.isinf(hi):
-                row = np.zeros(n)
-                row[j] = 1.0
-                extra_rows.append(row)
-                extra_b.append(hi - lo)
-        else:  # finite ub only: flip the variable
-            sign[j] = -1.0
-            shift[j] = hi
-    senses = list(p.senses)
+    lo_inf, hi_inf = np.isinf(p.lb), np.isinf(p.ub)
+    free = lo_inf & hi_inf
+    # x >= lb shifts by lb; a finite ub alone flips the variable
+    shift = np.where(~lo_inf, p.lb, np.where(~hi_inf, p.ub, 0.0))
+    sign = np.where(lo_inf & ~hi_inf, -1.0, 1.0)
+    boxed = np.nonzero(~lo_inf & ~hi_inf)[0]
+    senses = p.senses
     b = p.b - A @ shift
     A = A * sign
-    if extra_rows:
-        E = (np.array(extra_rows) * sign)
-        A = np.vstack([A, E])
-        b = np.concatenate([b, np.array(extra_b)])
-        senses += [LE] * len(extra_rows)
+    if boxed.size:
+        E = np.zeros((boxed.size, n))
+        E[np.arange(boxed.size), boxed] = 1.0
+        A = np.vstack([A, E * sign])
+        b = np.concatenate([b, p.ub[boxed] - p.lb[boxed]])
+        senses += (LE,) * boxed.size
     const = float((-p.c if p.maximize else p.c) @ shift)
-    return _MidForm(c * sign, A, tuple(senses), b, free, shift, sign, const,
+    return _MidForm(c * sign, A, senses, b, free, shift, sign, const,
                     p.A.shape[0])
 
 
-def _solve_mid_direct(mf: _MidForm, tol):
+def _solve_mid_direct(mf: _MidForm, tol, start=None):
     """Split free variables and run the standard-form core."""
     n = mf.A.shape[1]
     free_idx = np.nonzero(mf.free)[0]
     A = np.hstack([mf.A, -mf.A[:, free_idx]])
     c = np.concatenate([mf.c, -mf.c[free_idx]])
-    status, val, z, y = _solve_cf(c, A, mf.senses, mf.b, tol)
+    status, val, z, y, basis = _solve_cf(c, A, mf.senses, mf.b, tol, start)
     if status != "optimal":
-        return status, np.nan, None, None
+        return status, np.nan, None, None, None
     x = z[:n].copy()
     x[free_idx] -= z[n:]
-    return status, val, x, y
+    return status, val, x, y, basis
 
 
-def _solve_mid_dual(mf: _MidForm, tol):
+def _solve_mid_dual(mf: _MidForm, tol, start=None):
     """Solve through the dual; recover the primal from the dual's duals."""
     m, n = mf.A.shape
     # y = Y u with u >= 0; equality rows keep a free dual variable
-    col_row = []
-    col_sgn = []
-    u_free = []
-    for i, s in enumerate(mf.senses):
-        col_row.append(i)
-        col_sgn.append(-1.0 if s == LE else 1.0)
-        u_free.append(s == EQ)
-    col_row = np.array(col_row)
-    col_sgn = np.array(col_sgn)
-    u_free = np.array(u_free, dtype=bool)
+    code = _sense_codes(mf.senses)
+    col_sgn = np.where(code > 0, -1.0, 1.0)
+    u_free = code == 0
     # dual rows: A_j . y {<= c_j if x_j >= 0, = c_j if x_j free}
-    D_A = (mf.A[col_row] * col_sgn[:, None]).T        # n x m
+    D_A = (mf.A * col_sgn[:, None]).T                  # n x m
     D_b = mf.c
-    D_c = -(mf.b[col_row] * col_sgn)
+    D_c = -(mf.b * col_sgn)
     d_senses = tuple(EQ if f else LE for f in mf.free)
     free_u = np.nonzero(u_free)[0]
     A2 = np.hstack([D_A, -D_A[:, free_u]])
     c2 = np.concatenate([D_c, -D_c[free_u]])
-    status, val2, u2, w = _solve_cf(c2, A2, d_senses, D_b, tol)
+    status, val2, u2, w, basis = _solve_cf(c2, A2, d_senses, D_b, tol, start)
     if status == "unbounded":
-        return "infeasible", np.nan, None, None
+        return "infeasible", np.nan, None, None, None
     if status != "optimal":
-        return "fallback", np.nan, None, None
+        return "fallback", np.nan, None, None, None
     u = u2[:m].copy()
     u[free_u] -= u2[m:]
-    y = np.zeros(m)
-    np.add.at(y, col_row, col_sgn * u)
+    y = col_sgn * u
     x = -w
-    return "optimal", float(mf.c @ x), x, y
+    return "optimal", float(mf.c @ x), x, y, basis
 
 
-def solve(problem: LpProblem, tol: float | None = None) -> LpSolution:
-    """Solve an LP; optimal solutions carry verified certificates."""
+def solve(problem: LpProblem, tol: float | None = None,
+          start: LpBasis | None = None) -> LpSolution:
+    """Solve an LP; optimal solutions carry verified certificates.
+
+    `start` is the `basis` of an earlier solution of a problem with the
+    same constraint matrix and senses; the solve then re-optimizes from it.
+    A warm answer that fails its certificate check is recomputed cold.
+    """
     if tol is None:
         tol = lp_tol()
     mf = _to_midform(problem)
+    sol = _solve_once(problem, mf, tol, start)
+    if start is not None and not _passes(sol, tol):
+        sol = _solve_once(problem, mf, tol, None)
+    if not _passes(sol, tol):
+        raise LpError(
+            f"certificate check failed: primal={sol.primal_residual:.3e} "
+            f"dual={sol.dual_residual:.3e} gap={sol.gap:.3e}")
+    return sol
+
+
+def _solve_once(problem, mf, tol, start) -> LpSolution:
     m, n = mf.A.shape
-    dualize = m > 2 * n + 20
-    if dualize:
-        status, val, x, y = _solve_mid_dual(mf, tol)
+    path = DUALIZED if m > 2 * n + 20 else DIRECT
+
+    def start_for(p):
+        return start.cols if start is not None and start.path == p else None
+
+    if path == DUALIZED:
+        status, val, x, y, cols = _solve_mid_dual(mf, tol, start_for(path))
         if status == "fallback" or (
                 status == "optimal"
                 and not _certified(problem, mf, val, x, y, tol)):
-            status, val, x, y = _solve_mid_direct(mf, tol)
-    else:
-        status, val, x, y = _solve_mid_direct(mf, tol)
+            path = DIRECT
+    if path == DIRECT:
+        status, val, x, y, cols = _solve_mid_direct(mf, tol, start_for(path))
     if status != "optimal":
         return LpSolution(status=status)
     x_orig = mf.sign * x + mf.shift
@@ -372,27 +509,40 @@ def solve(problem: LpProblem, tol: float | None = None) -> LpSolution:
     if problem.maximize:
         value = -value
         y_orig = -y_orig
-    sol = LpSolution(status="optimal", value=value, x=x_orig, y=y_orig)
+    basis = None if cols is None else LpBasis(path, tuple(cols.tolist()))
+    sol = LpSolution(status="optimal", value=value, x=x_orig, y=y_orig,
+                     basis=basis)
     _fill_residuals(problem, sol, tol)
-    if max(sol.primal_residual, sol.dual_residual) > tol or \
-            sol.gap > tol * (1.0 + abs(sol.value)):
-        raise LpError(
-            f"certificate check failed: primal={sol.primal_residual:.3e} "
-            f"dual={sol.dual_residual:.3e} gap={sol.gap:.3e}")
     return sol
+
+
+def _passes(sol: LpSolution, tol) -> bool:
+    """The LpError thresholds; only optimal solutions carry residuals."""
+    if sol.status != "optimal":
+        return True
+    return max(sol.primal_residual, sol.dual_residual) <= tol and \
+        sol.gap <= tol * (1.0 + abs(sol.value))
+
+
+@functools.lru_cache(maxsize=64)
+def _sense_codes(senses: tuple) -> np.ndarray:
+    """+1 on '<=' rows, -1 on '>=' rows, 0 on '=' rows."""
+    code = np.array([1.0 if s == LE else -1.0 if s == GE else 0.0
+                     for s in senses])
+    code.setflags(write=False)
+    return code
+
+
+def _row_violation(r, senses) -> float:
+    """max(0, worst row violation) for residuals r = A x - b."""
+    code = _sense_codes(senses)
+    viol = np.where(code == 0.0, np.abs(r), code * r)
+    return float(np.max(viol, initial=0.0))
 
 
 def _certified(problem, mf, val, x, y, tol) -> bool:
     """Quick validity check for the dualized path, in mid-form coordinates."""
-    r = mf.A @ x - mf.b
-    pr = 0.0
-    for i, s in enumerate(mf.senses):
-        if s == LE:
-            pr = max(pr, r[i])
-        elif s == GE:
-            pr = max(pr, -r[i])
-        else:
-            pr = max(pr, abs(r[i]))
+    pr = _row_violation(mf.A @ x - mf.b, mf.senses)
     pr = max(pr, float(np.max(-x[~mf.free], initial=0.0)))
     rc = mf.c - mf.A.T @ y
     dr = float(np.max(np.abs(rc[mf.free]), initial=0.0))
@@ -405,40 +555,32 @@ def _certified(problem, mf, val, x, y, tol) -> bool:
 def _fill_residuals(problem: LpProblem, sol: LpSolution, tol) -> None:
     x, y = sol.x, sol.y
     r = problem.A @ x - problem.b
-    pr = 0.0
-    cs = 0.0
-    for i, s in enumerate(problem.senses):
-        if s == LE:
-            pr = max(pr, r[i])
-        elif s == GE:
-            pr = max(pr, -r[i])
-        else:
-            pr = max(pr, abs(r[i]))
-        cs = max(cs, abs(y[i] * r[i]))
-    pr = max(pr, float(np.max(problem.lb - x, initial=0.0)))
-    pr = max(pr, float(np.max(x - problem.ub, initial=0.0)))
+    pr = _row_violation(r, problem.senses)
+    cs = float(np.max(np.abs(y * r), initial=0.0))
+    lo, hi = problem.lb, problem.ub
+    pr = max(pr, float(np.max(lo - x, initial=0.0)))
+    pr = max(pr, float(np.max(x - hi, initial=0.0)))
     # reduced costs in min orientation
     sgn = -1.0 if problem.maximize else 1.0
     rc = sgn * problem.c - problem.A.T @ (sgn * y)
-    dr = 0.0
-    dual_obj = float(problem.b @ (sgn * y))
-    for j in range(x.size):
-        lo, hi = problem.lb[j], problem.ub[j]
-        at_lo = not np.isinf(lo) and x[j] <= lo + 1e-7 * (1 + abs(lo))
-        at_hi = not np.isinf(hi) and x[j] >= hi - 1e-7 * (1 + abs(hi))
-        if at_lo and at_hi:
-            dual_obj += lo * rc[j]
-            continue
-        if at_lo:
-            dr = max(dr, -rc[j])
-            dual_obj += lo * max(rc[j], 0.0)
-            cs = max(cs, abs(min(rc[j], 0.0)))
-        elif at_hi:
-            dr = max(dr, rc[j])
-            dual_obj += hi * min(rc[j], 0.0)
-            cs = max(cs, abs(max(rc[j], 0.0)))
-        else:
-            dr = max(dr, abs(rc[j]))
+    # which bound each variable sits at (infinite bounds never hold)
+    lo_f = np.where(np.isinf(lo), 0.0, lo)
+    hi_f = np.where(np.isinf(hi), 0.0, hi)
+    at_lo = ~np.isinf(lo) & (x <= lo_f + 1e-7 * (1 + np.abs(lo_f)))
+    at_hi = ~np.isinf(hi) & (x >= hi_f - 1e-7 * (1 + np.abs(hi_f)))
+    fixed = at_lo & at_hi
+    only_lo = at_lo & ~at_hi
+    only_hi = at_hi & ~at_lo
+    inner = ~at_lo & ~at_hi
+    dr = max(float(np.max(-rc[only_lo], initial=0.0)),
+             float(np.max(rc[only_hi], initial=0.0)),
+             float(np.max(np.abs(rc[inner]), initial=0.0)))
+    cs = max(cs, float(np.max(-np.minimum(rc[only_lo], 0.0), initial=0.0)),
+             float(np.max(np.maximum(rc[only_hi], 0.0), initial=0.0)))
+    dual_obj = float(problem.b @ (sgn * y)) + float(
+        lo_f[fixed] @ rc[fixed]
+        + lo_f[only_lo] @ np.maximum(rc[only_lo], 0.0)
+        + hi_f[only_hi] @ np.minimum(rc[only_hi], 0.0))
     primal_obj = float(problem.c @ x)
     gap = abs(primal_obj - sgn * dual_obj)
     sol.primal_residual = float(pr)

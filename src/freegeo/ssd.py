@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lp
 from .free_space import (FreeElement, MoleculeCombination, free_norm,
-                         lipschitz_ball_rows, molecule, pairing)
+                         lipschitz_ball_rows, molecule, pair_rows, pairing)
 from .lipschitz import (LipFunction, LipschitzError, cutoff_xi,
                         f_gamma_construct, from_values, g_gamma_construct,
                         lip_norm, mcshane_extend, pair_slope, peaking_check,
@@ -83,56 +83,75 @@ class ModulusCurve:
         return "\n".join(lines) + "\n"
 
 
-def _slab_sample(space, mu, eta, objective, norm_mu):
+@dataclass
+class _WarmStart:
+    """The last optimal basis of one LP family whose constraint matrix stays
+    fixed; each solve re-optimizes from it and stores its own."""
+
+    basis: lp.LpBasis | None = None
+
+    def solve(self, problem: lp.LpProblem) -> lp.LpSolution:
+        sol = lp.solve(problem, start=self.basis)
+        self.basis = sol.basis
+        return sol
+
+
+def _slab_sample(space, mu, eta, objective, norm_mu, warm: _WarmStart):
     """Maximize a linear objective over the eta-slab of the unit ball."""
     A, b = lipschitz_ball_rows(space)
     rows = np.vstack([A, -mu.masses[1:]])
     rhs = np.concatenate([b, [-(norm_mu * (1.0 - eta))]])
     senses = [lp.LE] * len(rhs)
-    sol = lp.solve(lp.LpProblem.build(objective, rows, senses, rhs,
-                                      maximize=True))
+    sol = warm.solve(lp.LpProblem.build(objective, rows, senses, rhs,
+                                        maximize=True))
     if sol.status != "optimal":
         raise SsdError(f"slab sampling LP ended with status {sol.status}")
     return from_values(space, np.concatenate([[0.0], sol.x]))
 
 
-def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None) -> float:
-    """Lip-distance from f to the dual face D(mu) = {g : ||g|| <= 1,
-    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t)."""
-    space = f.space
+def _distance_to_face_problem(space, vals, mu_masses, norm, scale=1.0):
+    """min t over (g, t): ||g|| <= scale, pairing(g, mu) = norm and
+    |(v - g)(p) - (v - g)(q)| <= t d(p, q) for the values v."""
     n = space.n
-    if norm_mu is None:
-        norm_mu = free_norm(mu).value
-    A, b = lipschitz_ball_rows(space)           # g stays in the unit ball
-    k = A.shape[0]
-    rows = [np.concatenate([A, np.zeros((k, 1))], axis=1)]
-    rhs = [b]
-    senses = [lp.LE] * k
-    # |(f - g)(p) - (f - g)(q)| <= t d(p, q)
-    for p in range(n):
-        for q in range(p + 1, n):
-            r = np.zeros(n)
-            if p > 0:
-                r[p - 1] = 1.0
-            if q > 0:
-                r[q - 1] = -1.0
-            r[-1] = -space.d(p, q)
-            diff = f(p) - f(q)
-            rows.append(np.stack([r, np.concatenate([-r[:-1], [r[-1]]])]))
-            rhs.append(np.array([diff, -diff]))
-            senses += [lp.LE, lp.LE]
-    rows.append(np.concatenate([mu.masses[1:], [0.0]])[None, :])
-    rhs.append(np.array([norm_mu]))
-    senses.append(lp.EQ)
+    A, b = lipschitz_ball_rows(space, scale=scale)
+    p, q, R = pair_rows(n)
+    k = R.shape[0]
+    rows = np.zeros((4 * k + 1, n))
+    rows[:2 * k, :-1] = A
+    # two rows per pair, in the order of the ball rows
+    rows[2 * k:-1:2, :-1] = R
+    rows[2 * k + 1:-1:2, :-1] = -R
+    rows[2 * k:-1, -1] = -np.repeat(space.dist[p, q], 2)
+    rows[-1, :-1] = mu_masses[1:]
+    diff = np.repeat(vals[p] - vals[q], 2)
+    diff[1::2] *= -1.0
+    senses = [lp.LE] * (4 * k) + [lp.EQ]
     c = np.zeros(n)
     c[-1] = 1.0
     lb = np.full(n, -np.inf)
     lb[-1] = 0.0
-    sol = lp.solve(lp.LpProblem.build(c, np.vstack(rows),
-                                      senses, np.concatenate(rhs), lb=lb))
+    return lp.LpProblem.build(c, rows, senses,
+                              np.concatenate([b, diff, [norm]]), lb=lb)
+
+
+def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None, *,
+                  _warm: _WarmStart | None = None) -> float:
+    """Lip-distance from f to the dual face D(mu) = {g : ||g|| <= 1,
+    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t)."""
+    if norm_mu is None:
+        norm_mu = free_norm(mu).value
+    problem = _distance_to_face_problem(f.space, f.values, mu.masses,
+                                        norm_mu)
+    sol = (_warm or _WarmStart()).solve(problem)
     if sol.status != "optimal":
         raise SsdError(f"face-distance LP ended with status {sol.status}")
     return float(sol.value)
+
+
+def _guard(name: str, margin: float) -> None:
+    """Raise unless the named check holds (margin >= 0; NaN fails)."""
+    if not margin >= 0.0:
+        raise SsdError(f"check {name} failed with margin {margin!r}")
 
 
 def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
@@ -143,7 +162,10 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     and records the max Lip-distance of the maximizers to the dual face.
     The result is post-processed to a monotone (nondecreasing in eta)
     envelope; it is deterministic given the seed and a lower bound on the
-    true modulus.
+    true modulus.  The LPs of one slab share their constraint matrices, so
+    each re-optimizes from the previous sample's basis; every sample is
+    checked against the unit ball and the slab independently of the
+    solver, and a failed check raises SsdError with its margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -159,12 +181,15 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     raw = []
     for eta in eta_grid:
         worst = 0.0
+        # every sample of one slab shares both constraint matrices
+        slab, dist = _WarmStart(), _WarmStart()
         for _ in range(samples_per_eta):
             f = _slab_sample(space, mu, eta, rng.standard_normal(space.n - 1),
-                             norm_mu)
-            assert lip_norm(f) <= 1.0 + tol
-            assert pairing(f, mu) >= norm_mu * (1.0 - eta) - tol
-            worst = max(worst, face_distance(f, mu, norm_mu))
+                             norm_mu, slab)
+            _guard("slab_sample_in_unit_ball", 1.0 + tol - lip_norm(f))
+            _guard("slab_sample_in_slab",
+                   pairing(f, mu) - (norm_mu * (1.0 - eta) - tol))
+            worst = max(worst, face_distance(f, mu, norm_mu, _warm=dist))
         raw.append((eta, worst))
     # monotone envelope: the true modulus is nondecreasing in eta
     order = sorted(range(len(raw)), key=lambda i: raw[i][0])
@@ -282,33 +307,8 @@ def _search_T(beta: float, gamma: float):
 def _projection_lp(sub_space, h_vals, mu_masses, norm_h):
     """min ||phi - h||_Lip0 over {||phi|| <= ||h||, pairing(phi, mu) = ||h||}
     on the finite subset; returns (optimum, phi values)."""
-    n = sub_space.n
-    A, b = lipschitz_ball_rows(sub_space, scale=norm_h)
-    k = A.shape[0]
-    rows = [np.concatenate([A, np.zeros((k, 1))], axis=1)]
-    rhs = [b]
-    senses = [lp.LE] * k
-    for p in range(n):
-        for q in range(p + 1, n):
-            r = np.zeros(n)
-            if p > 0:
-                r[p - 1] = 1.0
-            if q > 0:
-                r[q - 1] = -1.0
-            r[-1] = -sub_space.d(p, q)
-            diff = h_vals[p] - h_vals[q]
-            rows.append(np.stack([r, np.concatenate([-r[:-1], [r[-1]]])]))
-            rhs.append(np.array([diff, -diff]))
-            senses += [lp.LE, lp.LE]
-    rows.append(np.concatenate([mu_masses[1:], [0.0]])[None, :])
-    rhs.append(np.array([norm_h]))
-    senses.append(lp.EQ)
-    c = np.zeros(n)
-    c[-1] = 1.0
-    lb = np.full(n, -np.inf)
-    lb[-1] = 0.0
-    sol = lp.solve(lp.LpProblem.build(c, np.vstack(rows), senses,
-                                      np.concatenate(rhs), lb=lb))
+    sol = lp.solve(_distance_to_face_problem(sub_space, h_vals, mu_masses,
+                                             norm_h, scale=norm_h))
     if sol.status != "optimal":
         raise SsdError(f"projection LP ended with status {sol.status}")
     return float(sol.value), np.concatenate([[0.0], sol.x[:-1]])

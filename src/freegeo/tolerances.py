@@ -15,4 +15,10 @@ TAU_LP_DEFAULT = 1e-9
 
 def lp_tol() -> float:
     """Absolute LP tolerance; FREEGEO_TOL overrides it (test-only knob)."""
-    return float(os.environ.get("FREEGEO_TOL", TAU_LP_DEFAULT))
+    raw = os.environ.get("FREEGEO_TOL")
+    if raw is None:
+        return TAU_LP_DEFAULT
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"FREEGEO_TOL={raw!r} is not a number") from None

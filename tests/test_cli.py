@@ -188,3 +188,60 @@ def test_family_needs_index_for_space_commands(capsys):
     # interior points of the truncation are aligned through the base
     assert rep["outputs"]["luna"] is False
     assert rep["outputs"]["min_eta"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends in an error line, never a traceback
+# ---------------------------------------------------------------------------
+
+def _run_err(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _assert_error_line(result, code=1):
+    got, out, err = result
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_norm_molecule_index_out_of_range(capsys, tmp_path):
+    path = tmp_path / "three.json"
+    path.write_text(space_to_json_str(gallery("equilateral", n=3)))
+    el = _element_file(tmp_path, {"molecules": [[1.0, 7, 0]]})
+    _assert_error_line(_run_err(capsys, ["norm", "--space", str(path),
+                                         "--element", el]))
+
+
+def test_classify_pair_non_numeric(capsys):
+    _assert_error_line(_run_err(capsys, [
+        "classify-pair", "--gallery", "line", "--params", "n=4",
+        "--pair", "a,b"]))
+
+
+def test_classify_pair_out_of_range(capsys):
+    _assert_error_line(_run_err(capsys, [
+        "classify-pair", "--gallery", "line", "--params", "n=4",
+        "--pair", "1,9"]))
+
+
+def test_params_non_numeric(capsys):
+    _assert_error_line(_run_err(capsys, [
+        "classify-space", "--gallery", "equilateral", "--params", "n=x"]))
+
+
+def test_tolerance_env_non_numeric(capsys, monkeypatch):
+    monkeypatch.setenv("FREEGEO_TOL", "abc")
+    _assert_error_line(_run_err(capsys, [
+        "classify-space", "--gallery", "equilateral", "--params", "n=4"]))
+
+
+def test_family_trend_almost_aligned_to_30(capsys):
+    code, out = _run(capsys, ["family-trend", "--gallery", "almost_aligned",
+                              "--indices", "1-30"])
+    assert code == 0
+    rows = json.loads(out)["outputs"]["rows"]
+    assert rows[-1]["index"] == 30
+    assert rows[-1]["eta"] == 2.0 ** -30

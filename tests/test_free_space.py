@@ -7,6 +7,7 @@ from freegeo.free_space import (FreeElement, FreeSpaceError,
                                 is_gateaux, molecule, norming_functional,
                                 optimal_representation, pairing)
 from freegeo.lipschitz import from_values, lip_norm
+from freegeo.lp import EQ, LE, LpProblem, solve
 from freegeo.metric import branching_tree, cantor_endpoints, equilateral, line_space
 from conftest import random_euclidean_space, random_zero_sum
 
@@ -165,6 +166,24 @@ class TestFaceRanges:
         for p in range(1, 4):
             assert ranges[p][1] - ranges[p][0] <= 1e-7
             assert ranges[p][0] == pytest.approx(float(p), abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_ranges_match_cold_solves(self, seed):
+        # the 2(n-1) solves share one polytope and reuse one basis
+        rng = np.random.default_rng(500 + seed)
+        space = random_euclidean_space(rng, int(rng.integers(5, 10)))
+        face = dual_face(FreeElement(space, random_zero_sum(rng, space.n)))
+        A_ub, b_ub, prow, prhs = face.constraint_rows()
+        A = np.vstack([A_ub, prow])
+        b = np.concatenate([b_ub, [prhs]])
+        senses = [LE] * len(b_ub) + [EQ]
+        ranges = face_coordinate_ranges(face)
+        for p in range(1, space.n):
+            c = np.zeros(space.n - 1)
+            c[p - 1] = 1.0
+            lo = solve(LpProblem.build(c, A, senses, b)).value
+            hi = solve(LpProblem.build(c, A, senses, b, maximize=True)).value
+            assert ranges[p] == pytest.approx([lo, hi], abs=1e-12)
 
 
 class TestGateaux:

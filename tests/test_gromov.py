@@ -170,3 +170,24 @@ def test_report_json_roundtrip_shape():
     assert blob["pair"] == [0, 1]
     assert blob["eta"] == 1.0
     assert isinstance(blob["concavity_profile"], list)
+
+
+def test_almost_aligned_index_30_crosses_tolerance():
+    # eta = 2^-30 lies below the metric tolerance while the rotundity ratio
+    # 2 eta lies above it; every positivity flag follows the gap
+    space, (x, y) = gallery("almost_aligned").generate(30)
+    rep = analyze_pair(space, x, y)
+    assert rep.eta == 2.0 ** -30
+    assert rep.delta_rotund == 2.0 ** -29
+    assert not rep.has_gromov_gap
+    assert rep.is_rotund is rep.is_concave is rep.extreme_molecule is False
+    rows = family_trend(gallery("almost_aligned"), range(28, 31))
+    assert [r["index"] for r in rows] == [28, 29, 30]
+
+
+def test_analyze_pair_rejects_out_of_range():
+    space = gallery("line", n=4)
+    with pytest.raises(PairError):
+        analyze_pair(space, 1, 9)
+    with pytest.raises(PairError):
+        analyze_pair(space, -1, 2)

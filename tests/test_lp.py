@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from freegeo.lp import EQ, GE, LE, LpError, LpProblem, solve
+import freegeo.lp as lp_module
+from freegeo.lp import EQ, GE, LE, LpBasis, LpError, LpProblem, solve
 
 
 def test_single_variable_max():
@@ -157,3 +158,236 @@ def test_deterministic():
     s2 = solve(p)
     assert np.array_equal(s1.x, s2.x)
     assert s1.value == s2.value
+
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+# ---------------------------------------------------------------------------
+
+def _dualized_data(rng, n=5, m=60):
+    """Many '<=' rows over few free variables (m > 2n + 20, the shape that
+    takes the dualized path); a box of rows keeps the region bounded."""
+    A = np.vstack([rng.normal(size=(m - 2 * n, n)), np.eye(n), -np.eye(n)])
+    b = np.abs(rng.normal(size=m)) + 0.5
+    b[-2 * n:] = 10.0
+    return rng.normal(size=n), A, b
+
+
+def _max_problem(c, A, b):
+    return LpProblem.build(c, A, [LE] * len(b), b, maximize=True)
+
+
+def _assert_certified(s, tol=1e-9):
+    assert s.status == "optimal"
+    assert s.primal_residual <= tol
+    assert s.dual_residual <= tol
+    assert s.gap <= tol * (1 + abs(s.value))
+
+
+def _recorder(monkeypatch, name, outcome):
+    """Wraps lp.<name> and lists outcome(result) for every call."""
+    seen = []
+    original = getattr(lp_module, name)
+
+    def recording(*args):
+        out = original(*args)
+        seen.append(outcome(out))
+        return out
+
+    monkeypatch.setattr(lp_module, name, recording)
+    return seen
+
+
+@pytest.fixture
+def warm_accepted(monkeypatch):
+    """Per warm-started solve, whether the start was used."""
+    return _recorder(monkeypatch, "_warm_start", lambda out: out is not None)
+
+
+@pytest.fixture
+def dual_outcomes(monkeypatch):
+    return _recorder(monkeypatch, "_dual_iterate", lambda out: out)
+
+
+def _assert_matches_cold(problem, start):
+    warm = solve(problem, start=start)
+    cold = solve(problem)
+    _assert_certified(warm)
+    assert warm.value == pytest.approx(cold.value, abs=1e-9, rel=1e-9)
+    assert np.allclose(warm.x, cold.x, atol=1e-7)
+    return warm
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_warm_start_after_objective_change(seed, warm_accepted):
+    rng = np.random.default_rng(2000 + seed)
+    c, A, b = _dualized_data(rng)
+    first = solve(_max_problem(c, A, b))
+    assert first.basis is not None and first.basis.path == "dualized"
+    start = first.basis
+    for _ in range(4):
+        start = _assert_matches_cold(
+            _max_problem(rng.normal(size=c.size), A, b), start).basis
+    assert all(warm_accepted)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_warm_start_after_rhs_change(seed, warm_accepted):
+    rng = np.random.default_rng(3000 + seed)
+    c, A, b = _dualized_data(rng)
+    start = solve(_max_problem(c, A, b)).basis
+    for _ in range(4):
+        b2 = b.copy()
+        b2[:-2 * c.size] = np.abs(rng.normal(size=b.size - 2 * c.size)) + 0.5
+        start = _assert_matches_cold(_max_problem(c, A, b2), start).basis
+    assert all(warm_accepted)
+
+
+def test_warm_start_equality_rows_and_bounds():
+    # '=' and '>=' rows and bounded variables go through the same warm path
+    rng = np.random.default_rng(41)
+    n, m = 4, 40
+    A = rng.normal(size=(m, n))
+    x0 = rng.uniform(-1.0, 1.0, size=n)
+    b = A @ x0 + np.abs(rng.normal(size=m))
+    senses = [LE] * m
+    senses[0], b[0] = EQ, A[0] @ x0
+    senses[1], A[1], b[1] = GE, -A[1], -b[1]
+    lb, ub = np.full(n, -5.0), np.full(n, 5.0)
+    first = solve(LpProblem.build(rng.normal(size=n), A, senses, b, lb, ub))
+    for _ in range(3):
+        p = LpProblem.build(rng.normal(size=n), A, senses, b, lb, ub)
+        _assert_matches_cold(p, first.basis)
+
+
+def test_solution_basis_is_reusable_on_same_problem(warm_accepted):
+    rng = np.random.default_rng(5)
+    p = _max_problem(*_dualized_data(rng))
+    first = solve(p)
+    again = solve(p, start=first.basis)
+    assert np.array_equal(again.x, first.x)
+    assert warm_accepted == [True]
+
+
+def _bad_starts(rng, c, A, b):
+    good = solve(_max_problem(c, A, b)).basis
+    # rows 0 and 1 are identical, so their dual columns are too
+    singular = (0, 1) + tuple(j for j in good.cols if j > 1)[:len(good.cols)
+                                                             - 2]
+    c2, A2, b2 = _dualized_data(np.random.default_rng(999))
+    other = solve(_max_problem(c2, A2, b2)).basis
+    return {
+        "wrong_length": LpBasis(good.path, good.cols[:-1]),
+        "out_of_range": LpBasis(good.path, (10 ** 6,) + good.cols[1:]),
+        "negative": LpBasis(good.path, (-1,) + good.cols[1:]),
+        "duplicate": LpBasis(good.path, (good.cols[0],) * len(good.cols)),
+        "singular": LpBasis(good.path, singular),
+        "other_problem": other,
+        "wrong_path": LpBasis("direct", good.cols),
+        "not_integers": LpBasis(good.path, tuple(float(j)
+                                                 for j in good.cols)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["wrong_length", "out_of_range", "negative",
+                                  "duplicate", "singular", "other_problem",
+                                  "wrong_path", "not_integers"])
+def test_bad_start_falls_back(kind):
+    rng = np.random.default_rng(77)
+    c, A, b = _dualized_data(rng)
+    A[1] = A[0]
+    start = _bad_starts(rng, c, A, b)[kind]
+    p = _max_problem(rng.normal(size=c.size), A, b)
+    _assert_matches_cold(p, start)
+
+
+def test_singular_start_is_rejected():
+    rng = np.random.default_rng(77)
+    c, A, b = _dualized_data(rng)
+    A[1] = A[0]
+    start = _bad_starts(rng, c, A, b)["singular"]
+    mf = lp_module._to_midform(_max_problem(c, A, b))
+    m = mf.A.shape[0]
+    # the dualized standard form: one column per primal row
+    A2 = (mf.A * -1.0).T
+    assert lp_module._warm_start(A2, mf.c.copy(), np.zeros(m),
+                                 np.array(start.cols), 1e-9) is None
+
+
+def test_dual_simplex_without_entering_column_falls_back(dual_outcomes):
+    # direct path: x <= 1, -x <= 0 becomes x <= 1, x >= 2 (infeasible)
+    A = np.array([[1.0], [-1.0]])
+    first = solve(LpProblem.build([1.0], A, [LE] * 2, [1.0, 0.0],
+                                  maximize=True))
+    p = LpProblem.build([1.0], A, [LE] * 2, [1.0, -2.0], maximize=True)
+    assert solve(p, start=first.basis).status == "infeasible"
+    # dualized path: max x over x <= 1 becomes max -x (unbounded); the new
+    # objective is a new right-hand side of the dual
+    A = np.array([[1.0]] + [[0.0]] * 30)
+    b = np.ones(31)
+    first = solve(LpProblem.build([1.0], A, [LE] * 31, b, maximize=True))
+    assert first.basis.path == "dualized"
+    p = LpProblem.build([-1.0], A, [LE] * 31, b, maximize=True)
+    assert solve(p, start=first.basis).status == "unbounded"
+    assert solve(p).status == "unbounded"
+    assert dual_outcomes == ["infeasible", "infeasible"]
+
+
+def _loop_residuals(problem, x, y):
+    """Per-row and per-variable loop form of the residual check, kept as
+    the reference for the vectorized `_fill_residuals`."""
+    r = problem.A @ x - problem.b
+    pr = cs = 0.0
+    for i, s in enumerate(problem.senses):
+        pr = max(pr, r[i] if s == LE else -r[i] if s == GE else abs(r[i]))
+        cs = max(cs, abs(y[i] * r[i]))
+    pr = max(pr, float(np.max(problem.lb - x, initial=0.0)))
+    pr = max(pr, float(np.max(x - problem.ub, initial=0.0)))
+    sgn = -1.0 if problem.maximize else 1.0
+    rc = sgn * problem.c - problem.A.T @ (sgn * y)
+    dr = 0.0
+    dual_obj = float(problem.b @ (sgn * y))
+    for j in range(x.size):
+        lo, hi = problem.lb[j], problem.ub[j]
+        at_lo = not np.isinf(lo) and x[j] <= lo + 1e-7 * (1 + abs(lo))
+        at_hi = not np.isinf(hi) and x[j] >= hi - 1e-7 * (1 + abs(hi))
+        if at_lo and at_hi:
+            dual_obj += lo * rc[j]
+        elif at_lo:
+            dr = max(dr, -rc[j])
+            dual_obj += lo * max(rc[j], 0.0)
+            cs = max(cs, abs(min(rc[j], 0.0)))
+        elif at_hi:
+            dr = max(dr, rc[j])
+            dual_obj += hi * min(rc[j], 0.0)
+            cs = max(cs, abs(max(rc[j], 0.0)))
+        else:
+            dr = max(dr, abs(rc[j]))
+    gap = abs(float(problem.c @ x) - sgn * dual_obj)
+    return pr, dr, gap, cs
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vectorized_residuals_match_loop_reference(seed):
+    rng = np.random.default_rng(4000 + seed)
+    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+    p = _random_problem(rng, n, m, with_eq=True)
+    senses = list(p.senses)
+    senses[-1] = GE
+    lb = p.lb.copy()
+    lb[0] = p.ub[0]     # one fixed variable
+    p = LpProblem.build(p.c, p.A, senses, p.b, lb, p.ub,
+                        maximize=bool(seed % 2))
+    # residuals of an arbitrary point: every branch of the check is hit
+    x = np.clip(rng.normal(size=n) * 60.0, p.lb, p.ub)
+    x[1] = p.ub[1]
+    sol = lp_module.LpSolution(status="optimal", value=0.0, x=x,
+                               y=rng.normal(size=m))
+    lp_module._fill_residuals(p, sol, 1e-9)
+    pr, dr, gap, cs = _loop_residuals(p, sol.x, sol.y)
+    assert sol.primal_residual == pr
+    assert sol.dual_residual == dr
+    assert sol.cs_residual == cs
+    # only the summation order of the dual objective changed
+    assert sol.gap == pytest.approx(gap, rel=1e-13, abs=1e-13)

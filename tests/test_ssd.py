@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from freegeo import lp
-from freegeo.free_space import (MoleculeCombination, free_norm,
-                                lipschitz_ball_rows, molecule,
+from freegeo import lp, ssd
+from freegeo.free_space import (FreeElement, MoleculeCombination,
+                                free_norm, lipschitz_ball_rows, molecule,
                                 norming_functional, optimal_representation,
                                 pairing)
 from freegeo.lipschitz import aux_f_xy, from_values, lip_norm, pair_slope
@@ -16,6 +16,7 @@ from freegeo.ssd import (CERTIFIED, PRECONDITION_FAILED, SsdError,
                          common_norming_witness, exposedness_probe,
                          face_distance, find_common_norming,
                          perturbation_pipeline, single_molecule_perturb)
+from conftest import random_euclidean_space, random_zero_sum
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,128 @@ def test_probe_deterministic_and_errors():
         exposedness_probe(zero, [0.1], 4, seed=0)
     with pytest.raises(SsdError):
         exposedness_probe(mu, [1.5], 4, seed=0)
+
+
+def _loop_face_distance_rows(space, vals, mu_masses, norm, scale):
+    """Pair-by-pair assembly of the face-distance LP, kept as the reference
+    for the vectorized builders: (rows, rhs) over (g, t)."""
+    n = space.n
+    ball, dist, ball_rhs, dist_rhs = [], [], [], []
+    for p in range(n):
+        for q in range(p + 1, n):
+            r = np.zeros(n)
+            if p > 0:
+                r[p - 1] = 1.0
+            if q > 0:
+                r[q - 1] = -1.0
+            ball += [np.append(r[:-1], 0.0), np.append(-r[:-1], 0.0)]
+            ball_rhs += [scale * space.d(p, q)] * 2
+            r[-1] = -space.d(p, q)
+            diff = vals[p] - vals[q]
+            dist += [r, np.concatenate([-r[:-1], [r[-1]]])]
+            dist_rhs += [diff, -diff]
+    rows = ball + dist + [np.concatenate([mu_masses[1:], [0.0]])]
+    return np.array(rows), np.array(ball_rhs + dist_rhs + [norm])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_vectorized_rows_match_loop_reference(scale):
+    rng = np.random.default_rng(8)
+    for space in (branching_tree(6), gallery("equilateral", n=4),
+                  random_euclidean_space(rng, 7)):
+        vals = np.concatenate([[0.0], rng.normal(size=space.n - 1)])
+        mu = molecule(space, 1, 0)
+        problem = ssd._distance_to_face_problem(space, vals, mu.masses, 0.8,
+                                                scale=scale)
+        rows, rhs = _loop_face_distance_rows(space, vals, mu.masses, 0.8,
+                                             scale)
+        # bitwise, signed zeros included: cold solves see identical data
+        assert problem.A.tobytes() == rows.tobytes()
+        assert problem.b.tobytes() == rhs.tobytes()
+        A, b = lipschitz_ball_rows(space, scale=scale)
+        k = A.shape[0]
+        assert A.tobytes() == np.ascontiguousarray(rows[:k, :-1]).tobytes()
+        assert b.tobytes() == rhs[:k].tobytes()
+
+
+def _cold_probe(mu, eta_grid, samples, seed):
+    """exposedness_probe with every LP solved cold: the reference loop."""
+    space = mu.space
+    norm_mu = free_norm(mu).value
+    rng = np.random.default_rng(seed)
+    raw = []
+    for eta in eta_grid:
+        worst = 0.0
+        for _ in range(samples):
+            f = ssd._slab_sample(space, mu, eta,
+                                 rng.standard_normal(space.n - 1), norm_mu,
+                                 ssd._WarmStart())
+            worst = max(worst, face_distance(f, mu, norm_mu))
+        raw.append(worst)
+    return np.maximum.accumulate(raw)   # grids below are increasing
+
+
+def _probe_cases():
+    rng = np.random.default_rng(2024)
+    for n in (3, 6, 10):
+        tree = branching_tree(n)
+        comb = MoleculeCombination(
+            tree, tuple((1.0 / n, k, 0) for k in range(1, n + 1)))
+        yield f"tree{n}", comb.element()
+        yield f"tree{n}_fattened", MoleculeCombination(
+            gamma_fatten(tree, 1.0), comb.terms).element()
+    for n in (4, 7, 9):     # degenerate: ties in every ratio test
+        yield f"equilateral{n}", molecule(gallery("equilateral", n=n), 1, 2)
+    for k in range(4):
+        space = random_euclidean_space(rng, int(rng.integers(5, 11)))
+        yield f"euclidean{k}", FreeElement(space,
+                                           random_zero_sum(rng, space.n))
+
+
+@pytest.mark.parametrize("name,mu", list(_probe_cases()))
+def test_warm_probe_matches_cold_reference(name, mu):
+    grid = [0.01, 0.05, 0.2]
+    warm = exposedness_probe(mu, grid, 12, seed=17)
+    cold = _cold_probe(mu, grid, 12, seed=17)
+    got = np.array([entry[1] for entry in warm.entries])
+    assert np.max(np.abs(got - cold)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_warm_probe_matches_cold_under_blands_rule(n, monkeypatch):
+    # with no stall allowance every degenerate pivot switches the primal
+    # and the dual simplex to Bland's rule
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
+    mu = molecule(gallery("equilateral", n=n), 1, 2)
+    warm = exposedness_probe(mu, [0.01, 0.2], 12, seed=5)
+    cold = _cold_probe(mu, [0.01, 0.2], 12, seed=5)
+    got = np.array([entry[1] for entry in warm.entries])
+    assert np.max(np.abs(got - cold)) <= 1e-12
+
+
+def test_probe_guard_rejects_sample_outside_ball(monkeypatch):
+    space = gallery("equilateral", n=3)
+    mu = molecule(space, 1, 2)
+    f = norming_functional(mu)
+
+    def outside(space, mu, eta, objective, norm_mu, warm):
+        return from_values(space, 2.0 * f.values)
+
+    monkeypatch.setattr(ssd, "_slab_sample", outside)
+    with pytest.raises(SsdError, match="slab_sample_in_unit_ball"):
+        exposedness_probe(mu, [0.1], 4, seed=0)
+
+
+def test_probe_guard_rejects_sample_outside_slab(monkeypatch):
+    space = gallery("equilateral", n=3)
+    mu = molecule(space, 1, 2)
+
+    def zero(space, mu, eta, objective, norm_mu, warm):
+        return from_values(space, np.zeros(space.n))
+
+    monkeypatch.setattr(ssd, "_slab_sample", zero)
+    with pytest.raises(SsdError, match="slab_sample_in_slab"):
+        exposedness_probe(mu, [0.1], 4, seed=0)
 
 
 # ---------------------------------------------------------------------------
