@@ -1,11 +1,12 @@
 """Finitely supported elements of the free space over a finite pointed
 metric space.
 
-The norm is computed twice on every call: a min-cost-flow LP on the complete
-graph (primal route, also yields an optimal molecule representation) and a
-max-pairing LP over the unit ball of base-vanishing Lipschitz functions
-(dual route, yields a norming functional).  The two optima are required to
-agree within the LP tolerance and the returned value is their average.
+The norm is one LP, the max-pairing LP over the unit ball of base-vanishing
+Lipschitz functions: its optimizer is a norming functional and, by
+Kantorovich-Rubinstein duality, its row duals are an optimal transport plan
+(which also yields an optimal molecule representation).  Both certificates
+are re-checked from the original data; the returned value is the average of
+the transport cost and the pairing.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LpError, LpProblem, solve
-from .lipschitz import LipFunction, from_values
+from .lp import EQ, LE, LpProblem, solve
+from .lipschitz import LipFunction, lip_norm
 from .metric import PointedMetricSpace
 from .tolerances import lp_tol
 
@@ -143,7 +144,8 @@ def pair_rows(n: int):
 
 
 def lipschitz_ball_rows(space, scale: float = 1.0):
-    """Rows A f <= b encoding |f(p) - f(q)| <= scale * d(p, q)."""
+    """Rows A f <= b encoding |f(p) - f(q)| <= scale * d(p, q), one row per
+    arc of `ball_row_arcs`."""
     p, q, R = pair_rows(space.n)
     rows = np.empty((2 * R.shape[0], R.shape[1]))
     rows[0::2] = R
@@ -151,8 +153,23 @@ def lipschitz_ball_rows(space, scale: float = 1.0):
     return rows, np.repeat(scale * space.dist[p, q], 2)
 
 
+def ball_row_arcs(n: int):
+    """(src, dst) per row of `lipschitz_ball_rows`: row 2k is f(p) - f(q) <=
+    d(p, q) for the k-th pair p < q of `pair_rows`, row 2k+1 its mirror.  In
+    the max-pairing LP the dual of a row is the flow along its arc."""
+    p, q = np.triu_indices(n, 1)
+    return np.column_stack([p, q]).ravel(), np.column_stack([q, p]).ravel()
+
+
 def _values_from_vars(space, fv) -> LipFunction:
     return LipFunction(space, np.concatenate([[0.0], fv]))
+
+
+def _certify(name: str, margin: float) -> None:
+    """Raise unless the named norm check holds (margin >= 0; NaN fails)."""
+    if not margin >= 0.0:
+        raise FreeSpaceError(
+            f"norm certificate check {name} failed with margin {margin!r}")
 
 
 @dataclass
@@ -165,7 +182,7 @@ class NormCertificates:
 
 
 def free_norm(mu: FreeElement) -> NormCertificates:
-    """Free-space norm with both LP certificates."""
+    """Free-space norm with both LP certificates, from one LP."""
     space = mu.space
     n = space.n
     tol = lp_tol()
@@ -173,35 +190,37 @@ def free_norm(mu: FreeElement) -> NormCertificates:
         zero = _values_from_vars(space, np.zeros(n - 1))
         return NormCertificates(0.0, 0.0, 0.0, {}, zero)
 
-    # primal: min-cost flow on the complete directed graph
-    arcs = [(p, q) for p in range(n) for q in range(n) if p != q]
-    A = np.zeros((n - 1, len(arcs)))
-    cost = np.empty(len(arcs))
-    for k, (p, q) in enumerate(arcs):
-        cost[k] = space.d(p, q)
-        if p > 0:
-            A[p - 1, k] += 1.0
-        if q > 0:
-            A[q - 1, k] -= 1.0
-    prim = solve(LpProblem.build(cost, A, [EQ] * (n - 1), mu.masses[1:],
-                                 lb=np.zeros(len(arcs))))
-    if prim.status != "optimal":
-        raise FreeSpaceError(f"flow LP failed: {prim.status}")
+    # solve at unit distance scale: the LP's residual bounds are absolute,
+    # the Lipschitz check below is relative; a power of two rescales exactly
+    s = 2.0 ** np.round(np.log2(space.dist.max()))
+    A_ub, b_ub = lipschitz_ball_rows(space, scale=1.0 / s)
+    sol = solve(LpProblem.build(mu.masses[1:], A_ub, [LE] * len(b_ub), b_ub,
+                                maximize=True))
+    if sol.status != "optimal":
+        raise FreeSpaceError(f"Lipschitz LP failed: {sol.status}")
+    potential = _values_from_vars(space, s * sol.x)
+    # off-diagonal entries in row-major order: the arcs in lexicographic order
+    F = np.zeros((n, n))
+    F[ball_row_arcs(n)] = sol.y
+    arcs = ~np.eye(n, dtype=bool)
+    flows = F[arcs]
+    primal = float(space.dist[arcs] @ flows)
+    # the pairing with mu, without the f(base) = 0 term: summed like the
+    # LP objective, so it is bitwise the LP optimum on the dualized path
+    dual = float(mu.masses[1:] @ potential.values[1:])
+    value = 0.5 * (primal + dual)
 
-    # dual: max pairing over the Lipschitz unit ball
-    A_ub, b_ub = lipschitz_ball_rows(space)
-    dual = solve(LpProblem.build(mu.masses[1:], A_ub, [LE] * len(b_ub), b_ub,
-                                 maximize=True))
-    if dual.status != "optimal":
-        raise FreeSpaceError(f"Lipschitz LP failed: {dual.status}")
+    # the certificate, re-checked from the original data
+    _certify("flow_nonnegative", tol + flows.min())
+    balance = F.sum(axis=1) - F.sum(axis=0)
+    _certify("flow_balance", tol * (1.0 + np.abs(mu.masses).max())
+             - np.abs(balance[1:] - mu.masses[1:]).max(initial=0.0))
+    _certify("potential_lipschitz", 1.0 + tol - lip_norm(potential))
+    _certify("duality_gap", tol * (1.0 + abs(value)) - abs(primal - dual))
 
-    if abs(prim.value - dual.value) > tol * (1.0 + abs(prim.value)):
-        raise FreeSpaceError(
-            f"duality gap {prim.value - dual.value:.3e} exceeds tolerance")
-    value = 0.5 * (prim.value + dual.value)
-    flow = {arcs[k]: float(w) for k, w in enumerate(prim.x) if w > tol}
-    return NormCertificates(value, prim.value, dual.value, flow,
-                            _values_from_vars(space, dual.x))
+    flow = {(int(p), int(q)): float(w)
+            for p, q, w in zip(*np.nonzero(arcs), flows) if w > tol}
+    return NormCertificates(value, primal, dual, flow, potential)
 
 
 def norming_functional(mu: FreeElement) -> LipFunction:

@@ -9,8 +9,9 @@ Problems whose row count dwarfs the variable count (Lipschitz-ball
 constraint systems have O(n^2) rows over O(n) variables) are solved through
 their dual and the primal optimizer is recovered from the dual solve's own
 dual vector.  Every optimal solution is re-verified against the original
-data (primal feasibility, dual feasibility, duality gap); the dualized path
-falls back to a direct solve if its certificate does not check out.
+data by one residual check (primal feasibility, dual feasibility including
+the signs of the row duals, duality gap); a dualized answer that fails it
+is solved again on the direct path.
 
 Warm starts.  Every optimal solution carries its final basis
 (`LpSolution.basis`).  Passing it as `solve(problem, start=basis)` for a
@@ -488,19 +489,20 @@ def solve(problem: LpProblem, tol: float | None = None,
 
 def _solve_once(problem, mf, tol, start) -> LpSolution:
     m, n = mf.A.shape
-    path = DUALIZED if m > 2 * n + 20 else DIRECT
+    paths = [(DUALIZED, _solve_mid_dual)] if m > 2 * n + 20 else []
+    for path, solve_mid in paths + [(DIRECT, _solve_mid_direct)]:
+        cols = start.cols if start is not None and start.path == path else None
+        sol = _solution(problem, mf, path, solve_mid(mf, tol, cols), tol)
+        # a dualized answer that fails its check is solved again directly
+        if sol.status != "fallback" and _passes(sol, tol):
+            return sol
+    return sol
 
-    def start_for(p):
-        return start.cols if start is not None and start.path == p else None
 
-    if path == DUALIZED:
-        status, val, x, y, cols = _solve_mid_dual(mf, tol, start_for(path))
-        if status == "fallback" or (
-                status == "optimal"
-                and not _certified(problem, mf, val, x, y, tol)):
-            path = DIRECT
-    if path == DIRECT:
-        status, val, x, y, cols = _solve_mid_direct(mf, tol, start_for(path))
+def _solution(problem, mf, path, result, tol) -> LpSolution:
+    """Map a mid-form result to the original coordinates and fill in its
+    residuals."""
+    status, val, x, y, cols = result
     if status != "optimal":
         return LpSolution(status=status)
     x_orig = mf.sign * x + mf.shift
@@ -540,18 +542,6 @@ def _row_violation(r, senses) -> float:
     return float(np.max(viol, initial=0.0))
 
 
-def _certified(problem, mf, val, x, y, tol) -> bool:
-    """Quick validity check for the dualized path, in mid-form coordinates."""
-    pr = _row_violation(mf.A @ x - mf.b, mf.senses)
-    pr = max(pr, float(np.max(-x[~mf.free], initial=0.0)))
-    rc = mf.c - mf.A.T @ y
-    dr = float(np.max(np.abs(rc[mf.free]), initial=0.0))
-    dr = max(dr, float(np.max(-rc[~mf.free], initial=0.0)))
-    gap = abs(val - float(mf.b @ y))
-    scale = 10.0 * (1.0 + abs(val))
-    return pr <= tol * scale and dr <= tol * scale and gap <= tol * scale
-
-
 def _fill_residuals(problem: LpProblem, sol: LpSolution, tol) -> None:
     x, y = sol.x, sol.y
     r = problem.A @ x - problem.b
@@ -560,9 +550,12 @@ def _fill_residuals(problem: LpProblem, sol: LpSolution, tol) -> None:
     lo, hi = problem.lb, problem.ub
     pr = max(pr, float(np.max(lo - x, initial=0.0)))
     pr = max(pr, float(np.max(x - hi, initial=0.0)))
-    # reduced costs in min orientation
+    # reduced costs in min orientation, where the row duals must satisfy
+    # y <= 0 on '<=' rows and y >= 0 on '>=' rows
     sgn = -1.0 if problem.maximize else 1.0
     rc = sgn * problem.c - problem.A.T @ (sgn * y)
+    y_sign = float(np.max(_sense_codes(problem.senses) * (sgn * y),
+                          initial=0.0))
     # which bound each variable sits at (infinite bounds never hold)
     lo_f = np.where(np.isinf(lo), 0.0, lo)
     hi_f = np.where(np.isinf(hi), 0.0, hi)
@@ -574,7 +567,7 @@ def _fill_residuals(problem: LpProblem, sol: LpSolution, tol) -> None:
     inner = ~at_lo & ~at_hi
     dr = max(float(np.max(-rc[only_lo], initial=0.0)),
              float(np.max(rc[only_hi], initial=0.0)),
-             float(np.max(np.abs(rc[inner]), initial=0.0)))
+             float(np.max(np.abs(rc[inner]), initial=0.0)), y_sign)
     cs = max(cs, float(np.max(-np.minimum(rc[only_lo], 0.0), initial=0.0)),
              float(np.max(np.maximum(rc[only_hi], 0.0), initial=0.0)))
     dual_obj = float(problem.b @ (sgn * y)) + float(

@@ -375,13 +375,5 @@ def gallery(name: str, **params):
     raise MetricError(f"unknown gallery name {name!r}")
 
 
-def family_from_json(obj: dict):
-    """Resolve {"family": name, "params": {...}, "index": n} to a space."""
-    fam = gallery(obj["family"], **obj.get("params", {}))
-    if not isinstance(fam, MetricFamily):
-        raise MetricError(f"{obj['family']!r} is not a family")
-    return fam.generate(int(obj["index"]))
-
-
 def space_to_json_str(space: PointedMetricSpace) -> str:
     return json.dumps(space.to_json(), sort_keys=True)

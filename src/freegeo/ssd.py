@@ -488,23 +488,24 @@ def _restrict(fattened, h, N):
     return sub, np.array([h(p) for p in kept])
 
 
+def _norming_rows(space, terms):
+    """(A, b, senses) over f(1..n-1): the Lipschitz-ball rows, then one row
+    f(x) - f(y) = d(x, y) per term (lam, x, y)."""
+    A, b = lipschitz_ball_rows(space)
+    x = np.array([t[1] for t in terms], dtype=int)
+    y = np.array([t[2] for t in terms], dtype=int)
+    e = np.eye(space.n)
+    return (np.vstack([A, (e[x] - e[y])[:, 1:]]),
+            np.concatenate([b, space.dist[x, y]]),
+            [lp.LE] * b.size + [lp.EQ] * x.size)
+
+
 def find_common_norming(space: PointedMetricSpace,
                         combination: MoleculeCombination) -> LipFunction:
     """A norm-one f in the original metric with f(x_i) - f(y_i) = d(x_i, y_i)
     for every term, found by LP; raises if no such function exists."""
-    A, b = lipschitz_ball_rows(space)
-    rows, rhs, senses = [A], [b], [lp.LE] * A.shape[0]
-    for lam, x, y in combination.terms:
-        r = np.zeros(space.n - 1)
-        if x > 0:
-            r[x - 1] = 1.0
-        if y > 0:
-            r[y - 1] = -1.0
-        rows.append(r[None, :])
-        rhs.append(np.array([space.d(x, y)]))
-        senses.append(lp.EQ)
-    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), np.vstack(rows),
-                                      senses, np.concatenate(rhs)))
+    A, b, senses = _norming_rows(space, combination.terms)
+    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), A, senses, b))
     if sol.status != "optimal":
         raise SsdError(
             "no norm-one function norms every pair of the combination")
@@ -548,17 +549,7 @@ def common_norming_witness(space: PointedMetricSpace, gamma: float,
                        "re-root the space at a sink or unused point")
     # find f norming every pair in the double metric, with extra rows that
     # keep the shifted values compatible with the base point
-    A, b = lipschitz_ball_rows(double)
-    rows, rhs, senses = [A], [b], [lp.LE] * A.shape[0]
-    for lam, x, y in terms:
-        r = np.zeros(space.n - 1)
-        if x > 0:
-            r[x - 1] = 1.0
-        if y > 0:
-            r[y - 1] = -1.0
-        rows.append(r[None, :])
-        rhs.append(np.array([double.d(x, y)]))
-        senses.append(lp.EQ)
+    A, b, senses = _norming_rows(double, terms)
     extra_rows, extra_rhs = [], []
     for x in set(xs):
         r = np.zeros(space.n - 1)
@@ -571,11 +562,10 @@ def common_norming_witness(space: PointedMetricSpace, gamma: float,
         r[y - 1] = 1.0
         extra_rows += [r, -r]
         extra_rhs += [single.d(0, y), single.d(0, y)]
-    rows.append(np.array(extra_rows))
-    rhs.append(np.array(extra_rhs))
     senses += [lp.LE] * len(extra_rhs)
-    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), np.vstack(rows),
-                                      senses, np.concatenate(rhs)))
+    sol = lp.solve(lp.LpProblem.build(
+        np.zeros(space.n - 1), np.vstack([A, extra_rows]), senses,
+        np.concatenate([b, extra_rhs])))
     if sol.status != "optimal":
         raise SsdError("no common norming function is compatible with the "
                        "base point shift")

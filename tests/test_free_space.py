@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import freegeo.free_space as free_space
 from freegeo.free_space import (FreeElement, FreeSpaceError,
                                 MoleculeCombination, delta, dual_face,
                                 face_coordinate_ranges, free_norm,
@@ -126,6 +128,107 @@ class TestFreeNorm:
             m[i] -= ci / gap
         assert free_norm(FreeElement(s, m)).value == pytest.approx(
             np.abs(c).sum(), abs=1e-9)
+
+
+def _oracle_norm(space, masses):
+    """Min-cost flow on the complete graph by scipy (oracle only), solved
+    at unit distance scale."""
+    n = space.n
+    p, q = np.nonzero(~np.eye(n, dtype=bool))
+    A = np.zeros((n, p.size))
+    A[p, np.arange(p.size)] += 1.0
+    A[q, np.arange(p.size)] -= 1.0
+    scale = space.dist.max()
+    res = linprog(space.dist[p, q] / scale, A_eq=A[1:], b_eq=masses[1:],
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return scale * res.fun
+
+
+def _assert_transport_certificate(mu):
+    space, n = mu.space, mu.space.n
+    cert = free_norm(mu)
+    F = np.zeros((n, n))
+    for (p, q), w in cert.flow.items():
+        F[p, q] = w
+    assert F.min() >= 0.0
+    # entries at or below the tolerance are left out of the flow
+    slack = n * n * 1e-9 * (1.0 + np.abs(mu.masses).max())
+    assert np.abs(F.sum(axis=1) - F.sum(axis=0) - mu.masses).max() <= slack
+    cost = float((F * space.dist).sum())
+    assert cost == pytest.approx(cert.value, rel=1e-8,
+                                 abs=slack * space.dist.max())
+    assert cert.value == pytest.approx(_oracle_norm(space, mu.masses),
+                                       rel=1e-7)
+    assert lip_norm(cert.potential) <= 1.0 + 1e-9
+    assert pairing(cert.potential, mu) == pytest.approx(
+        cert.value, rel=1e-9, abs=1e-9 * space.dist.max())
+
+
+class TestTransportCertificate:
+    @pytest.mark.parametrize("kind, n, scale", [
+        ("euclidean", 4, 1e-6), ("euclidean", 6, 1e-6),
+        ("euclidean", 11, 1.0), ("euclidean", 17, 1e6),
+        ("euclidean", 24, 1e-6), ("euclidean", 32, 1.0),
+        ("euclidean", 27, 1e6), ("equilateral", 3, 1.0),
+        ("equilateral", 8, 1e-6), ("equilateral", 16, 1.0),
+        ("equilateral", 12, 1e6)])
+    def test_flow_is_an_optimal_transport_plan(self, kind, n, scale):
+        rng = np.random.default_rng(n)
+        space = (random_euclidean_space(rng, n, scale=scale)
+                 if kind == "euclidean" else equilateral(n, scale))
+        _assert_transport_certificate(
+            FreeElement(space, random_zero_sum(rng, n)))
+
+    @pytest.mark.parametrize("n, dim, scale, seed", [
+        (4, 2, 1e-6, 10), (8, 2, 1e-6, 8), (11, 2, 1e-6, 24),
+        (4, 3, 1e6, 2), (6, 3, 1e6, 8)])
+    def test_extreme_distance_scales(self, n, dim, scale, seed):
+        # the LP's residual bounds are absolute: solved at its own distance
+        # scale, each of these gives a potential with Lipschitz norm above
+        # 1 + 1e-9 (1e-6) or fails the LP residual check (1e6)
+        rng = np.random.default_rng([n, seed])
+        space = random_euclidean_space(rng, n, dim=dim, scale=scale)
+        _assert_transport_certificate(
+            FreeElement(space, random_zero_sum(rng, n)))
+
+    def test_one_lp_solve_per_norm(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(free_space, "solve", counting)
+        rng = np.random.default_rng(32)
+        s = random_euclidean_space(rng, 12)
+        free_norm(FreeElement(s, random_zero_sum(rng, 12)))
+        assert len(calls) == 1
+        free_norm(FreeElement(s, np.zeros(12)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tamper, check", [
+        ("negate_flow", "flow_nonnegative"),
+        ("double_flow", "flow_balance"),
+        ("double_potential", "potential_lipschitz"),
+        ("halve_potential", "duality_gap")])
+    def test_tampered_solve_is_caught(self, monkeypatch, tamper, check):
+        def tampered(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            if tamper == "negate_flow":
+                k = int(np.argmax(sol.y))
+                sol.y[k] = -sol.y[k]
+            elif tamper == "double_flow":
+                sol.y = 2.0 * sol.y
+            else:
+                sol.x = (2.0 if tamper == "double_potential" else 0.5) * sol.x
+            return sol
+
+        monkeypatch.setattr(free_space, "solve", tampered)
+        rng = np.random.default_rng(33)
+        s = random_euclidean_space(rng, 9)
+        with pytest.raises(FreeSpaceError, match=check):
+            free_norm(FreeElement(s, random_zero_sum(rng, 9)))
 
 
 class TestNormingFunctional:

@@ -338,15 +338,17 @@ def _loop_residuals(problem, x, y):
     """Per-row and per-variable loop form of the residual check, kept as
     the reference for the vectorized `_fill_residuals`."""
     r = problem.A @ x - problem.b
-    pr = cs = 0.0
+    sgn = -1.0 if problem.maximize else 1.0
+    pr = cs = dr = 0.0
     for i, s in enumerate(problem.senses):
         pr = max(pr, r[i] if s == LE else -r[i] if s == GE else abs(r[i]))
         cs = max(cs, abs(y[i] * r[i]))
+        # min orientation: y <= 0 on '<=' rows, y >= 0 on '>=' rows
+        dr = max(dr, sgn * y[i] if s == LE else -sgn * y[i] if s == GE
+                 else 0.0)
     pr = max(pr, float(np.max(problem.lb - x, initial=0.0)))
     pr = max(pr, float(np.max(x - problem.ub, initial=0.0)))
-    sgn = -1.0 if problem.maximize else 1.0
     rc = sgn * problem.c - problem.A.T @ (sgn * y)
-    dr = 0.0
     dual_obj = float(problem.b @ (sgn * y))
     for j in range(x.size):
         lo, hi = problem.lb[j], problem.ub[j]
@@ -391,3 +393,37 @@ def test_vectorized_residuals_match_loop_reference(seed):
     assert sol.cs_residual == cs
     # only the summation order of the dual objective changed
     assert sol.gap == pytest.approx(gap, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_wrong_sign_row_dual_is_a_dual_residual(maximize):
+    # x = 1 pinned by x <= 1 and x >= 1, zero objective: any y with
+    # y_1 = -y_2 has zero reduced cost and zero gap, so only the row signs
+    # (min orientation: y <= 0 on '<=', y >= 0 on '>=') tell the duals apart
+    p = LpProblem.build([0.0], [[1.0], [1.0]], [LE, GE], [1.0, 1.0],
+                        maximize=maximize)
+    right = np.array([1.0, -1.0]) if maximize else np.array([-1.0, 1.0])
+    for y, residual in ((right, 0.0), (-right, 1.0)):
+        sol = lp_module.LpSolution(status="optimal", value=0.0,
+                                   x=np.array([1.0]), y=y)
+        lp_module._fill_residuals(p, sol, 1e-9)
+        assert sol.dual_residual == residual
+        assert sol.gap == 0.0
+
+
+def test_failed_dualized_answer_falls_back_to_direct(monkeypatch):
+    rng = np.random.default_rng(4100)
+    p = _max_problem(*_dualized_data(rng))
+    clean = solve(p)
+    assert clean.basis.path == "dualized"
+    original = lp_module._solve_mid_dual
+
+    def broken(mf, tol, start=None):
+        status, val, x, y, basis = original(mf, tol, start)
+        return status, val, x + 100.0, y, basis    # leaves the box rows
+
+    monkeypatch.setattr(lp_module, "_solve_mid_dual", broken)
+    sol = solve(p)
+    assert sol.basis.path == "direct"
+    _assert_certified(sol)
+    assert sol.value == pytest.approx(clean.value, abs=1e-9, rel=1e-9)
