@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,9 @@ from .ssd import (CERTIFIED, SsdError, almost_aligned_certificate,
 from .tolerances import TAU_METRIC, lp_tol
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="freegeo",
         description="Computable geometry of Lipschitz-free spaces over "

@@ -161,6 +161,13 @@ def ball_row_arcs(n: int):
     return np.column_stack([p, q]).ravel(), np.column_stack([q, p]).ravel()
 
 
+def distance_scale(space) -> float:
+    """The power of two nearest the largest distance (in log scale).  LPs
+    over the Lipschitz ball are solved on the space divided by it: their
+    residual bounds are absolute, and a power of two rescales exactly."""
+    return float(2.0 ** np.round(np.log2(space.dist.max())))
+
+
 def _values_from_vars(space, fv) -> LipFunction:
     return LipFunction(space, np.concatenate([[0.0], fv]))
 
@@ -190,9 +197,8 @@ def free_norm(mu: FreeElement) -> NormCertificates:
         zero = _values_from_vars(space, np.zeros(n - 1))
         return NormCertificates(0.0, 0.0, 0.0, {}, zero)
 
-    # solve at unit distance scale: the LP's residual bounds are absolute,
-    # the Lipschitz check below is relative; a power of two rescales exactly
-    s = 2.0 ** np.round(np.log2(space.dist.max()))
+    # solve at unit distance scale; the Lipschitz check below is relative
+    s = distance_scale(space)
     A_ub, b_ub = lipschitz_ball_rows(space, scale=1.0 / s)
     sol = solve(LpProblem.build(mu.masses[1:], A_ub, [LE] * len(b_ub), b_ub,
                                 maximize=True))
@@ -270,7 +276,9 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
     n = space.n
     A_ub, b_ub, prow, prhs = face.constraint_rows()
     A = np.vstack([A_ub, prow])
-    b = np.concatenate([b_ub, [prhs]])
+    # solved for f / s at unit distance scale, then scaled back exactly
+    s = distance_scale(space)
+    b = np.concatenate([b_ub, [prhs]]) / s
     senses = [LE] * len(b_ub) + [EQ]
     out = np.zeros((n, 2))
     # one polytope, only the objective changes: re-optimize from the last basis
@@ -285,14 +293,16 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
         basis = hi.basis
         if lo.status != "optimal" or hi.status != "optimal":
             raise FreeSpaceError("face range LP failed (empty face?)")
-        out[p] = (lo.value, hi.value)
+        out[p] = (s * lo.value, s * hi.value)
     return out
 
 
 def is_gateaux(mu: FreeElement, tol: float = 1e-7) -> bool:
-    """True iff the dual face pins every coordinate (unique norming f)."""
+    """True iff the dual face pins every coordinate (unique norming f).
+    The widths are compared with tol at unit distance scale, so the answer
+    does not depend on the unit of distance."""
     if mu.is_zero():
         raise FreeSpaceError("zero element")
     ranges = face_coordinate_ranges(dual_face(mu))
     widths = ranges[:, 1] - ranges[:, 0]
-    return bool(widths.max() <= tol)
+    return bool(widths.max() / distance_scale(mu.space) <= tol)

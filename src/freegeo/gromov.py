@@ -11,11 +11,9 @@ distinctions of the sequential counterexample families become visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-
 import numpy as np
 
-from .metric import MetricFamily, PointedMetricSpace
+from .metric import MetricFamily, PointedMetricSpace, triangle_sums
 from .tolerances import TAU_METRIC
 
 
@@ -60,31 +58,29 @@ def analyze_pair(space: PointedMetricSpace, x: int, y: int
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise PairError(f"pair ({x}, {y}) is out of range for {space.n} "
                         "points")
-    others = [z for z in space.points() if z not in (x, y)]
-    if not others:
+    others = np.delete(np.arange(space.n), [x, y])
+    if not others.size:
         return PairGeometryReport(x, y, np.inf, np.inf, (), True, True, True,
                                   True)
     d = space.dist
-    prods = np.array([gromov_product(space, z, x, y) for z in others])
-    near = np.array([min(d[x, z], d[y, z]) for z in others])
+    dx, dy = d[x, others], d[y, others]
+    prods = dx + d[others, y] - d[x, y]
+    near = np.where(dy < dx, dy, dx)     # min(d(x,z), d(y,z)), first on ties
     eta = float(prods.min())
     delta_rotund = float((prods / near).min())
     order = np.argsort(near, kind="stable")
-    profile = []
-    # running min of products over { z : r_z >= eps } at each breakpoint
+    # running min of products over { z : r_z >= eps } at each breakpoint,
+    # one entry per distinct eps (equal values are adjacent once sorted)
     suffix_min = np.minimum.accumulate(prods[order][::-1])[::-1]
-    seen = set()
-    for rank, idx in enumerate(order):
-        eps = float(near[idx])
-        if eps in seen:
-            continue
-        seen.add(eps)
-        profile.append((eps, float(suffix_min[rank])))
+    eps = near[order]
+    first = np.ones(eps.size, dtype=bool)
+    first[1:] = eps[1:] != eps[:-1]
+    profile = tuple(zip(eps[first].tolist(), suffix_min[first].tolist()))
     # on a finite space rotundity, concavity and extremality of the molecule
     # all coincide with a positive gap; decide it once, at the metric
     # tolerance, so ratios that cross the tolerance elsewhere cannot disagree
     has_gap = eta > TAU_METRIC
-    return PairGeometryReport(x, y, eta, delta_rotund, tuple(profile),
+    return PairGeometryReport(x, y, eta, delta_rotund, profile,
                               has_gap, has_gap, has_gap, has_gap)
 
 
@@ -92,11 +88,24 @@ def classify_space(space: PointedMetricSpace) -> dict:
     """Uniform non-alignment across all pairs, with the witness pair."""
     if space.n < 2:
         raise PairError("need at least two points")
-    best = None
-    for x, y in combinations(space.points(), 2):
-        rep = analyze_pair(space, x, y)
-        if best is None or rep.eta < best.eta:
-            best = rep
+    # eta of every pair (x, y): products with z in {x, y} masked to +inf
+    d = space.dist
+    n = space.n
+    idx = np.arange(n)
+    etas = np.empty((n, n))
+    for lo, hi, s in triangle_sums(d):
+        prods = s - d[lo:hi, :, None]
+        x = idx[lo:hi, None, None]
+        z = idx[None, None, :]
+        prods[(z == x) | (z == idx[None, :, None])] = np.inf
+        etas[lo:hi] = prods.min(axis=2)
+    # the first minimum in combinations order; a NaN eta never wins unless
+    # it is the first pair's, as with a running strict '<'
+    xs, ys = np.triu_indices(n, 1)
+    eta = etas[xs, ys]
+    k = 0 if np.isnan(eta[0]) else int(np.argmin(np.where(np.isnan(eta),
+                                                          np.inf, eta)))
+    best = analyze_pair(space, int(xs[k]), int(ys[k]))
     return {"luna": bool(best.eta > TAU_METRIC),
             "min_eta": best.eta,
             "witness_pair": [best.x, best.y]}

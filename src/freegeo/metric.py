@@ -87,28 +87,44 @@ class PointedMetricSpace:
         return space
 
 
+#: Cap on the cells of one block of triangle sums, so that the temporaries
+#: of an n^3 check stay small for large n.
+_BLOCK_CELLS = 2 ** 14
+
+
+def triangle_sums(d: np.ndarray):
+    """Yield (lo, hi, S) over blocks of rows, S[i - lo, j, k] = d[i, k] +
+    d[k, j] for lo <= i < hi; each block holds at most about _BLOCK_CELLS
+    cells (one row at least)."""
+    n = d.shape[0]
+    step = max(1, _BLOCK_CELLS // max(1, n * n))
+    dT = d.T
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield lo, hi, d[lo:hi, None, :] + dT[None, :, :]
+
+
 def validate(space: PointedMetricSpace) -> ValidationReport:
     """Check symmetry, positivity, zero diagonal, triangle inequality."""
     d = space.dist
     n = space.n
-    bad_pairs = []
-    for i in range(n):
-        if d[i, i] != 0.0:
-            bad_pairs.append((i, i))
-        for j in range(i + 1, n):
-            if d[i, j] != d[j, i] or not d[i, j] > 0.0:
-                bad_pairs.append((i, j))
+    idx = np.arange(n)
+    # upper triangle in row-major order: the diagonal must be 0, an
+    # off-diagonal entry positive and equal to its mirror
+    off = idx[:, None] != idx[None, :]
+    bad = np.where(off, (d != d.T) | ~(d > 0.0), d != 0.0)
+    bad_pairs = list(zip(*(a.tolist() for a in np.nonzero(np.triu(bad)))))
     bad_triples = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # d(i,j) <= d(i,k) + d(k,j) for all k, within relative tolerance
-            s = d[i] + d[:, j]
-            tol = TAU_METRIC * np.maximum(1.0, s)
-            for k in np.nonzero(d[i, j] > s + tol)[0]:
-                if k != i and k != j:
-                    bad_triples.append((i, j, int(k)))
+    # d(i,j) <= d(i,k) + d(k,j) for all k outside {i, j}, within relative
+    # tolerance; nonzero lists (i, j, k) in lexicographic order
+    for lo, hi, s in triangle_sums(d):
+        i = idx[lo:hi, None, None]
+        j = idx[None, :, None]
+        k = idx[None, None, :]
+        viol = d[lo:hi, :, None] > s + TAU_METRIC * np.maximum(1.0, s)
+        viol &= (i != j) & (k != i) & (k != j)
+        bi, bj, bk = np.nonzero(viol)
+        bad_triples += zip((bi + lo).tolist(), bj.tolist(), bk.tolist())
     return ValidationReport(ok=not bad_pairs and not bad_triples,
                             bad_triples=tuple(bad_triples),
                             bad_pairs=tuple(bad_pairs))
@@ -288,18 +304,17 @@ def _rotund_no_gap_family() -> MetricFamily:
         m = n + 2
         d = np.zeros((m, m))
         d[0, 1] = d[1, 0] = 1.0
+        k = np.arange(1, n + 1)
+        # round d(x,z_k) to a multiple of 2^-51 so that the product
+        # d(x,z_k) + d(y,z_k) - d(x,y) = d(x,z_k)/2 is exact in doubles
         scale = 2.0 ** 51
-        for k in range(1, n + 1):
-            # round d(x,z_k) to a multiple of 2^-51 so that the product
-            # d(x,z_k) + d(y,z_k) - d(x,y) = d(x,z_k)/2 is exact in doubles
-            dxz = round(0.5 / k * scale) / scale
-            g = 0.5 * dxz
-            dyz = (1.0 + g) - dxz
-            d[0, k + 1] = d[k + 1, 0] = dxz
-            d[1, k + 1] = d[k + 1, 1] = dyz
-            for j in range(1, k):
-                v = 1.0 / (2 * k) + 1.0 / (2 * j)
-                d[j + 1, k + 1] = d[k + 1, j + 1] = v
+        dxz = np.round(0.5 / k * scale) / scale
+        dyz = (1.0 + 0.5 * dxz) - dxz
+        d[0, 2:] = d[2:, 0] = dxz
+        d[1, 2:] = d[2:, 1] = dyz
+        half = 1.0 / (2 * k)
+        d[2:, 2:] = half[:, None] + half[None, :]
+        np.fill_diagonal(d, 0.0)
         labels = tuple(["x", "y"] + [f"z{k}" for k in range(1, n + 1)])
         return PointedMetricSpace(d, labels), (0, 1)
 
@@ -326,12 +341,10 @@ def _nonaligned_not_discrete_family(alpha_of=None) -> MetricFamily:
             raise MetricError("index must be >= 2")
         m = n + 1   # origin plus points indexed 2..n+1 -> 1..n here
         d = np.zeros((m, m))
-        alphas = [alpha_of(k) for k in range(2, n + 2)]
-        for i in range(1, m):
-            d[0, i] = d[i, 0] = 1.0
-            for j in range(i + 1, m):
-                v = max(alphas[i - 1], alphas[j - 1])
-                d[i, j] = d[j, i] = v
+        alphas = np.array([alpha_of(k) for k in range(2, n + 2)], dtype=float)
+        d[0, 1:] = d[1:, 0] = 1.0
+        d[1:, 1:] = np.maximum.outer(alphas, alphas)
+        np.fill_diagonal(d, 0.0)
         return PointedMetricSpace(d), (1, 2)
 
     return MetricFamily("nonaligned_not_discrete", {"alpha": "1/k"}, gen)

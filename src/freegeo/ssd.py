@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .free_space import (FreeElement, MoleculeCombination, free_norm,
-                         lipschitz_ball_rows, molecule, pair_rows, pairing)
+from .free_space import (FreeElement, MoleculeCombination, distance_scale,
+                         free_norm, lipschitz_ball_rows, molecule, pair_rows,
+                         pairing)
 from .lipschitz import (LipFunction, LipschitzError, cutoff_xi,
                         f_gamma_construct, from_values, g_gamma_construct,
                         lip_norm, mcshane_extend, pair_slope, peaking_check,
@@ -174,7 +175,12 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
         raise SsdError("slab depths must lie in [0, 1)")
     if samples_per_eta < 1:
         raise SsdError("need at least one sample per slab depth")
-    space = mu.space
+    # probe mu on the space at unit distance scale: the slab and the face
+    # scale with the distances, Lip-distances to the face do not
+    masses = mu.masses
+    space = PointedMetricSpace(mu.space.dist / distance_scale(mu.space),
+                               mu.space.labels)
+    mu = FreeElement(space, masses)
     norm_mu = free_norm(mu).value
     rng = np.random.default_rng(seed)
     tol = lp_tol()
@@ -200,7 +206,7 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
         env[i] = running
     entries = tuple((raw[i][0], env[i], samples_per_eta)
                     for i in range(len(raw)))
-    return ModulusCurve(tuple(float(v) for v in mu.masses), int(seed),
+    return ModulusCurve(tuple(float(v) for v in masses), int(seed),
                         entries)
 
 

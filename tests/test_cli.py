@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import freegeo
 from freegeo.cli import main
 from freegeo.metric import gallery, line_space, space_to_json_str
 
@@ -245,3 +249,33 @@ def test_family_trend_almost_aligned_to_30(capsys):
     rows = json.loads(out)["outputs"]["rows"]
     assert rows[-1]["index"] == 30
     assert rows[-1]["eta"] == 2.0 ** -30
+
+
+def test_parser_reused_across_calls(capsys, tmp_path, line_file):
+    # the parser is built once per process; no call may leak into the next
+    el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})
+    probe = ["modulus", "--space", line_file, "--element", el,
+             "--eta-grid", "0.1", "--seed", "3"]
+    code, out = _run(capsys, probe + ["--samples", "4", "--format", "csv"])
+    assert code == 0
+    assert out.startswith("eta,worst_dist,samples\n")
+    assert out.strip().endswith(",4")
+    code, out = _run(capsys, probe)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["inputs"]["samples"] == 32
+    assert rep["outputs"]["entries"][0][2] == 32
+    with pytest.raises(SystemExit) as exc:
+        main(["modulus", "--samples", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    argv = ["classify-space", "--gallery", "branching_tree", "--params",
+            "n=5"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(freegeo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-m", "freegeo.cli", *argv],
+                           capture_output=True, env=env, check=True)
+    assert fresh.stdout.decode() == out
+    assert fresh.stderr == b""

@@ -10,7 +10,8 @@ from freegeo.free_space import (FreeElement, FreeSpaceError,
                                 optimal_representation, pairing)
 from freegeo.lipschitz import from_values, lip_norm
 from freegeo.lp import EQ, LE, LpProblem, solve
-from freegeo.metric import branching_tree, cantor_endpoints, equilateral, line_space
+from freegeo.metric import (PointedMetricSpace, branching_tree,
+                            cantor_endpoints, equilateral, line_space)
 from conftest import random_euclidean_space, random_zero_sum
 
 
@@ -300,6 +301,25 @@ class TestGateaux:
 
     def test_equilateral_molecule_false(self):
         assert not is_gateaux(molecule(equilateral(3), 1, 2))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_answer_does_not_depend_on_distance_scale(self, scale):
+        # solved at the input's scale, the face LPs fail at 1e6 and an
+        # absolute width bound passes the narrow face below at 1e-6
+        cases = [combo(LINE, (0.5, 1, 0), (0.5, 3, 2)).element(),
+                 combo(LINE, (0.5, 1, 0), (0.5, 2, 1)).element(),
+                 molecule(equilateral(3), 1, 2),
+                 molecule(line_space([0.0, 1.0, 1.01]), 1, 0)]
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            n = int(rng.integers(4, 9))
+            space = random_euclidean_space(rng, n, dim=2)
+            cases.append(FreeElement(space, rng.normal(size=n)))
+        answers = [is_gateaux(mu) for mu in cases]
+        assert True in answers and False in answers
+        for mu, answer in zip(cases, answers):
+            scaled = PointedMetricSpace(scale * mu.space.dist)
+            assert is_gateaux(FreeElement(scaled, mu.masses)) is answer
 
 
 class TestOptimalRepresentation:

@@ -9,8 +9,8 @@ from freegeo.free_space import (FreeElement, MoleculeCombination,
                                 norming_functional, optimal_representation,
                                 pairing)
 from freegeo.lipschitz import aux_f_xy, from_values, lip_norm, pair_slope
-from freegeo.metric import (branching_tree, gallery, gamma_fatten,
-                            line_space)
+from freegeo.metric import (PointedMetricSpace, branching_tree, gallery,
+                            gamma_fatten, line_space)
 from freegeo.ssd import (CERTIFIED, PRECONDITION_FAILED, SsdError,
                          almost_aligned_certificate, bilipschitz_distortion,
                          common_norming_witness, exposedness_probe,
@@ -200,6 +200,24 @@ def test_warm_probe_matches_cold_reference(name, mu):
     cold = _cold_probe(mu, grid, 12, seed=17)
     got = np.array([entry[1] for entry in warm.entries])
     assert np.max(np.abs(got - cold)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_probe_does_not_depend_on_distance_scale(scale):
+    # Lip-distances to the face are scale-invariant; solved at the input's
+    # scale, these probes failed with LpError or a guard at 1e6 and 1e-6
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        n = int(rng.integers(4, 9))
+        space = random_euclidean_space(rng, n, dim=2)
+        mu = FreeElement(space, rng.normal(size=n))
+        ref = exposedness_probe(mu, [0.05, 0.2], 8, seed=3)
+        got = exposedness_probe(
+            FreeElement(PointedMetricSpace(scale * space.dist), mu.masses),
+            [0.05, 0.2], 8, seed=3)
+        np.testing.assert_allclose([e[1] for e in got.entries],
+                                   [e[1] for e in ref.entries],
+                                   rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [4, 7])
