@@ -11,11 +11,12 @@ the transport cost and the pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, LE, LpProblem, solve
+from .lp import EQ, LE, LpBasis, LpProblem, solve
 from .lipschitz import LipFunction, lip_norm
 from .metric import PointedMetricSpace
 from .tolerances import lp_tol
@@ -27,7 +28,9 @@ class FreeSpaceError(ValueError):
 
 @dataclass(frozen=True)
 class FreeElement:
-    """Zero-sum mass vector; any imbalance is absorbed at the base point."""
+    """Zero-sum mass vector; any imbalance is absorbed at the base point,
+    whose mass is set to minus the sum of the others (so rebuilding an
+    element from its masses gives the same masses)."""
 
     space: PointedMetricSpace
     masses: np.ndarray
@@ -36,7 +39,8 @@ class FreeElement:
         m = np.array(self.masses, dtype=float)
         if m.shape != (self.space.n,):
             raise FreeSpaceError("mass vector size mismatch")
-        m[0] -= m.sum()
+        # 0.0 - s, not -s: a balanced base mass of zero stays +0.0
+        m[0] = 0.0 - m[1:].sum()
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 
@@ -132,15 +136,20 @@ def pairing(f: LipFunction, mu: FreeElement) -> float:
 # LP building blocks (variables are f(p) for p = 1..n-1; f(base) = 0)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def pair_rows(n: int):
     """(p, q, R) over the pairs p < q of n points in lexicographic order;
-    row k of R is e_p - e_q over the variables f(1..n-1)."""
+    row k of R is e_p - e_q over the variables f(1..n-1).  Cached per n
+    (the rows do not depend on the distances); the arrays are read-only."""
     p, q = np.triu_indices(n, 1)
     k = np.arange(p.size)
     R = np.zeros((p.size, n))
     R[k, p] = 1.0
     R[k, q] = -1.0
-    return p, q, R[:, 1:]
+    R = R[:, 1:]
+    for a in (p, q, R):
+        a.setflags(write=False)
+    return p, q, R
 
 
 def lipschitz_ball_rows(space, scale: float = 1.0):
@@ -186,6 +195,9 @@ class NormCertificates:
     dual_value: float
     flow: dict            # (p, q) -> mass moved
     potential: LipFunction
+    # optimal basis of the norm LP (at unit distance scale); it starts the
+    # slab LPs of `ssd.exposedness_probe`
+    basis: LpBasis | None = field(default=None, repr=False, compare=False)
 
 
 def free_norm(mu: FreeElement) -> NormCertificates:
@@ -226,7 +238,7 @@ def free_norm(mu: FreeElement) -> NormCertificates:
 
     flow = {(int(p), int(q)): float(w)
             for p, q, w in zip(*np.nonzero(arcs), flows) if w > tol}
-    return NormCertificates(value, primal, dual, flow, potential)
+    return NormCertificates(value, primal, dual, flow, potential, sol.basis)
 
 
 def norming_functional(mu: FreeElement) -> LipFunction:

@@ -29,7 +29,8 @@ class LipFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # a copy: freezing the caller's own array would make it read-only
+        v = np.array(self.values, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if v.shape != (self.space.n,):

@@ -27,12 +27,19 @@ columns, a singular B, neither primal nor dual feasible, a dual simplex
 that finds no entering column -- falls back to the cold two-phase solve.
 Warm and cold answers are refined and certified by the same checks, and a
 warm answer that fails them is recomputed cold before `LpError` is raised.
+
+Canonical forms.  What a solve derives from the constraints alone (the
+mid-form matrix, the dualized matrix, the slack block, the bound masks of
+the residual check) is one record per constraint matrix.  A basis carries
+the record of its problem; a solve started from it reuses the record when
+A, senses, lb and ub are unchanged (`LpProblem.with_objective`,
+`LpProblem.with_rhs`) and builds a new one otherwise.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,28 +75,50 @@ class LpProblem:
 
     @staticmethod
     def build(c, A, senses, b, lb=None, ub=None, maximize=False) -> "LpProblem":
-        c = np.asarray(c, dtype=float)
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float)
+        """A validated problem over read-only copies of the inputs."""
+        A = np.atleast_2d(np.array(A, dtype=float))
         m, n = A.shape
-        if c.shape != (n,) or b.shape != (m,) or len(senses) != m:
+        if len(senses) != m:
             raise LpError("inconsistent problem dimensions")
+        c = _checked_vector(c, (n,))
+        b = _checked_vector(b, (m,))
+        if np.isnan(A).any():
+            raise LpError("NaN in problem data")
         if lb is None:
             lb = np.full(n, -np.inf)
         if ub is None:
             ub = np.full(n, np.inf)
-        lb = np.asarray(lb, dtype=float)
-        ub = np.asarray(ub, dtype=float)
+        lb = np.array(lb, dtype=float)
+        ub = np.array(ub, dtype=float)
         if lb.shape != (n,) or ub.shape != (n,):
             raise LpError("bad bound shapes")
-        for arr in (c, A, b):
-            if np.isnan(arr).any():
-                raise LpError("NaN in problem data")
         bad = [s for s in senses if s not in _SENSES]
         if bad:
             raise LpError(f"unknown row sense {bad[0]!r}")
+        for arr in (A, lb, ub):
+            arr.setflags(write=False)
         return LpProblem(c, A, tuple(senses), b, lb, ub, maximize)
 
+    def with_objective(self, c) -> "LpProblem":
+        """This problem with objective c.  The constraints are shared, so a
+        solve started from a basis of this problem reuses its canonical
+        form."""
+        return replace(self, c=_checked_vector(c, self.c.shape))
+
+    def with_rhs(self, b) -> "LpProblem":
+        """This problem with right-hand side b; see `with_objective`."""
+        return replace(self, b=_checked_vector(b, self.b.shape))
+
+
+def _checked_vector(v, shape) -> np.ndarray:
+    """A read-only copy of v, which must have the given shape and no NaN."""
+    v = np.array(v, dtype=float)
+    if v.shape != shape:
+        raise LpError("inconsistent problem dimensions")
+    if np.isnan(v).any():
+        raise LpError("NaN in problem data")
+    v.setflags(write=False)
+    return v
 
 DIRECT = "direct"
 DUALIZED = "dualized"
@@ -98,10 +127,15 @@ DUALIZED = "dualized"
 @dataclass(frozen=True)
 class LpBasis:
     """Optimal basis of a solve: the path it took (direct or dualized) and
-    the basic columns of that path's standard form.  Opaque to callers."""
+    the basic columns of that path's standard form.  Opaque to callers.
+    It also carries the canonical form of the solved problem's constraints,
+    which a solve started from it reuses when its constraints are the same;
+    the record takes no part in comparisons."""
 
     path: str
     cols: tuple
+    _canonical: "_Canonical | None" = field(default=None, compare=False,
+                                            repr=False)
 
 
 @dataclass
@@ -308,7 +342,32 @@ def _two_phase(A2, b, c, slack_of_row, tol):
     return status, T, basis, A_std, keep_rows, c2
 
 
-def _solve_cf(c, A, senses, b, tol, start=None):
+@dataclass(frozen=True)
+class _StdForm:
+    """The constraints A z {<=,=,>=} b, z >= 0 of a standard-form problem
+    as [A | slacks], before the rows with b < 0 are negated for a solve."""
+
+    A2: np.ndarray              # read-only
+    senses: tuple
+    slack_of_row: np.ndarray    # slack column per row, -1 on '=' rows
+    n: int                      # columns of A
+
+
+def _std_form(A, senses) -> _StdForm:
+    m, n = A.shape
+    code = _sense_codes(senses)
+    rows = np.nonzero(code)[0]
+    k = np.arange(rows.size)
+    S = np.zeros((m, rows.size))
+    S[rows, k] = code[rows]
+    slack_of_row = np.full(m, -1, dtype=int)
+    slack_of_row[rows] = n + k
+    A2 = np.hstack([A, S])
+    A2.setflags(write=False)
+    return _StdForm(A2, senses, slack_of_row, n)
+
+
+def _solve_cf(std: _StdForm, c, b, tol, start=None):
     """Two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
 
     Returns (status, value, z, y, basis) where y holds one dual per row with
@@ -317,31 +376,18 @@ def _solve_cf(c, A, senses, b, tol, start=None):
     phase 1 dropped redundant rows).  A `start` basis is tried first; see
     `_warm_start`.
     """
-    A = np.array(A, dtype=float)
+    A2 = std.A2
     b = np.array(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    m, n = A.shape
-
-    n_slack = sum(1 for s in senses if s != EQ)
-    S = np.zeros((m, n_slack))
-    slack_of_row = np.full(m, -1, dtype=int)
-    k = 0
-    for i, s in enumerate(senses):
-        if s == LE:
-            S[i, k] = 1.0
-            slack_of_row[i] = n + k
-            k += 1
-        elif s == GE:
-            S[i, k] = -1.0
-            slack_of_row[i] = n + k
-            k += 1
-    A2 = np.hstack([A, S])
+    m, n2 = A2.shape
+    n = std.n
     row_sign = np.ones(m)
     neg = b < 0
-    A2[neg] *= -1.0
-    b[neg] *= -1.0
-    row_sign[neg] = -1.0
-    n2 = A2.shape[1]
+    if neg.any():
+        A2 = A2.copy()
+        A2[neg] *= -1.0
+        b[neg] *= -1.0
+        row_sign[neg] = -1.0
 
     warm = None
     if start is not None:
@@ -354,7 +400,7 @@ def _solve_cf(c, A, senses, b, tol, start=None):
         keep_rows = np.arange(m)
     else:
         status, T, basis, A_std, keep_rows, c2 = _two_phase(
-            A2, b, c, slack_of_row, tol)
+            A2, b, c, std.slack_of_row, tol)
         if status != "optimal":
             return status, np.nan, None, None, None
 
@@ -374,9 +420,9 @@ def _solve_cf(c, A, senses, b, tol, start=None):
     else:  # fallback: duals via tableau reduced costs on slack columns
         r = c2 - c2[basis] @ T[:, :-1]
         for i in range(m):
-            j = slack_of_row[i]
+            j = std.slack_of_row[i]
             if j >= 0:
-                y[i] = -r[j] * (1.0 if senses[i] == LE else -1.0)
+                y[i] = -r[j] * (1.0 if std.senses[i] == LE else -1.0)
     y *= row_sign
     out_basis = basis.copy() if basis.size == m else None
     return "optimal", float(c @ z[:n]), z[:n], y, out_basis
@@ -386,52 +432,118 @@ def _solve_cf(c, A, senses, b, tol, start=None):
 # general solve with canonicalization and optional dualization
 # ---------------------------------------------------------------------------
 
+class _Canonical:
+    """What a solve derives from the constraints (A, senses, lb, ub) alone:
+    the mid form's matrix and variable map (min c.x, each variable either
+    free or >= 0, x_orig = sign * x_mid + shift), the standard form of each
+    path, built on first use, and the bound masks of the residual check.
+    Solves over one constraint matrix build it once: a basis carries it to
+    the next solve (see `solve`)."""
+
+    def __init__(self, p: LpProblem):
+        self.source = (_kept(p.A), p.senses, _kept(p.lb), _kept(p.ub))
+        n = p.A.shape[1]
+        lo_inf, hi_inf = np.isinf(p.lb), np.isinf(p.ub)
+        self.free = lo_inf & hi_inf
+        # x >= lb shifts by lb; a finite ub alone flips the variable
+        self.shift = np.where(~lo_inf, p.lb, np.where(~hi_inf, p.ub, 0.0))
+        self.sign = np.where(lo_inf & ~hi_inf, -1.0, 1.0)
+        self.A_shift = p.A @ self.shift
+        boxed = np.nonzero(~lo_inf & ~hi_inf)[0]
+        self.box_width = p.ub[boxed] - p.lb[boxed]
+        A = p.A * self.sign
+        senses = p.senses
+        if boxed.size:
+            E = np.zeros((boxed.size, n))
+            E[np.arange(boxed.size), boxed] = 1.0
+            A = np.vstack([A, E * self.sign])
+            senses += (LE,) * boxed.size
+        A.setflags(write=False)
+        self.A, self.senses = A, senses
+        self.n_orig_rows = p.A.shape[0]
+        # residual check: row sense codes, and the bound each variable can
+        # sit at (infinite bounds never hold)
+        self.codes = _sense_codes(p.senses)
+        self.lo_finite, self.hi_finite = ~lo_inf, ~hi_inf
+        self.lo_f = np.where(lo_inf, 0.0, p.lb)
+        self.hi_f = np.where(hi_inf, 0.0, p.ub)
+        self.lo_reach = self.lo_f + 1e-7 * (1 + np.abs(self.lo_f))
+        self.hi_reach = self.hi_f - 1e-7 * (1 + np.abs(self.hi_f))
+        self._forms = {}
+
+    def matches(self, p: LpProblem) -> bool:
+        """Whether p has the constraints this record was built from."""
+        A, senses, lb, ub = self.source
+        return (_same_array(A, p.A) and _same_array(lb, p.lb)
+                and _same_array(ub, p.ub)
+                and (senses is p.senses or senses == p.senses))
+
+    def form(self, path):
+        """(standard form, column map) of `path`, built on first use."""
+        if path not in self._forms:
+            build = _dualized_form if path == DUALIZED else _direct_form
+            self._forms[path] = build(self)
+        return self._forms[path]
+
+
+def _kept(a: np.ndarray) -> np.ndarray:
+    """a itself if read-only (as `LpProblem.build` makes it: it cannot
+    change), else a copy to compare later problems with."""
+    return a if not a.flags.writeable else a.copy()
+
+
+def _same_array(kept, a) -> bool:
+    return kept is a or np.array_equal(kept, a)
+
+
+def _direct_form(canon: _Canonical):
+    """Free variables split into two nonnegative ones."""
+    free_idx = np.nonzero(canon.free)[0]
+    A = np.hstack([canon.A, -canon.A[:, free_idx]])
+    return _std_form(A, canon.senses), free_idx
+
+
+def _dualized_form(canon: _Canonical):
+    """The dual: y = Y u with u >= 0, and equality rows keep a free dual
+    variable (split in two); a dual row per variable, A_j . y {<= c_j if
+    x_j >= 0, = c_j if x_j free}."""
+    code = _sense_codes(canon.senses)
+    col_sgn = np.where(code > 0, -1.0, 1.0)
+    free_u = np.nonzero(code == 0)[0]
+    D_A = (canon.A * col_sgn[:, None]).T               # n x m
+    d_senses = tuple(EQ if f else LE for f in canon.free)
+    A2 = np.hstack([D_A, -D_A[:, free_u]])
+    return _std_form(A2, d_senses), (col_sgn, free_u)
+
+
 @dataclass
 class _MidForm:
-    """min c.x, rows {<=,=,>=}, each var either free or >= 0."""
+    """min c.x over the rows of `canon.A`, shifted by `const`."""
 
     c: np.ndarray
-    A: np.ndarray
-    senses: tuple
     b: np.ndarray
-    free: np.ndarray            # bool per var
-    shift: np.ndarray           # x_orig = sign * x_mid + shift
-    sign: np.ndarray
-    const: float                # objective constant from shifting
-    n_orig_rows: int
+    const: float
+    canon: _Canonical
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.canon.A
 
 
-def _to_midform(p: LpProblem) -> _MidForm:
-    c = -p.c.copy() if p.maximize else p.c.copy()
-    A = p.A
-    n = A.shape[1]
-    lo_inf, hi_inf = np.isinf(p.lb), np.isinf(p.ub)
-    free = lo_inf & hi_inf
-    # x >= lb shifts by lb; a finite ub alone flips the variable
-    shift = np.where(~lo_inf, p.lb, np.where(~hi_inf, p.ub, 0.0))
-    sign = np.where(lo_inf & ~hi_inf, -1.0, 1.0)
-    boxed = np.nonzero(~lo_inf & ~hi_inf)[0]
-    senses = p.senses
-    b = p.b - A @ shift
-    A = A * sign
-    if boxed.size:
-        E = np.zeros((boxed.size, n))
-        E[np.arange(boxed.size), boxed] = 1.0
-        A = np.vstack([A, E * sign])
-        b = np.concatenate([b, p.ub[boxed] - p.lb[boxed]])
-        senses += (LE,) * boxed.size
-    const = float((-p.c if p.maximize else p.c) @ shift)
-    return _MidForm(c * sign, A, senses, b, free, shift, sign, const,
-                    p.A.shape[0])
+def _to_midform(p: LpProblem, canon: _Canonical) -> _MidForm:
+    c = -p.c if p.maximize else p.c
+    b = p.b - canon.A_shift
+    if canon.box_width.size:
+        b = np.concatenate([b, canon.box_width])
+    return _MidForm(c * canon.sign, b, float(c @ canon.shift), canon)
 
 
 def _solve_mid_direct(mf: _MidForm, tol, start=None):
     """Split free variables and run the standard-form core."""
     n = mf.A.shape[1]
-    free_idx = np.nonzero(mf.free)[0]
-    A = np.hstack([mf.A, -mf.A[:, free_idx]])
+    std, free_idx = mf.canon.form(DIRECT)
     c = np.concatenate([mf.c, -mf.c[free_idx]])
-    status, val, z, y, basis = _solve_cf(c, A, mf.senses, mf.b, tol, start)
+    status, val, z, y, basis = _solve_cf(std, c, mf.b, tol, start)
     if status != "optimal":
         return status, np.nan, None, None, None
     x = z[:n].copy()
@@ -441,20 +553,11 @@ def _solve_mid_direct(mf: _MidForm, tol, start=None):
 
 def _solve_mid_dual(mf: _MidForm, tol, start=None):
     """Solve through the dual; recover the primal from the dual's duals."""
-    m, n = mf.A.shape
-    # y = Y u with u >= 0; equality rows keep a free dual variable
-    code = _sense_codes(mf.senses)
-    col_sgn = np.where(code > 0, -1.0, 1.0)
-    u_free = code == 0
-    # dual rows: A_j . y {<= c_j if x_j >= 0, = c_j if x_j free}
-    D_A = (mf.A * col_sgn[:, None]).T                  # n x m
-    D_b = mf.c
+    m = mf.A.shape[0]
+    std, (col_sgn, free_u) = mf.canon.form(DUALIZED)
     D_c = -(mf.b * col_sgn)
-    d_senses = tuple(EQ if f else LE for f in mf.free)
-    free_u = np.nonzero(u_free)[0]
-    A2 = np.hstack([D_A, -D_A[:, free_u]])
     c2 = np.concatenate([D_c, -D_c[free_u]])
-    status, val2, u2, w, basis = _solve_cf(c2, A2, d_senses, D_b, tol, start)
+    status, val2, u2, w, basis = _solve_cf(std, c2, mf.c, tol, start)
     if status == "unbounded":
         return "infeasible", np.nan, None, None, None
     if status != "optimal":
@@ -472,11 +575,16 @@ def solve(problem: LpProblem, tol: float | None = None,
 
     `start` is the `basis` of an earlier solution of a problem with the
     same constraint matrix and senses; the solve then re-optimizes from it.
-    A warm answer that fails its certificate check is recomputed cold.
+    If the constraints (A, senses, lb, ub) are also the ones the start was
+    solved with, their canonical form is reused instead of rebuilt.  A warm
+    answer that fails its certificate check is recomputed cold.
     """
     if tol is None:
         tol = lp_tol()
-    mf = _to_midform(problem)
+    canon = None if start is None else start._canonical
+    if canon is None or not canon.matches(problem):
+        canon = _Canonical(problem)
+    mf = _to_midform(problem, canon)
     sol = _solve_once(problem, mf, tol, start)
     if start is not None and not _passes(sol, tol):
         sol = _solve_once(problem, mf, tol, None)
@@ -492,29 +600,31 @@ def _solve_once(problem, mf, tol, start) -> LpSolution:
     paths = [(DUALIZED, _solve_mid_dual)] if m > 2 * n + 20 else []
     for path, solve_mid in paths + [(DIRECT, _solve_mid_direct)]:
         cols = start.cols if start is not None and start.path == path else None
-        sol = _solution(problem, mf, path, solve_mid(mf, tol, cols), tol)
+        sol = _solution(problem, mf, path, solve_mid(mf, tol, cols))
         # a dualized answer that fails its check is solved again directly
         if sol.status != "fallback" and _passes(sol, tol):
             return sol
     return sol
 
 
-def _solution(problem, mf, path, result, tol) -> LpSolution:
+def _solution(problem, mf, path, result) -> LpSolution:
     """Map a mid-form result to the original coordinates and fill in its
     residuals."""
     status, val, x, y, cols = result
     if status != "optimal":
         return LpSolution(status=status)
-    x_orig = mf.sign * x + mf.shift
-    y_orig = y[:mf.n_orig_rows].copy()
+    canon = mf.canon
+    x_orig = canon.sign * x + canon.shift
+    y_orig = y[:canon.n_orig_rows].copy()
     value = val + mf.const
     if problem.maximize:
         value = -value
         y_orig = -y_orig
-    basis = None if cols is None else LpBasis(path, tuple(cols.tolist()))
+    basis = None if cols is None else LpBasis(path, tuple(cols.tolist()),
+                                              canon)
     sol = LpSolution(status="optimal", value=value, x=x_orig, y=y_orig,
                      basis=basis)
-    _fill_residuals(problem, sol, tol)
+    _fill_residuals(problem, sol, canon)
     return sol
 
 
@@ -535,32 +645,26 @@ def _sense_codes(senses: tuple) -> np.ndarray:
     return code
 
 
-def _row_violation(r, senses) -> float:
-    """max(0, worst row violation) for residuals r = A x - b."""
-    code = _sense_codes(senses)
-    viol = np.where(code == 0.0, np.abs(r), code * r)
-    return float(np.max(viol, initial=0.0))
-
-
-def _fill_residuals(problem: LpProblem, sol: LpSolution, tol) -> None:
+def _fill_residuals(problem: LpProblem, sol: LpSolution,
+                    canon: _Canonical) -> None:
+    """The residual check of (x, y) against the original data; `canon` is
+    the canonical form of the problem's constraints."""
     x, y = sol.x, sol.y
+    code = canon.codes
     r = problem.A @ x - problem.b
-    pr = _row_violation(r, problem.senses)
+    pr = float(np.max(np.where(code == 0.0, np.abs(r), code * r),
+                      initial=0.0))
     cs = float(np.max(np.abs(y * r), initial=0.0))
-    lo, hi = problem.lb, problem.ub
-    pr = max(pr, float(np.max(lo - x, initial=0.0)))
-    pr = max(pr, float(np.max(x - hi, initial=0.0)))
+    pr = max(pr, float(np.max(problem.lb - x, initial=0.0)))
+    pr = max(pr, float(np.max(x - problem.ub, initial=0.0)))
     # reduced costs in min orientation, where the row duals must satisfy
     # y <= 0 on '<=' rows and y >= 0 on '>=' rows
     sgn = -1.0 if problem.maximize else 1.0
     rc = sgn * problem.c - problem.A.T @ (sgn * y)
-    y_sign = float(np.max(_sense_codes(problem.senses) * (sgn * y),
-                          initial=0.0))
-    # which bound each variable sits at (infinite bounds never hold)
-    lo_f = np.where(np.isinf(lo), 0.0, lo)
-    hi_f = np.where(np.isinf(hi), 0.0, hi)
-    at_lo = ~np.isinf(lo) & (x <= lo_f + 1e-7 * (1 + np.abs(lo_f)))
-    at_hi = ~np.isinf(hi) & (x >= hi_f - 1e-7 * (1 + np.abs(hi_f)))
+    y_sign = float(np.max(code * (sgn * y), initial=0.0))
+    lo_f, hi_f = canon.lo_f, canon.hi_f
+    at_lo = canon.lo_finite & (x <= canon.lo_reach)
+    at_hi = canon.hi_finite & (x >= canon.hi_reach)
     fixed = at_lo & at_hi
     only_lo = at_lo & ~at_hi
     only_hi = at_hi & ~at_lo

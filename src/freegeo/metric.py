@@ -40,7 +40,8 @@ class PointedMetricSpace:
     labels: tuple = ()
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
+        # a copy: freezing the caller's own array would make it read-only
+        d = np.array(self.dist, dtype=float)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:

@@ -86,10 +86,22 @@ class ModulusCurve:
 
 @dataclass
 class _WarmStart:
-    """The last optimal basis of one LP family whose constraint matrix stays
-    fixed; each solve re-optimizes from it and stores its own."""
+    """One LP family of a slab, whose constraint matrix stays fixed: what
+    was built for its first sample, the key it was built for, and the last
+    optimal basis.  Each solve re-optimizes from that basis and stores its
+    own."""
 
     basis: lp.LpBasis | None = None
+    built: object = None
+    key: tuple = ()
+
+    def family(self, key: tuple, build):
+        """build() for key, called on first use only.  Keys are compared by
+        identity; another key builds anew."""
+        if self.built is None or len(key) != len(self.key) or \
+                any(a is not b for a, b in zip(key, self.key)):
+            self.built, self.key = build(), key
+        return self.built
 
     def solve(self, problem: lp.LpProblem) -> lp.LpSolution:
         sol = lp.solve(problem, start=self.basis)
@@ -97,14 +109,23 @@ class _WarmStart:
         return sol
 
 
-def _slab_sample(space, mu, eta, objective, norm_mu, warm: _WarmStart):
-    """Maximize a linear objective over the eta-slab of the unit ball."""
+def _slab_problem(space, mu, eta, norm_mu) -> lp.LpProblem:
+    """The eta-slab of the unit ball over f(1..n-1): the ball rows and the
+    slab row pairing(f, mu) >= norm_mu (1 - eta), with a zero objective
+    that each sample replaces."""
     A, b = lipschitz_ball_rows(space)
     rows = np.vstack([A, -mu.masses[1:]])
     rhs = np.concatenate([b, [-(norm_mu * (1.0 - eta))]])
-    senses = [lp.LE] * len(rhs)
-    sol = warm.solve(lp.LpProblem.build(objective, rows, senses, rhs,
-                                        maximize=True))
+    return lp.LpProblem.build(np.zeros(space.n - 1), rows,
+                              [lp.LE] * len(rhs), rhs, maximize=True)
+
+
+def _slab_sample(space, mu, eta, objective, norm_mu, warm: _WarmStart):
+    """Maximize a linear objective over the eta-slab of the unit ball.  The
+    slab problem is built once per `warm`; a sample sets its objective."""
+    problem = warm.family((space, mu, eta, norm_mu),
+                          lambda: _slab_problem(space, mu, eta, norm_mu))
+    sol = warm.solve(problem.with_objective(objective))
     if sol.status != "optimal":
         raise SsdError(f"slab sampling LP ended with status {sol.status}")
     return from_values(space, np.concatenate([[0.0], sol.x]))
@@ -113,6 +134,14 @@ def _slab_sample(space, mu, eta, objective, norm_mu, warm: _WarmStart):
 def _distance_to_face_problem(space, vals, mu_masses, norm, scale=1.0):
     """min t over (g, t): ||g|| <= scale, pairing(g, mu) = norm and
     |(v - g)(p) - (v - g)(q)| <= t d(p, q) for the values v."""
+    return _with_face_values(_face_problem(space, mu_masses, norm, scale),
+                             vals)
+
+
+def _face_problem(space, mu_masses, norm, scale=1.0):
+    """`_distance_to_face_problem` for the values v = 0: the constraint
+    matrix, and a right-hand side whose 2k entries after the 2k ball rows
+    `_with_face_values` writes."""
     n = space.n
     A, b = lipschitz_ball_rows(space, scale=scale)
     p, q, R = pair_rows(n)
@@ -124,26 +153,47 @@ def _distance_to_face_problem(space, vals, mu_masses, norm, scale=1.0):
     rows[2 * k + 1:-1:2, :-1] = -R
     rows[2 * k:-1, -1] = -np.repeat(space.dist[p, q], 2)
     rows[-1, :-1] = mu_masses[1:]
-    diff = np.repeat(vals[p] - vals[q], 2)
-    diff[1::2] *= -1.0
     senses = [lp.LE] * (4 * k) + [lp.EQ]
     c = np.zeros(n)
     c[-1] = 1.0
     lb = np.full(n, -np.inf)
     lb[-1] = 0.0
     return lp.LpProblem.build(c, rows, senses,
-                              np.concatenate([b, diff, [norm]]), lb=lb)
+                              np.concatenate([b, np.zeros(2 * k), [norm]]),
+                              lb=lb)
+
+
+def _with_face_values(problem, vals):
+    """The face-distance problem for the values vals: per pair p < q, the
+    right-hand sides v(p) - v(q) and v(q) - v(p)."""
+    p, q, _ = pair_rows(vals.size)
+    k = p.size
+    diff = vals[p] - vals[q]
+    b = problem.b.copy()
+    b[2 * k:4 * k:2] = diff
+    b[2 * k + 1:4 * k:2] = -diff
+    return problem.with_rhs(b)
 
 
 def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None, *,
                   _warm: _WarmStart | None = None) -> float:
     """Lip-distance from f to the dual face D(mu) = {g : ||g|| <= 1,
-    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t)."""
+    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t).
+
+    The LP is solved on the space divided by its `distance_scale` s, with
+    f and ||mu|| divided by s too; Lip-distances do not change."""
     if norm_mu is None:
         norm_mu = free_norm(mu).value
-    problem = _distance_to_face_problem(f.space, f.values, mu.masses,
-                                        norm_mu)
-    sol = (_warm or _WarmStart()).solve(problem)
+    space = f.space
+    warm = _warm or _WarmStart()
+
+    def build():
+        s = distance_scale(space)
+        unit = space if s == 1.0 else PointedMetricSpace(space.dist / s)
+        return s, _face_problem(unit, mu.masses, norm_mu / s)
+
+    s, problem = warm.family((space, mu, norm_mu), build)
+    sol = warm.solve(_with_face_values(problem, f.values / s))
     if sol.status != "optimal":
         raise SsdError(f"face-distance LP ended with status {sol.status}")
     return float(sol.value)
@@ -163,10 +213,11 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     and records the max Lip-distance of the maximizers to the dual face.
     The result is post-processed to a monotone (nondecreasing in eta)
     envelope; it is deterministic given the seed and a lower bound on the
-    true modulus.  The LPs of one slab share their constraint matrices, so
-    each re-optimizes from the previous sample's basis; every sample is
-    checked against the unit ball and the slab independently of the
-    solver, and a failed check raises SsdError with its margin.
+    true modulus.  The LPs of one slab share their constraint matrices:
+    each is built once per slab, and each solve re-optimizes from the
+    previous sample's basis (the first slab LP from the norm LP's).  Every
+    sample is checked against the unit ball and the slab independently of
+    the solver, and a failed check raises SsdError with its margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -181,14 +232,20 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     space = PointedMetricSpace(mu.space.dist / distance_scale(mu.space),
                                mu.space.labels)
     mu = FreeElement(space, masses)
-    norm_mu = free_norm(mu).value
+    norm = free_norm(mu)
+    norm_mu = norm.value
     rng = np.random.default_rng(seed)
     tol = lp_tol()
     raw = []
     for eta in eta_grid:
         worst = 0.0
-        # every sample of one slab shares both constraint matrices
-        slab, dist = _WarmStart(), _WarmStart()
+        # every sample of one slab shares both constraint matrices.  The
+        # first slab LP starts from the norm LP's basis: on the dualized
+        # path the slab's dual is the norm's dual plus the slab row's
+        # column, whose reduced cost there is the row's slack eta ||mu||
+        # >= 0, so that basis is dual feasible (a start of the wrong length,
+        # on the direct path, is solved cold)
+        slab, dist = _WarmStart(norm.basis), _WarmStart()
         for _ in range(samples_per_eta):
             f = _slab_sample(space, mu, eta, rng.standard_normal(space.n - 1),
                              norm_mu, slab)

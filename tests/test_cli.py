@@ -279,3 +279,27 @@ def test_parser_reused_across_calls(capsys, tmp_path, line_file):
                            capture_output=True, env=env, check=True)
     assert fresh.stdout.decode() == out
     assert fresh.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["modulus", "--gallery", "branching_tree", "--params", "n=6",
+     "--eta-grid", "0.01,0.1", "--samples", "6", "--seed", "4"],
+    ["perturb", "--gallery", "branching_tree", "--params", "n=4",
+     "--gamma", "1", "--epsilon", "0.04"],
+    ["perturb", "--gallery", "branching_tree", "--params", "n=4",
+     "--gamma", "1", "--epsilon", "0.9"],
+])
+def test_output_does_not_depend_on_asserts(tmp_path, argv):
+    # python -O strips assert statements; no check may rely on them
+    el = _element_file(tmp_path, {"molecules": [[0.5, 1, 0], [0.5, 3, 0]]})
+    src = os.path.dirname(os.path.dirname(freegeo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "freegeo.cli",
+                            *argv, "--element", el],
+                           capture_output=True, env=env, timeout=120)
+            for flags in ([], ["-O"])]
+    assert runs[0].returncode == runs[1].returncode
+    assert runs[0].returncode in (0, 2)
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout
+    assert runs[0].stderr == runs[1].stderr == b""

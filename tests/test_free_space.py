@@ -348,3 +348,43 @@ class TestOptimalRepresentation:
             assert np.abs(back.masses - mu.masses).max() <= 1e-9
             assert rep.weight_sum() == pytest.approx(free_norm(mu).value,
                                                      abs=1e-9)
+
+
+class TestElementsAndRows:
+    def test_rebuilding_an_element_leaves_it_unchanged(self):
+        # the base mass was re-balanced on every construction
+        # (m[0] -= m.sum()), which moved it by an ulp on about half of
+        # these elements
+        rng = np.random.default_rng(5)
+        space = random_euclidean_space(rng, 6)
+        for _ in range(100):
+            mu = FreeElement(space, rng.normal(size=6))
+            again = FreeElement(space, mu.masses)
+            assert again.masses.tobytes() == mu.masses.tobytes()
+            assert mu.masses[0] == -mu.masses[1:].sum()
+
+    def test_balanced_base_mass_of_zero_is_positive_zero(self):
+        mu = FreeElement(LINE, np.array([5.0, 1.0, -1.0, 0.0]))
+        assert mu.masses.tolist() == [0.0, 1.0, -1.0, 0.0]
+        assert not np.signbit(mu.masses[0])
+
+    def test_element_copies_the_callers_masses(self):
+        m = np.array([0.0, 1.0, -1.0, 0.0])
+        mu = FreeElement(LINE, m)
+        m[1] = 7.0
+        assert mu.masses[1] == 1.0
+
+    def test_pair_rows_are_cached_and_read_only(self):
+        first = free_space.pair_rows(7)
+        assert free_space.pair_rows(7) is first
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+        p, q, R = first
+        assert R.shape == (21, 6)
+        assert (p < q).all()
+
+    def test_norm_certificates_carry_the_norm_basis(self):
+        cert = free_norm(molecule(branching_tree(8), 3, 0))
+        assert cert.basis is not None and cert.basis.path == "dualized"

@@ -175,3 +175,11 @@ class TestFattenedLift:
         assert gg(1) == pytest.approx(2.0)
         assert gg(2) == pytest.approx(1.5 * 31 / 32)
         assert gg(3) == pytest.approx(1.5 * 30 / 32)
+
+
+def test_function_copies_the_callers_values():
+    v = np.array([0.0, 1.0, 2.0])
+    f = from_values(line_space([0, 1, 2]), v)
+    assert v.flags.writeable and not f.values.flags.writeable
+    v[1] = 5.0
+    assert f(1) == 1.0

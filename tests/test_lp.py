@@ -307,7 +307,8 @@ def test_singular_start_is_rejected():
     c, A, b = _dualized_data(rng)
     A[1] = A[0]
     start = _bad_starts(rng, c, A, b)["singular"]
-    mf = lp_module._to_midform(_max_problem(c, A, b))
+    p = _max_problem(c, A, b)
+    mf = lp_module._to_midform(p, lp_module._Canonical(p))
     m = mf.A.shape[0]
     # the dualized standard form: one column per primal row
     A2 = (mf.A * -1.0).T
@@ -386,7 +387,7 @@ def test_vectorized_residuals_match_loop_reference(seed):
     x[1] = p.ub[1]
     sol = lp_module.LpSolution(status="optimal", value=0.0, x=x,
                                y=rng.normal(size=m))
-    lp_module._fill_residuals(p, sol, 1e-9)
+    lp_module._fill_residuals(p, sol, lp_module._Canonical(p))
     pr, dr, gap, cs = _loop_residuals(p, sol.x, sol.y)
     assert sol.primal_residual == pr
     assert sol.dual_residual == dr
@@ -406,7 +407,7 @@ def test_wrong_sign_row_dual_is_a_dual_residual(maximize):
     for y, residual in ((right, 0.0), (-right, 1.0)):
         sol = lp_module.LpSolution(status="optimal", value=0.0,
                                    x=np.array([1.0]), y=y)
-        lp_module._fill_residuals(p, sol, 1e-9)
+        lp_module._fill_residuals(p, sol, lp_module._Canonical(p))
         assert sol.dual_residual == residual
         assert sol.gap == 0.0
 
@@ -427,3 +428,104 @@ def test_failed_dualized_answer_falls_back_to_direct(monkeypatch):
     assert sol.basis.path == "direct"
     _assert_certified(sol)
     assert sol.value == pytest.approx(clean.value, abs=1e-9, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms carried by a basis
+# ---------------------------------------------------------------------------
+
+def test_same_constraints_reuse_the_canonical_form():
+    rng = np.random.default_rng(4200)
+    c, A, b = _dualized_data(rng)
+    p = _max_problem(c, A, b)
+    first = solve(p)
+    canon = first.basis._canonical
+    # a new objective or right-hand side keeps the constraints: the record
+    # is passed on by identity, and the answers are the cold ones
+    q = p.with_objective(rng.normal(size=c.size))
+    warm = _assert_matches_cold(q, first.basis)
+    assert warm.basis._canonical is canon
+    r = q.with_rhs(b + np.abs(rng.normal(size=b.size)))
+    assert _assert_matches_cold(r, warm.basis).basis._canonical is canon
+    # equal constraints in other arrays are compared by value
+    s = _max_problem(rng.normal(size=c.size), A.copy(), b)
+    assert _assert_matches_cold(s, first.basis).basis._canonical is canon
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (7, 3), (-1, 4)])
+def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted):
+    rng = np.random.default_rng(4300)
+    c, A, b = _dualized_data(rng)
+    p = _max_problem(c, A, b)
+    first = solve(p)
+    A2 = A.copy()
+    A2[entry] += 0.25
+    q = _max_problem(c, A2, b)
+    warm = solve(q, start=first.basis)
+    cold = solve(q)
+    _assert_certified(warm)
+    assert warm.value == pytest.approx(cold.value, abs=1e-9, rel=1e-9)
+    assert np.allclose(warm.x, cold.x, atol=1e-7)
+    canon = warm.basis._canonical
+    assert canon is not first.basis._canonical
+    assert canon.matches(q) and not canon.matches(p)
+    assert np.array_equal(canon.A, lp_module._Canonical(q).A)
+    assert not np.array_equal(canon.A, first.basis._canonical.A)
+
+
+def test_canonical_form_of_a_mutable_matrix_is_compared_by_value():
+    # an LpProblem made directly (not by build) may hold a writable matrix;
+    # identity alone does not prove it unchanged
+    rng = np.random.default_rng(4400)
+    c, A, b = _dualized_data(rng)
+    p = LpProblem(c, A, (LE,) * len(b), b, np.full(c.size, -np.inf),
+                  np.full(c.size, np.inf), True)
+    canon = solve(p).basis._canonical
+    assert canon.matches(p)
+    A[0, 0] += 1.0
+    assert not canon.matches(p)
+
+
+def test_build_copies_and_freezes_its_inputs():
+    c, A, b = np.array([1.0, 2.0]), np.eye(2), np.ones(2)
+    p = LpProblem.build(c, A, [LE, LE], b, lb=np.zeros(2), ub=np.ones(2))
+    for mine, kept in ((c, p.c), (A, p.A), (b, p.b)):
+        assert mine.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(mine, kept)
+    A[0, 0] = 5.0
+    assert p.A[0, 0] == 1.0
+    assert not p.lb.flags.writeable and not p.ub.flags.writeable
+
+
+def test_replaced_vectors_are_checked():
+    p = LpProblem.build([1.0, 2.0], np.eye(2), [LE, LE], [1.0, 1.0])
+    q = p.with_objective([3.0, 4.0]).with_rhs([2.0, 5.0])
+    assert q.A is p.A and q.senses is p.senses
+    assert q.lb is p.lb and q.ub is p.ub
+    assert q.c.tolist() == [3.0, 4.0] and q.b.tolist() == [2.0, 5.0]
+    assert not q.c.flags.writeable and not q.b.flags.writeable
+    for bad in ([1.0], [1.0, np.nan]):
+        with pytest.raises(LpError):
+            p.with_objective(bad)
+        with pytest.raises(LpError):
+            p.with_rhs(bad)
+
+
+def test_slack_block_matches_loop_reference():
+    senses = (LE, EQ, GE, GE, EQ, LE)
+    A = np.arange(18.0).reshape(6, 3)
+    std = lp_module._std_form(A, senses)
+    S, slack_of_row, k = [], [], 0
+    for i, s in enumerate(senses):
+        col = np.zeros(len(senses))
+        if s == EQ:
+            slack_of_row.append(-1)
+            continue
+        col[i] = 1.0 if s == LE else -1.0
+        S.append(col)
+        slack_of_row.append(3 + k)
+        k += 1
+    ref = np.hstack([A, np.array(S).T])
+    assert std.A2.tobytes() == ref.tobytes()
+    assert std.slack_of_row.tolist() == slack_of_row
+    assert not std.A2.flags.writeable

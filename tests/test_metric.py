@@ -190,3 +190,11 @@ class TestJson:
         back = PointedMetricSpace.from_json(json.loads(blob))
         assert np.array_equal(back.dist, s.dist)
         assert back.labels == s.labels
+
+
+def test_space_copies_the_callers_matrix():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    space = PointedMetricSpace(d)
+    assert d.flags.writeable and not space.dist.flags.writeable
+    d[0, 1] = 2.0
+    assert space.d(0, 1) == 1.0

@@ -199,7 +199,6 @@ def hostile(draw):
 
 
 def _space(d):
-    # a copy: the space makes its matrix read-only
     return PointedMetricSpace(np.array(d, dtype=float))
 
 

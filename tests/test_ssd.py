@@ -257,6 +257,108 @@ def test_probe_guard_rejects_sample_outside_slab(monkeypatch):
         exposedness_probe(mu, [0.1], 4, seed=0)
 
 
+def _leaf_combination(n, fattened):
+    """The probe_trees element: the uniform leaf-to-base combination on
+    branching_tree(n), or on its gamma = 1 fattening."""
+    tree = branching_tree(n)
+    space = gamma_fatten(tree, 1.0) if fattened else tree
+    terms = tuple((1.0 / n, k, 0) for k in range(1, n + 1))
+    return MoleculeCombination(space, terms).element()
+
+
+@pytest.mark.parametrize("n,cold", [(12, 2), (4, 3)])
+def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
+    # 13 points take the dualized path, where the norm LP's basis starts the
+    # first slab LP: the cold solves are the norm LP and the first
+    # face-distance LP.  On 5 points (direct path) the norm basis has the
+    # wrong length and the first slab LP is solved cold too.
+    calls = []
+    original = lp._two_phase
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_two_phase", counting)
+    exposedness_probe(_leaf_combination(n, False), [0.05], 8, seed=11)
+    assert len(calls) == cold
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+@pytest.mark.parametrize("n", range(4, 17))
+def test_seeded_probe_matches_cold_reference_on_trees(n, fattened):
+    mu = _leaf_combination(n, fattened)
+    warm = exposedness_probe(mu, [0.05], 8, seed=n)
+    cold = _cold_probe(mu, [0.05], 8, seed=n)
+    assert abs(warm.entries[0][1] - cold[0]) <= 1e-12
+
+
+def _random_function(rng, space):
+    return from_values(space, np.concatenate([[0.0],
+                                              rng.normal(size=space.n - 1)]))
+
+
+def test_face_distance_does_not_depend_on_distance_scale():
+    # solved at the input's scale, 6 of these 12 calls failed at 1e6 and
+    # 2 at 1e-6
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        n = int(rng.integers(4, 9))
+        space = random_euclidean_space(rng, n, dim=2)
+        masses = rng.normal(size=n)
+        f = _random_function(rng, space)
+        got = []
+        for scale in (1.0, 1e-6, 1e6):
+            scaled = PointedMetricSpace(scale * space.dist)
+            got.append(face_distance(from_values(scaled, scale * f.values),
+                                     FreeElement(scaled, masses)))
+        np.testing.assert_allclose(got[1:], got[0], rtol=1e-9, atol=0.0)
+
+
+def test_face_distance_warm_family_follows_its_key():
+    # one _WarmStart reused across spaces, elements and norms rebuilds its
+    # problem for each new key and gives the answers of fresh calls
+    rng = np.random.default_rng(12)
+    warm = ssd._WarmStart()
+    for _ in range(3):
+        space = random_euclidean_space(rng, int(rng.integers(4, 8)))
+        mu = FreeElement(space, random_zero_sum(rng, space.n))
+        norm_mu = free_norm(mu).value
+        for _ in range(3):
+            f = _random_function(rng, space)
+            f = from_values(space, f.values / lip_norm(f))
+            ref = face_distance(f, mu, norm_mu)
+            assert face_distance(f, mu, norm_mu, _warm=warm) == \
+                pytest.approx(ref, abs=1e-12)
+            assert warm.key[0] is space and warm.key[1] is mu
+
+
+def test_slab_sample_builds_its_problem_once(monkeypatch):
+    mu = _leaf_combination(6, False)
+    space = mu.space
+    norm_mu = free_norm(mu).value
+    builds = []
+    original = ssd._slab_problem
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ssd, "_slab_problem", counting)
+    warm = ssd._WarmStart()
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        f = ssd._slab_sample(space, mu, 0.1, rng.normal(size=space.n - 1),
+                             norm_mu, warm)
+        assert pairing(f, mu) >= norm_mu * 0.9 - 1e-9
+    assert len(builds) == 1
+    with pytest.raises(lp.LpError):
+        ssd._slab_sample(space, mu, 0.1, np.full(space.n - 1, np.nan),
+                         norm_mu, warm)
+    with pytest.raises(lp.LpError):
+        ssd._slab_sample(space, mu, 0.1, np.ones(space.n), norm_mu, warm)
+
+
 # ---------------------------------------------------------------------------
 # single-molecule perturbation
 # ---------------------------------------------------------------------------
