@@ -16,17 +16,27 @@ is solved again on the direct path.
 Warm starts.  Every optimal solution carries its final basis
 (`LpSolution.basis`).  Passing it as `solve(problem, start=basis)` for a
 problem with the same constraint matrix and senses re-optimizes instead of
-re-solving: the tableau is rebuilt from the original data as B^-1 [A | b]
-(no tableau is carried over, so roundoff does not pile up across solves).
-If that basis is still primal feasible (only the objective changed),
-primal phase 2 runs directly; if it is dual feasible (only the right-hand
-side changed), a dual simplex restores primal feasibility first.  In the
-dualized form the two cases swap: a new objective is a new right-hand side
-of the dual.  Any other start -- wrong length or path, out-of-range
-columns, a singular B, neither primal nor dual feasible, a dual simplex
-that finds no entering column -- falls back to the cold two-phase solve.
-Warm and cold answers are refined and certified by the same checks, and a
-warm answer that fails them is recomputed cold before `LpError` is raised.
+re-solving.  The basis also carries the solve's final tableau body B^-1 A
+and B^-1, updated by the same pivots.  When the constraints are the ones
+that tableau was built from, the solve starts from it: after an objective
+change it is used as it is, and after a right-hand-side change the new
+last column is the one product B^-1 b.  Rows negated for phase 1 change
+neither, so B^-1 is kept for the rows as given.  Otherwise, and once the
+carried B^-1 has taken more than _REFACTOR_PIVOTS pivots, B is factored
+afresh from the original data.  If the start is still primal feasible (only the
+objective changed), primal phase 2 runs directly; if it is dual feasible
+(only the right-hand side changed), a dual simplex restores primal
+feasibility first.  In the dualized form the two cases swap: a new
+objective is a new right-hand side of the dual.  Any other start -- wrong
+length or path, out-of-range columns, a singular B, neither primal nor
+dual feasible, a dual simplex that finds no entering column -- falls back
+to the cold two-phase solve.  A warm solve refines x_B and y with the
+final B^-1 and one correction step against the original B, so it makes at
+most one factorization, and none when it starts from a carried tableau.
+Warm and cold answers are certified by the same checks.  An answer from
+a carried tableau that fails them is solved again from a fresh
+factorization of its start, and a warm answer that still fails is solved
+cold, before `LpError` names the failed check and its margin.
 
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
@@ -55,6 +65,8 @@ _MAX_ITER = 50_000
 _STALL_LIMIT = 80
 # largest |B^-1 B - I| entry accepted from a warm-start basis
 _WARM_BASIS_TOL = 1e-9
+# pivots a carried B^-1 may take before a warm start factors B afresh
+_REFACTOR_PIVOTS = 64
 
 
 class LpError(Exception):
@@ -92,6 +104,8 @@ class LpProblem:
         ub = np.array(ub, dtype=float)
         if lb.shape != (n,) or ub.shape != (n,):
             raise LpError("bad bound shapes")
+        if np.isnan(lb).any() or np.isnan(ub).any():
+            raise LpError("NaN in problem data")
         bad = [s for s in senses if s not in _SENSES]
         if bad:
             raise LpError(f"unknown row sense {bad[0]!r}")
@@ -128,14 +142,17 @@ DUALIZED = "dualized"
 class LpBasis:
     """Optimal basis of a solve: the path it took (direct or dualized) and
     the basic columns of that path's standard form.  Opaque to callers.
-    It also carries the canonical form of the solved problem's constraints,
-    which a solve started from it reuses when its constraints are the same;
-    the record takes no part in comparisons."""
+    It also carries the canonical form of the solved problem's constraints
+    and the solve's final tableau and B^-1, which a solve started from it
+    reuses when its constraints are the same; neither takes part in
+    comparisons."""
 
     path: str
     cols: tuple
     _canonical: "_Canonical | None" = field(default=None, compare=False,
                                             repr=False)
+    _factor: "_Factor | None" = field(default=None, compare=False,
+                                      repr=False)
 
 
 @dataclass
@@ -167,28 +184,29 @@ def _pivot(T, basis, row, col):
 
 
 def _iterate(T, basis, cvec, blocked, tol):
-    """Run simplex iterations in place.  Returns 'optimal' or 'unbounded'."""
+    """Run simplex iterations in place.  Returns (status, pivots) with
+    status 'optimal' or 'unbounded'."""
     m = T.shape[0]
     bland = False
     stall = 0
     prev_obj = np.inf
-    for _ in range(_MAX_ITER):
+    for k in range(_MAX_ITER):
         r = cvec - cvec[basis] @ T[:, :-1]
         r[basis] = 0.0
         r[blocked] = np.inf
         if bland:
             cand = np.nonzero(r < -tol)[0]
             if cand.size == 0:
-                return "optimal"
+                return "optimal", k
             j = int(cand[0])
         else:
             j = int(np.argmin(r))
             if r[j] >= -tol:
-                return "optimal"
+                return "optimal", k
         col = T[:m, j]
         pos = col > tol
         if not pos.any():
-            return "unbounded"
+            return "unbounded", k
         ratios = np.full(m, np.inf)
         ratios[pos] = T[pos, -1] / col[pos]
         best = ratios.min()
@@ -207,31 +225,33 @@ def _iterate(T, basis, cvec, blocked, tol):
     raise LpError("simplex iteration limit exceeded")
 
 
-def _dual_iterate(T, basis, cvec, tol):
-    """Dual simplex on a dual-feasible tableau, in place.  Returns
-    'optimal' once every basic value is >= -tol, 'infeasible' when a row
-    with a negative value has no negative entry to pivot on, and 'stalled'
-    at the iteration limit."""
+def _dual_iterate(T, basis, cvec, blocked, tol):
+    """Dual simplex on a dual-feasible tableau, in place; `blocked` columns
+    never enter.  Returns (status, pivots) with status 'optimal' once every
+    basic value is >= -tol, 'infeasible' when a row with a negative value
+    has no negative entry to pivot on, and 'stalled' at the iteration
+    limit."""
     bland = False
     stall = 0
     prev_obj = -np.inf
-    for _ in range(_MAX_ITER):
+    for k in range(_MAX_ITER):
         rhs = T[:, -1]
         if bland:
             rows = np.nonzero(rhs < -tol)[0]
             if rows.size == 0:
-                return "optimal"
+                return "optimal", k
             row = int(rows[np.argmin(basis[rows])])
         else:
             row = int(np.argmin(rhs))
             if rhs[row] >= -tol:
-                return "optimal"
+                return "optimal", k
         a = T[row, :-1]
         cand = a < -tol
         cand[basis] = False
+        cand[blocked] = False
         cand = np.nonzero(cand)[0]
         if cand.size == 0:
-            return "infeasible"
+            return "infeasible", k
         r = cvec[cand] - cvec[basis] @ T[:, cand]
         ratios = np.maximum(r, 0.0) / -a[cand]
         best = ratios.min()
@@ -246,17 +266,38 @@ def _dual_iterate(T, basis, cvec, tol):
         else:
             stall = 0
         prev_obj = obj
-    return "stalled"
+    return "stalled", _MAX_ITER
 
 
-def _warm_start(A2, b, cvec, start, tol):
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """What a solve leaves for the next warm start on its standard form:
+    the tableau body B^-1 A2 and B^-1, both of the rows before any is
+    negated (negating rows changes neither B^-1 A2 nor B^-1 b), the pivots
+    they took since B was last factored from the data, and the refined
+    basic values x_B and row duals y with the b and c_B they are for."""
+
+    std: "_StdForm"
+    body: np.ndarray            # read-only, like every array here
+    binv: np.ndarray
+    pivots: int
+    b: np.ndarray
+    xB: np.ndarray
+    cB: np.ndarray
+    y: np.ndarray
+
+
+def _warm_start(A2, b, cvec, start, tol, factor=None):
     """Re-optimize from the basic columns `start` of [A2 | b].
 
-    The tableau is rebuilt from the original data as B^-1 [A2 | b].  A
-    primal-feasible start goes straight to phase 2; a dual-feasible one runs
-    the dual simplex first.  Returns the optimal (T, basis), or None when the
-    start is malformed, singular, neither primal nor dual feasible, or does
-    not lead to an optimum; the caller then solves cold.
+    The working tableau is [B^-1 A2 | B^-1 | B^-1 b], with the B^-1 columns
+    blocked: taken from the carried `factor` when one is given (only B^-1 b
+    is computed), else factored from the original data.  A primal-feasible
+    start goes straight to phase 2; a dual-feasible one runs the dual
+    simplex first.  Returns the optimal (T, basis, pivots), pivots counted
+    since B was factored, or None when the start is malformed, singular,
+    neither primal nor dual feasible, or does not lead to an optimum; the
+    caller then solves cold.
     """
     m, n2 = A2.shape
     cols = np.asarray(start)
@@ -265,33 +306,49 @@ def _warm_start(A2, b, cvec, start, tol):
     if m and (cols.min() < 0 or cols.max() >= n2
               or np.unique(cols).size != m):
         return None
-    try:
-        T = np.linalg.solve(A2[:, cols], np.hstack([A2, b[:, None]]))
-    except np.linalg.LinAlgError:
-        return None
-    eye = np.eye(m)
-    if not np.isfinite(T).all() or \
-            np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
-        return None
-    T[:, cols] = eye
-    basis = cols.astype(int)
-    if np.min(T[:, -1], initial=0.0) < -tol:
-        r = cvec - cvec[basis] @ T[:, :-1]
-        r[basis] = 0.0
-        if r.min(initial=0.0) < -tol or \
-                _dual_iterate(T, basis, cvec, tol) != "optimal":
+    if factor is not None:
+        T = np.hstack([factor.body, factor.binv,
+                       (factor.binv @ b)[:, None]])
+        pivots = factor.pivots
+    else:
+        eye = np.eye(m)
+        try:
+            T = np.linalg.solve(A2[:, cols],
+                                np.hstack([A2, eye, b[:, None]]))
+        except np.linalg.LinAlgError:
             return None
-    if _iterate(T, basis, cvec, np.zeros(n2, dtype=bool), tol) != "optimal":
+        if not np.isfinite(T).all() or \
+                np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
+            return None
+        T[:, cols] = eye
+        pivots = 0
+    basis = cols.astype(int)
+    cext = np.concatenate([cvec, np.zeros(m)])
+    blocked = np.zeros(n2 + m, dtype=bool)
+    blocked[n2:] = True
+    if np.min(T[:, -1], initial=0.0) < -tol:
+        r = cvec - cvec[basis] @ T[:, :n2]
+        r[basis] = 0.0
+        if r.min(initial=0.0) < -tol:
+            return None
+        status, k = _dual_iterate(T, basis, cext, blocked, tol)
+        if status != "optimal":
+            return None
+        pivots += k
+    status, k = _iterate(T, basis, cext, blocked, tol)
+    if status != "optimal":
         return None
-    return T, basis
+    return T, basis, pivots + k
 
 
-def _two_phase(A2, b, c, slack_of_row, tol):
-    """Cold solve from a slack/artificial basis: phase 1, then phase 2.
-    Returns (status, T, basis, A_std, keep_rows, c2) with A_std = [A2 |
-    artificials], keep_rows the rows phase 1 kept and c2 the phase-2 costs."""
+def _two_phase(A2, b, c2, slack_of_row, tol):
+    """Cold solve from a slack/artificial basis, which is the identity:
+    phase 1, then phase 2 with costs c2.  b must be >= 0.  Returns (status,
+    T, basis, first, keep_rows, pivots): first is the initial basis and
+    keep_rows the constraint rows phase 1 kept, so that with B the basic
+    columns over those rows, T = B^-1 [A2 | artificials | b] restricted
+    to them and T[:, first[keep_rows]] = B^-1."""
     m, n2 = A2.shape
-    n = c.size
     basis = np.empty(m, dtype=int)
     art_rows = []
     for i in range(m):
@@ -305,41 +362,47 @@ def _two_phase(A2, b, c, slack_of_row, tol):
     for t, i in enumerate(art_rows):
         Aart[i, t] = 1.0
         basis[i] = n2 + t
-    A_std = np.hstack([A2, Aart])
-    total = A_std.shape[1]
-    T = np.hstack([A_std, b[:, None]])
+    first = basis.copy()
+    T = np.hstack([A2, Aart, b[:, None]])
+    total = n2 + n_art
     keep_rows = np.arange(m)
+    pivots = 0
 
     blocked = np.zeros(total, dtype=bool)
     if n_art:
         c1 = np.zeros(total)
         c1[n2:] = 1.0
-        status = _iterate(T, basis, c1, blocked, tol)
+        status, pivots = _iterate(T, basis, c1, blocked, tol)
         phase1 = float(c1[basis] @ T[:, -1])
         if phase1 > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
-            return "infeasible", None, None, None, None, None
+            return "infeasible", None, None, None, None, pivots
         # drive remaining artificials out of the basis
         drop = []
         for i in range(T.shape[0]):
             if basis[i] >= n2:
-                cand = np.nonzero(np.abs(T[i, :n2]) > tol)[0]
-                cand = [j for j in cand if j not in set(basis)]
-                if cand:
+                cand = np.abs(T[i, :n2]) > tol
+                cand[basis[basis < n2]] = False
+                cand = np.nonzero(cand)[0]
+                if cand.size:
                     _pivot(T, basis, i, int(cand[0]))
+                    pivots += 1
                 else:
                     drop.append(i)  # redundant row
         if drop:
             mask = np.ones(T.shape[0], dtype=bool)
             mask[drop] = False
+            # row i of T is zero on A2: its row of B^-1 combines the
+            # constraint rows into zero with weight 1 on the row of the
+            # artificial still basic in it, which is the one to drop
+            keep_rows = np.delete(
+                keep_rows, [art_rows[basis[i] - n2] for i in drop])
             T = T[mask]
             basis = basis[mask]
-            keep_rows = keep_rows[mask]
     blocked[n2:] = True
 
-    c2 = np.zeros(total)
-    c2[:n] = c
-    status = _iterate(T, basis, c2, blocked, tol)
-    return status, T, basis, A_std, keep_rows, c2
+    c2 = np.concatenate([c2, np.zeros(n_art)])
+    status, k = _iterate(T, basis, c2, blocked, tol)
+    return status, T, basis, first, keep_rows, pivots + k
 
 
 @dataclass(frozen=True)
@@ -370,62 +433,77 @@ def _std_form(A, senses) -> _StdForm:
 def _solve_cf(std: _StdForm, c, b, tol, start=None):
     """Two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
 
-    Returns (status, value, z, y, basis) where y holds one dual per row with
-    the min-problem sign convention: y <= 0 on '<=' rows, y >= 0 on '>='
-    rows, and basis the optimal basic columns of [A | slacks] (None if
-    phase 1 dropped redundant rows).  A `start` basis is tried first; see
-    `_warm_start`.
+    Returns (status, value, z, y, carry) where y holds one dual per row
+    with the min-problem sign convention: y <= 0 on '<=' rows, y >= 0 on
+    '>=' rows, and carry is (basis, factor): the optimal basic columns of
+    [A | slacks] and the `_Factor` of the solve (None if phase 1 dropped
+    redundant rows).  A `start` basis is tried first; see `_warm_start`.
+    Its factor is used when it belongs to this standard form and has taken
+    at most _REFACTOR_PIVOTS pivots; otherwise B is factored afresh.
     """
     A2 = std.A2
     b = np.array(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n2 = A2.shape
-    n = std.n
-    row_sign = np.ones(m)
-    neg = b < 0
-    if neg.any():
-        A2 = A2.copy()
-        A2[neg] *= -1.0
-        b[neg] *= -1.0
-        row_sign[neg] = -1.0
+    c2 = np.zeros(n2)
+    c2[:std.n] = c
 
     warm = None
     if start is not None:
-        c2 = np.zeros(n2)
-        c2[:n] = c
-        warm = _warm_start(A2, b, c2, start, tol)
+        factor = start._factor
+        if factor is not None and (factor.std is not std
+                                   or factor.pivots > _REFACTOR_PIVOTS):
+            factor = None
+        warm = _warm_start(A2, b, c2, start.cols, tol, factor)
     if warm is not None:
-        T, basis = warm
-        A_std = A2
-        keep_rows = np.arange(m)
+        T, basis, pivots = warm
+        binv = T[:, n2:-1]
+        cB = c2[basis]
+        # a basis no pivot changed keeps the start's refined values; else
+        # one step of refinement against the original B sheds the error
+        # B^-1 took on in its pivots
+        same = factor is not None and pivots == factor.pivots
+        B = A2[:, basis]
+        if same and np.array_equal(b, factor.b):
+            xB = factor.xB
+        else:
+            xB = binv @ b
+            xB += binv @ (b - B @ xB)
+        if same and np.array_equal(cB, factor.cB):
+            y = factor.y
+        else:
+            y = cB @ binv
+            y += (cB - y @ B) @ binv
     else:
-        status, T, basis, A_std, keep_rows, c2 = _two_phase(
-            A2, b, c, std.slack_of_row, tol)
+        # phase 1 starts from b >= 0: negate the rows with b < 0
+        row_sign = np.where(b < 0, -1.0, 1.0)
+        A2n, bn = A2 * row_sign[:, None], b * row_sign
+        status, T, basis, first, keep, pivots = _two_phase(
+            A2n, bn, c2, std.slack_of_row, tol)
         if status != "optimal":
             return status, np.nan, None, None, None
-
-    # refine from original data to shed accumulated tableau error
-    B = A_std[np.ix_(keep_rows, basis)]
-    try:
-        xB = np.linalg.solve(B, b[keep_rows])
-        yk = np.linalg.solve(B.T, c2[basis])
-    except np.linalg.LinAlgError:
-        xB = T[:, -1].copy()
-        yk = None
-    z = np.zeros(A_std.shape[1])
+        # refine from the original data to shed accumulated tableau error
+        B = A2n[np.ix_(keep, basis)]
+        cB = c2[basis]
+        try:
+            xB = np.linalg.solve(B, bn[keep])
+            yk = np.linalg.solve(B.T, cB)
+        except np.linalg.LinAlgError:
+            # B^-1 of the negated rows, accumulated by the tableau
+            xB = T[:, first[keep]] @ bn[keep]
+            yk = cB @ T[:, first[keep]]
+        y = np.zeros(m)
+        y[keep] = yk * row_sign[keep]
+        binv = T[:, first] * row_sign if basis.size == m else None
+    z = np.zeros(n2)
     z[basis] = xB
-    y = np.zeros(m)
-    if yk is not None:
-        y[keep_rows] = yk
-    else:  # fallback: duals via tableau reduced costs on slack columns
-        r = c2 - c2[basis] @ T[:, :-1]
-        for i in range(m):
-            j = std.slack_of_row[i]
-            if j >= 0:
-                y[i] = -r[j] * (1.0 if std.senses[i] == LE else -1.0)
-    y *= row_sign
-    out_basis = basis.copy() if basis.size == m else None
-    return "optimal", float(c @ z[:n]), z[:n], y, out_basis
+    carry = None
+    if basis.size == m:
+        for a in (T, binv, b, xB, cB, y):
+            a.setflags(write=False)
+        carry = basis.copy(), _Factor(std, T[:, :n2], binv, pivots, b,
+                                      xB, cB, y)
+    return "optimal", float(c @ z[:std.n]), z[:std.n], y, carry
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +547,8 @@ class _Canonical:
         self.hi_f = np.where(hi_inf, 0.0, p.ub)
         self.lo_reach = self.lo_f + 1e-7 * (1 + np.abs(self.lo_f))
         self.hi_reach = self.hi_f - 1e-7 * (1 + np.abs(self.hi_f))
+        self.eq_rows = self.codes == 0.0
+        self.has_bounds = bool(self.lo_finite.any() or self.hi_finite.any())
         self._forms = {}
 
     def matches(self, p: LpProblem) -> bool:
@@ -543,12 +623,12 @@ def _solve_mid_direct(mf: _MidForm, tol, start=None):
     n = mf.A.shape[1]
     std, free_idx = mf.canon.form(DIRECT)
     c = np.concatenate([mf.c, -mf.c[free_idx]])
-    status, val, z, y, basis = _solve_cf(std, c, mf.b, tol, start)
+    status, val, z, y, carry = _solve_cf(std, c, mf.b, tol, start)
     if status != "optimal":
         return status, np.nan, None, None, None
     x = z[:n].copy()
     x[free_idx] -= z[n:]
-    return status, val, x, y, basis
+    return status, val, x, y, carry
 
 
 def _solve_mid_dual(mf: _MidForm, tol, start=None):
@@ -557,7 +637,7 @@ def _solve_mid_dual(mf: _MidForm, tol, start=None):
     std, (col_sgn, free_u) = mf.canon.form(DUALIZED)
     D_c = -(mf.b * col_sgn)
     c2 = np.concatenate([D_c, -D_c[free_u]])
-    status, val2, u2, w, basis = _solve_cf(std, c2, mf.c, tol, start)
+    status, val2, u2, w, carry = _solve_cf(std, c2, mf.c, tol, start)
     if status == "unbounded":
         return "infeasible", np.nan, None, None, None
     if status != "optimal":
@@ -566,7 +646,7 @@ def _solve_mid_dual(mf: _MidForm, tol, start=None):
     u[free_u] -= u2[m:]
     y = col_sgn * u
     x = -w
-    return "optimal", float(mf.c @ x), x, y, basis
+    return "optimal", float(mf.c @ x), x, y, carry
 
 
 def solve(problem: LpProblem, tol: float | None = None,
@@ -576,8 +656,10 @@ def solve(problem: LpProblem, tol: float | None = None,
     `start` is the `basis` of an earlier solution of a problem with the
     same constraint matrix and senses; the solve then re-optimizes from it.
     If the constraints (A, senses, lb, ub) are also the ones the start was
-    solved with, their canonical form is reused instead of rebuilt.  A warm
-    answer that fails its certificate check is recomputed cold.
+    solved with, their canonical form and the start's tableau are reused
+    instead of rebuilt.  A warm answer that fails its certificate check is
+    solved again from a fresh factorization of its start, then cold;
+    `LpError` names the check that still fails, with its margin.
     """
     if tol is None:
         tol = lp_tol()
@@ -588,10 +670,10 @@ def solve(problem: LpProblem, tol: float | None = None,
     sol = _solve_once(problem, mf, tol, start)
     if start is not None and not _passes(sol, tol):
         sol = _solve_once(problem, mf, tol, None)
-    if not _passes(sol, tol):
-        raise LpError(
-            f"certificate check failed: primal={sol.primal_residual:.3e} "
-            f"dual={sol.dual_residual:.3e} gap={sol.gap:.3e}")
+    failed = _failed_check(sol, tol)
+    if failed is not None:
+        raise LpError("certificate check failed: {} with margin {!r}"
+                      .format(*failed))
     return sol
 
 
@@ -599,8 +681,13 @@ def _solve_once(problem, mf, tol, start) -> LpSolution:
     m, n = mf.A.shape
     paths = [(DUALIZED, _solve_mid_dual)] if m > 2 * n + 20 else []
     for path, solve_mid in paths + [(DIRECT, _solve_mid_direct)]:
-        cols = start.cols if start is not None and start.path == path else None
-        sol = _solution(problem, mf, path, solve_mid(mf, tol, cols))
+        warm = start if start is not None and start.path == path else None
+        sol = _solution(problem, mf, path, solve_mid(mf, tol, warm))
+        if warm is not None and warm._factor is not None and \
+                not _passes(sol, tol):
+            # the carried factor may have drifted: factor B afresh
+            sol = _solution(problem, mf, path, solve_mid(
+                mf, tol, replace(warm, _factor=None)))
         # a dualized answer that fails its check is solved again directly
         if sol.status != "fallback" and _passes(sol, tol):
             return sol
@@ -610,7 +697,7 @@ def _solve_once(problem, mf, tol, start) -> LpSolution:
 def _solution(problem, mf, path, result) -> LpSolution:
     """Map a mid-form result to the original coordinates and fill in its
     residuals."""
-    status, val, x, y, cols = result
+    status, val, x, y, carry = result
     if status != "optimal":
         return LpSolution(status=status)
     canon = mf.canon
@@ -620,20 +707,32 @@ def _solution(problem, mf, path, result) -> LpSolution:
     if problem.maximize:
         value = -value
         y_orig = -y_orig
-    basis = None if cols is None else LpBasis(path, tuple(cols.tolist()),
-                                              canon)
+    basis = None if carry is None else LpBasis(
+        path, tuple(carry[0].tolist()), canon, carry[1])
     sol = LpSolution(status="optimal", value=value, x=x_orig, y=y_orig,
                      basis=basis)
     _fill_residuals(problem, sol, canon)
     return sol
 
 
-def _passes(sol: LpSolution, tol) -> bool:
-    """The LpError thresholds; only optimal solutions carry residuals."""
+def _failed_check(sol: LpSolution, tol):
+    """The first residual check an optimal solution fails, as (name,
+    margin) with margin = threshold - residual < 0 (NaN fails), or None.
+    Only optimal solutions carry residuals."""
     if sol.status != "optimal":
-        return True
-    return max(sol.primal_residual, sol.dual_residual) <= tol and \
-        sol.gap <= tol * (1.0 + abs(sol.value))
+        return None
+    for name, margin in (
+            ("primal_residual", tol - sol.primal_residual),
+            ("dual_residual", tol - sol.dual_residual),
+            ("gap", tol * (1.0 + abs(sol.value)) - sol.gap)):
+        if not margin >= 0.0:
+            return name, margin
+    return None
+
+
+def _passes(sol: LpSolution, tol) -> bool:
+    """Whether sol passes the LpError thresholds."""
+    return _failed_check(sol, tol) is None
 
 
 @functools.lru_cache(maxsize=64)
@@ -651,36 +750,42 @@ def _fill_residuals(problem: LpProblem, sol: LpSolution,
     the canonical form of the problem's constraints."""
     x, y = sol.x, sol.y
     code = canon.codes
+    sgn = -1.0 if problem.maximize else 1.0
+    ys = sgn * y
     r = problem.A @ x - problem.b
-    pr = float(np.max(np.where(code == 0.0, np.abs(r), code * r),
-                      initial=0.0))
-    cs = float(np.max(np.abs(y * r), initial=0.0))
-    pr = max(pr, float(np.max(problem.lb - x, initial=0.0)))
-    pr = max(pr, float(np.max(x - problem.ub, initial=0.0)))
+    pr = max(_top(np.where(canon.eq_rows, np.abs(r), code * r)),
+             _top(np.maximum(problem.lb - x, x - problem.ub)))
+    cs = _top(np.abs(y * r))
     # reduced costs in min orientation, where the row duals must satisfy
     # y <= 0 on '<=' rows and y >= 0 on '>=' rows
-    sgn = -1.0 if problem.maximize else 1.0
-    rc = sgn * problem.c - problem.A.T @ (sgn * y)
-    y_sign = float(np.max(code * (sgn * y), initial=0.0))
-    lo_f, hi_f = canon.lo_f, canon.hi_f
-    at_lo = canon.lo_finite & (x <= canon.lo_reach)
-    at_hi = canon.hi_finite & (x >= canon.hi_reach)
-    fixed = at_lo & at_hi
-    only_lo = at_lo & ~at_hi
-    only_hi = at_hi & ~at_lo
-    inner = ~at_lo & ~at_hi
-    dr = max(float(np.max(-rc[only_lo], initial=0.0)),
-             float(np.max(rc[only_hi], initial=0.0)),
-             float(np.max(np.abs(rc[inner]), initial=0.0)), y_sign)
-    cs = max(cs, float(np.max(-np.minimum(rc[only_lo], 0.0), initial=0.0)),
-             float(np.max(np.maximum(rc[only_hi], 0.0), initial=0.0)))
-    dual_obj = float(problem.b @ (sgn * y)) + float(
-        lo_f[fixed] @ rc[fixed]
-        + lo_f[only_lo] @ np.maximum(rc[only_lo], 0.0)
-        + hi_f[only_hi] @ np.minimum(rc[only_hi], 0.0))
+    rc = sgn * problem.c - problem.A.T @ ys
+    y_sign = _top(code * ys)
+    dual_obj = float(problem.b @ ys)
+    if not canon.has_bounds:
+        dr = max(_top(np.abs(rc)), y_sign)
+    else:
+        lo_f, hi_f = canon.lo_f, canon.hi_f
+        at_lo = canon.lo_finite & (x <= canon.lo_reach)
+        at_hi = canon.hi_finite & (x >= canon.hi_reach)
+        fixed = at_lo & at_hi
+        only_lo = at_lo & ~at_hi
+        only_hi = at_hi & ~at_lo
+        # a reduced cost of the wrong sign at a bound violates both dual
+        # feasibility and complementary slackness
+        at_bound = _top(np.where(only_lo, -rc, np.where(only_hi, rc, 0.0)))
+        dr = max(_top(np.abs(rc[~at_lo & ~at_hi])), at_bound, y_sign)
+        cs = max(cs, at_bound)
+        dual_obj += float(
+            lo_f[fixed] @ rc[fixed]
+            + lo_f[only_lo] @ np.maximum(rc[only_lo], 0.0)
+            + hi_f[only_hi] @ np.minimum(rc[only_hi], 0.0))
     primal_obj = float(problem.c @ x)
-    gap = abs(primal_obj - sgn * dual_obj)
-    sol.primal_residual = float(pr)
-    sol.dual_residual = float(dr)
-    sol.gap = float(gap)
-    sol.cs_residual = float(cs)
+    sol.primal_residual = pr
+    sol.dual_residual = dr
+    sol.gap = abs(primal_obj - sgn * dual_obj)
+    sol.cs_residual = cs
+
+
+def _top(v: np.ndarray) -> float:
+    """The largest entry of v, or 0 if none is larger (NaN propagates)."""
+    return float(np.maximum.reduce(v, initial=0.0))

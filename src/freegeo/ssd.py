@@ -215,7 +215,8 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     envelope; it is deterministic given the seed and a lower bound on the
     true modulus.  The LPs of one slab share their constraint matrices:
     each is built once per slab, and each solve re-optimizes from the
-    previous sample's basis (the first slab LP from the norm LP's).  Every
+    previous sample's basis and the tableau it carries (the first slab LP
+    from the norm LP's basis, factored afresh).  Every
     sample is checked against the unit ball and the slab independently of
     the solver, and a failed check raises SsdError with its margin.
     """

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -207,7 +209,21 @@ def warm_accepted(monkeypatch):
 
 @pytest.fixture
 def dual_outcomes(monkeypatch):
-    return _recorder(monkeypatch, "_dual_iterate", lambda out: out)
+    """The status of every dual simplex run (without its pivot count)."""
+    return _recorder(monkeypatch, "_dual_iterate", lambda out: out[0])
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """A counter of np.linalg solves and inverses."""
+    count = [0]
+    for name in ("solve", "inv"):
+        def counting(*args, _original=getattr(np.linalg, name), **kwargs):
+            count[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return count
 
 
 def _assert_matches_cold(problem, start):
@@ -261,13 +277,18 @@ def test_warm_start_equality_rows_and_bounds():
         _assert_matches_cold(p, first.basis)
 
 
-def test_solution_basis_is_reusable_on_same_problem(warm_accepted):
+def test_solution_basis_is_reusable_on_same_problem(warm_accepted,
+                                                    factorizations):
     rng = np.random.default_rng(5)
     p = _max_problem(*_dualized_data(rng))
     first = solve(p)
+    count = factorizations[0]
     again = solve(p, start=first.basis)
     assert np.array_equal(again.x, first.x)
+    assert np.array_equal(again.y, first.y)
     assert warm_accepted == [True]
+    # the carried tableau is optimal as it is: nothing is factored
+    assert factorizations[0] == count
 
 
 def _bad_starts(rng, c, A, b):
@@ -371,8 +392,9 @@ def _loop_residuals(problem, x, y):
     return pr, dr, gap, cs
 
 
+@pytest.mark.parametrize("free", [False, True])
 @pytest.mark.parametrize("seed", range(10))
-def test_vectorized_residuals_match_loop_reference(seed):
+def test_vectorized_residuals_match_loop_reference(seed, free):
     rng = np.random.default_rng(4000 + seed)
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
     p = _random_problem(rng, n, m, with_eq=True)
@@ -385,6 +407,8 @@ def test_vectorized_residuals_match_loop_reference(seed):
     # residuals of an arbitrary point: every branch of the check is hit
     x = np.clip(rng.normal(size=n) * 60.0, p.lb, p.ub)
     x[1] = p.ub[1]
+    if free:    # no finite bound: every reduced cost must vanish
+        p = LpProblem.build(p.c, p.A, p.senses, p.b, maximize=p.maximize)
     sol = lp_module.LpSolution(status="optimal", value=0.0, x=x,
                                y=rng.normal(size=m))
     lp_module._fill_residuals(p, sol, lp_module._Canonical(p))
@@ -529,3 +553,187 @@ def test_slack_block_matches_loop_reference():
     assert std.A2.tobytes() == ref.tobytes()
     assert std.slack_of_row.tolist() == slack_of_row
     assert not std.A2.flags.writeable
+
+
+@pytest.mark.parametrize("bound", ["lb", "ub"])
+def test_nan_bound_rejected(bound):
+    with pytest.raises(LpError, match="NaN in problem data"):
+        LpProblem.build([1.0], [[1.0]], [LE], [3.0], maximize=True,
+                        **{bound: [np.nan]})
+
+
+# problems with redundant equality rows, which phase 1 drops
+_REDUNDANT = {
+    # one equality row twice: x = (0.75, 0.25)
+    "duplicate": ([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+                  [EQ, EQ, LE], [1.0, 1.0, 0.5], None, None, True),
+    # phase 1 leaves an artificial basic in a row other than its own;
+    # dropping that row instead of the artificial's made B singular and
+    # ended in "certificate check failed"
+    "moved_artificial": (
+        [2.0, -2.0, -1.0],
+        [[-2.0, 5.0, -7.0], [2.0, 1.0, -2.0], [2.0, -1.0, 3.0],
+         [0.0, 2.0, -2.0], [0.0, 0.0, -1.0], [2.0, -1.0, 2.0]],
+        [EQ] * 6, [-18.0, 0.0, 10.0, -4.0, -2.0, 8.0],
+        [0.0] * 3, [5.0] * 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REDUNDANT))
+def test_phase_one_drops_redundant_rows(case):
+    p = LpProblem.build(*_REDUNDANT[case])
+    s = solve(p)
+    ref = _scipy_solve(p)
+    _assert_certified(s)
+    assert s.basis is None      # no basis over a dropped row
+    assert s.value == pytest.approx(-ref.fun if p.maximize else ref.fun,
+                                    abs=1e-9)
+    if case == "duplicate":
+        assert s.x == pytest.approx([0.75, 0.25], abs=1e-12)
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("case", ["random", "negative_rhs", "dualized"]
+                         + sorted(_REDUNDANT))
+def test_singular_refinement_uses_the_tableau_inverse(case, monkeypatch):
+    # a cold solve refines x_B and y by factoring B; should numpy report B
+    # singular, the B^-1 the tableau accumulated gives them instead
+    rng = np.random.default_rng(4500)
+    if case == "random":
+        p = _random_problem(rng, 5, 7, with_eq=True)
+    elif case == "negative_rhs":
+        p = LpProblem.build([1.0, 1.0], [[-1.0, -2.0], [-3.0, -1.0]],
+                            [LE, LE], [-2.0, -3.0], lb=[0.0, 0.0])
+    elif case == "dualized":
+        p = _max_problem(*_dualized_data(rng))
+    else:
+        p = LpProblem.build(*_REDUNDANT[case])
+    ref = solve(p)
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    s = solve(p)
+    _assert_certified(s)
+    assert s.value == pytest.approx(ref.value, abs=1e-9)
+
+
+def _tampered_result(x, y, check):
+    if check == "primal_residual":
+        return x + 100.0, y         # leaves the box rows
+    if check == "dual_residual":
+        return x, -y                # row duals of the wrong sign
+    return np.zeros_like(x), y      # feasible, far from optimal
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("check", ["primal_residual", "dual_residual",
+                                   "gap"])
+def test_failed_check_is_named_with_its_margin(check, warm, monkeypatch):
+    rng = np.random.default_rng(4100)
+    p = _max_problem(*_dualized_data(rng))
+    # a warm start fails on its carried tableau, on a fresh factorization
+    # and cold before the error
+    start = solve(p).basis if warm else None
+    calls = []
+    for name in ("_solve_mid_dual", "_solve_mid_direct"):
+        def tampered(mf, tol, start=None, _original=getattr(lp_module, name)):
+            calls.append(start)
+            status, val, x, y, carry = _original(mf, tol, start)
+            return (status, val, *_tampered_result(x, y, check), carry)
+
+        monkeypatch.setattr(lp_module, name, tampered)
+    with pytest.raises(LpError, match=rf"^certificate check failed: {check}"
+                                      r" with margin -\d"):
+        solve(p, start=start)
+    if warm:
+        assert calls[0] is start
+        assert calls[1].cols == start.cols and calls[1]._factor is None
+    assert calls[-1] is None
+
+
+# ---------------------------------------------------------------------------
+# the tableau and B^-1 carried by a basis
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def factors_given(monkeypatch):
+    """Per `_warm_start` call, the carried factor it was given (None when
+    it factors B from the data)."""
+    seen = []
+    original = lp_module._warm_start
+
+    def recording(A2, b, cvec, start, tol, factor=None):
+        seen.append(factor)
+        return original(A2, b, cvec, start, tol, factor)
+
+    monkeypatch.setattr(lp_module, "_warm_start", recording)
+    return seen
+
+
+def _chain(seed, path, change, length=200):
+    """Problems of one constraint matrix on `path`, each with a new
+    objective or a new right-hand side, and the basis of the first."""
+    rng = np.random.default_rng(seed)
+    c, A, b = _dualized_data(rng, m=60 if path == "dualized" else 20)
+    p = _max_problem(c, A, b)
+    first = solve(p).basis
+    assert first.path == path
+    k = b.size - 2 * c.size     # the box rows keep their right-hand side
+    problems = []
+    for _ in range(length):
+        if change == "objective":
+            problems.append(p.with_objective(rng.normal(size=c.size)))
+        else:
+            problems.append(p.with_rhs(np.concatenate(
+                [np.abs(rng.normal(size=k)) + 0.5, b[k:]])))
+    return first, problems
+
+
+@pytest.mark.parametrize("change", ["objective", "rhs"])
+@pytest.mark.parametrize("path", ["dualized", "direct"])
+def test_carried_tableau_chain_matches_cold(path, change, factors_given):
+    start, problems = _chain(4600, path, change)
+    for q in problems:
+        warm = solve(q, start=start)
+        cold = solve(q)
+        _assert_certified(warm)
+        assert abs(warm.value - cold.value) <= 1e-12
+        assert np.max(np.abs(warm.x - cold.x)) <= 1e-12
+        start = warm.basis
+    carried = [f for f in factors_given if f is not None]
+    assert len(carried) >= 150
+    assert all(f.pivots <= lp_module._REFACTOR_PIVOTS for f in carried)
+
+
+def test_long_chain_refactors_from_the_data(factors_given, factorizations):
+    start, problems = _chain(4700, "dualized", "objective")
+    pivots = []
+    for q in problems:
+        count = factorizations[0]
+        start = solve(q, start=start).basis
+        # a rebuild from the data is one solve of B; a carried tableau none
+        assert factorizations[0] - count == (factors_given[-1] is None)
+        pivots.append(start._factor.pivots)
+    rebuilt = [i for i, f in enumerate(factors_given) if f is None]
+    assert rebuilt     # 200 solves take far more than _REFACTOR_PIVOTS
+    for i in rebuilt:
+        # only a factor past the threshold is rebuilt, and the count
+        # starts again from the fresh factorization
+        assert i == 0 or pivots[i - 1] > lp_module._REFACTOR_PIVOTS
+        assert pivots[i] < lp_module._REFACTOR_PIVOTS
+
+
+@pytest.mark.parametrize("part", ["body", "binv"])
+def test_tampered_carried_tableau_is_still_certified(part, factors_given):
+    rng = np.random.default_rng(4800)
+    c, A, b = _dualized_data(rng)
+    p = _max_problem(c, A, b)
+    basis = solve(p).basis
+    factor = basis._factor
+    bad = getattr(factor, part) + rng.normal(size=getattr(factor, part).shape)
+    start = replace(basis, _factor=replace(factor, **{part: bad}))
+    _assert_matches_cold(p.with_objective(rng.normal(size=c.size)), start)
+    # the warm start was given the tampered factor; whatever it made of
+    # it, the answer was certified (or refactored, or solved cold)
+    assert factors_given[0] is start._factor

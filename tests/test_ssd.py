@@ -285,6 +285,43 @@ def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
 
 
 @pytest.mark.parametrize("fattened", [False, True])
+@pytest.mark.parametrize("n", [5, 12])
+def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
+    # a warm solve starts from the carried tableau (no factorization) or
+    # factors its start's B once.  Solves that end cold (a start of the
+    # wrong length, on 5 points the norm basis) refine with two, and are
+    # not counted
+    count = {"linalg": 0, "cold": 0}
+    per_warm_solve = []
+    originals = np.linalg.solve, lp._two_phase, lp.solve
+
+    def counting_linalg(*args, **kwargs):
+        count["linalg"] += 1
+        return originals[0](*args, **kwargs)
+
+    def counting_cold(*args):
+        count["cold"] += 1
+        return originals[1](*args)
+
+    def counting_lp(problem, tol=None, start=None):
+        before = dict(count)
+        sol = originals[2](problem, tol, start)
+        if start is not None and count["cold"] == before["cold"]:
+            per_warm_solve.append(count["linalg"] - before["linalg"])
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", counting_linalg)
+    monkeypatch.setattr(lp, "_two_phase", counting_cold)
+    monkeypatch.setattr(lp, "solve", counting_lp)
+    exposedness_probe(_leaf_combination(n, fattened), [0.05, 0.2], 8,
+                      seed=n)
+    assert len(per_warm_solve) >= 28
+    assert max(per_warm_solve) <= 1
+    # most warm solves start from the carried tableau
+    assert sum(per_warm_solve) <= len(per_warm_solve) // 4
+
+
+@pytest.mark.parametrize("fattened", [False, True])
 @pytest.mark.parametrize("n", range(4, 17))
 def test_seeded_probe_matches_cold_reference_on_trees(n, fattened):
     mu = _leaf_combination(n, fattened)
