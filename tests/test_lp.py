@@ -392,9 +392,7 @@ def _loop_residuals(problem, x, y):
     return pr, dr, gap, cs
 
 
-@pytest.mark.parametrize("free", [False, True])
-@pytest.mark.parametrize("seed", range(10))
-def test_vectorized_residuals_match_loop_reference(seed, free):
+def _check_residuals_against_loop(seed, free):
     rng = np.random.default_rng(4000 + seed)
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
     p = _random_problem(rng, n, m, with_eq=True)
@@ -418,6 +416,16 @@ def test_vectorized_residuals_match_loop_reference(seed, free):
     assert sol.cs_residual == cs
     # only the summation order of the dual objective changed
     assert sol.gap == pytest.approx(gap, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vectorized_residuals_match_loop_reference(seed):
+    _check_residuals_against_loop(seed, free=False)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vectorized_residuals_match_loop_reference_free(seed):
+    _check_residuals_against_loop(seed, free=True)
 
 
 @pytest.mark.parametrize("maximize", [False, True])
