@@ -272,6 +272,8 @@ def _cmd_modulus(args):
     mu = _load_element(args, space)
     if args.seed is None:
         raise _UsageError("modulus needs --seed for reproducibility")
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
     if not args.eta_grid:
         raise _UsageError("modulus needs --eta-grid a,b,c")
     grid = _numbers(args.eta_grid, float, "--eta-grid")

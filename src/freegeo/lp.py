@@ -38,6 +38,16 @@ a carried tableau that fails them is solved again from a fresh
 factorization of its start, and a warm answer that still fails is solved
 cold, before `LpError` names the failed check and its margin.
 
+A dualized basis can also start a larger LP whose constraints extend the
+solved one's by rows and variables (`_extended_start`): its columns, the
+dual variables of the shared rows, carry over, and the dual row of each
+new variable takes its slack.  The exposedness probe starts its
+face-distance LP this way from the norm LP's optimal basis, a spanning
+tree of ball-row arcs.  The dual's right-hand side is the face LP's objective
+(0, ..., 0, 1), which every sample shares, and B is the tree over the
+slack of t's dual row, so B^-1 b = (0, ..., 0, 1) >= 0: the start is
+primal feasible, and phase 2 runs after one factorization.
+
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
 the residual check) is one record per constraint matrix.  A basis carries
@@ -594,6 +604,32 @@ def _dualized_form(canon: _Canonical):
     d_senses = tuple(EQ if f else LE for f in canon.free)
     A2 = np.hstack([D_A, -D_A[:, free_u]])
     return _std_form(A2, d_senses), (col_sgn, free_u)
+
+
+def _extended_start(basis: LpBasis | None,
+                    problem: LpProblem) -> LpBasis | None:
+    """A dualized start for `problem` from the dualized `basis` of an LP
+    whose constraints are problem's leading rows on its leading variables.
+
+    Column j of a dualized form, for j below the row count, is the dual
+    variable of row j, so the basis's columns carry over as they are; the
+    dual row of each further variable takes its slack, which needs that
+    variable to be bounded.  The new B is block triangular over the old
+    one, so it is singular only if that was.  None when `basis` is not
+    dualized or has a column of another kind.  The start carries the
+    canonical form of `problem`, which a solve of it reuses; like any
+    start, `_warm_start` checks it, and one that does not fit is solved
+    cold.
+    """
+    if basis is None or basis.path != DUALIZED or basis._canonical is None:
+        return None
+    old = basis._canonical
+    canon = _Canonical(problem)
+    std, _ = canon.form(DUALIZED)
+    extra = std.slack_of_row[old.A.shape[1]:]
+    if max(basis.cols, default=-1) >= old.n_orig_rows or (extra < 0).any():
+        return None
+    return LpBasis(DUALIZED, basis.cols + tuple(extra.tolist()), canon)
 
 
 @dataclass

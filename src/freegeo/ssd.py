@@ -86,14 +86,17 @@ class ModulusCurve:
 
 @dataclass
 class _WarmStart:
-    """One LP family of a slab, whose constraint matrix stays fixed: what
+    """One LP family of a probe, whose constraint matrix stays fixed: what
     was built for its first sample, the key it was built for, and the last
     optimal basis.  Each solve re-optimizes from that basis and stores its
-    own."""
+    own; until there is one, it starts from `seed`, the basis of an LP
+    whose constraints are the family's leading rows (see
+    `lp._extended_start`)."""
 
     basis: lp.LpBasis | None = None
     built: object = None
     key: tuple = ()
+    seed: lp.LpBasis | None = None
 
     def family(self, key: tuple, build):
         """build() for key, called on first use only.  Keys are compared by
@@ -104,7 +107,10 @@ class _WarmStart:
         return self.built
 
     def solve(self, problem: lp.LpProblem) -> lp.LpSolution:
-        sol = lp.solve(problem, start=self.basis)
+        start = self.basis
+        if start is None:
+            start = lp._extended_start(self.seed, problem)
+        sol = lp.solve(problem, start=start)
         self.basis = sol.basis
         return sol
 
@@ -215,10 +221,17 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     envelope; it is deterministic given the seed and a lower bound on the
     true modulus.  The LPs of one slab share their constraint matrices:
     each is built once per slab, and each solve re-optimizes from the
-    previous sample's basis and the tableau it carries (the first slab LP
-    from the norm LP's basis, factored afresh).  Every
-    sample is checked against the unit ball and the slab independently of
-    the solver, and a failed check raises SsdError with its margin.
+    previous sample's basis and the tableau it carries.  The face-distance
+    LP does not depend on eta, so it is built once per probe and carries
+    its basis across the grid.  Where the norm LP took the dualized path,
+    its optimal basis (n - 1 ball-row arcs forming a spanning tree) starts
+    each slab's first LP, which it leaves dual feasible, and the first
+    face-distance LP, with the slack of t's dual row added: there
+    B^-1 b = (0, ..., 0, 1) >= 0 for every sample, so that start is primal
+    feasible.  Both are factored afresh; elsewhere they are solved cold.
+    Every sample is checked against the unit ball and the slab
+    independently of the solver, and a failed check raises SsdError with
+    its margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -227,6 +240,8 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
         raise SsdError("slab depths must lie in [0, 1)")
     if samples_per_eta < 1:
         raise SsdError("need at least one sample per slab depth")
+    if seed < 0:
+        raise SsdError("the seed must be nonnegative")
     # probe mu on the space at unit distance scale: the slab and the face
     # scale with the distances, Lip-distances to the face do not
     masses = mu.masses
@@ -238,15 +253,15 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     rng = np.random.default_rng(seed)
     tol = lp_tol()
     raw = []
+    # one face-distance family for the whole grid and one slab family per
+    # eta, both seeded from the norm LP's basis.  On the dualized path the
+    # slab's dual is the norm's dual plus the slab row's column, whose
+    # reduced cost there is the row's slack eta ||mu|| >= 0, so the seed is
+    # dual feasible; the face seed is primal feasible (see above)
+    dist = _WarmStart(seed=norm.basis)
     for eta in eta_grid:
         worst = 0.0
-        # every sample of one slab shares both constraint matrices.  The
-        # first slab LP starts from the norm LP's basis: on the dualized
-        # path the slab's dual is the norm's dual plus the slab row's
-        # column, whose reduced cost there is the row's slack eta ||mu||
-        # >= 0, so that basis is dual feasible (a start of the wrong length,
-        # on the direct path, is solved cold)
-        slab, dist = _WarmStart(norm.basis), _WarmStart()
+        slab = _WarmStart(seed=norm.basis)
         for _ in range(samples_per_eta):
             f = _slab_sample(space, mu, eta, rng.standard_normal(space.n - 1),
                              norm_mu, slab)
@@ -595,8 +610,8 @@ def common_norming_witness(space: PointedMetricSpace, gamma: float,
     gamma, certifying the combination in the doubly fattened space.
     """
     tol = lp_tol()
-    if gamma <= 0:
-        raise SsdError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise SsdError("gamma must be positive and finite")
     single = gamma_fatten(space, gamma)
     double = gamma_fatten(space, 2.0 * gamma)
     terms = combination.terms
@@ -799,7 +814,7 @@ def bilipschitz_distortion(space: PointedMetricSpace, gamma: float) -> float:
     direction is contractive, so this is the full distortion."""
     if space.n < 2:
         raise SsdError("need at least two points")
-    if gamma <= 0:
-        raise SsdError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise SsdError("gamma must be positive and finite")
     theta = uniform_discreteness_constant(space)
     return 1.0 + gamma / theta

@@ -211,6 +211,21 @@ def _assert_error_line(result, code=1):
     assert err.startswith("error: ")
 
 
+def test_modulus_negative_seed_is_usage_error(capsys, tmp_path, line_file):
+    # numpy's generator rejected it with a traceback
+    el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})
+    _assert_error_line(_run_err(capsys, [
+        "modulus", "--space", line_file, "--element", el,
+        "--eta-grid", "0.1", "--seed", "-1"]))
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_distort_rejects_non_finite_gamma(capsys, tree_file, gamma):
+    # nan printed a NaN distortion and exited 0
+    _assert_error_line(_run_err(capsys, [
+        "distort", "--space", tree_file, "--gamma", gamma]), code=2)
+
+
 def test_norm_molecule_index_out_of_range(capsys, tmp_path):
     path = tmp_path / "three.json"
     path.write_text(space_to_json_str(gallery("equilateral", n=3)))

@@ -48,6 +48,17 @@ def test_distortion_errors():
         bilipschitz_distortion(line_space([0.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_gamma_outside_open_half_line_is_rejected(gamma):
+    # NaN passed the old `gamma <= 0` test and gave a NaN distortion
+    space = line_space([0.0, 1.0, 2.0])
+    with pytest.raises(SsdError, match="positive and finite"):
+        bilipschitz_distortion(space, gamma)
+    with pytest.raises(SsdError, match="positive and finite"):
+        common_norming_witness(space, gamma,
+                               MoleculeCombination(space, ((1.0, 2, 0),)))
+
+
 # ---------------------------------------------------------------------------
 # exposedness probing
 # ---------------------------------------------------------------------------
@@ -115,6 +126,9 @@ def test_probe_deterministic_and_errors():
         exposedness_probe(zero, [0.1], 4, seed=0)
     with pytest.raises(SsdError):
         exposedness_probe(mu, [1.5], 4, seed=0)
+    # numpy's generator rejects negative seeds with a bare ValueError
+    with pytest.raises(SsdError, match="seed must be nonnegative"):
+        exposedness_probe(mu, [0.2], 4, seed=-1)
 
 
 def _loop_face_distance_rows(space, vals, mu_masses, norm, scale):
@@ -266,12 +280,8 @@ def _leaf_combination(n, fattened):
     return MoleculeCombination(space, terms).element()
 
 
-@pytest.mark.parametrize("n,cold", [(12, 2), (4, 3)])
-def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
-    # 13 points take the dualized path, where the norm LP's basis starts the
-    # first slab LP: the cold solves are the norm LP and the first
-    # face-distance LP.  On 5 points (direct path) the norm basis has the
-    # wrong length and the first slab LP is solved cold too.
+def _count_cold_solves(monkeypatch):
+    """A list that gains one entry per `lp._two_phase` call."""
     calls = []
     original = lp._two_phase
 
@@ -280,8 +290,59 @@ def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lp, "_two_phase", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,cold", [(12, 1), (4, 3)])
+def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
+    # 13 points take the dualized path, where the norm LP's basis starts the
+    # first slab LP and, with the slack of t's dual row, the first
+    # face-distance LP: the only cold solve is the norm LP.  On 5 points
+    # (direct path) the norm basis does not map, and the first slab and
+    # face-distance LPs are solved cold too.
+    calls = _count_cold_solves(monkeypatch)
     exposedness_probe(_leaf_combination(n, False), [0.05], 8, seed=11)
     assert len(calls) == cold
+
+
+def test_face_family_serves_the_whole_eta_grid(monkeypatch):
+    # one face-distance family for all three slabs, started from the norm
+    # basis; each slab starts from the norm basis too
+    calls = _count_cold_solves(monkeypatch)
+    exposedness_probe(_leaf_combination(12, False), [0.01, 0.05, 0.2], 8,
+                      seed=11)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+@pytest.mark.parametrize("n", [7, 12])
+def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened):
+    # B of the seed is the norm LP's tree over the slack of t's dual row,
+    # and B^-1 b = (0, ..., 0, 1) >= 0 for every sample (the dual columns
+    # of the ball rows hold no distances, so any distance scale will do)
+    mu = _leaf_combination(n, fattened)
+    norm = free_norm(mu)
+    problem = ssd._face_problem(mu.space, mu.masses, norm.value)
+    start = lp._extended_start(norm.basis, problem)
+    assert start.path == lp.DUALIZED
+    assert start.cols[:-1] == norm.basis.cols
+    std, _ = start._canonical.form(lp.DUALIZED)
+    assert start.cols[-1] == std.slack_of_row[-1]
+    rhs = lp._to_midform(problem, start._canonical).c
+    np.testing.assert_array_equal(rhs, np.eye(mu.space.n)[-1])
+    np.testing.assert_allclose(
+        np.linalg.solve(std.A2[:, list(start.cols)], rhs), rhs, atol=1e-12)
+    sol = lp.solve(problem, start=start)
+    assert sol.value == pytest.approx(lp.solve(problem).value, abs=1e-12)
+
+
+def test_extended_start_needs_a_dualized_basis():
+    mu = _leaf_combination(4, False)       # 5 points: direct norm LP
+    norm = free_norm(mu)
+    problem = ssd._face_problem(mu.space, mu.masses, norm.value)
+    assert norm.basis.path == lp.DIRECT
+    assert lp._extended_start(norm.basis, problem) is None
+    assert lp._extended_start(None, problem) is None
 
 
 @pytest.mark.parametrize("fattened", [False, True])
@@ -328,6 +389,42 @@ def test_seeded_probe_matches_cold_reference_on_trees(n, fattened):
     warm = exposedness_probe(mu, [0.05], 8, seed=n)
     cold = _cold_probe(mu, [0.05], 8, seed=n)
     assert abs(warm.entries[0][1] - cold[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+@pytest.mark.parametrize("n", range(7, 17))
+def test_seeded_multi_eta_probe_matches_cold_reference_on_trees(n, fattened):
+    # the face-distance family carries its basis from one slab to the next
+    grid = [0.01, 0.05, 0.2]
+    mu = _leaf_combination(n, fattened)
+    warm = exposedness_probe(mu, grid, 8, seed=n)
+    cold = _cold_probe(mu, grid, 8, seed=n)
+    got = np.array([entry[1] for entry in warm.entries])
+    assert np.max(np.abs(got - cold)) <= 1e-12
+
+
+def test_rejected_face_seed_falls_back_to_cold(monkeypatch):
+    # every face-distance start without a carried tableau (the seed among
+    # them) is rejected: those solves run cold and give the cold answer
+    mu = _leaf_combination(12, False)
+    rejected = []
+    original = lp._warm_start
+
+    def rejecting(A2, b, cvec, start, tol, factor=None):
+        if A2.shape[0] == mu.space.n and factor is None:
+            rejected.append(None)
+            return None
+        return original(A2, b, cvec, start, tol, factor)
+
+    calls = _count_cold_solves(monkeypatch)
+    monkeypatch.setattr(lp, "_warm_start", rejecting)
+    grid = [0.01, 0.2]
+    warm = exposedness_probe(mu, grid, 8, seed=3)
+    assert rejected
+    assert len(calls) == 1 + len(rejected)
+    cold = _cold_probe(mu, grid, 8, seed=3)
+    got = np.array([entry[1] for entry in warm.entries])
+    assert np.max(np.abs(got - cold)) <= 1e-12
 
 
 def _random_function(rng, space):
