@@ -131,10 +131,15 @@ def validate(space: PointedMetricSpace) -> ValidationReport:
                             bad_pairs=tuple(bad_pairs))
 
 
+def _check_gamma(gamma: float) -> None:
+    # NaN and inf fail too: an infinite gamma makes every distance inf
+    if not 0.0 < gamma < np.inf:
+        raise MetricError("gamma must be positive and finite")
+
+
 def gamma_fatten(space: PointedMetricSpace, gamma: float) -> PointedMetricSpace:
     """Add gamma to every off-diagonal distance."""
-    if not gamma > 0:
-        raise MetricError("gamma must be positive")
+    _check_gamma(gamma)
     d = space.dist + gamma
     np.fill_diagonal(d, 0.0)
     return PointedMetricSpace(d, space.labels)
@@ -143,8 +148,7 @@ def gamma_fatten(space: PointedMetricSpace, gamma: float) -> PointedMetricSpace:
 def gamma_thin(space: PointedMetricSpace, gamma: float):
     """Subtract gamma off-diagonal.  Returns (space, report); space is None
     when the thinned matrix is not a metric."""
-    if not gamma > 0:
-        raise MetricError("gamma must be positive")
+    _check_gamma(gamma)
     d = space.dist - gamma
     np.fill_diagonal(d, 0.0)
     thinned = PointedMetricSpace(d, space.labels)

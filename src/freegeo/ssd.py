@@ -66,7 +66,10 @@ class ModulusCurve:
 
     Entries are (eta, worst_dist, samples).  The curve is a lower bound on
     the true modulus: it only sees the sampled extreme points of each slab
-    {lip_norm(f) <= 1, pairing(f, mu) >= ||mu|| (1 - eta)}.
+    {lip_norm(f) <= 1, pairing(f, mu) >= ||mu|| (1 - eta)}.  worst_dist is
+    the max over the face-distance LPs solved; each skipped sample is
+    certified not to raise it by worst_dist - ||f - g|| >= 0 against a
+    guarded face point g (see `exposedness_probe`).
     """
 
     mu_masses: tuple
@@ -190,8 +193,13 @@ def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None, *,
     f and ||mu|| divided by s too; Lip-distances do not change."""
     if norm_mu is None:
         norm_mu = free_norm(mu).value
+    return _face_distance_and_point(f, mu, norm_mu, _warm or _WarmStart())[0]
+
+
+def _face_distance_and_point(f, mu, norm_mu, warm: _WarmStart):
+    """`face_distance` and the LP's optimal g in D(mu), as a LipFunction on
+    f's space (the LP's g times s)."""
     space = f.space
-    warm = _warm or _WarmStart()
 
     def build():
         s = distance_scale(space)
@@ -202,7 +210,16 @@ def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None, *,
     sol = warm.solve(_with_face_values(problem, f.values / s))
     if sol.status != "optimal":
         raise SsdError(f"face-distance LP ended with status {sol.status}")
-    return float(sol.value)
+    g = from_values(space, np.concatenate([[0.0], s * sol.x[:-1]]))
+    return float(sol.value), g
+
+
+def _lip_distances(space, F, G) -> np.ndarray:
+    """||F_j - G_i||_Lip for every row F_j of F and G_i of G, shape
+    (len(F), len(G)): one broadcast over the pairs of `pair_rows`."""
+    p, q, _ = pair_rows(space.n)
+    D = F[:, None, :] - G[None, :, :]
+    return (np.abs(D[..., p] - D[..., q]) / space.dist[p, q]).max(axis=-1)
 
 
 def _guard(name: str, margin: float) -> None:
@@ -219,19 +236,30 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     and records the max Lip-distance of the maximizers to the dual face.
     The result is post-processed to a monotone (nondecreasing in eta)
     envelope; it is deterministic given the seed and a lower bound on the
-    true modulus.  The LPs of one slab share their constraint matrices:
-    each is built once per slab, and each solve re-optimizes from the
-    previous sample's basis and the tableau it carries.  The face-distance
-    LP does not depend on eta, so it is built once per probe and carries
-    its basis across the grid.  Where the norm LP took the dualized path,
-    its optimal basis (n - 1 ball-row arcs forming a spanning tree) starts
-    each slab's first LP, which it leaves dual feasible, and the first
-    face-distance LP, with the slack of t's dual row added: there
-    B^-1 b = (0, ..., 0, 1) >= 0 for every sample, so that start is primal
-    feasible.  Both are factored afresh; elsewhere they are solved cold.
-    Every sample is checked against the unit ball and the slab
-    independently of the solver, and a failed check raises SsdError with
-    its margin.
+    true modulus.
+
+    Each entry is the max over the face-distance LPs solved.  Any g in
+    D(mu) bounds a sample's distance by ||f - g||; the probe keeps such
+    face points for the whole grid (the norming potential of `free_norm`
+    and the optimal g of each face-distance LP it solves) and solves the
+    samples in decreasing order of their bound U = min ||f - g||, until the
+    largest open U is at most the worst distance so far.  Each skipped
+    sample is certified not to raise the entry by the margin
+    worst - ||f - g|| >= 0 against a guarded face point.
+
+    The LPs of one slab share their constraint matrices: each is built once
+    per slab, and each solve re-optimizes from the previous sample's basis
+    and the tableau it carries.  The face-distance LP does not depend on
+    eta, so it is built once per probe and carries its basis across the
+    grid.  Where the norm LP took the dualized path, its optimal basis
+    (n - 1 ball-row arcs forming a spanning tree) starts each slab's first
+    LP, which it leaves dual feasible, and the first face-distance LP, with
+    the slack of t's dual row added: there B^-1 b = (0, ..., 0, 1) >= 0 for
+    every sample, so that start is primal feasible.  Both are factored
+    afresh; elsewhere they are solved cold.  Every sample is checked
+    against the unit ball and the slab, and every face point from an LP
+    against the unit ball and the pairing with mu, independently of the
+    solver; a failed check raises SsdError with its margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -259,16 +287,34 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     # reduced cost there is the row's slack eta ||mu|| >= 0, so the seed is
     # dual feasible; the face seed is primal feasible (see above)
     dist = _WarmStart(seed=norm.basis)
+    # D(mu) does not depend on eta: face points serve the whole grid
+    faces = norm.potential.values[None, :]
     for eta in eta_grid:
-        worst = 0.0
         slab = _WarmStart(seed=norm.basis)
-        for _ in range(samples_per_eta):
+        F = np.empty((samples_per_eta, space.n))
+        for j in range(samples_per_eta):
             f = _slab_sample(space, mu, eta, rng.standard_normal(space.n - 1),
                              norm_mu, slab)
             _guard("slab_sample_in_unit_ball", 1.0 + tol - lip_norm(f))
             _guard("slab_sample_in_slab",
                    pairing(f, mu) - (norm_mu * (1.0 - eta) - tol))
-            worst = max(worst, face_distance(f, mu, norm_mu, _warm=dist))
+            F[j] = f.values
+        worst = 0.0
+        bound = _lip_distances(space, F, faces).min(axis=1)
+        while True:
+            j = int(np.argmax(bound))
+            if bound[j] <= worst:
+                break       # every open sample: worst - bound >= 0
+            bound[j] = -np.inf      # solved
+            value, g = _face_distance_and_point(from_values(space, F[j]), mu,
+                                                norm_mu, dist)
+            _guard("face_point_in_unit_ball", 1.0 + tol - lip_norm(g))
+            _guard("face_point_pairs_to_norm",
+                   tol - abs(pairing(g, mu) - norm_mu))
+            worst = max(worst, value)
+            faces = np.vstack([faces, g.values])
+            bound = np.minimum(bound,
+                               _lip_distances(space, F, faces[-1:])[:, 0])
         raw.append((eta, worst))
     # monotone envelope: the true modulus is nondecreasing in eta
     order = sorted(range(len(raw)), key=lambda i: raw[i][0])

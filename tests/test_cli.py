@@ -226,6 +226,17 @@ def test_distort_rejects_non_finite_gamma(capsys, tree_file, gamma):
         "distort", "--space", tree_file, "--gamma", gamma]), code=2)
 
 
+def test_perturb_rejects_infinite_gamma(capsys, tmp_path, line_file):
+    # inf fattened every distance to inf, and the run ended in "the zero
+    # element has no representation"
+    el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})
+    result = _run_err(capsys, ["perturb", "--space", line_file,
+                               "--element", el, "--gamma", "inf",
+                               "--epsilon", "0.04"])
+    _assert_error_line(result, code=2)
+    assert result[2] == "error: gamma must be positive and finite\n"
+
+
 def test_norm_molecule_index_out_of_range(capsys, tmp_path):
     path = tmp_path / "three.json"
     path.write_text(space_to_json_str(gallery("equilateral", n=3)))

@@ -74,6 +74,12 @@ class TestGammaFatten:
         with pytest.raises(MetricError):
             gamma_fatten(equilateral(3), 0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, gamma):
+        # inf passed the old `gamma > 0` test and made every distance inf
+        with pytest.raises(MetricError, match="positive and finite"):
+            gamma_fatten(equilateral(3), gamma)
+
 
 class TestGammaThin:
     def test_equilateral_ok(self):
@@ -84,6 +90,11 @@ class TestGammaThin:
     def test_gamma_above_min_distance(self):
         s, rep = gamma_thin(equilateral(3), 1.0)
         assert s is None
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, gamma):
+        with pytest.raises(MetricError, match="positive and finite"):
+            gamma_thin(equilateral(3), gamma)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -374,12 +375,96 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_linalg)
     monkeypatch.setattr(lp, "_two_phase", counting_cold)
     monkeypatch.setattr(lp, "solve", counting_lp)
-    exposedness_probe(_leaf_combination(n, fattened), [0.05, 0.2], 8,
+    # 16 samples per slab: the probe skips most face-distance LPs, and 8
+    # would leave fewer than 28 warm solves
+    exposedness_probe(_leaf_combination(n, fattened), [0.05, 0.2], 16,
                       seed=n)
     assert len(per_warm_solve) >= 28
     assert max(per_warm_solve) <= 1
     # most warm solves start from the carried tableau
     assert sum(per_warm_solve) <= len(per_warm_solve) // 4
+
+
+def _count_face_solves(monkeypatch, n):
+    """A list that gains one entry per face-distance LP solve on n points:
+    the only LP of a probe with n variables (g(1..n-1) and t)."""
+    calls = []
+    original = lp.solve
+
+    def counting(problem, tol=None, start=None):
+        if problem.A.shape[1] == n:
+            calls.append(None)
+        return original(problem, tol, start)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+def test_probe_prunes_face_distance_lps(fattened, monkeypatch):
+    # the norming potential bounds every tree sample's distance to within
+    # rounding, so one solved face LP certifies the other seven
+    mu = _leaf_combination(12, fattened)
+    calls = _count_face_solves(monkeypatch, mu.space.n)
+    exposedness_probe(mu, [0.05], 8, seed=12)
+    assert 1 <= len(calls) <= 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_face_points_carry_across_the_eta_grid(seed, monkeypatch):
+    # face points found at one eta bound the samples of the next
+    mu = molecule(gallery("equilateral", n=4), 1, 2)
+    calls = _count_face_solves(monkeypatch, mu.space.n)
+    grid = [0.01, 0.05, 0.2]
+    exposedness_probe(mu, grid, 8, seed=seed)
+    together = len(calls)
+    for eta in grid:
+        exposedness_probe(mu, [eta], 8, seed=seed)
+    assert together < len(calls) - together
+
+
+@pytest.mark.parametrize("factor,check", [
+    (2.0, "face_point_in_unit_ball"), (0.5, "face_point_pairs_to_norm")])
+def test_probe_guards_face_points(factor, check, monkeypatch):
+    # the face LP's g is rescaled: out of the unit ball, or off the face
+    mu = _leaf_combination(7, False)
+    original = lp.solve
+
+    def rescaled(problem, tol=None, start=None):
+        sol = original(problem, tol, start)
+        if problem.A.shape[1] == mu.space.n:
+            x = sol.x.copy()
+            x[:-1] *= factor
+            sol = dataclasses.replace(sol, x=x)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", rescaled)
+    with pytest.raises(SsdError, match=check):
+        exposedness_probe(mu, [0.05], 8, seed=7)
+
+
+def test_lip_distances_match_lip_norm():
+    rng = np.random.default_rng(31)
+    space = random_euclidean_space(rng, 9)
+    F = np.array([_random_function(rng, space).values for _ in range(5)])
+    G = np.array([_random_function(rng, space).values for _ in range(3)])
+    got = ssd._lip_distances(space, F, G)
+    assert got.shape == (5, 3)
+    for j, i in itertools.product(range(5), range(3)):
+        assert got[j, i] == lip_norm(from_values(space, F[j] - G[i]))
+
+
+def test_pruned_probe_matches_cold_reference_on_euclidean_spaces():
+    # pruning changes the order of the warm face solves; the answers stay
+    # within 1e-11 of solving every sample cold
+    rng = np.random.default_rng(808)
+    grid = [0.01, 0.05, 0.2]
+    for k in range(20):
+        space = random_euclidean_space(rng, int(rng.integers(5, 14)), dim=2)
+        mu = FreeElement(space, random_zero_sum(rng, space.n))
+        warm = exposedness_probe(mu, grid, 16, seed=k)
+        got = np.array([entry[1] for entry in warm.entries])
+        assert np.max(np.abs(got - _cold_probe(mu, grid, 16, k))) <= 1e-11
 
 
 @pytest.mark.parametrize("fattened", [False, True])
