@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -87,7 +88,12 @@ def _parse_params(text: str) -> dict:
             try:
                 params[k] = int(v)
             except ValueError:
-                params[k] = _number(v, float, f"--params value for {k}")
+                x = _number(v, float, f"--params value for {k}")
+                if not math.isfinite(x):
+                    raise _UsageError(
+                        f"--params value for {k} must be finite, got "
+                        f"{v!r}") from None
+                params[k] = x
     return params
 
 
@@ -274,6 +280,8 @@ def _cmd_modulus(args):
         raise _UsageError("modulus needs --seed for reproducibility")
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
+    if args.samples < 1:
+        raise _UsageError("--samples must be at least 1")
     if not args.eta_grid:
         raise _UsageError("modulus needs --eta-grid a,b,c")
     grid = _numbers(args.eta_grid, float, "--eta-grid")

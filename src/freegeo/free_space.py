@@ -196,7 +196,7 @@ class NormCertificates:
     flow: dict            # (p, q) -> mass moved
     potential: LipFunction
     # optimal basis of the norm LP (at unit distance scale); it starts the
-    # slab LPs of `ssd.exposedness_probe`
+    # slab and face-distance LPs of `ssd.exposedness_probe`
     basis: LpBasis | None = field(default=None, repr=False, compare=False)
 
 
@@ -291,21 +291,21 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
     # solved for f / s at unit distance scale, then scaled back exactly
     s = distance_scale(space)
     b = np.concatenate([b_ub, [prhs]]) / s
-    senses = [LE] * len(b_ub) + [EQ]
+    face_lp = LpProblem.build(np.zeros(n - 1), A, [LE] * len(b_ub) + [EQ], b)
     out = np.zeros((n, 2))
-    # one polytope, only the objective changes: re-optimize from the last basis
+    # one polytope, only the objective changes: re-optimize from the last
+    # basis; max f(p) is -min(-f(p))
     basis = None
     for p in range(1, n):
         c = np.zeros(n - 1)
         c[p - 1] = 1.0
-        lo = solve(LpProblem.build(c, A, senses, b), start=basis)
+        lo = solve(face_lp.with_objective(c), start=basis)
         basis = lo.basis
-        hi = solve(LpProblem.build(c, A, senses, b, maximize=True),
-                   start=basis)
+        hi = solve(face_lp.with_objective(-c), start=basis)
         basis = hi.basis
         if lo.status != "optimal" or hi.status != "optimal":
             raise FreeSpaceError("face range LP failed (empty face?)")
-        out[p] = (s * lo.value, s * hi.value)
+        out[p] = (s * lo.value, -s * hi.value)
     return out
 
 

@@ -38,22 +38,26 @@ a carried tableau that fails them is solved again from a fresh
 factorization of its start, and a warm answer that still fails is solved
 cold, before `LpError` names the failed check and its margin.
 
-A dualized basis can also start a larger LP whose constraints extend the
-solved one's by rows and variables (`_extended_start`): its columns, the
-dual variables of the shared rows, carry over, and the dual row of each
-new variable takes its slack.  The exposedness probe starts its
-face-distance LP this way from the norm LP's optimal basis, a spanning
-tree of ball-row arcs.  The dual's right-hand side is the face LP's objective
-(0, ..., 0, 1), which every sample shares, and B is the tree over the
-slack of t's dual row, so B^-1 b = (0, ..., 0, 1) >= 0: the start is
-primal feasible, and phase 2 runs after one factorization.
+A start may also come from an LP with other constraints.  Its tableau is
+then dropped and B is factored from the problem's data.  A dualized start
+whose columns are all dual variables of the solved LP's rows also starts
+an LP whose constraints extend those by rows and variables: column j of a
+dualized form, for j below the row count, is the dual variable of row j,
+so the columns carry over, and the dual row of each new variable takes
+its slack.  The exposedness probe starts its face-distance LP this way
+from the norm LP's optimal basis, a spanning tree of ball-row arcs.  The
+dual's right-hand side is the face LP's objective (0, ..., 0, 1), which
+every sample shares, and B is the tree over the slack of t's dual row, so
+B^-1 b = (0, ..., 0, 1) >= 0: the start is primal feasible, and phase 2
+runs after one factorization.
 
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
 the residual check) is one record per constraint matrix.  A basis carries
 the record of its problem; a solve started from it reuses the record when
-A, senses, lb and ub are unchanged (`LpProblem.with_objective`,
-`LpProblem.with_rhs`) and builds a new one otherwise.
+A, lb and ub are the same read-only arrays and the senses are equal (as
+`LpProblem.with_objective` and `LpProblem.with_rhs` keep them), and builds
+a new one otherwise.
 """
 
 from __future__ import annotations
@@ -287,7 +291,6 @@ class _Factor:
     they took since B was last factored from the data, and the refined
     basic values x_B and row duals y with the b and c_B they are for."""
 
-    std: "_StdForm"
     body: np.ndarray            # read-only, like every array here
     binv: np.ndarray
     pivots: int
@@ -448,8 +451,9 @@ def _solve_cf(std: _StdForm, c, b, tol, start=None):
     '>=' rows, and carry is (basis, factor): the optimal basic columns of
     [A | slacks] and the `_Factor` of the solve (None if phase 1 dropped
     redundant rows).  A `start` basis is tried first; see `_warm_start`.
-    Its factor is used when it belongs to this standard form and has taken
-    at most _REFACTOR_PIVOTS pivots; otherwise B is factored afresh.
+    Its factor, which `solve` keeps only for this standard form, is used
+    when it has taken at most _REFACTOR_PIVOTS pivots; otherwise B is
+    factored afresh.
     """
     A2 = std.A2
     b = np.array(b, dtype=float)
@@ -461,8 +465,7 @@ def _solve_cf(std: _StdForm, c, b, tol, start=None):
     warm = None
     if start is not None:
         factor = start._factor
-        if factor is not None and (factor.std is not std
-                                   or factor.pivots > _REFACTOR_PIVOTS):
+        if factor is not None and factor.pivots > _REFACTOR_PIVOTS:
             factor = None
         warm = _warm_start(A2, b, c2, start.cols, tol, factor)
     if warm is not None:
@@ -511,8 +514,8 @@ def _solve_cf(std: _StdForm, c, b, tol, start=None):
     if basis.size == m:
         for a in (T, binv, b, xB, cB, y):
             a.setflags(write=False)
-        carry = basis.copy(), _Factor(std, T[:, :n2], binv, pivots, b,
-                                      xB, cB, y)
+        carry = basis.copy(), _Factor(T[:, :n2], binv, pivots, b, xB, cB,
+                                      y)
     return "optimal", float(c @ z[:std.n]), z[:std.n], y, carry
 
 
@@ -529,7 +532,7 @@ class _Canonical:
     the next solve (see `solve`)."""
 
     def __init__(self, p: LpProblem):
-        self.source = (_kept(p.A), p.senses, _kept(p.lb), _kept(p.ub))
+        self.source = (p.A, p.senses, p.lb, p.ub)
         n = p.A.shape[1]
         lo_inf, hi_inf = np.isinf(p.lb), np.isinf(p.ub)
         self.free = lo_inf & hi_inf
@@ -562,10 +565,12 @@ class _Canonical:
         self._forms = {}
 
     def matches(self, p: LpProblem) -> bool:
-        """Whether p has the constraints this record was built from."""
+        """Whether p has the constraints this record was built from: the
+        same read-only A, lb and ub (a writable array may have changed
+        since) and equal senses."""
         A, senses, lb, ub = self.source
-        return (_same_array(A, p.A) and _same_array(lb, p.lb)
-                and _same_array(ub, p.ub)
+        return (all(a is b and not b.flags.writeable
+                    for a, b in ((A, p.A), (lb, p.lb), (ub, p.ub)))
                 and (senses is p.senses or senses == p.senses))
 
     def form(self, path):
@@ -574,16 +579,6 @@ class _Canonical:
             build = _dualized_form if path == DUALIZED else _direct_form
             self._forms[path] = build(self)
         return self._forms[path]
-
-
-def _kept(a: np.ndarray) -> np.ndarray:
-    """a itself if read-only (as `LpProblem.build` makes it: it cannot
-    change), else a copy to compare later problems with."""
-    return a if not a.flags.writeable else a.copy()
-
-
-def _same_array(kept, a) -> bool:
-    return kept is a or np.array_equal(kept, a)
 
 
 def _direct_form(canon: _Canonical):
@@ -604,32 +599,6 @@ def _dualized_form(canon: _Canonical):
     d_senses = tuple(EQ if f else LE for f in canon.free)
     A2 = np.hstack([D_A, -D_A[:, free_u]])
     return _std_form(A2, d_senses), (col_sgn, free_u)
-
-
-def _extended_start(basis: LpBasis | None,
-                    problem: LpProblem) -> LpBasis | None:
-    """A dualized start for `problem` from the dualized `basis` of an LP
-    whose constraints are problem's leading rows on its leading variables.
-
-    Column j of a dualized form, for j below the row count, is the dual
-    variable of row j, so the basis's columns carry over as they are; the
-    dual row of each further variable takes its slack, which needs that
-    variable to be bounded.  The new B is block triangular over the old
-    one, so it is singular only if that was.  None when `basis` is not
-    dualized or has a column of another kind.  The start carries the
-    canonical form of `problem`, which a solve of it reuses; like any
-    start, `_warm_start` checks it, and one that does not fit is solved
-    cold.
-    """
-    if basis is None or basis.path != DUALIZED or basis._canonical is None:
-        return None
-    old = basis._canonical
-    canon = _Canonical(problem)
-    std, _ = canon.form(DUALIZED)
-    extra = std.slack_of_row[old.A.shape[1]:]
-    if max(basis.cols, default=-1) >= old.n_orig_rows or (extra < 0).any():
-        return None
-    return LpBasis(DUALIZED, basis.cols + tuple(extra.tolist()), canon)
 
 
 @dataclass
@@ -689,19 +658,21 @@ def solve(problem: LpProblem, tol: float | None = None,
           start: LpBasis | None = None) -> LpSolution:
     """Solve an LP; optimal solutions carry verified certificates.
 
-    `start` is the `basis` of an earlier solution of a problem with the
-    same constraint matrix and senses; the solve then re-optimizes from it.
-    If the constraints (A, senses, lb, ub) are also the ones the start was
-    solved with, their canonical form and the start's tableau are reused
-    instead of rebuilt.  A warm answer that fails its certificate check is
-    solved again from a fresh factorization of its start, then cold;
+    `start` is the `basis` of an earlier solution; the solve re-optimizes
+    from it.  If the constraints (A, senses, lb, ub) are the ones the start
+    was solved with, their canonical form and the start's tableau are
+    reused instead of rebuilt; otherwise the start keeps only its columns
+    (see `_carried_over`).  A warm answer that fails its certificate check
+    is solved again from a fresh factorization of its start, then cold;
     `LpError` names the check that still fails, with its margin.
     """
     if tol is None:
         tol = lp_tol()
     canon = None if start is None else start._canonical
     if canon is None or not canon.matches(problem):
-        canon = _Canonical(problem)
+        old, canon = canon, _Canonical(problem)
+        if start is not None:
+            start = _carried_over(start, old, canon)
     mf = _to_midform(problem, canon)
     sol = _solve_once(problem, mf, tol, start)
     if start is not None and not _passes(sol, tol):
@@ -711,6 +682,24 @@ def solve(problem: LpProblem, tol: float | None = None,
         raise LpError("certificate check failed: {} with margin {!r}"
                       .format(*failed))
     return sol
+
+
+def _carried_over(start: LpBasis, old: _Canonical | None,
+                  canon: _Canonical) -> LpBasis:
+    """`start`, solved over the constraints `old`, as a start over those of
+    `canon`: its columns without its tableau.  A dualized start whose
+    columns are all dual variables of old rows gains the slack of each
+    further dual row, the dual row of a variable old did not have; the new
+    B is block triangular over the old one.  A dual row without a slack (a
+    free variable) leaves the start a column short, and like any start
+    that does not fit, `_warm_start` rejects it."""
+    cols = start.cols
+    if start.path == DUALIZED and old is not None and \
+            max(cols, default=-1) < old.n_orig_rows:
+        extra = canon.form(DUALIZED)[0].slack_of_row[len(cols):]
+        if (extra >= 0).all():
+            cols += tuple(extra.tolist())
+    return LpBasis(start.path, cols)
 
 
 def _solve_once(problem, mf, tol, start) -> LpSolution:

@@ -236,8 +236,8 @@ def line_space(coords) -> PointedMetricSpace:
 
 
 def equilateral(n: int, scale: float = 1.0) -> PointedMetricSpace:
-    if n < 2 or not scale > 0:
-        raise MetricError("need n >= 2 and scale > 0")
+    if n < 2 or not 0 < scale < np.inf:
+        raise MetricError("need n >= 2 and a positive finite scale")
     d = np.full((n, n), float(scale))
     np.fill_diagonal(d, 0.0)
     return PointedMetricSpace(d)
@@ -374,23 +374,32 @@ def gallery(name: str, **params):
     if name == "line":
         coords = params.get("coords")
         if coords is None:
-            n = int(params.get("n", 4))
+            n = _integer(params, "n", 4)
             if n < 2:
                 raise MetricError("need n >= 2")
             coords = list(range(n))
         return line_space(coords)
     if name == "equilateral":
-        return equilateral(int(params.get("n", 3)),
+        return equilateral(_integer(params, "n", 3),
                            float(params.get("scale", 1.0)))
     if name == "branching_tree":
-        return branching_tree(int(params.get("n", 3)))
+        return branching_tree(_integer(params, "n", 3))
     if name == "cantor":
-        return cantor_endpoints(int(params.get("level", 2)))
+        return cantor_endpoints(_integer(params, "level", 2))
     if name == "three_point_aligned":
         return three_point_aligned()
     if name in _FAMILY_BUILDERS:
         return _FAMILY_BUILDERS[name]()
     raise MetricError(f"unknown gallery name {name!r}")
+
+
+def _integer(params: dict, key: str, default: int) -> int:
+    """params[key] as an int; a float must be integral (so not NaN or
+    infinite), where int() would truncate it or fail."""
+    v = params.get(key, default)
+    if isinstance(v, float) and not v.is_integer():
+        raise MetricError(f"{key} must be an integer, got {v!r}")
+    return int(v)
 
 
 def space_to_json_str(space: PointedMetricSpace) -> str:

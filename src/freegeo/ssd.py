@@ -11,7 +11,7 @@ with its numeric margin, so results can be re-checked independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,37 +87,6 @@ class ModulusCurve:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _WarmStart:
-    """One LP family of a probe, whose constraint matrix stays fixed: what
-    was built for its first sample, the key it was built for, and the last
-    optimal basis.  Each solve re-optimizes from that basis and stores its
-    own; until there is one, it starts from `seed`, the basis of an LP
-    whose constraints are the family's leading rows (see
-    `lp._extended_start`)."""
-
-    basis: lp.LpBasis | None = None
-    built: object = None
-    key: tuple = ()
-    seed: lp.LpBasis | None = None
-
-    def family(self, key: tuple, build):
-        """build() for key, called on first use only.  Keys are compared by
-        identity; another key builds anew."""
-        if self.built is None or len(key) != len(self.key) or \
-                any(a is not b for a, b in zip(key, self.key)):
-            self.built, self.key = build(), key
-        return self.built
-
-    def solve(self, problem: lp.LpProblem) -> lp.LpSolution:
-        start = self.basis
-        if start is None:
-            start = lp._extended_start(self.seed, problem)
-        sol = lp.solve(problem, start=start)
-        self.basis = sol.basis
-        return sol
-
-
 def _slab_problem(space, mu, eta, norm_mu) -> lp.LpProblem:
     """The eta-slab of the unit ball over f(1..n-1): the ball rows and the
     slab row pairing(f, mu) >= norm_mu (1 - eta), with a zero objective
@@ -129,28 +98,19 @@ def _slab_problem(space, mu, eta, norm_mu) -> lp.LpProblem:
                               [lp.LE] * len(rhs), rhs, maximize=True)
 
 
-def _slab_sample(space, mu, eta, objective, norm_mu, warm: _WarmStart):
-    """Maximize a linear objective over the eta-slab of the unit ball.  The
-    slab problem is built once per `warm`; a sample sets its objective."""
-    problem = warm.family((space, mu, eta, norm_mu),
-                          lambda: _slab_problem(space, mu, eta, norm_mu))
-    sol = warm.solve(problem.with_objective(objective))
+def _slab_sample(space, slab: lp.LpProblem, objective, start):
+    """Maximize a linear objective over the slab LP `slab`, re-optimizing
+    from the basis `start`: the maximizer and the solve's basis."""
+    sol = lp.solve(slab.with_objective(objective), start=start)
     if sol.status != "optimal":
         raise SsdError(f"slab sampling LP ended with status {sol.status}")
-    return from_values(space, np.concatenate([[0.0], sol.x]))
-
-
-def _distance_to_face_problem(space, vals, mu_masses, norm, scale=1.0):
-    """min t over (g, t): ||g|| <= scale, pairing(g, mu) = norm and
-    |(v - g)(p) - (v - g)(q)| <= t d(p, q) for the values v."""
-    return _with_face_values(_face_problem(space, mu_masses, norm, scale),
-                             vals)
+    return from_values(space, np.concatenate([[0.0], sol.x])), sol.basis
 
 
 def _face_problem(space, mu_masses, norm, scale=1.0):
-    """`_distance_to_face_problem` for the values v = 0: the constraint
-    matrix, and a right-hand side whose 2k entries after the 2k ball rows
-    `_with_face_values` writes."""
+    """The face-distance LP, min t over (g, t): ||g|| <= scale,
+    pairing(g, mu) = norm and |(v - g)(p) - (v - g)(q)| <= t d(p, q), for
+    the values v = 0; `_with_face_values` sets v."""
     n = space.n
     A, b = lipschitz_ball_rows(space, scale=scale)
     p, q, R = pair_rows(n)
@@ -184,8 +144,16 @@ def _with_face_values(problem, vals):
     return problem.with_rhs(b)
 
 
-def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None, *,
-                  _warm: _WarmStart | None = None) -> float:
+def _solve_face(problem, vals, start=None) -> lp.LpSolution:
+    """The face-distance LP `problem` for the values vals, solved from the
+    basis `start`."""
+    sol = lp.solve(_with_face_values(problem, vals), start=start)
+    if sol.status != "optimal":
+        raise SsdError(f"face-distance LP ended with status {sol.status}")
+    return sol
+
+
+def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None) -> float:
     """Lip-distance from f to the dual face D(mu) = {g : ||g|| <= 1,
     pairing(g, mu) = ||mu||}, computed as one LP (variables g and t).
 
@@ -193,25 +161,11 @@ def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None, *,
     f and ||mu|| divided by s too; Lip-distances do not change."""
     if norm_mu is None:
         norm_mu = free_norm(mu).value
-    return _face_distance_and_point(f, mu, norm_mu, _warm or _WarmStart())[0]
-
-
-def _face_distance_and_point(f, mu, norm_mu, warm: _WarmStart):
-    """`face_distance` and the LP's optimal g in D(mu), as a LipFunction on
-    f's space (the LP's g times s)."""
     space = f.space
-
-    def build():
-        s = distance_scale(space)
-        unit = space if s == 1.0 else PointedMetricSpace(space.dist / s)
-        return s, _face_problem(unit, mu.masses, norm_mu / s)
-
-    s, problem = warm.family((space, mu, norm_mu), build)
-    sol = warm.solve(_with_face_values(problem, f.values / s))
-    if sol.status != "optimal":
-        raise SsdError(f"face-distance LP ended with status {sol.status}")
-    g = from_values(space, np.concatenate([[0.0], s * sol.x[:-1]]))
-    return float(sol.value), g
+    s = distance_scale(space)
+    unit = space if s == 1.0 else PointedMetricSpace(space.dist / s)
+    problem = _face_problem(unit, mu.masses, norm_mu / s)
+    return float(_solve_face(problem, f.values / s).value)
 
 
 def _lip_distances(space, F, G) -> np.ndarray:
@@ -247,19 +201,21 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     sample is certified not to raise the entry by the margin
     worst - ||f - g|| >= 0 against a guarded face point.
 
-    The LPs of one slab share their constraint matrices: each is built once
-    per slab, and each solve re-optimizes from the previous sample's basis
-    and the tableau it carries.  The face-distance LP does not depend on
-    eta, so it is built once per probe and carries its basis across the
-    grid.  Where the norm LP took the dualized path, its optimal basis
-    (n - 1 ball-row arcs forming a spanning tree) starts each slab's first
-    LP, which it leaves dual feasible, and the first face-distance LP, with
-    the slack of t's dual row added: there B^-1 b = (0, ..., 0, 1) >= 0 for
-    every sample, so that start is primal feasible.  Both are factored
-    afresh; elsewhere they are solved cold.  Every sample is checked
-    against the unit ball and the slab, and every face point from an LP
-    against the unit ball and the pairing with mu, independently of the
-    solver; a failed check raises SsdError with its margin.
+    Each slab LP is built once per eta and the face-distance LP, which
+    does not depend on eta, once per probe.  A sample changes only the
+    objective of the one or the right-hand side of the other, so each solve
+    re-optimizes from the basis of the LP's previous solve and the tableau
+    it carries.  The first solve of each starts from `norm.basis`, the norm
+    LP's optimal basis; where the norm LP took the dualized path, it is a
+    spanning tree of n - 1 ball-row arcs.  It leaves the slab LP dual
+    feasible, and with the slack of t's dual row, which `lp.solve` adds, it
+    leaves the face-distance LP primal feasible: there B^-1 b = (0, ...,
+    0, 1) >= 0 for every sample.  Both are factored afresh; on the direct
+    path the norm basis does not fit, and they are solved cold.  Every
+    sample is checked against the unit ball and the slab, and every face
+    point from an LP against the unit ball and the pairing with mu,
+    independently of the solver; a failed check raises SsdError with its
+    margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -281,20 +237,21 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     rng = np.random.default_rng(seed)
     tol = lp_tol()
     raw = []
-    # one face-distance family for the whole grid and one slab family per
-    # eta, both seeded from the norm LP's basis.  On the dualized path the
-    # slab's dual is the norm's dual plus the slab row's column, whose
-    # reduced cost there is the row's slack eta ||mu|| >= 0, so the seed is
-    # dual feasible; the face seed is primal feasible (see above)
-    dist = _WarmStart(seed=norm.basis)
+    # on the dualized path the slab's dual is the norm's dual plus the slab
+    # row's column, whose reduced cost there is the row's slack
+    # eta ||mu|| >= 0, so the norm basis is a dual feasible slab start; it
+    # is a primal feasible face start (see above)
+    face = _face_problem(space, masses, norm_mu)
+    face_start = norm.basis
     # D(mu) does not depend on eta: face points serve the whole grid
     faces = norm.potential.values[None, :]
     for eta in eta_grid:
-        slab = _WarmStart(seed=norm.basis)
+        slab = _slab_problem(space, mu, eta, norm_mu)
+        slab_start = norm.basis
         F = np.empty((samples_per_eta, space.n))
         for j in range(samples_per_eta):
-            f = _slab_sample(space, mu, eta, rng.standard_normal(space.n - 1),
-                             norm_mu, slab)
+            f, slab_start = _slab_sample(
+                space, slab, rng.standard_normal(space.n - 1), slab_start)
             _guard("slab_sample_in_unit_ball", 1.0 + tol - lip_norm(f))
             _guard("slab_sample_in_slab",
                    pairing(f, mu) - (norm_mu * (1.0 - eta) - tol))
@@ -306,12 +263,13 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
             if bound[j] <= worst:
                 break       # every open sample: worst - bound >= 0
             bound[j] = -np.inf      # solved
-            value, g = _face_distance_and_point(from_values(space, F[j]), mu,
-                                                norm_mu, dist)
+            sol = _solve_face(face, F[j], face_start)
+            face_start = sol.basis
+            g = from_values(space, np.concatenate([[0.0], sol.x[:-1]]))
             _guard("face_point_in_unit_ball", 1.0 + tol - lip_norm(g))
             _guard("face_point_pairs_to_norm",
                    tol - abs(pairing(g, mu) - norm_mu))
-            worst = max(worst, value)
+            worst = max(worst, float(sol.value))
             faces = np.vstack([faces, g.values])
             bound = np.minimum(bound,
                                _lip_distances(space, F, faces[-1:])[:, 0])
@@ -432,8 +390,8 @@ def _search_T(beta: float, gamma: float):
 def _projection_lp(sub_space, h_vals, mu_masses, norm_h):
     """min ||phi - h||_Lip0 over {||phi|| <= ||h||, pairing(phi, mu) = ||h||}
     on the finite subset; returns (optimum, phi values)."""
-    sol = lp.solve(_distance_to_face_problem(sub_space, h_vals, mu_masses,
-                                             norm_h, scale=norm_h))
+    sol = lp.solve(_with_face_values(
+        _face_problem(sub_space, mu_masses, norm_h, scale=norm_h), h_vals))
     if sol.status != "optimal":
         raise SsdError(f"projection LP ended with status {sol.status}")
     return float(sol.value), np.concatenate([[0.0], sol.x[:-1]])
@@ -628,13 +586,17 @@ def _norming_rows(space, terms):
 def find_common_norming(space: PointedMetricSpace,
                         combination: MoleculeCombination) -> LipFunction:
     """A norm-one f in the original metric with f(x_i) - f(y_i) = d(x_i, y_i)
-    for every term, found by LP; raises if no such function exists."""
+    for every term, found by LP; raises if no such function exists.  The
+    LP is solved for f / s at unit distance scale s (`distance_scale`), as
+    in `free_norm`, and f is scaled back exactly."""
     A, b, senses = _norming_rows(space, combination.terms)
-    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), A, senses, b))
+    s = distance_scale(space)
+    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), A, senses,
+                                      b / s))
     if sol.status != "optimal":
         raise SsdError(
             "no norm-one function norms every pair of the combination")
-    return from_values(space, np.concatenate([[0.0], sol.x]))
+    return from_values(space, np.concatenate([[0.0], s * sol.x]))
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +720,8 @@ def almost_aligned_certificate(space: PointedMetricSpace, eps_of, eps: float,
     Lip-distance from f to the result is certified at most 4 eps.
     """
     tol = lp_tol()
-    if eps <= 0:
-        raise SsdError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise SsdError("eps must be positive and finite")
     m = space.n - 2
     if m < 1:
         raise SsdError("truncation needs at least one interior point")

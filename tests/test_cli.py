@@ -166,6 +166,15 @@ def test_certify_almost_aligned(capsys):
     assert rep["outputs"]["distance"] <= 0.4 + 1e-8
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_certify_almost_aligned_rejects_bad_epsilon(capsys, eps):
+    # nan named the wrong cause and inf exited 0 with a vacuous certificate
+    code, out, err = _run_err(capsys, ["certify-almost-aligned", "--index",
+                                       "12", "--epsilon", eps])
+    _assert_error_line((code, out, err), code=2)
+    assert "eps must be positive and finite" in err
+
+
 def test_distort(capsys, tree_file):
     code, out = _run(capsys, ["distort", "--space", tree_file,
                               "--gamma", "0.5"])
@@ -260,6 +269,39 @@ def test_classify_pair_out_of_range(capsys):
 def test_params_non_numeric(capsys):
     _assert_error_line(_run_err(capsys, [
         "classify-space", "--gallery", "equilateral", "--params", "n=x"]))
+
+
+@pytest.mark.parametrize("params", [
+    "n=nan", "n=inf", "n=1e400", "level=inf", "n=4,scale=inf",
+    "n=4,scale=-inf"])
+def test_params_non_finite_is_usage_error(capsys, params):
+    # int() raised ValueError or OverflowError with a traceback, and
+    # equilateral took scale=inf
+    name = "cantor" if params.startswith("level") else "equilateral"
+    code, out, err = _run_err(capsys, ["classify-space", "--gallery", name,
+                                       "--params", params])
+    _assert_error_line((code, out, err))
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("name,params", [
+    ("equilateral", "n=2.7"), ("line", "n=4.5"), ("cantor", "level=1.5")])
+def test_params_non_integral_size_is_rejected(capsys, name, params):
+    # n=2.7 was silently truncated to n=2
+    code, out, err = _run_err(capsys, ["classify-space", "--gallery", name,
+                                       "--params", params])
+    _assert_error_line((code, out, err), code=2)
+    assert "must be an integer" in err
+
+
+def test_modulus_zero_samples_is_usage_error(capsys, tmp_path, line_file):
+    # exited 2 through the library's check, unlike --seed -1
+    el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})
+    code, out, err = _run_err(capsys, [
+        "modulus", "--space", line_file, "--element", el, "--eta-grid",
+        "0.1", "--seed", "3", "--samples", "0"])
+    _assert_error_line((code, out, err))
+    assert "--samples must be at least 1" in err
 
 
 def test_tolerance_env_non_numeric(capsys, monkeypatch):

@@ -479,13 +479,15 @@ def test_same_constraints_reuse_the_canonical_form():
     assert warm.basis._canonical is canon
     r = q.with_rhs(b + np.abs(rng.normal(size=b.size)))
     assert _assert_matches_cold(r, warm.basis).basis._canonical is canon
-    # equal constraints in other arrays are compared by value
+    # equal constraints in other arrays are not compared: a new record
     s = _max_problem(rng.normal(size=c.size), A.copy(), b)
-    assert _assert_matches_cold(s, first.basis).basis._canonical is canon
+    again = _assert_matches_cold(s, first.basis).basis._canonical
+    assert again is not canon and np.array_equal(again.A, canon.A)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (7, 3), (-1, 4)])
-def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted):
+def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted,
+                                                    factors_given):
     rng = np.random.default_rng(4300)
     c, A, b = _dualized_data(rng)
     p = _max_problem(c, A, b)
@@ -498,6 +500,8 @@ def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted):
     _assert_certified(warm)
     assert warm.value == pytest.approx(cold.value, abs=1e-9, rel=1e-9)
     assert np.allclose(warm.x, cold.x, atol=1e-7)
+    # the start's tableau is of the old matrix: B is factored afresh
+    assert factors_given and all(f is None for f in factors_given)
     canon = warm.basis._canonical
     assert canon is not first.basis._canonical
     assert canon.matches(q) and not canon.matches(p)
@@ -505,17 +509,62 @@ def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted):
     assert not np.array_equal(canon.A, first.basis._canonical.A)
 
 
-def test_canonical_form_of_a_mutable_matrix_is_compared_by_value():
+def test_canonical_form_of_a_mutable_matrix_is_not_reused():
     # an LpProblem made directly (not by build) may hold a writable matrix;
-    # identity alone does not prove it unchanged
+    # identity alone does not prove it unchanged, so its record is rebuilt
     rng = np.random.default_rng(4400)
     c, A, b = _dualized_data(rng)
     p = LpProblem(c, A, (LE,) * len(b), b, np.full(c.size, -np.inf),
                   np.full(c.size, np.inf), True)
-    canon = solve(p).basis._canonical
-    assert canon.matches(p)
+    first = solve(p)
+    assert not first.basis._canonical.matches(p)
     A[0, 0] += 1.0
-    assert not canon.matches(p)
+    warm = solve(p, start=first.basis)
+    assert warm.basis._canonical is not first.basis._canonical
+    assert warm.basis._canonical.A[0, 0] == A[0, 0]
+    _assert_certified(warm)
+    assert warm.value == pytest.approx(solve(p).value, abs=1e-9, rel=1e-9)
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_dualized_start_extends_to_new_rows_and_variables(bounded,
+                                                          monkeypatch):
+    # |x_0| <= 1 + t with a new variable t: the start's columns, the duals
+    # of the shared rows, carry over and t's dual row takes its slack.  A
+    # free t has an '=' dual row without a slack; the start stays a column
+    # short and the LP is solved cold
+    rng = np.random.default_rng(4500)
+    c, A, b = _dualized_data(rng)
+    first = solve(_max_problem(c, A, b)).basis
+    assert first.path == "dualized"
+    m, n = A.shape
+    rows = np.zeros((m + 2, n + 1))
+    rows[:m, :n] = A
+    rows[m:, 0] = (1.0, -1.0)
+    rows[m:, -1] = -1.0
+    lb = np.full(n + 1, -np.inf)
+    if bounded:
+        lb[-1] = 0.0
+    p = LpProblem.build(np.append(c, -1.0), rows, [LE] * (m + 2),
+                        np.append(b, [1.0, 1.0]), lb=lb, maximize=True)
+    seen = []
+    original = lp_module._warm_start
+
+    def recording(A2, b, cvec, start, tol, factor=None):
+        out = original(A2, b, cvec, start, tol, factor)
+        seen.append((tuple(start), factor, out is not None))
+        return out
+
+    monkeypatch.setattr(lp_module, "_warm_start", recording)
+    warm = _assert_matches_cold(p, first)
+    cols, factor, accepted = seen[0]
+    assert factor is None and cols[:len(first.cols)] == first.cols
+    if bounded:
+        std, _ = warm.basis._canonical.form("dualized")
+        assert cols[len(first.cols):] == (std.slack_of_row[-1],)
+        assert accepted
+    else:
+        assert cols == first.cols and not accepted
 
 
 def test_build_copies_and_freezes_its_inputs():

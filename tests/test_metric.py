@@ -193,6 +193,25 @@ class TestGallery:
         with pytest.raises(MetricError):
             gallery("nope")
 
+    @pytest.mark.parametrize("name,key", [
+        ("line", "n"), ("equilateral", "n"), ("branching_tree", "n"),
+        ("cantor", "level")])
+    @pytest.mark.parametrize("value", [2.7, np.nan, np.inf, -np.inf])
+    def test_non_integral_sizes_are_rejected(self, name, key, value):
+        # int() truncated 2.7 to 2 and raised ValueError or OverflowError
+        # on NaN and inf
+        with pytest.raises(MetricError, match=f"{key} must be an integer"):
+            gallery(name, **{key: value})
+
+    def test_integral_float_sizes_are_accepted(self):
+        assert gallery("line", n=5.0).n == 5
+        assert gallery("cantor", level=1.0).n == 4
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0])
+    def test_equilateral_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(MetricError, match="positive finite scale"):
+            gallery("equilateral", n=3, scale=scale)
+
 
 class TestJson:
     def test_roundtrip(self):

@@ -161,8 +161,8 @@ def test_vectorized_rows_match_loop_reference(scale):
                   random_euclidean_space(rng, 7)):
         vals = np.concatenate([[0.0], rng.normal(size=space.n - 1)])
         mu = molecule(space, 1, 0)
-        problem = ssd._distance_to_face_problem(space, vals, mu.masses, 0.8,
-                                                scale=scale)
+        problem = ssd._with_face_values(
+            ssd._face_problem(space, mu.masses, 0.8, scale=scale), vals)
         rows, rhs = _loop_face_distance_rows(space, vals, mu.masses, 0.8,
                                              scale)
         # bitwise, signed zeros included: cold solves see identical data
@@ -182,10 +182,10 @@ def _cold_probe(mu, eta_grid, samples, seed):
     raw = []
     for eta in eta_grid:
         worst = 0.0
+        slab = ssd._slab_problem(space, mu, eta, norm_mu)
         for _ in range(samples):
-            f = ssd._slab_sample(space, mu, eta,
-                                 rng.standard_normal(space.n - 1), norm_mu,
-                                 ssd._WarmStart())
+            f, _ = ssd._slab_sample(space, slab,
+                                    rng.standard_normal(space.n - 1), None)
             worst = max(worst, face_distance(f, mu, norm_mu))
         raw.append(worst)
     return np.maximum.accumulate(raw)   # grids below are increasing
@@ -252,8 +252,8 @@ def test_probe_guard_rejects_sample_outside_ball(monkeypatch):
     mu = molecule(space, 1, 2)
     f = norming_functional(mu)
 
-    def outside(space, mu, eta, objective, norm_mu, warm):
-        return from_values(space, 2.0 * f.values)
+    def outside(space, slab, objective, start):
+        return from_values(space, 2.0 * f.values), None
 
     monkeypatch.setattr(ssd, "_slab_sample", outside)
     with pytest.raises(SsdError, match="slab_sample_in_unit_ball"):
@@ -264,8 +264,8 @@ def test_probe_guard_rejects_sample_outside_slab(monkeypatch):
     space = gallery("equilateral", n=3)
     mu = molecule(space, 1, 2)
 
-    def zero(space, mu, eta, objective, norm_mu, warm):
-        return from_values(space, np.zeros(space.n))
+    def zero(space, slab, objective, start):
+        return from_values(space, np.zeros(space.n)), None
 
     monkeypatch.setattr(ssd, "_slab_sample", zero)
     with pytest.raises(SsdError, match="slab_sample_in_slab"):
@@ -315,35 +315,60 @@ def test_face_family_serves_the_whole_eta_grid(monkeypatch):
     assert len(calls) == 1
 
 
+def _record_warm_starts(monkeypatch):
+    """A list that gains (A2, b, cols, factor, accepted) per `_warm_start`
+    call."""
+    calls = []
+    original = lp._warm_start
+
+    def recording(A2, b, cvec, start, tol, factor=None):
+        out = original(A2, b, cvec, start, tol, factor)
+        calls.append((A2, b, tuple(start), factor, out is not None))
+        return out
+
+    monkeypatch.setattr(lp, "_warm_start", recording)
+    return calls
+
+
 @pytest.mark.parametrize("fattened", [False, True])
 @pytest.mark.parametrize("n", [7, 12])
-def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened):
-    # B of the seed is the norm LP's tree over the slack of t's dual row,
-    # and B^-1 b = (0, ..., 0, 1) >= 0 for every sample (the dual columns
-    # of the ball rows hold no distances, so any distance scale will do)
+def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened, monkeypatch):
+    # started from the norm LP's basis, the face-distance solve gets the
+    # norm LP's tree and the slack of t's dual row, without a tableau; its
+    # B^-1 b = (0, ..., 0, 1) >= 0 for every sample (the dual columns of
+    # the ball rows hold no distances, so any distance scale will do)
     mu = _leaf_combination(n, fattened)
     norm = free_norm(mu)
+    assert norm.basis.path == lp.DUALIZED
     problem = ssd._face_problem(mu.space, mu.masses, norm.value)
-    start = lp._extended_start(norm.basis, problem)
-    assert start.path == lp.DUALIZED
-    assert start.cols[:-1] == norm.basis.cols
-    std, _ = start._canonical.form(lp.DUALIZED)
-    assert start.cols[-1] == std.slack_of_row[-1]
-    rhs = lp._to_midform(problem, start._canonical).c
-    np.testing.assert_array_equal(rhs, np.eye(mu.space.n)[-1])
-    np.testing.assert_allclose(
-        np.linalg.solve(std.A2[:, list(start.cols)], rhs), rhs, atol=1e-12)
-    sol = lp.solve(problem, start=start)
+    calls = _record_warm_starts(monkeypatch)
+    sol = lp.solve(problem, start=norm.basis)
+    A2, rhs, cols, factor, accepted = calls[0]
+    assert accepted and factor is None
+    assert cols[:-1] == norm.basis.cols
+    last = np.eye(mu.space.n)[-1]
+    np.testing.assert_array_equal(A2[:, cols[-1]], last)   # t's slack
+    np.testing.assert_array_equal(rhs, last)
+    np.testing.assert_allclose(np.linalg.solve(A2[:, list(cols)], rhs), rhs,
+                               atol=1e-12)
+    assert sol.basis.path == lp.DUALIZED
     assert sol.value == pytest.approx(lp.solve(problem).value, abs=1e-12)
 
 
-def test_extended_start_needs_a_dualized_basis():
-    mu = _leaf_combination(4, False)       # 5 points: direct norm LP
+def test_extended_start_needs_a_dualized_basis(monkeypatch):
+    # on 5 points the norm LP takes the direct path: its basis is not
+    # extended, does not fit the face-distance LP and is solved cold
+    mu = _leaf_combination(4, False)
     norm = free_norm(mu)
-    problem = ssd._face_problem(mu.space, mu.masses, norm.value)
     assert norm.basis.path == lp.DIRECT
-    assert lp._extended_start(norm.basis, problem) is None
-    assert lp._extended_start(None, problem) is None
+    problem = ssd._face_problem(mu.space, mu.masses, norm.value)
+    calls = _record_warm_starts(monkeypatch)
+    cold = _count_cold_solves(monkeypatch)
+    sol = lp.solve(problem, start=norm.basis)
+    assert [c[2] for c in calls] == [norm.basis.cols] * len(calls)
+    assert not any(c[4] for c in calls)
+    assert cold
+    assert sol.value == lp.solve(problem).value
 
 
 @pytest.mark.parametrize("fattened", [False, True])
@@ -534,48 +559,37 @@ def test_face_distance_does_not_depend_on_distance_scale():
         np.testing.assert_allclose(got[1:], got[0], rtol=1e-9, atol=0.0)
 
 
-def test_face_distance_warm_family_follows_its_key():
-    # one _WarmStart reused across spaces, elements and norms rebuilds its
-    # problem for each new key and gives the answers of fresh calls
-    rng = np.random.default_rng(12)
-    warm = ssd._WarmStart()
-    for _ in range(3):
-        space = random_euclidean_space(rng, int(rng.integers(4, 8)))
-        mu = FreeElement(space, random_zero_sum(rng, space.n))
-        norm_mu = free_norm(mu).value
-        for _ in range(3):
-            f = _random_function(rng, space)
-            f = from_values(space, f.values / lip_norm(f))
-            ref = face_distance(f, mu, norm_mu)
-            assert face_distance(f, mu, norm_mu, _warm=warm) == \
-                pytest.approx(ref, abs=1e-12)
-            assert warm.key[0] is space and warm.key[1] is mu
+def test_probe_builds_each_lp_once(monkeypatch):
+    # the face-distance LP once per probe, each slab LP once per eta
+    grid = [0.01, 0.05, 0.2]
+    mu = _leaf_combination(6, False)
+    builds = {"_slab_problem": 0, "_face_problem": 0}
+    for name in builds:
+        def counting(*args, _name=name, _original=getattr(ssd, name),
+                     **kwargs):
+            builds[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ssd, name, counting)
+    exposedness_probe(mu, grid, 8, seed=3)
+    assert builds == {"_slab_problem": len(grid), "_face_problem": 1}
 
 
-def test_slab_sample_builds_its_problem_once(monkeypatch):
+def test_slab_sample_rejects_malformed_objectives():
     mu = _leaf_combination(6, False)
     space = mu.space
     norm_mu = free_norm(mu).value
-    builds = []
-    original = ssd._slab_problem
-
-    def counting(*args):
-        builds.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(ssd, "_slab_problem", counting)
-    warm = ssd._WarmStart()
+    slab = ssd._slab_problem(space, mu, 0.1, norm_mu)
     rng = np.random.default_rng(3)
+    start = None
     for _ in range(4):
-        f = ssd._slab_sample(space, mu, 0.1, rng.normal(size=space.n - 1),
-                             norm_mu, warm)
+        f, start = ssd._slab_sample(space, slab,
+                                    rng.normal(size=space.n - 1), start)
         assert pairing(f, mu) >= norm_mu * 0.9 - 1e-9
-    assert len(builds) == 1
     with pytest.raises(lp.LpError):
-        ssd._slab_sample(space, mu, 0.1, np.full(space.n - 1, np.nan),
-                         norm_mu, warm)
+        ssd._slab_sample(space, slab, np.full(space.n - 1, np.nan), start)
     with pytest.raises(lp.LpError):
-        ssd._slab_sample(space, mu, 0.1, np.ones(space.n), norm_mu, warm)
+        ssd._slab_sample(space, slab, np.ones(space.n), start)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +736,27 @@ def test_find_common_norming_line():
         assert f(x) - f(y) == pytest.approx(space.d(x, y), abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_find_common_norming_does_not_depend_on_distance_scale(scale):
+    # solved at the input's scale, f normed the pairs only to 2e-3
+    # relative at distance scale 1e-6
+    rng = np.random.default_rng(2025)
+    for _ in range(40):
+        n = int(rng.integers(4, 12))
+        space = random_euclidean_space(rng, n, dim=2)
+        mu = FreeElement(space, random_zero_sum(rng, n))
+        terms = optimal_representation(mu).terms
+        total = sum(t[0] for t in terms)
+        scaled = PointedMetricSpace(scale * space.dist)
+        comb = MoleculeCombination(
+            scaled, tuple((lam / total, x, y) for lam, x, y in terms))
+        f = find_common_norming(scaled, comb)
+        for _, x, y in comb.terms:
+            d = scaled.d(x, y)
+            assert abs(f(x) - f(y) - d) <= 1e-9 * d
+        assert lip_norm(f) <= 1.0 + 1e-9
+
+
 def test_find_common_norming_infeasible():
     space = line_space([0.0, 1.0, 2.0, 3.0])
     comb = MoleculeCombination(space, ((0.5, 1, 0), (0.5, 0, 3)))
@@ -835,3 +870,14 @@ def test_certificate_needs_deep_truncation():
     f = from_values(space, f.values / lip_norm(f))
     with pytest.raises(SsdError):
         almost_aligned_certificate(space, lambda k: 2.0 ** -k, 0.1, f)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
+def test_certificate_rejects_eps_outside_open_half_line(eps):
+    # NaN was reported as "truncation too small", and inf gave a vacuous
+    # certificate
+    space = _truncation(12)
+    f = norming_functional(molecule(space, 0, 1))
+    f = from_values(space, f.values / lip_norm(f))
+    with pytest.raises(SsdError, match="eps must be positive and finite"):
+        almost_aligned_certificate(space, lambda k: 2.0 ** -k, eps, f)
