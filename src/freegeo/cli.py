@@ -123,7 +123,16 @@ def _load_space(args, check: bool = True) -> PointedMetricSpace:
         raise _UsageError("give either --space or --gallery, not both")
     if args.space:
         with open(args.space) as fh:
-            return PointedMetricSpace.from_json(json.load(fh), check=check)
+            obj = json.load(fh)
+        if not isinstance(obj, dict) or "dist" not in obj:
+            raise _UsageError("malformed space file: need a JSON object "
+                              "with a 'dist' matrix")
+        try:
+            return PointedMetricSpace.from_json(obj, check=check)
+        except MetricError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise _UsageError(f"malformed space file: {exc}") from None
     if args.gallery_name:
         obj = gallery(args.gallery_name, **_parse_params(args.params))
         if not isinstance(obj, PointedMetricSpace):
@@ -229,9 +238,10 @@ def _cmd_norm(args):
 def _cmd_represent(args):
     space = _load_space(args)
     mu = _load_element(args, space)
-    comb = optimal_representation(mu)
+    cert = free_norm(mu)
+    comb = cert.representation()
     out = {"combination": comb.to_json(), "weight_sum": comb.weight_sum(),
-           "norm": free_norm(mu).value}
+           "norm": cert.value}
     _emit(args, _report(args, "optimal molecule decomposition from the "
                         "transport flow",
                         {"space": space.to_json(), "element": mu.to_json()},

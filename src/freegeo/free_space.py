@@ -39,8 +39,13 @@ class FreeElement:
         m = np.array(self.masses, dtype=float)
         if m.shape != (self.space.n,):
             raise FreeSpaceError("mass vector size mismatch")
-        # 0.0 - s, not -s: a balanced base mass of zero stays +0.0
-        m[0] = 0.0 - m[1:].sum()
+        finite = np.isfinite(m).all()
+        # 0.0 - s, not -s: a balanced base mass of zero stays +0.0.  The
+        # sum of finite masses can overflow; the check below rejects it
+        with np.errstate(over="ignore"):
+            m[0] = 0.0 - m[1:].sum()
+        if not (finite and np.isfinite(m[0])):
+            raise FreeSpaceError("masses must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 
@@ -196,8 +201,19 @@ class NormCertificates:
     flow: dict            # (p, q) -> mass moved
     potential: LipFunction
     # optimal basis of the norm LP (at unit distance scale); it starts the
-    # slab and face-distance LPs of `ssd.exposedness_probe`
+    # slab and face-distance LPs of `ssd.exposedness_probe`.  None only for
+    # the zero element, whose norm takes no LP
     basis: LpBasis | None = field(default=None, repr=False, compare=False)
+
+    def representation(self) -> MoleculeCombination:
+        """Molecule combination with weight sum equal to the norm, read off
+        the optimal flow (lam = flow * distance per positive arc)."""
+        if self.basis is None:
+            raise FreeSpaceError("the zero element has no representation")
+        space = self.potential.space
+        terms = tuple((w * space.d(p, q), p, q)
+                      for (p, q), w in sorted(self.flow.items()))
+        return MoleculeCombination(space, terms)
 
 
 def free_norm(mu: FreeElement) -> NormCertificates:
@@ -250,13 +266,8 @@ def norming_functional(mu: FreeElement) -> LipFunction:
 
 def optimal_representation(mu: FreeElement) -> MoleculeCombination:
     """Molecule combination with weight sum equal to the norm, read off the
-    optimal flow (lam = flow * distance per positive arc)."""
-    if mu.is_zero():
-        raise FreeSpaceError("the zero element has no representation")
-    cert = free_norm(mu)
-    terms = tuple((w * mu.space.d(p, q), p, q)
-                  for (p, q), w in sorted(cert.flow.items()))
-    return MoleculeCombination(mu.space, terms)
+    optimal flow (see `NormCertificates.representation`)."""
+    return free_norm(mu).representation()
 
 
 @dataclass(frozen=True)

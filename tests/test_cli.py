@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import freegeo
+from freegeo import free_space
 from freegeo.cli import main
 from freegeo.metric import gallery, line_space, space_to_json_str
 
@@ -69,6 +70,24 @@ def test_norm_tree_leaf_difference(capsys, tmp_path, tree_file):
     rep = json.loads(out)
     assert code == 0
     assert rep["outputs"]["value"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_represent_solves_the_norm_once(capsys, tmp_path, line_file,
+                                       monkeypatch):
+    calls = []
+    lp_solve = free_space.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lp_solve(*args, **kwargs)
+
+    el = _element_file(tmp_path, {"masses": [0.0, 0.5, -1.0, 0.5]})
+    argv = ["represent", "--space", line_file, "--element", el]
+    code, out = _run(capsys, argv)
+    monkeypatch.setattr(free_space, "solve", counted)
+    assert _run(capsys, argv) == (code, out)
+    assert len(calls) == 1
+    assert code == 0
 
 
 def test_represent_resums(capsys, tmp_path, line_file):
@@ -252,6 +271,38 @@ def test_norm_molecule_index_out_of_range(capsys, tmp_path):
     el = _element_file(tmp_path, {"molecules": [[1.0, 7, 0]]})
     _assert_error_line(_run_err(capsys, ["norm", "--space", str(path),
                                          "--element", el]))
+
+
+_LINE3 = '{"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
+
+
+@pytest.mark.parametrize("space,element,code", [
+    ('{"dist": [[0, 1e400], [1e400, 0]]}', '{"masses": [0, 1]}', 2),
+    ('{"dist": [[0, "a"], ["a", 0]]}', '{"masses": [0, 1]}', 1),
+    ('{"dist": [[0, 1], [1]]}', '{"masses": [0, 1]}', 1),
+    ('[[0, 1], [1, 0]]', '{"masses": [0, 1]}', 1),
+    ('{"n": 2}', '{"masses": [0, 1]}', 1),
+    (_LINE3, '{"masses": [0, NaN, 0]}', 1),
+    (_LINE3, '{"masses": [0, Infinity, 0]}', 1),
+    (_LINE3, '{"masses": [0, -Infinity, 1]}', 1),
+    (_LINE3, '{"masses": [0, 1e308, 1e308]}', 1),
+    (_LINE3, '{"molecules": [[NaN, 1, 0]]}', 1),
+], ids=["inf", "non-numeric", "ragged", "top-level-list",
+        "no-dist", "nan-mass", "inf-mass", "minus-inf-mass",
+        "overflowing-base-mass", "nan-weight"])
+@pytest.mark.filterwarnings("error")
+def test_malformed_files_end_in_one_error_line(capsys, tmp_path, space,
+                                               element, code):
+    # infinite distances passed validation, then the norm LP failed on
+    # NaN data; the other space files ended in a traceback; non-finite
+    # masses ended in a solver error, or a warning and an LP failure
+    (tmp_path / "space.json").write_text(space)
+    (tmp_path / "el.json").write_text(element)
+    got, out, err = _run_err(capsys, [
+        "norm", "--space", str(tmp_path / "space.json"),
+        "--element", str(tmp_path / "el.json")])
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_pair_non_numeric(capsys):

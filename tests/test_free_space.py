@@ -338,6 +338,15 @@ class TestOptimalRepresentation:
         rep = optimal_representation(mu)
         assert rep.weight_sum() == pytest.approx(2.0, abs=1e-9)
 
+    def test_read_off_the_norm_certificate(self):
+        rng = np.random.default_rng(4)
+        s = random_euclidean_space(rng, 6)
+        mu = FreeElement(s, random_zero_sum(rng, 6))
+        assert free_norm(mu).representation() == optimal_representation(mu)
+        zero = free_norm(FreeElement(s, np.zeros(6)))
+        with pytest.raises(FreeSpaceError, match="zero element"):
+            zero.representation()
+
     def test_resums_to_element(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -367,6 +376,16 @@ class TestElementsAndRows:
         mu = FreeElement(LINE, np.array([5.0, 1.0, -1.0, 0.0]))
         assert mu.masses.tolist() == [0.0, 1.0, -1.0, 0.0]
         assert not np.signbit(mu.masses[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_masses_are_rejected(self, bad):
+        for m in ([0.0, bad, -1.0, 0.0], [bad, 1.0, -1.0, 0.0]):
+            with pytest.raises(FreeSpaceError, match="finite"):
+                FreeElement(LINE, np.array(m))
+
+    def test_overflowing_base_mass_is_rejected(self):
+        with pytest.raises(FreeSpaceError, match="finite"):
+            FreeElement(LINE, np.array([0.0, 1e308, 1e308, 0.0]))
 
     def test_element_copies_the_callers_masses(self):
         m = np.array([0.0, 1.0, -1.0, 0.0])

@@ -34,7 +34,7 @@ def validate_loop(space):
         if d[i, i] != 0.0:
             bad_pairs.append((i, i))
         for j in range(i + 1, n):
-            if d[i, j] != d[j, i] or not d[i, j] > 0.0:
+            if d[i, j] != d[j, i] or not 0.0 < d[i, j] < np.inf:
                 bad_pairs.append((i, j))
     bad_triples = []
     for i in range(n):
@@ -184,8 +184,8 @@ def near_tie(draw):
 
 @st.composite
 def hostile(draw):
-    """A metric with a few entries broken: asymmetric, NaN, zero or
-    negative off-diagonal, or a nonzero diagonal."""
+    """A metric with a few entries broken: asymmetric, NaN, infinite, zero
+    or negative off-diagonal, or a nonzero diagonal."""
     d = draw(METRICS).copy()
     n = d.shape[0]
     if n == 0:
@@ -193,8 +193,9 @@ def hostile(draw):
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 1))
-        d[i, j] = draw(st.sampled_from([np.nan, 0.0, -1.0, -0.0, 1e-300,
-                                        d[i, j] * 1.5, d[i, j] + 1.0]))
+        d[i, j] = draw(st.sampled_from([np.nan, np.inf, 0.0, -1.0, -0.0,
+                                        1e-300, d[i, j] * 1.5,
+                                        d[i, j] + 1.0]))
     return d
 
 
@@ -246,6 +247,72 @@ def test_validate_empty_and_single_point():
         space = _space(np.zeros((n, n)))
         assert validate(space) == validate_loop(space)
         assert validate(space).ok
+
+
+@pytest.mark.parametrize("d", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[0.0, np.inf], [np.inf, 0.0]],
+    [[0.0, -np.inf], [-np.inf, 0.0]],
+    [[0.0, np.inf, 1.0], [np.inf, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[0.0, np.inf, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[np.nan, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+    [[0.0, np.nan, 2.0], [np.nan, 0.0, 1.0], [2.0, 1.0, 0.0]],
+    [[0.0, 1.0, 2.0], [1.0, -0.0, 1.0], [2.0, 1.0, -0.0]],
+    [[0.0, 1.0, 2.0], [1.0, -1.0, 1.0], [2.0, 1.0, 0.0]],
+    [[0.0, 1.0, 3.0], [1.0, -1.0, 1.0], [3.0, 1.0, 0.0]],
+    [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]],
+    [[0.0, 1.0, 3.0], [1.0, 0.0, np.nan], [3.0, np.nan, 0.0]],
+    # the only violated pairs, (0, 1) and (1, 0), also have a NaN sum
+    [[0.0, 3.0, 1.0, np.nan], [3.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0],
+     [np.nan, 1.0, 1.0, 0.0]],
+], ids=["n2", "n2-zero", "inf", "minus-inf", "inf-3", "inf-asym", "nan-diag",
+        "nan-off", "minus-zero-diag", "negative-diag", "negative-diag-viol",
+        "viol", "nan-sum", "nan-beside-violation"])
+def test_validate_matches_loop_on_edge_cases(d):
+    space = _space(d)
+    new, ref = validate(space), validate_loop(space)
+    assert new == ref
+    assert repr(new) == repr(ref)
+
+
+def test_validate_rejects_non_finite_distances():
+    rep = validate(_space([[0.0, np.inf], [np.inf, 0.0]]))
+    assert not rep.ok and rep.bad_pairs == ((0, 1),)
+    assert validate(_space([[0.0, 1.0], [1.0, 0.0]])).ok
+
+
+def test_validate_finds_a_violation_in_the_last_block_only(monkeypatch):
+    # row 199 alone breaks the triangle inequality: d(199, 0) = 400 against
+    # d(199, k) + d(k, 0) = 199; its mirror keeps d(0, 199) = 199
+    d = line_space(list(range(200))).dist.copy()
+    d[199, 0] = 400.0
+    space = _space(d)
+    seen = []
+    enumerate_block = metric._block_triples
+
+    def spy(d, lo, hi, s):
+        seen.append((lo, hi))
+        return enumerate_block(d, lo, hi, s)
+
+    monkeypatch.setattr(metric, "_block_triples", spy)
+    rep = validate(space)
+    assert seen == [(199, 200)]
+    assert rep == validate_loop(space)
+    assert rep.bad_triples == tuple((199, 0, k) for k in range(1, 199))
+    assert rep.bad_pairs == ((0, 199),)
+
+
+def test_valid_space_is_not_enumerated(monkeypatch):
+    # 40 points take four blocks of triangle sums; a metric flags none
+    def spy(*args):
+        raise AssertionError("a valid space reached the enumeration")
+
+    monkeypatch.setattr(metric, "_block_triples", spy)
+    space = line_space(list(range(40)))
+    assert len(list(metric.triangle_sums(space.dist))) == 4
+    assert validate(space).ok
+    assert validate(gallery("equilateral", n=40)).ok
 
 
 # ---------------------------------------------------------------------------
