@@ -127,12 +127,17 @@ def _load_space(args, check: bool = True) -> PointedMetricSpace:
         if not isinstance(obj, dict) or "dist" not in obj:
             raise _UsageError("malformed space file: need a JSON object "
                               "with a 'dist' matrix")
+        # a file that does not describe a matrix of points is malformed
+        # (exit 1), a matrix that is not a metric is not (exit 2)
         try:
-            return PointedMetricSpace.from_json(obj, check=check)
-        except MetricError:
-            raise
+            space = PointedMetricSpace.from_json(obj, check=False)
         except (ValueError, TypeError) as exc:
             raise _UsageError(f"malformed space file: {exc}") from None
+        if check:
+            rep = validate(space)
+            if not rep.ok:
+                raise MetricError(f"not a metric space: {rep}")
+        return space
     if args.gallery_name:
         obj = gallery(args.gallery_name, **_parse_params(args.params))
         if not isinstance(obj, PointedMetricSpace):

@@ -12,6 +12,7 @@ the transport cost and the pairing.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,15 +115,24 @@ def element_from_json(space, obj: dict) -> FreeElement:
     if "masses" in obj:
         return FreeElement(space, np.array(obj["masses"], dtype=float))
     if "molecules" in obj:
-        for _, x, y in obj["molecules"]:
-            if not (0 <= int(x) < space.n and 0 <= int(y) < space.n):
+        terms = []
+        for l, x, y in obj["molecules"]:
+            x, y = _point_index(x), _point_index(y)
+            if not (0 <= x < space.n and 0 <= y < space.n):
                 raise FreeSpaceError(f"molecule index out of range for "
                                      f"{space.n} points: [{x}, {y}]")
-        comb = MoleculeCombination(
-            space, tuple((float(l), int(x), int(y))
-                         for l, x, y in obj["molecules"]))
-        return comb.element()
+            terms.append((float(l), x, y))
+        return MoleculeCombination(space, tuple(terms)).element()
     raise FreeSpaceError("element JSON needs 'masses' or 'molecules'")
+
+
+def _point_index(v) -> int:
+    """A molecule endpoint read from JSON: an integral number, not a bool
+    (int() would truncate 1.5 and accept true)."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(
+            v, numbers.Real) or not float(v).is_integer():
+        raise FreeSpaceError(f"molecule index must be an integer: {v!r}")
+    return int(v)
 
 
 def _same_space(a, b):

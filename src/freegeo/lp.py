@@ -51,6 +51,27 @@ every sample shares, and B is the tree over the slack of t's dual row, so
 B^-1 b = (0, ..., 0, 1) >= 0: the start is primal feasible, and phase 2
 runs after one factorization.
 
+Batched re-solves.  `solve_many(problem, objectives, start)` re-optimizes
+k objectives over one constraint set from one start, as k calls of
+`solve(problem.with_objective(c), start=start)` would.  The lanes share
+what does not depend on the objective: the canonical form, the carried-over
+start, and the start's tableau or one factorization of its B.  On the
+dualized path an objective is the dual's right-hand side, so one product
+B^-1 [b_1 ... b_k] gives every lane its last column, and the lanes run the
+dual simplex and then primal phase 2; on the direct path they share b and
+run primal phase 2 with their own costs.  Each lockstep step prices every
+lane of a (k, m, N+1) stack of tableaux at once, and each lane takes its
+own pivot by Dantzig's rule with the tie breaks of a single solve.  The
+refinement against the original B and the residual check then run over all
+lanes in one pass.  A lane leaves the batch where a single solve would do
+something else: where it would switch to Bland's rule, ends unbounded or
+infeasible, or its dual simplex finds no entering column, and where its
+answer fails the check.  It is then solved by `solve` from the same start,
+so every answer passes the thresholds of `solve`.  A start that cannot
+seed the lanes (none, another path, or one `solve` would reject) is handed
+to `solve` with the first objective, whose basis seeds the rest.  The
+stack holds at most _BATCH_CELLS cells; more lanes run in blocks.
+
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
 the residual check) is one record per constraint matrix.  A basis carries
@@ -300,42 +321,52 @@ class _Factor:
     y: np.ndarray
 
 
-def _warm_start(A2, b, cvec, start, tol, factor=None):
-    """Re-optimize from the basic columns `start` of [A2 | b].
-
-    The working tableau is [B^-1 A2 | B^-1 | B^-1 b], with the B^-1 columns
-    blocked: taken from the carried `factor` when one is given (only B^-1 b
-    is computed), else factored from the original data.  A primal-feasible
-    start goes straight to phase 2; a dual-feasible one runs the dual
-    simplex first.  Returns the optimal (T, basis, pivots), pivots counted
-    since B was factored, or None when the start is malformed, singular,
-    neither primal nor dual feasible, or does not lead to an optimum; the
-    caller then solves cold.
-    """
+def _start_tableau(A2, rhs, cols, factor=None):
+    """[B^-1 A2 | B^-1 | B^-1 rhs] for the basic columns `cols` of A2 and
+    the right-hand sides that are the columns of rhs, with the pivots B^-1
+    has taken since B was factored from the data: from the carried
+    `factor` when one is given (only B^-1 rhs is computed), else from one
+    factorization of B.  Returns (T, pivots), or None when cols is
+    malformed or B singular."""
     m, n2 = A2.shape
-    cols = np.asarray(start)
+    cols = np.asarray(cols)
     if cols.shape != (m,) or cols.dtype.kind not in "iu":
         return None
     if m and (cols.min() < 0 or cols.max() >= n2
               or np.unique(cols).size != m):
         return None
     if factor is not None:
-        T = np.hstack([factor.body, factor.binv,
-                       (factor.binv @ b)[:, None]])
-        pivots = factor.pivots
-    else:
-        eye = np.eye(m)
-        try:
-            T = np.linalg.solve(A2[:, cols],
-                                np.hstack([A2, eye, b[:, None]]))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(T).all() or \
-                np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
-            return None
-        T[:, cols] = eye
-        pivots = 0
-    basis = cols.astype(int)
+        return (np.hstack([factor.body, factor.binv, factor.binv @ rhs]),
+                factor.pivots)
+    eye = np.eye(m)
+    try:
+        T = np.linalg.solve(A2[:, cols], np.hstack([A2, eye, rhs]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(T).all() or \
+            np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
+        return None
+    T[:, cols] = eye
+    return T, 0
+
+
+def _warm_start(A2, b, cvec, start, tol, factor=None):
+    """Re-optimize from the basic columns `start` of [A2 | b].
+
+    The working tableau is [B^-1 A2 | B^-1 | B^-1 b] of `_start_tableau`,
+    with the B^-1 columns blocked.  A primal-feasible start goes straight
+    to phase 2; a dual-feasible one runs the dual simplex first.  Returns
+    the optimal (T, basis, pivots), pivots counted since B was factored, or
+    None when the start is malformed, singular, neither primal nor dual
+    feasible, or does not lead to an optimum; the caller then solves cold.
+    """
+    n2 = A2.shape[1]
+    seeded = _start_tableau(A2, b[:, None], start, factor)
+    if seeded is None:
+        return None
+    T, pivots = seeded
+    basis = np.asarray(start).astype(int)
+    m = basis.size
     cext = np.concatenate([cvec, np.zeros(m)])
     blocked = np.zeros(n2 + m, dtype=bool)
     blocked[n2:] = True
@@ -734,10 +765,17 @@ def _solution(problem, mf, path, result) -> LpSolution:
         y_orig = -y_orig
     basis = None if carry is None else LpBasis(
         path, tuple(carry[0].tolist()), canon, carry[1])
-    sol = LpSolution(status="optimal", value=value, x=x_orig, y=y_orig,
-                     basis=basis)
-    _fill_residuals(problem, sol, canon)
-    return sol
+    residuals = _fill_residuals(problem, canon, problem.c, x_orig, y_orig)
+    return LpSolution("optimal", value, x_orig, y_orig,
+                      *(float(r) for r in residuals), basis)
+
+
+def _margins(value, primal, dual, gap, tol):
+    """(name, threshold - residual) of each check an optimal solution must
+    pass; a negative or NaN margin fails.  Works on floats and on arrays
+    of lanes alike."""
+    return (("primal_residual", tol - primal), ("dual_residual", tol - dual),
+            ("gap", tol * (1.0 + abs(value)) - gap))
 
 
 def _failed_check(sol: LpSolution, tol):
@@ -746,10 +784,8 @@ def _failed_check(sol: LpSolution, tol):
     Only optimal solutions carry residuals."""
     if sol.status != "optimal":
         return None
-    for name, margin in (
-            ("primal_residual", tol - sol.primal_residual),
-            ("dual_residual", tol - sol.dual_residual),
-            ("gap", tol * (1.0 + abs(sol.value)) - sol.gap)):
+    for name, margin in _margins(sol.value, sol.primal_residual,
+                                 sol.dual_residual, sol.gap, tol):
         if not margin >= 0.0:
             return name, margin
     return None
@@ -758,6 +794,326 @@ def _failed_check(sol: LpSolution, tol):
 def _passes(sol: LpSolution, tol) -> bool:
     """Whether sol passes the LpError thresholds."""
     return _failed_check(sol, tol) is None
+
+
+# ---------------------------------------------------------------------------
+# batched re-solves: many objectives over one constraint set
+# ---------------------------------------------------------------------------
+
+def solve_many(problem: LpProblem, objectives,
+               start: LpBasis | None = None) -> list[LpSolution]:
+    """Solve `problem` once per row c of `objectives`, as
+    `solve(problem.with_objective(c), start=start)` would, in lockstep.
+
+    The lanes share the canonical form, the start's tableau or one
+    factorization of its B, and the right-hand sides B^-1 [b_1 ... b_k]
+    from one product; each lane then pivots by the rules of `solve` in a
+    stack of tableaux, and one refinement and one residual check run over
+    all lanes.  A start that cannot seed the lanes (none, another path, or
+    rejected) is handed with the first objective to `solve`, whose basis
+    seeds the others.  A lane that would switch to Bland's rule, ends
+    unbounded or infeasible, or fails its check, and every lane of a seed
+    that still does not fit, is solved by `solve` from the seed; so every
+    answer passes the thresholds of `solve`.
+    """
+    C = np.array(objectives, dtype=float)
+    if C.size == 0:
+        C = C.reshape(0, problem.c.size)
+    if C.ndim != 2 or C.shape[1] != problem.c.size:
+        raise LpError("inconsistent problem dimensions")
+    if np.isnan(C).any():
+        raise LpError("NaN in problem data")
+    tol = lp_tol()
+    canon = None if start is None else start._canonical
+    if canon is None or not canon.matches(problem):
+        old, canon = canon, _Canonical(problem)
+        if start is not None:
+            start = _carried_over(start, old, canon)
+    out = [None] * len(C)
+    lanes = np.arange(len(C))
+    batch = _Batch.seed(problem, canon, start, C, tol)
+    if batch is None and lanes.size:
+        out[0] = solve(problem.with_objective(C[0]), tol, start)
+        start, lanes = out[0].basis, lanes[1:]
+        batch = _Batch.seed(problem, canon, start, C, tol)
+    if batch is not None and lanes.size:
+        m2, cols = batch.T0.shape
+        step = max(1, _BATCH_CELLS // (m2 * (cols + 1)))
+        for lo in range(0, lanes.size, step):
+            block = lanes[lo:lo + step]
+            for lane, sol in zip(block, batch.run(block)):
+                out[lane] = sol
+    for lane in lanes:
+        if out[lane] is None:
+            out[lane] = solve(problem.with_objective(C[lane]), tol, start)
+    return out
+
+
+#: Cap on the cells of one stack of lane tableaux in `solve_many`; more
+#: lanes run in blocks of at most this many cells (one lane at least).
+_BATCH_CELLS = 2 ** 20
+
+
+@dataclass(eq=False)
+class _Batch:
+    """The work `solve_many` shares between its lanes, on the standard form
+    `std` of the path the start took: the start's tableau [B^-1 A2 | B^-1]
+    (T0) and basis, and per objective (one row each) the costs and the
+    right-hand side in that form, B^-1 of that right-hand side (X0), the
+    mid-form objective and the constant it drops."""
+
+    problem: LpProblem
+    canon: _Canonical
+    path: str
+    std: _StdForm
+    cmap: tuple | np.ndarray    # the column map of canon.form(path)
+    T0: np.ndarray
+    basis: np.ndarray
+    pivots: int                 # taken by T0 since B was factored
+    costs: np.ndarray
+    rhs: np.ndarray
+    X0: np.ndarray
+    Cmid: np.ndarray
+    const: np.ndarray
+    C: np.ndarray
+    tol: float
+
+    @staticmethod
+    def seed(problem, canon, start, C, tol):
+        """The batch over the objectives C from `start`, or None when the
+        start is not on the path `solve` takes first or does not fit."""
+        m, n = canon.A.shape
+        path = DUALIZED if m > 2 * n + 20 else DIRECT
+        if start is None or start.path != path:
+            return None
+        # the mid form of every objective: min c.x, x = sign x_mid + shift
+        Cmin = -C if problem.maximize else C
+        Cmid = Cmin * canon.sign
+        b_mid = _to_midform(problem, canon).b
+        std, cmap = canon.form(path)
+        k = len(C)
+        if path == DUALIZED:
+            # a new objective is a new right-hand side of the dual
+            col_sgn, free_u = cmap
+            d_c = -(b_mid * col_sgn)
+            costs = np.broadcast_to(np.concatenate([d_c, -d_c[free_u]]),
+                                    (k, std.n))
+            rhs = Cmid
+        else:
+            costs = np.hstack([Cmid, -Cmid[:, cmap]])
+            rhs = np.broadcast_to(b_mid, (k, b_mid.size))
+        factor = start._factor
+        if factor is not None and factor.pivots > _REFACTOR_PIVOTS:
+            factor = None
+        # one factorization, or product, for every distinct right-hand side
+        distinct = rhs if path == DUALIZED else rhs[:1]
+        seeded = _start_tableau(std.A2, distinct.T, start.cols, factor)
+        if seeded is None:
+            return None
+        T, pivots = seeded
+        cut = std.A2.shape[1] + std.A2.shape[0]
+        X0 = np.broadcast_to(T[:, cut:].T, rhs.shape)
+        return _Batch(problem, canon, path, std, cmap, T[:, :cut],
+                      np.array(start.cols), pivots, costs, rhs, X0, Cmid,
+                      Cmin @ canon.shift, C, tol)
+
+    def run(self, lanes):
+        """The solutions of the given lanes; None for a lane that left."""
+        k = lanes.size
+        A2, canon, std = self.std.A2, self.canon, self.std
+        m2, n2 = A2.shape
+        T = np.empty((k, m2, n2 + m2 + 1))
+        T[:, :, :-1] = self.T0
+        T[:, :, -1] = self.X0[lanes]
+        basis = np.tile(self.basis, (k, 1))
+        cext = np.zeros((k, n2 + m2))
+        cext[:, :std.n] = self.costs[lanes]
+        rhs = self.rhs[lanes]
+        ok, pivots = _lockstep(T, basis, cext, n2, self.tol)
+        # refine x_B and y with the final B^-1 and one correction step
+        # against the original B, as a warm `solve` does
+        binv = T[:, :, n2:-1]
+        B = A2[:, basis].transpose(1, 0, 2)
+        rows = np.arange(k)[:, None]
+        cB = cext[rows, basis]
+        xB = _apply(binv, rhs)
+        xB += _apply(binv, rhs - _apply(B, xB))
+        y = _apply_t(binv, cB)
+        y += _apply_t(binv, cB - _apply_t(B, y))
+        z = np.zeros((k, n2))
+        z[rows, basis] = xB
+        # back to the mid form, as `_solve_mid_dual` and `_solve_mid_direct`
+        if self.path == DUALIZED:
+            col_sgn, free_u = self.cmap
+            m = canon.A.shape[0]
+            u = z[:, :m]
+            u[:, free_u] -= z[:, m:std.n]
+            X, Y = -y, col_sgn * u
+        else:
+            n = canon.A.shape[1]
+            X, Y = z[:, :n], y
+            X[:, self.cmap] -= z[:, n:std.n]
+        value = (self.Cmid[lanes] * X).sum(axis=1) + self.const[lanes]
+        # and to the original coordinates, as `_solution`
+        X = canon.sign * X + canon.shift
+        Y = Y[:, :canon.n_orig_rows]
+        if self.problem.maximize:
+            value, Y = -value, -Y
+        pr, dr, gap, cs = _fill_residuals(self.problem, canon,
+                                          self.C[lanes], X, Y)
+        for _, margin in _margins(value, pr, dr, gap, self.tol):
+            ok &= margin >= 0.0
+        # each lane's basis carries its tableau, like a `solve` answer's
+        for a in (T, rhs, xB, cB, y):
+            a.setflags(write=False)
+        pivots += self.pivots
+        out = []
+        for i in range(k):
+            if not ok[i]:
+                out.append(None)
+                continue
+            factor = _Factor(T[i, :, :n2], binv[i], int(pivots[i]), rhs[i],
+                             xB[i], cB[i], y[i])
+            out.append(LpSolution(
+                "optimal", float(value[i]), X[i], Y[i], float(pr[i]),
+                float(dr[i]), float(gap[i]), float(cs[i]),
+                LpBasis(self.path, tuple(basis[i].tolist()), canon, factor)))
+        return out
+
+
+def _apply(M, v):
+    """M_l v_l for each lane l of the stacks M (k x m x m) and v (k x m)."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _apply_t(M, v):
+    """v_l M_l for each lane l of the stacks M (k x m x m) and v (k x m)."""
+    return np.matmul(v[:, None, :], M)[:, 0, :]
+
+
+def _lockstep(T, basis, cext, n2, tol):
+    """Re-optimize in lockstep and in place the lanes of the tableau stack
+    T (k x m x N+1, with the columns from n2 on blocked), each from its row
+    of `basis` with its row of costs `cext` (N, zero on the blocked
+    columns).  Lanes that start primal infeasible run the dual simplex
+    first, then all run primal phase 2; each lane picks its own pivots by
+    the rules of `_dual_iterate` and `_iterate` (Dantzig pricing and their
+    tie breaks).  Returns (ok, pivots) per lane.  A lane is not ok if it is
+    not dual feasible where it needs the dual simplex, finds no entering
+    column there, ends unbounded, stalls past _STALL_LIMIT (where a single
+    solve switches to Bland's rule) or reaches _MAX_ITER."""
+    k = basis.shape[0]
+    lanes = np.arange(k)[:, None]
+    ok = np.ones(k, dtype=bool)
+    pivots = np.zeros(k, dtype=int)
+    dual = np.min(T[:, :, -1], axis=1, initial=0.0) < -tol
+    if dual.any():
+        r = _reduced_costs(T, basis, cext)[:, :n2]
+        r[lanes, basis] = 0.0
+        ok &= ~dual | (r.min(axis=1, initial=0.0) >= -tol)
+        _lockstep_phase(_dual_step, T, basis, cext, dual & ok, ok, pivots,
+                        n2, tol)
+    _lockstep_phase(_primal_step, T, basis, cext, ok.copy(), ok, pivots, n2,
+                    tol)
+    return ok, pivots
+
+
+def _lockstep_phase(step, T, basis, cext, live, ok, pivots, n2, tol):
+    """Run `step` until each live lane is optimal (it stops being live) or
+    leaves (it is no longer ok either); see `_lockstep`.  Every lane is
+    priced at each step, and only the live ones pivot."""
+    k = basis.shape[0]
+    lanes = np.arange(k)[:, None]
+    sign = 1.0 if step is _primal_step else -1.0   # the objective's course
+    prev = np.full(k, sign * np.inf)
+    stall = np.zeros(k, dtype=int)
+    for _ in range(_MAX_ITER):
+        if not live.any():
+            return
+        rows, cols, done, left = step(T, basis, cext, n2, tol)
+        ok &= ~(live & left)
+        live &= ~(done | left)
+        L = np.nonzero(live)[0]
+        _pivot_lanes(T, basis, L, rows[L], cols[L])
+        pivots[L] += 1
+        obj = (cext[lanes, basis] * T[:, :, -1]).sum(axis=1)
+        flat = sign * obj >= sign * prev - tol * (1.0 + np.abs(obj))
+        stall = np.where(live, np.where(flat, stall + 1, 0), stall)
+        prev = np.where(live, obj, prev)
+        ok &= ~(live & (stall > _STALL_LIMIT))
+        live &= ok
+    ok &= ~live
+
+
+def _reduced_costs(T, basis, cext):
+    """c - c_B B^-1 A of each lane, over every column but the last."""
+    cB = cext[np.arange(basis.shape[0])[:, None], basis]
+    return cext - np.matmul(cB[:, None, :], T)[:, 0, :-1]
+
+
+def _primal_step(T, basis, cext, n2, tol):
+    """One primal simplex choice per lane, as in `_iterate`: (rows, cols,
+    done, left), done for an optimal lane, left for an unbounded one."""
+    k = basis.shape[0]
+    lanes = np.arange(k)
+    r = _reduced_costs(T, basis, cext)
+    r[lanes[:, None], basis] = 0.0
+    r[:, n2:] = np.inf
+    cols = np.argmin(r, axis=1)
+    done = r[lanes, cols] >= -tol
+    col = T[lanes, :, cols]
+    pos = col > tol
+    left = ~pos.any(axis=1)
+    ratios = np.full(col.shape, np.inf)
+    np.divide(T[:, :, -1], col, out=ratios, where=pos)
+    best = ratios.min(axis=1, keepdims=True)
+    band = ratios <= best + tol * (1.0 + np.abs(best))
+    # leaving tie break: lowest basic-variable index (Bland-compatible)
+    rows = np.argmin(np.where(band, basis, np.iinfo(basis.dtype).max),
+                     axis=1)
+    return rows, cols, done, left & ~done
+
+
+def _dual_step(T, basis, cext, n2, tol):
+    """One dual simplex choice per lane, as in `_dual_iterate`: (rows, cols,
+    done, left), done for a primal feasible lane, left for one with no
+    entering column."""
+    k = basis.shape[0]
+    lanes = np.arange(k)
+    rows = np.argmin(T[:, :, -1], axis=1)
+    done = T[lanes, rows, -1] >= -tol
+    a = T[lanes, rows, :-1]
+    cand = a < -tol
+    cand[lanes[:, None], basis] = False
+    cand[:, n2:] = False
+    left = ~cand.any(axis=1)
+    ratios = np.full(a.shape, np.inf)
+    np.divide(np.maximum(_reduced_costs(T, basis, cext), 0.0), -a,
+              out=ratios, where=cand)
+    best = ratios.min(axis=1, keepdims=True)
+    # entering tie break: lowest column index (Bland-compatible)
+    cols = np.argmax(cand & (ratios <= best + tol * (1.0 + best)), axis=1)
+    return rows, cols, done, left & ~done
+
+
+def _pivot_lanes(T, basis, L, rows, cols):
+    """`_pivot` on each lane L[i] of the stack T at (rows[i], cols[i])."""
+    if L.size == 0:
+        return
+    every = L.size == T.shape[0]
+    S = T if every else T[L]
+    ar = np.arange(L.size)
+    P = S[ar, rows] / S[ar, rows, cols][:, None]
+    colv = S[ar, :, cols]
+    colv[ar, rows] = 0.0
+    S -= colv[:, :, None] * P[:, None, :]
+    S[ar, rows] = P
+    # kill roundoff in the pivot column
+    S[ar, :, cols] = 0.0
+    S[ar, rows, cols] = 1.0
+    if not every:
+        T[L] = S
+    basis[L, rows] = cols
 
 
 @functools.lru_cache(maxsize=64)
@@ -769,48 +1125,50 @@ def _sense_codes(senses: tuple) -> np.ndarray:
     return code
 
 
-def _fill_residuals(problem: LpProblem, sol: LpSolution,
-                    canon: _Canonical) -> None:
-    """The residual check of (x, y) against the original data; `canon` is
-    the canonical form of the problem's constraints."""
-    x, y = sol.x, sol.y
+def _fill_residuals(problem: LpProblem, canon: _Canonical, C, X, Y):
+    """The residual check against the original data of `problem`, whose
+    constraints have the canonical form `canon`, for a stack of lanes: row
+    l of C, X and Y is the objective, the primal point and the row duals of
+    lane l.  Returns the primal, dual, gap and complementary-slackness
+    residuals, one entry per lane.  Vectors C, X and Y are one lane, whose
+    residuals are 0-d arrays."""
     code = canon.codes
     sgn = -1.0 if problem.maximize else 1.0
-    ys = sgn * y
-    r = problem.A @ x - problem.b
-    pr = max(_top(np.where(canon.eq_rows, np.abs(r), code * r)),
-             _top(np.maximum(problem.lb - x, x - problem.ub)))
-    cs = _top(np.abs(y * r))
+    Ys = sgn * Y
+    R = X @ problem.A.T - problem.b
+    pr = np.maximum(_top(np.where(canon.eq_rows, np.abs(R), code * R)),
+                    _top(np.maximum(problem.lb - X, X - problem.ub)))
+    cs = _top(np.abs(Y * R))
     # reduced costs in min orientation, where the row duals must satisfy
     # y <= 0 on '<=' rows and y >= 0 on '>=' rows
-    rc = sgn * problem.c - problem.A.T @ ys
-    y_sign = _top(code * ys)
-    dual_obj = float(problem.b @ ys)
+    RC = sgn * C - Ys @ problem.A
+    y_sign = _top(code * Ys)
+    dual_obj = Ys @ problem.b
     if not canon.has_bounds:
-        dr = max(_top(np.abs(rc)), y_sign)
+        dr = np.maximum(_top(np.abs(RC)), y_sign)
     else:
-        lo_f, hi_f = canon.lo_f, canon.hi_f
-        at_lo = canon.lo_finite & (x <= canon.lo_reach)
-        at_hi = canon.hi_finite & (x >= canon.hi_reach)
-        fixed = at_lo & at_hi
+        at_lo = canon.lo_finite & (X <= canon.lo_reach)
+        at_hi = canon.hi_finite & (X >= canon.hi_reach)
         only_lo = at_lo & ~at_hi
         only_hi = at_hi & ~at_lo
         # a reduced cost of the wrong sign at a bound violates both dual
         # feasibility and complementary slackness
-        at_bound = _top(np.where(only_lo, -rc, np.where(only_hi, rc, 0.0)))
-        dr = max(_top(np.abs(rc[~at_lo & ~at_hi])), at_bound, y_sign)
-        cs = max(cs, at_bound)
-        dual_obj += float(
-            lo_f[fixed] @ rc[fixed]
-            + lo_f[only_lo] @ np.maximum(rc[only_lo], 0.0)
-            + hi_f[only_hi] @ np.minimum(rc[only_hi], 0.0))
-    primal_obj = float(problem.c @ x)
-    sol.primal_residual = pr
-    sol.dual_residual = dr
-    sol.gap = abs(primal_obj - sgn * dual_obj)
-    sol.cs_residual = cs
+        at_bound = _top(np.where(only_lo, -RC, np.where(only_hi, RC, 0.0)))
+        dr = np.maximum(np.maximum(
+            _top(np.where(at_lo | at_hi, 0.0, np.abs(RC))), at_bound), y_sign)
+        cs = np.maximum(cs, at_bound)
+        # a fixed variable takes its whole reduced cost, one at a single
+        # bound the part of the sign that bound allows
+        dual_obj = dual_obj + (
+            canon.lo_f * np.where(at_lo, np.where(
+                at_hi, RC, np.maximum(RC, 0.0)), 0.0)
+            + canon.hi_f * np.where(only_hi, np.minimum(RC, 0.0), 0.0)
+        ).sum(axis=-1)
+    gap = np.abs((C * X).sum(axis=-1) - sgn * dual_obj)
+    return pr, dr, gap, cs
 
 
-def _top(v: np.ndarray) -> float:
-    """The largest entry of v, or 0 if none is larger (NaN propagates)."""
-    return float(np.maximum.reduce(v, initial=0.0))
+def _top(v: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of v, or 0 if none is larger (NaN
+    propagates)."""
+    return np.maximum.reduce(v, axis=-1, initial=0.0)

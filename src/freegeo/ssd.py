@@ -98,15 +98,6 @@ def _slab_problem(space, mu, eta, norm_mu) -> lp.LpProblem:
                               [lp.LE] * len(rhs), rhs, maximize=True)
 
 
-def _slab_sample(space, slab: lp.LpProblem, objective, start):
-    """Maximize a linear objective over the slab LP `slab`, re-optimizing
-    from the basis `start`: the maximizer and the solve's basis."""
-    sol = lp.solve(slab.with_objective(objective), start=start)
-    if sol.status != "optimal":
-        raise SsdError(f"slab sampling LP ended with status {sol.status}")
-    return from_values(space, np.concatenate([[0.0], sol.x])), sol.basis
-
-
 def _face_problem(space, mu_masses, norm, scale=1.0):
     """The face-distance LP, min t over (g, t): ||g|| <= scale,
     pairing(g, mu) = norm and |(v - g)(p) - (v - g)(q)| <= t d(p, q), for
@@ -203,19 +194,23 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
 
     Each slab LP is built once per eta and the face-distance LP, which
     does not depend on eta, once per probe.  A sample changes only the
-    objective of the one or the right-hand side of the other, so each solve
-    re-optimizes from the basis of the LP's previous solve and the tableau
-    it carries.  The first solve of each starts from `norm.basis`, the norm
+    objective of the one or the right-hand side of the other.  An eta's
+    samples are drawn together, in the order of single draws, and solved
+    as one batch by `lp.solve_many`, every lane from `norm.basis`, the norm
     LP's optimal basis; where the norm LP took the dualized path, it is a
     spanning tree of n - 1 ball-row arcs.  It leaves the slab LP dual
-    feasible, and with the slack of t's dual row, which `lp.solve` adds, it
-    leaves the face-distance LP primal feasible: there B^-1 b = (0, ...,
-    0, 1) >= 0 for every sample.  Both are factored afresh; on the direct
-    path the norm basis does not fit, and they are solved cold.  Every
-    sample is checked against the unit ball and the slab, and every face
-    point from an LP against the unit ball and the pairing with mu,
-    independently of the solver; a failed check raises SsdError with its
-    margin.
+    feasible, so B is factored once per batch and each lane runs the dual
+    simplex from it.  Each face-distance solve re-optimizes from the basis
+    of the previous one and the tableau it carries; the first starts from
+    `norm.basis` too, which with the slack of t's dual row, added by
+    `lp.solve`, leaves the face-distance LP primal feasible: there B^-1 b
+    = (0, ..., 0, 1) >= 0 for every sample.  On the direct
+    path the norm basis does not fit: the first sample of a batch and the
+    first face-distance LP are solved cold, and the first sample's basis
+    seeds the rest of its batch.  Every sample is checked against the unit
+    ball and the slab, and every face point from an LP against the unit
+    ball and the pairing with mu, independently of the solver; a failed
+    check raises SsdError with its margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -247,15 +242,17 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     faces = norm.potential.values[None, :]
     for eta in eta_grid:
         slab = _slab_problem(space, mu, eta, norm_mu)
-        slab_start = norm.basis
-        F = np.empty((samples_per_eta, space.n))
-        for j in range(samples_per_eta):
-            f, slab_start = _slab_sample(
-                space, slab, rng.standard_normal(space.n - 1), slab_start)
+        objectives = rng.standard_normal((samples_per_eta, space.n - 1))
+        F = np.zeros((samples_per_eta, space.n))
+        for j, sol in enumerate(lp.solve_many(slab, objectives, norm.basis)):
+            if sol.status != "optimal":
+                raise SsdError(
+                    f"slab sampling LP ended with status {sol.status}")
+            F[j, 1:] = sol.x
+            f = from_values(space, F[j])
             _guard("slab_sample_in_unit_ball", 1.0 + tol - lip_norm(f))
             _guard("slab_sample_in_slab",
                    pairing(f, mu) - (norm_mu * (1.0 - eta) - tol))
-            F[j] = f.values
         worst = 0.0
         bound = _lip_distances(space, F, faces).min(axis=1)
         while True:

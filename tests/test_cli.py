@@ -273,6 +273,46 @@ def test_norm_molecule_index_out_of_range(capsys, tmp_path):
                                          "--element", el]))
 
 
+@pytest.mark.parametrize("index", [1.5, True], ids=["fraction", "bool"])
+def test_norm_molecule_index_must_be_an_integer(capsys, tmp_path, index):
+    # int() read 1.5 as 1 and true as 1, and norm exited 0
+    path = tmp_path / "two.json"
+    path.write_text('{"dist": [[0, 1], [1, 0]]}')
+    el = _element_file(tmp_path, {"molecules": [[1.0, index, 0]]})
+    result = _run_err(capsys, ["norm", "--space", str(path),
+                               "--element", el])
+    _assert_error_line(result)
+    assert result[2].startswith("error: malformed element file: ")
+
+
+@pytest.mark.parametrize("space", [
+    '{"dist": [[0, 1, 2], [1, 0, 1]]}',
+    '{"labels": ["a"], "dist": [[0, 1], [1, 0]]}',
+    '{"n": 3, "dist": [[0, 1], [1, 0]]}',
+], ids=["rectangular", "label-count", "n-disagrees"])
+@pytest.mark.parametrize("command", ["validate", "norm"])
+def test_malformed_space_shape_is_a_usage_error(capsys, tmp_path, space,
+                                                command):
+    # these exited 2, the code of a space that is not a metric
+    (tmp_path / "space.json").write_text(space)
+    argv = [command, "--space", str(tmp_path / "space.json")]
+    if command == "norm":
+        argv += ["--element", _element_file(tmp_path, {"masses": [0, 1]})]
+    result = _run_err(capsys, argv)
+    _assert_error_line(result)
+    assert result[2].startswith("error: malformed space file: ")
+
+
+def test_violated_triangle_inequality_still_exits_2(capsys, tmp_path):
+    (tmp_path / "space.json").write_text(
+        '{"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}')
+    el = _element_file(tmp_path, {"masses": [0, 1, -1]})
+    result = _run_err(capsys, ["norm", "--space", str(tmp_path / "space.json"),
+                               "--element", el])
+    _assert_error_line(result, code=2)
+    assert result[2].startswith("error: not a metric space: ")
+
+
 _LINE3 = '{"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
 
 

@@ -407,15 +407,15 @@ def _check_residuals_against_loop(seed, free):
     x[1] = p.ub[1]
     if free:    # no finite bound: every reduced cost must vanish
         p = LpProblem.build(p.c, p.A, p.senses, p.b, maximize=p.maximize)
-    sol = lp_module.LpSolution(status="optimal", value=0.0, x=x,
-                               y=rng.normal(size=m))
-    lp_module._fill_residuals(p, sol, lp_module._Canonical(p))
-    pr, dr, gap, cs = _loop_residuals(p, sol.x, sol.y)
-    assert sol.primal_residual == pr
-    assert sol.dual_residual == dr
-    assert sol.cs_residual == cs
+    y = rng.normal(size=m)
+    got = lp_module._fill_residuals(p, lp_module._Canonical(p), p.c[None],
+                                    x[None], y[None])
+    pr, dr, gap, cs = _loop_residuals(p, x, y)
+    assert got[0].tolist() == [pr]
+    assert got[1].tolist() == [dr]
+    assert got[3].tolist() == [cs]
     # only the summation order of the dual objective changed
-    assert sol.gap == pytest.approx(gap, rel=1e-13, abs=1e-13)
+    assert got[2][0] == pytest.approx(gap, rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -437,11 +437,10 @@ def test_wrong_sign_row_dual_is_a_dual_residual(maximize):
                         maximize=maximize)
     right = np.array([1.0, -1.0]) if maximize else np.array([-1.0, 1.0])
     for y, residual in ((right, 0.0), (-right, 1.0)):
-        sol = lp_module.LpSolution(status="optimal", value=0.0,
-                                   x=np.array([1.0]), y=y)
-        lp_module._fill_residuals(p, sol, lp_module._Canonical(p))
-        assert sol.dual_residual == residual
-        assert sol.gap == 0.0
+        _, dr, gap, _ = lp_module._fill_residuals(
+            p, lp_module._Canonical(p), p.c[None], np.ones((1, 1)), y[None])
+        assert dr.tolist() == [residual]
+        assert gap.tolist() == [0.0]
 
 
 def test_failed_dualized_answer_falls_back_to_direct(monkeypatch):
@@ -794,3 +793,196 @@ def test_tampered_carried_tableau_is_still_certified(part, factors_given):
     # the warm start was given the tampered factor; whatever it made of
     # it, the answer was certified (or refactored, or solved cold)
     assert factors_given[0] is start._factor
+
+
+# ---------------------------------------------------------------------------
+# batched re-solves
+# ---------------------------------------------------------------------------
+
+def _gallery_polytopes():
+    """(name, LP, start) per slab and face polytope of some gallery spaces,
+    each started from its norm LP's basis, as the probe starts its slabs."""
+    from freegeo.free_space import dual_face, free_norm, molecule
+    from freegeo.metric import gallery
+    from freegeo.ssd import _slab_problem
+    for name, params in (("equilateral", {"n": 4}), ("equilateral", {"n": 9}),
+                         ("branching_tree", {"n": 4}),
+                         ("branching_tree", {"n": 12}), ("cantor", {}),
+                         ("line", {"n": 9})):
+        space = gallery(name, **params)
+        mu = molecule(space, 1, 2)
+        norm = free_norm(mu)
+        label = f"{name}{params.get('n', '')}"
+        yield f"{label}-slab", _slab_problem(space, mu, 0.05, norm.value), \
+            norm.basis
+        A_ub, b_ub, prow, prhs = dual_face(mu).constraint_rows()
+        yield f"{label}-face", LpProblem.build(
+            np.zeros(space.n - 1), np.vstack([A_ub, prow]),
+            [LE] * len(b_ub) + [EQ], np.append(b_ub, prhs)), norm.basis
+
+
+_POLYTOPES = {name: (p, s) for name, p, s in _gallery_polytopes()}
+
+
+def _assert_lanes_match_solve(problem, C, start, got):
+    assert len(got) == len(C)
+    for c, sol in zip(C, got):
+        ref = solve(problem.with_objective(c), start=start)
+        assert sol.status == ref.status
+        if ref.status != "optimal":
+            continue
+        _assert_certified(sol)
+        assert abs(sol.value - ref.value) <= 1e-12
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """The problems handed to `solve`, by a batch or by the test."""
+    seen = []
+    original = lp_module.solve
+
+    def recording(problem, tol=None, start=None):
+        seen.append(problem)
+        return original(problem, tol, start)
+
+    monkeypatch.setattr(lp_module, "solve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_POLYTOPES))
+def test_solve_many_matches_solve_on_gallery_polytopes(name, lp_solves):
+    problem, start = _POLYTOPES[name]
+    C = np.random.default_rng(4900).normal(size=(12, problem.c.size))
+    got = lp_module.solve_many(problem, C, start)
+    # a start on the path of the first solve seeds every lane; otherwise
+    # the first lane alone goes to solve, and its basis seeds the others
+    assert len(lp_solves) == (0 if start.path == "dualized" else 1)
+    _assert_lanes_match_solve(problem, C, start, got)
+
+
+@pytest.mark.parametrize("name", sorted(_POLYTOPES))
+def test_solve_many_under_blands_rule(name, lp_solves, monkeypatch):
+    # with no stall allowance a lane leaves at its first degenerate pivot,
+    # where a single solve switches to Bland's rule; it is solved alone
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    problem, start = _POLYTOPES[name]
+    C = np.random.default_rng(5000).normal(size=(12, problem.c.size))
+    got = lp_module.solve_many(problem, C, start)
+    _assert_lanes_match_solve(problem, C, start, got)
+
+
+def test_lanes_leave_for_blands_rule(lp_solves, monkeypatch):
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    problem, start = _POLYTOPES["equilateral9-face"]
+    C = np.random.default_rng(5000).normal(size=(12, problem.c.size))
+    lp_module.solve_many(problem, C, start)
+    assert 1 <= len(lp_solves) < len(C)
+
+
+def test_failing_lane_falls_back_alone(lp_solves, monkeypatch):
+    problem, start = _POLYTOPES["branching_tree12-slab"]
+    C = np.random.default_rng(5100).normal(size=(6, problem.c.size))
+    clean = lp_module.solve_many(problem, C, start)
+    original = lp_module._fill_residuals
+
+    def failing_lane_2(problem, canon, C, X, Y):
+        pr, dr, gap, cs = original(problem, canon, C, X, Y)
+        if C.ndim == 2:     # a batch, not a single solve
+            pr = pr.copy()
+            pr[2] = np.nan
+        return pr, dr, gap, cs
+
+    monkeypatch.setattr(lp_module, "_fill_residuals", failing_lane_2)
+    got = lp_module.solve_many(problem, C, start)
+    assert [p.c.tolist() for p in lp_solves] == [C[2].tolist()]
+    _assert_certified(got[2])
+    ref = solve(problem.with_objective(C[2]), start=start)
+    assert np.array_equal(got[2].x, ref.x) and got[2].value == ref.value
+    for lane in (0, 1, 3, 4, 5):
+        assert np.array_equal(got[lane].x, clean[lane].x)
+        assert got[lane].value == clean[lane].value
+
+
+def test_unbounded_and_infeasible_lanes_fall_back():
+    # direct path: x >= 0, |x_0 - x_1| <= 1 is unbounded along (1, 1)
+    A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+    p = LpProblem.build([1.0, -1.0], A, [LE] * 4, [0.0, 0.0, 1.0, 1.0],
+                        maximize=True)
+    start = solve(p).basis
+    C = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [2.0, 1.0]])
+    got = lp_module.solve_many(p, C, start)
+    assert [s.status for s in got] == ["unbounded", "optimal", "optimal",
+                                       "unbounded"]
+    _assert_lanes_match_solve(p, C, start, got)
+    # dualized path: max -x over x <= 1 is unbounded, and its dual, whose
+    # right-hand side the objective is, has no entering column
+    A = np.array([[1.0]] + [[0.0]] * 30)
+    p = LpProblem.build([1.0], A, [LE] * 31, np.ones(31), maximize=True)
+    start = solve(p).basis
+    assert start.path == "dualized"
+    C = np.array([[1.0], [-1.0], [3.0]])
+    got = lp_module.solve_many(p, C, start)
+    assert [s.status for s in got] == ["optimal", "unbounded", "optimal"]
+    _assert_lanes_match_solve(p, C, start, got)
+
+
+def test_solve_many_single_lane(lp_solves):
+    problem, start = _POLYTOPES["branching_tree12-slab"]
+    c = np.random.default_rng(5200).normal(size=(1, problem.c.size))
+    got = lp_module.solve_many(problem, c, start)
+    assert not lp_solves
+    _assert_lanes_match_solve(problem, c, start, got)
+    assert lp_module.solve_many(problem, np.zeros((0, problem.c.size)),
+                                start) == []
+
+
+def test_solve_many_from_a_direct_start(lp_solves):
+    # few rows: the direct path, started from a basis of the same problem,
+    # whose carried tableau seeds every lane
+    rng = np.random.default_rng(5300)
+    c, A, b = _dualized_data(rng, m=20)
+    p = _max_problem(c, A, b)
+    start = solve(p).basis
+    assert start.path == "direct"
+    C = rng.normal(size=(10, c.size))
+    got = lp_module.solve_many(p, C, start)
+    assert not lp_solves
+    _assert_lanes_match_solve(p, C, start, got)
+    assert all(s.basis.path == "direct" for s in got)
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_lanes_run_in_blocks(per_block, lp_solves, monkeypatch):
+    # the cap on the cells of a stack of lane tableaux splits the lanes
+    # into blocks (one lane at least); the answers do not change
+    problem, start = _POLYTOPES["branching_tree12-slab"]
+    C = np.random.default_rng(5400).normal(size=(10, problem.c.size))
+    stacks = []
+    original = lp_module._lockstep
+
+    def recording(T, *args):
+        stacks.append(T.shape)
+        return original(T, *args)
+
+    monkeypatch.setattr(lp_module, "_lockstep", recording)
+    whole = lp_module.solve_many(problem, C, start)
+    k, m, cols = stacks.pop()
+    assert k == 10 and not stacks
+    # one cell short of per_block + 1 lanes; a cap of 1 still runs one lane
+    cap = 1 if per_block == 1 else (per_block + 1) * m * cols - 1
+    monkeypatch.setattr(lp_module, "_BATCH_CELLS", cap)
+    got = lp_module.solve_many(problem, C, start)
+    assert not lp_solves
+    assert [s[0] for s in stacks] == [per_block] * (10 // per_block) + (
+        [10 % per_block] if 10 % per_block else [])
+    for a, b in zip(got, whole):
+        assert np.array_equal(a.x, b.x) and a.value == b.value
+
+
+def test_solve_many_rejects_malformed_objectives():
+    problem, start = _POLYTOPES["branching_tree4-slab"]
+    for bad in (np.ones((2, problem.c.size + 1)), np.ones(problem.c.size),
+                np.full((2, problem.c.size), np.nan)):
+        with pytest.raises(LpError):
+            lp_module.solve_many(problem, bad, start)

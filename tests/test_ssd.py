@@ -184,8 +184,9 @@ def _cold_probe(mu, eta_grid, samples, seed):
         worst = 0.0
         slab = ssd._slab_problem(space, mu, eta, norm_mu)
         for _ in range(samples):
-            f, _ = ssd._slab_sample(space, slab,
-                                    rng.standard_normal(space.n - 1), None)
+            sol = lp.solve(slab.with_objective(
+                rng.standard_normal(space.n - 1)))
+            f = from_values(space, np.concatenate([[0.0], sol.x]))
             worst = max(worst, face_distance(f, mu, norm_mu))
         raw.append(worst)
     return np.maximum.accumulate(raw)   # grids below are increasing
@@ -247,15 +248,22 @@ def test_warm_probe_matches_cold_under_blands_rule(n, monkeypatch):
     assert np.max(np.abs(got - cold)) <= 1e-12
 
 
+def _replace_slab_samples(monkeypatch, values):
+    """Make every slab sample of a probe the function with these values:
+    `lp.solve_many` solves only the slab LPs."""
+    original = lp.solve_many
+
+    def replaced(problem, objectives, start=None):
+        return [dataclasses.replace(sol, x=values[1:])
+                for sol in original(problem, objectives, start)]
+
+    monkeypatch.setattr(lp, "solve_many", replaced)
+
+
 def test_probe_guard_rejects_sample_outside_ball(monkeypatch):
     space = gallery("equilateral", n=3)
     mu = molecule(space, 1, 2)
-    f = norming_functional(mu)
-
-    def outside(space, slab, objective, start):
-        return from_values(space, 2.0 * f.values), None
-
-    monkeypatch.setattr(ssd, "_slab_sample", outside)
+    _replace_slab_samples(monkeypatch, 2.0 * norming_functional(mu).values)
     with pytest.raises(SsdError, match="slab_sample_in_unit_ball"):
         exposedness_probe(mu, [0.1], 4, seed=0)
 
@@ -263,11 +271,7 @@ def test_probe_guard_rejects_sample_outside_ball(monkeypatch):
 def test_probe_guard_rejects_sample_outside_slab(monkeypatch):
     space = gallery("equilateral", n=3)
     mu = molecule(space, 1, 2)
-
-    def zero(space, slab, objective, start):
-        return from_values(space, np.zeros(space.n)), None
-
-    monkeypatch.setattr(ssd, "_slab_sample", zero)
+    _replace_slab_samples(monkeypatch, np.zeros(space.n))
     with pytest.raises(SsdError, match="slab_sample_in_slab"):
         exposedness_probe(mu, [0.1], 4, seed=0)
 
@@ -375,12 +379,13 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
 @pytest.mark.parametrize("n", [5, 12])
 def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     # a warm solve starts from the carried tableau (no factorization) or
-    # factors its start's B once.  Solves that end cold (a start of the
-    # wrong length, on 5 points the norm basis) refine with two, and are
-    # not counted
-    count = {"linalg": 0, "cold": 0}
-    per_warm_solve = []
-    originals = np.linalg.solve, lp._two_phase, lp.solve
+    # factors its start's B once, and a batch of slab samples factors B at
+    # most once for all its lanes.  Solves that end cold (a start of the
+    # wrong length, on 6 points the norm basis) refine with two, and are
+    # not counted; a batch does not count the solves it hands to lp.solve
+    count = {"linalg": 0, "cold": 0, "in_solve": 0}
+    per_warm_solve, per_batch = [], []
+    originals = np.linalg.solve, lp._two_phase, lp.solve, lp.solve_many
 
     def counting_linalg(*args, **kwargs):
         count["linalg"] += 1
@@ -393,21 +398,33 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     def counting_lp(problem, tol=None, start=None):
         before = dict(count)
         sol = originals[2](problem, tol, start)
+        made = count["linalg"] - before["linalg"]
+        count["in_solve"] += made
         if start is not None and count["cold"] == before["cold"]:
-            per_warm_solve.append(count["linalg"] - before["linalg"])
+            per_warm_solve.append(made)
         return sol
+
+    def counting_many(problem, objectives, start=None):
+        before = dict(count)
+        sols = originals[3](problem, objectives, start)
+        per_batch.append(count["linalg"] - before["linalg"]
+                         - (count["in_solve"] - before["in_solve"]))
+        return sols
 
     monkeypatch.setattr(np.linalg, "solve", counting_linalg)
     monkeypatch.setattr(lp, "_two_phase", counting_cold)
     monkeypatch.setattr(lp, "solve", counting_lp)
-    # 16 samples per slab: the probe skips most face-distance LPs, and 8
-    # would leave fewer than 28 warm solves
+    monkeypatch.setattr(lp, "solve_many", counting_many)
     exposedness_probe(_leaf_combination(n, fattened), [0.05, 0.2], 16,
                       seed=n)
-    assert len(per_warm_solve) >= 28
-    assert max(per_warm_solve) <= 1
-    # most warm solves start from the carried tableau
-    assert sum(per_warm_solve) <= len(per_warm_solve) // 4
+    assert len(per_batch) == 2 and max(per_batch) <= 1
+    assert per_warm_solve and max(per_warm_solve) <= 1
+    if n == 12:
+        # each batch starts from the norm basis, factored once; on 6 points
+        # from the carried tableau of its first lane, solved cold
+        assert per_batch == [1, 1]
+    else:
+        assert per_batch == [0, 0]
 
 
 def _count_face_solves(monkeypatch, n):
@@ -581,15 +598,15 @@ def test_slab_sample_rejects_malformed_objectives():
     norm_mu = free_norm(mu).value
     slab = ssd._slab_problem(space, mu, 0.1, norm_mu)
     rng = np.random.default_rng(3)
-    start = None
-    for _ in range(4):
-        f, start = ssd._slab_sample(space, slab,
-                                    rng.normal(size=space.n - 1), start)
+    start = free_norm(mu).basis
+    for sol in lp.solve_many(slab, rng.normal(size=(4, space.n - 1)),
+                             start):
+        f = from_values(space, np.concatenate([[0.0], sol.x]))
         assert pairing(f, mu) >= norm_mu * 0.9 - 1e-9
     with pytest.raises(lp.LpError):
-        ssd._slab_sample(space, slab, np.full(space.n - 1, np.nan), start)
+        lp.solve_many(slab, np.full((2, space.n - 1), np.nan), start)
     with pytest.raises(lp.LpError):
-        ssd._slab_sample(space, slab, np.ones(space.n), start)
+        lp.solve_many(slab, np.ones((2, space.n)), start)
 
 
 # ---------------------------------------------------------------------------
