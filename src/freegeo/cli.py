@@ -102,6 +102,8 @@ def _parse_indices(text: str):
         raise _UsageError("family-trend needs --indices (e.g. 1-10)")
     if "-" in text and "," not in text:
         lo, hi = _numbers(text.replace("-", ",", 1), int, "--indices")
+        if hi < lo:
+            raise _UsageError(f"--indices range {text} is empty")
         return list(range(lo, hi + 1))
     return _numbers(text, int, "--indices")
 

@@ -13,30 +13,46 @@ data by one residual check (primal feasibility, dual feasibility including
 the signs of the row duals, duality gap); a dualized answer that fails it
 is solved again on the direct path.
 
-Warm starts.  Every optimal solution carries its final basis
-(`LpSolution.basis`).  Passing it as `solve(problem, start=basis)` for a
-problem with the same constraint matrix and senses re-optimizes instead of
-re-solving.  The basis also carries the solve's final tableau body B^-1 A
-and B^-1, updated by the same pivots.  When the constraints are the ones
-that tableau was built from, the solve starts from it: after an objective
-change it is used as it is, and after a right-hand-side change the new
-last column is the one product B^-1 b.  Rows negated for phase 1 change
+Warm and batched re-solves.  Every optimal solution carries its final
+basis (`LpSolution.basis`).  `solve(problem, start=basis)`, for a problem
+with the same constraint matrix and senses, re-optimizes instead of
+re-solving, and `solve_many(problem, objectives, start)` does so for k
+objectives as k such calls would.  There is one warm path: the start runs
+as the lanes of a batch (`_Batch`), and a warm `solve` is a batch of one
+lane.  The basis also carries the solve's final tableau body B^-1 A and
+B^-1, updated by the same pivots.  When the constraints are the ones that
+tableau was built from, the lanes start from it: after an objective change
+it is used as it is, and after a right-hand-side change each lane's last
+column is the one product B^-1 b.  Rows negated for phase 1 change
 neither, so B^-1 is kept for the rows as given.  Otherwise, and once the
 carried B^-1 has taken more than _REFACTOR_PIVOTS pivots, B is factored
-afresh from the original data.  If the start is still primal feasible (only the
-objective changed), primal phase 2 runs directly; if it is dual feasible
-(only the right-hand side changed), a dual simplex restores primal
-feasibility first.  In the dualized form the two cases swap: a new
-objective is a new right-hand side of the dual.  Any other start -- wrong
-length or path, out-of-range columns, a singular B, neither primal nor
-dual feasible, a dual simplex that finds no entering column -- falls back
-to the cold two-phase solve.  A warm solve refines x_B and y with the
-final B^-1 and one correction step against the original B, so it makes at
-most one factorization, and none when it starts from a carried tableau.
-Warm and cold answers are certified by the same checks.  An answer from
-a carried tableau that fails them is solved again from a fresh
-factorization of its start, and a warm answer that still fails is solved
-cold, before `LpError` names the failed check and its margin.
+afresh from the original data, once for all lanes.  A lane that is still
+primal feasible (only the objective changed) runs primal phase 2 directly;
+one that is dual feasible (only the right-hand side changed) runs the dual
+simplex first.  In the dualized form the two cases swap: a new objective
+is a new right-hand side of the dual, so the lanes of one start share B^-1
+and differ in their last column.  One lane pivots with the single-tableau
+kernels; two or more pivot in lockstep in a (k, m, N+1) stack of tableaux,
+where every lane is priced at once and takes its own pivot by Dantzig's
+rule with the same tie breaks.  Each lane refines x_B and y with its final
+B^-1 and one correction step against the original B (a lane that took no
+pivot keeps the start's refined values), so a batch makes at most one
+factorization, and none from a carried tableau; and every lane is mapped
+back to the problem and certified by the same code as a cold answer.
+
+A start seeds no batch if it is of the wrong length or path, has
+out-of-range columns or a singular B.  A lane leaves its batch if it is
+neither primal nor dual feasible, its dual simplex finds no entering
+column or it ends unbounded; in lockstep also if it stalls past
+_STALL_LIMIT, where a single lane switches to Bland's rule.  `solve` then
+solves cold.  Its answer from a carried tableau that fails the check is
+solved again from a fresh factorization of its start, then cold, before
+`LpError` names the failed check and its margin.  A lane of `solve_many`
+that leaves or fails is solved by `solve` from the same start, so every
+answer passes the thresholds of `solve`.  A start that seeds no batch
+(none, another path, or rejected) is handed to `solve` with the first
+objective, whose basis seeds the rest.  A stack holds at most _BATCH_CELLS
+cells; more lanes run in blocks.
 
 A start may also come from an LP with other constraints.  Its tableau is
 then dropped and B is factored from the problem's data.  A dualized start
@@ -51,34 +67,13 @@ every sample shares, and B is the tree over the slack of t's dual row, so
 B^-1 b = (0, ..., 0, 1) >= 0: the start is primal feasible, and phase 2
 runs after one factorization.
 
-Batched re-solves.  `solve_many(problem, objectives, start)` re-optimizes
-k objectives over one constraint set from one start, as k calls of
-`solve(problem.with_objective(c), start=start)` would.  The lanes share
-what does not depend on the objective: the canonical form, the carried-over
-start, and the start's tableau or one factorization of its B.  On the
-dualized path an objective is the dual's right-hand side, so one product
-B^-1 [b_1 ... b_k] gives every lane its last column, and the lanes run the
-dual simplex and then primal phase 2; on the direct path they share b and
-run primal phase 2 with their own costs.  Each lockstep step prices every
-lane of a (k, m, N+1) stack of tableaux at once, and each lane takes its
-own pivot by Dantzig's rule with the tie breaks of a single solve.  The
-refinement against the original B and the residual check then run over all
-lanes in one pass.  A lane leaves the batch where a single solve would do
-something else: where it would switch to Bland's rule, ends unbounded or
-infeasible, or its dual simplex finds no entering column, and where its
-answer fails the check.  It is then solved by `solve` from the same start,
-so every answer passes the thresholds of `solve`.  A start that cannot
-seed the lanes (none, another path, or one `solve` would reject) is handed
-to `solve` with the first objective, whose basis seeds the rest.  The
-stack holds at most _BATCH_CELLS cells; more lanes run in blocks.
-
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
-the residual check) is one record per constraint matrix.  A basis carries
-the record of its problem; a solve started from it reuses the record when
-A, lb and ub are the same read-only arrays and the senses are equal (as
-`LpProblem.with_objective` and `LpProblem.with_rhs` keep them), and builds
-a new one otherwise.
+the residual check) is one record per constraint matrix (`_canonical`).  A
+problem builds it on its first solve and shares it with the problems that
+`LpProblem.with_objective` and `LpProblem.with_rhs` make from it.  A basis
+carries the record of its problem, and a solve started from it reuses its
+tableau only over that same record.
 """
 
 from __future__ import annotations
@@ -120,6 +115,11 @@ class LpProblem:
     ub: np.ndarray
     maximize: bool = False
 
+    def __post_init__(self):
+        # the canonical form of the constraints, built on the first solve
+        # and shared with the problems with_objective and with_rhs make
+        object.__setattr__(self, "_shared", [None])
+
     @staticmethod
     def build(c, A, senses, b, lb=None, ub=None, maximize=False) -> "LpProblem":
         """A validated problem over read-only copies of the inputs."""
@@ -149,14 +149,19 @@ class LpProblem:
         return LpProblem(c, A, tuple(senses), b, lb, ub, maximize)
 
     def with_objective(self, c) -> "LpProblem":
-        """This problem with objective c.  The constraints are shared, so a
-        solve started from a basis of this problem reuses its canonical
-        form."""
-        return replace(self, c=_checked_vector(c, self.c.shape))
+        """This problem with objective c.  The constraints are shared, and
+        with them their canonical form (see `_canonical`)."""
+        return self._sharing(replace(self, c=_checked_vector(c,
+                                                             self.c.shape)))
 
     def with_rhs(self, b) -> "LpProblem":
         """This problem with right-hand side b; see `with_objective`."""
-        return replace(self, b=_checked_vector(b, self.b.shape))
+        return self._sharing(replace(self, b=_checked_vector(b,
+                                                             self.b.shape)))
+
+    def _sharing(self, other: "LpProblem") -> "LpProblem":
+        object.__setattr__(other, "_shared", self._shared)
+        return other
 
 
 def _checked_vector(v, shape) -> np.ndarray:
@@ -321,68 +326,33 @@ class _Factor:
     y: np.ndarray
 
 
-def _start_tableau(A2, rhs, cols, factor=None):
-    """[B^-1 A2 | B^-1 | B^-1 rhs] for the basic columns `cols` of A2 and
-    the right-hand sides that are the columns of rhs, with the pivots B^-1
-    has taken since B was factored from the data: from the carried
-    `factor` when one is given (only B^-1 rhs is computed), else from one
-    factorization of B.  Returns (T, pivots), or None when cols is
+def _start_tableau(A2, R, cols, factor=None):
+    """(B^-1 A2, B^-1, X0, pivots) for the basic columns `cols` of A2, where
+    row l of X0 is B^-1 of the right-hand side in row l of R and pivots are
+    those B^-1 has taken since B was factored from the data: from the
+    carried `factor` when one is given (only X0 is computed, one product
+    per row), else from one factorization of B.  None when cols is
     malformed or B singular."""
     m, n2 = A2.shape
     cols = np.asarray(cols)
     if cols.shape != (m,) or cols.dtype.kind not in "iu":
         return None
     if m and (cols.min() < 0 or cols.max() >= n2
-              or np.unique(cols).size != m):
+              or len(set(cols.tolist())) != m):
         return None
     if factor is not None:
-        return (np.hstack([factor.body, factor.binv, factor.binv @ rhs]),
-                factor.pivots)
+        return factor.body, factor.binv, _apply(factor.binv, R), \
+            factor.pivots
     eye = np.eye(m)
     try:
-        T = np.linalg.solve(A2[:, cols], np.hstack([A2, eye, rhs]))
+        T = np.linalg.solve(A2[:, cols], np.hstack([A2, eye, R.T]))
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(T).all() or \
             np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
         return None
     T[:, cols] = eye
-    return T, 0
-
-
-def _warm_start(A2, b, cvec, start, tol, factor=None):
-    """Re-optimize from the basic columns `start` of [A2 | b].
-
-    The working tableau is [B^-1 A2 | B^-1 | B^-1 b] of `_start_tableau`,
-    with the B^-1 columns blocked.  A primal-feasible start goes straight
-    to phase 2; a dual-feasible one runs the dual simplex first.  Returns
-    the optimal (T, basis, pivots), pivots counted since B was factored, or
-    None when the start is malformed, singular, neither primal nor dual
-    feasible, or does not lead to an optimum; the caller then solves cold.
-    """
-    n2 = A2.shape[1]
-    seeded = _start_tableau(A2, b[:, None], start, factor)
-    if seeded is None:
-        return None
-    T, pivots = seeded
-    basis = np.asarray(start).astype(int)
-    m = basis.size
-    cext = np.concatenate([cvec, np.zeros(m)])
-    blocked = np.zeros(n2 + m, dtype=bool)
-    blocked[n2:] = True
-    if np.min(T[:, -1], initial=0.0) < -tol:
-        r = cvec - cvec[basis] @ T[:, :n2]
-        r[basis] = 0.0
-        if r.min(initial=0.0) < -tol:
-            return None
-        status, k = _dual_iterate(T, basis, cext, blocked, tol)
-        if status != "optimal":
-            return None
-        pivots += k
-    status, k = _iterate(T, basis, cext, blocked, tol)
-    if status != "optimal":
-        return None
-    return T, basis, pivots + k
+    return T[:, :n2], T[:, n2:n2 + m], T[:, n2 + m:].T, 0
 
 
 def _two_phase(A2, b, c2, slack_of_row, tol):
@@ -474,80 +444,45 @@ def _std_form(A, senses) -> _StdForm:
     return _StdForm(A2, senses, slack_of_row, n)
 
 
-def _solve_cf(std: _StdForm, c, b, tol, start=None):
-    """Two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
+def _solve_cf(std: _StdForm, c, b, tol):
+    """Cold two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
 
-    Returns (status, value, z, y, carry) where y holds one dual per row
-    with the min-problem sign convention: y <= 0 on '<=' rows, y >= 0 on
-    '>=' rows, and carry is (basis, factor): the optimal basic columns of
-    [A | slacks] and the `_Factor` of the solve (None if phase 1 dropped
-    redundant rows).  A `start` basis is tried first; see `_warm_start`.
-    Its factor, which `solve` keeps only for this standard form, is used
-    when it has taken at most _REFACTOR_PIVOTS pivots; otherwise B is
-    factored afresh.
+    Returns (status, basis, xB, y, factor): the optimal basic columns of
+    [A | slacks] and their values, one dual per row with the min-problem
+    sign convention (y <= 0 on '<=' rows, y >= 0 on '>=' rows), and the
+    `_Factor` of the solve (None if phase 1 dropped redundant rows).
     """
     A2 = std.A2
     b = np.array(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     m, n2 = A2.shape
     c2 = np.zeros(n2)
     c2[:std.n] = c
-
-    warm = None
-    if start is not None:
-        factor = start._factor
-        if factor is not None and factor.pivots > _REFACTOR_PIVOTS:
-            factor = None
-        warm = _warm_start(A2, b, c2, start.cols, tol, factor)
-    if warm is not None:
-        T, basis, pivots = warm
-        binv = T[:, n2:-1]
-        cB = c2[basis]
-        # a basis no pivot changed keeps the start's refined values; else
-        # one step of refinement against the original B sheds the error
-        # B^-1 took on in its pivots
-        same = factor is not None and pivots == factor.pivots
-        B = A2[:, basis]
-        if same and np.array_equal(b, factor.b):
-            xB = factor.xB
-        else:
-            xB = binv @ b
-            xB += binv @ (b - B @ xB)
-        if same and np.array_equal(cB, factor.cB):
-            y = factor.y
-        else:
-            y = cB @ binv
-            y += (cB - y @ B) @ binv
-    else:
-        # phase 1 starts from b >= 0: negate the rows with b < 0
-        row_sign = np.where(b < 0, -1.0, 1.0)
-        A2n, bn = A2 * row_sign[:, None], b * row_sign
-        status, T, basis, first, keep, pivots = _two_phase(
-            A2n, bn, c2, std.slack_of_row, tol)
-        if status != "optimal":
-            return status, np.nan, None, None, None
-        # refine from the original data to shed accumulated tableau error
-        B = A2n[np.ix_(keep, basis)]
-        cB = c2[basis]
-        try:
-            xB = np.linalg.solve(B, bn[keep])
-            yk = np.linalg.solve(B.T, cB)
-        except np.linalg.LinAlgError:
-            # B^-1 of the negated rows, accumulated by the tableau
-            xB = T[:, first[keep]] @ bn[keep]
-            yk = cB @ T[:, first[keep]]
-        y = np.zeros(m)
-        y[keep] = yk * row_sign[keep]
-        binv = T[:, first] * row_sign if basis.size == m else None
-    z = np.zeros(n2)
-    z[basis] = xB
-    carry = None
-    if basis.size == m:
-        for a in (T, binv, b, xB, cB, y):
-            a.setflags(write=False)
-        carry = basis.copy(), _Factor(T[:, :n2], binv, pivots, b, xB, cB,
-                                      y)
-    return "optimal", float(c @ z[:std.n]), z[:std.n], y, carry
+    # phase 1 starts from b >= 0: negate the rows with b < 0
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    A2n, bn = A2 * row_sign[:, None], b * row_sign
+    status, T, basis, first, keep, pivots = _two_phase(
+        A2n, bn, c2, std.slack_of_row, tol)
+    if status != "optimal":
+        return status, None, None, None, None
+    # refine from the original data to shed accumulated tableau error
+    B = A2n[np.ix_(keep, basis)]
+    cB = c2[basis]
+    try:
+        xB = np.linalg.solve(B, bn[keep])
+        yk = np.linalg.solve(B.T, cB)
+    except np.linalg.LinAlgError:
+        # B^-1 of the negated rows, accumulated by the tableau
+        xB = T[:, first[keep]] @ bn[keep]
+        yk = cB @ T[:, first[keep]]
+    y = np.zeros(m)
+    y[keep] = yk * row_sign[keep]
+    if basis.size < m:
+        return "optimal", basis, xB, y, None
+    binv = T[:, first] * row_sign
+    for a in (T, binv, b, xB, cB, y):
+        a.setflags(write=False)
+    return "optimal", basis, xB, y, _Factor(T[:, :n2], binv, pivots, b, xB,
+                                            cB, y)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +494,9 @@ class _Canonical:
     the mid form's matrix and variable map (min c.x, each variable either
     free or >= 0, x_orig = sign * x_mid + shift), the standard form of each
     path, built on first use, and the bound masks of the residual check.
-    Solves over one constraint matrix build it once: a basis carries it to
-    the next solve (see `solve`)."""
+    Solves over one constraint matrix build it once (see `_canonical`)."""
 
     def __init__(self, p: LpProblem):
-        self.source = (p.A, p.senses, p.lb, p.ub)
         n = p.A.shape[1]
         lo_inf, hi_inf = np.isinf(p.lb), np.isinf(p.ub)
         self.free = lo_inf & hi_inf
@@ -595,21 +528,33 @@ class _Canonical:
         self.has_bounds = bool(self.lo_finite.any() or self.hi_finite.any())
         self._forms = {}
 
-    def matches(self, p: LpProblem) -> bool:
-        """Whether p has the constraints this record was built from: the
-        same read-only A, lb and ub (a writable array may have changed
-        since) and equal senses."""
-        A, senses, lb, ub = self.source
-        return (all(a is b and not b.flags.writeable
-                    for a, b in ((A, p.A), (lb, p.lb), (ub, p.ub)))
-                and (senses is p.senses or senses == p.senses))
-
     def form(self, path):
         """(standard form, column map) of `path`, built on first use."""
         if path not in self._forms:
             build = _dualized_form if path == DUALIZED else _direct_form
             self._forms[path] = build(self)
         return self._forms[path]
+
+
+def _canonical(p: LpProblem) -> _Canonical:
+    """The canonical form of p's constraints, built on p's first solve and
+    shared with the problems `with_objective` and `with_rhs` make from p.
+    It is not kept for a writable A, lb or ub (an LpProblem made directly,
+    not by `build`), which may change between solves."""
+    shared = p._shared
+    if shared[0] is None:
+        canon = _Canonical(p)
+        if any(a.flags.writeable for a in (p.A, p.lb, p.ub)):
+            return canon
+        shared[0] = canon
+    return shared[0]
+
+
+def _paths(canon: _Canonical) -> tuple:
+    """The paths a solve tries, in order: the dualized one first when the
+    rows far outnumber the variables."""
+    m, n = canon.A.shape
+    return (DUALIZED, DIRECT) if m > 2 * n + 20 else (DIRECT,)
 
 
 def _direct_form(canon: _Canonical):
@@ -632,57 +577,81 @@ def _dualized_form(canon: _Canonical):
     return _std_form(A2, d_senses), (col_sgn, free_u)
 
 
-@dataclass
-class _MidForm:
-    """min c.x over the rows of `canon.A`, shifted by `const`."""
+@dataclass(eq=False)
+class _Lanes:
+    """Objectives over the constraints of one problem on the standard form
+    of `path`, one lane (row) each: the objective C; the mid form's
+    objective Cmid (min c.x with x_orig = sign * x + shift) and the
+    constant c.shift it drops; and the costs and right-hand side of the
+    standard form.  On the dualized path an objective is the dual's
+    right-hand side."""
 
-    c: np.ndarray
-    b: np.ndarray
-    const: float
+    problem: LpProblem
     canon: _Canonical
+    path: str
+    C: np.ndarray
+    Cmid: np.ndarray
+    const: np.ndarray
+    costs: np.ndarray
+    rhs: np.ndarray
 
-    @property
-    def A(self) -> np.ndarray:
-        return self.canon.A
+    @staticmethod
+    def of(problem, canon, path, C) -> "_Lanes":
+        Cmin = -C if problem.maximize else C
+        b = problem.b - canon.A_shift
+        if canon.box_width.size:
+            b = np.concatenate([b, canon.box_width])
+        Cmid = Cmin * canon.sign
+        cmap = canon.form(path)[1]
+        if path == DUALIZED:
+            col_sgn, free_u = cmap
+            d_c = -(b * col_sgn)
+            d_c = np.concatenate([d_c, -d_c[free_u]])
+            costs, rhs = d_c[None].repeat(len(C), 0), Cmid
+        else:
+            costs = np.hstack([Cmid, -Cmid[:, cmap]]) if cmap.size else Cmid
+            rhs = b[None].repeat(len(C), 0)
+        return _Lanes(problem, canon, path, C, Cmid,
+                      _dots(Cmin, canon.shift), costs, rhs)
 
-
-def _to_midform(p: LpProblem, canon: _Canonical) -> _MidForm:
-    c = -p.c if p.maximize else p.c
-    b = p.b - canon.A_shift
-    if canon.box_width.size:
-        b = np.concatenate([b, canon.box_width])
-    return _MidForm(c * canon.sign, b, float(c @ canon.shift), canon)
-
-
-def _solve_mid_direct(mf: _MidForm, tol, start=None):
-    """Split free variables and run the standard-form core."""
-    n = mf.A.shape[1]
-    std, free_idx = mf.canon.form(DIRECT)
-    c = np.concatenate([mf.c, -mf.c[free_idx]])
-    status, val, z, y, carry = _solve_cf(std, c, mf.b, tol, start)
-    if status != "optimal":
-        return status, np.nan, None, None, None
-    x = z[:n].copy()
-    x[free_idx] -= z[n:]
-    return status, val, x, y, carry
-
-
-def _solve_mid_dual(mf: _MidForm, tol, start=None):
-    """Solve through the dual; recover the primal from the dual's duals."""
-    m = mf.A.shape[0]
-    std, (col_sgn, free_u) = mf.canon.form(DUALIZED)
-    D_c = -(mf.b * col_sgn)
-    c2 = np.concatenate([D_c, -D_c[free_u]])
-    status, val2, u2, w, carry = _solve_cf(std, c2, mf.c, tol, start)
-    if status == "unbounded":
-        return "infeasible", np.nan, None, None, None
-    if status != "optimal":
-        return "fallback", np.nan, None, None, None
-    u = u2[:m].copy()
-    u[free_u] -= u2[m:]
-    y = col_sgn * u
-    x = -w
-    return "optimal", float(mf.c @ x), x, y, carry
+    def answers(self, lanes, basis, xB, y, factors) -> list:
+        """The optimal solutions of the lanes in the slice `lanes`, with
+        their residuals, from their answers on the standard form: per lane
+        (row) the basic columns, x_B and the row duals y, and the `_Factor`
+        its basis carries (None: no basis)."""
+        canon = self.canon
+        std, cmap = canon.form(self.path)
+        k = basis.shape[0]
+        z = np.zeros((k, std.A2.shape[1]))
+        z[np.arange(k)[:, None], basis] = xB
+        if self.path == DUALIZED:
+            # the primal is the dual's row duals, the row duals its solution
+            col_sgn, free_u = cmap
+            m = canon.A.shape[0]
+            u = z[:, :m]
+            if free_u.size:
+                u[:, free_u] -= z[:, m:std.n]
+            X, Y = -y, col_sgn * u
+            value = _dots(self.Cmid[lanes], X)
+        else:
+            n = canon.A.shape[1]
+            value = _dots(self.costs[lanes], z[:, :std.n])
+            X, Y = z[:, :n], y
+            if cmap.size:
+                X[:, cmap] -= z[:, n:std.n]
+        sgn = -1.0 if self.problem.maximize else 1.0
+        value = sgn * (value + self.const[lanes])
+        X = canon.sign * X + canon.shift
+        Y = sgn * Y[:, :canon.n_orig_rows]
+        # one lane is checked as vectors, which is cheaper
+        residuals = _fill_residuals(self.problem, canon, *(
+            a[0] if k == 1 else a for a in (self.C[lanes], X, Y)))
+        return [LpSolution(
+            "optimal", float(value[i]), X[i], Y[i],
+            *(r.item(i) for r in residuals),
+            None if factors[i] is None else LpBasis(
+                self.path, tuple(basis[i].tolist()), canon, factors[i]))
+            for i in range(k)]
 
 
 def solve(problem: LpProblem, tol: float | None = None,
@@ -690,24 +659,22 @@ def solve(problem: LpProblem, tol: float | None = None,
     """Solve an LP; optimal solutions carry verified certificates.
 
     `start` is the `basis` of an earlier solution; the solve re-optimizes
-    from it.  If the constraints (A, senses, lb, ub) are the ones the start
-    was solved with, their canonical form and the start's tableau are
-    reused instead of rebuilt; otherwise the start keeps only its columns
-    (see `_carried_over`).  A warm answer that fails its certificate check
-    is solved again from a fresh factorization of its start, then cold;
+    from it as a batch of one lane (see `solve_many`).  If the constraints
+    are the ones the start was solved with, the start's tableau is reused;
+    otherwise the start keeps only its columns (see `_carried_over`).  A
+    warm answer from a carried tableau that fails its certificate check is
+    solved again from a fresh factorization of its start; a start that
+    does not fit, and a warm answer that still fails, are solved cold.
     `LpError` names the check that still fails, with its margin.
     """
     if tol is None:
         tol = lp_tol()
-    canon = None if start is None else start._canonical
-    if canon is None or not canon.matches(problem):
-        old, canon = canon, _Canonical(problem)
-        if start is not None:
-            start = _carried_over(start, old, canon)
-    mf = _to_midform(problem, canon)
-    sol = _solve_once(problem, mf, tol, start)
-    if start is not None and not _passes(sol, tol):
-        sol = _solve_once(problem, mf, tol, None)
+    canon = _canonical(problem)
+    sol = None
+    if start is not None:
+        sol = _solve_warm(problem, canon, _carried_over(start, canon), tol)
+    if sol is None:
+        sol = _solve_cold(problem, canon, tol)
     failed = _failed_check(sol, tol)
     if failed is not None:
         raise LpError("certificate check failed: {} with margin {!r}"
@@ -715,67 +682,61 @@ def solve(problem: LpProblem, tol: float | None = None,
     return sol
 
 
-def _carried_over(start: LpBasis, old: _Canonical | None,
-                  canon: _Canonical) -> LpBasis:
-    """`start`, solved over the constraints `old`, as a start over those of
-    `canon`: its columns without its tableau.  A dualized start whose
-    columns are all dual variables of old rows gains the slack of each
-    further dual row, the dual row of a variable old did not have; the new
-    B is block triangular over the old one.  A dual row without a slack (a
-    free variable) leaves the start a column short, and like any start
-    that does not fit, `_warm_start` rejects it."""
+def _solve_warm(problem, canon, start, tol) -> LpSolution | None:
+    """The certified answer from `start`, run as one lane: from its carried
+    tableau, then, if that answer fails its check, from a fresh
+    factorization of its B.  None if the start does not fit, the lane
+    leaves the batch, or the answer still fails."""
+    while True:
+        batch = _Batch.seed(problem, canon, start, problem.c[None], tol)
+        sol = None if batch is None else batch.run(slice(0, 1))[0]
+        if sol is None or _failed_check(sol, tol) is None:
+            return sol
+        if batch.factor is None:
+            return None
+        # the carried factor may have drifted: factor B afresh
+        start = replace(start, _factor=None)
+
+
+def _solve_cold(problem, canon, tol) -> LpSolution:
+    """The two-phase simplex on each path in turn.  A dualized answer that
+    fails its check is solved again directly; a dual that is unbounded
+    makes the problem infeasible, and one that is infeasible leaves the
+    problem to the direct path."""
+    for path in _paths(canon):
+        lanes = _Lanes.of(problem, canon, path, problem.c[None])
+        status, cols, xB, y, factor = _solve_cf(
+            canon.form(path)[0], lanes.costs[0], lanes.rhs[0], tol)
+        if status == "optimal":
+            sol = lanes.answers(slice(0, 1), cols[None], xB[None], y[None],
+                                [factor])[0]
+            if path == DIRECT or _failed_check(sol, tol) is None:
+                return sol
+        elif path == DIRECT:
+            return LpSolution(status)
+        elif status == "unbounded":
+            return LpSolution("infeasible")
+
+
+def _carried_over(start: LpBasis, canon: _Canonical) -> LpBasis:
+    """`start` as a start over the constraints of `canon`: as it is if it
+    was solved over them, else its columns without its tableau.  A
+    dualized start whose columns are all dual variables of the rows it was
+    solved over gains the slack of each further dual row, the dual row of
+    a variable its LP did not have; the new B is block triangular over the
+    old one.  A dual row without a slack (a free variable) leaves the
+    start a column short, and like any start that does not fit, it is
+    rejected."""
+    old = start._canonical
+    if old is canon:
+        return start
     cols = start.cols
     if start.path == DUALIZED and old is not None and \
             max(cols, default=-1) < old.n_orig_rows:
         extra = canon.form(DUALIZED)[0].slack_of_row[len(cols):]
         if (extra >= 0).all():
             cols += tuple(extra.tolist())
-    return LpBasis(start.path, cols)
-
-
-def _solve_once(problem, mf, tol, start) -> LpSolution:
-    m, n = mf.A.shape
-    paths = [(DUALIZED, _solve_mid_dual)] if m > 2 * n + 20 else []
-    for path, solve_mid in paths + [(DIRECT, _solve_mid_direct)]:
-        warm = start if start is not None and start.path == path else None
-        sol = _solution(problem, mf, path, solve_mid(mf, tol, warm))
-        if warm is not None and warm._factor is not None and \
-                not _passes(sol, tol):
-            # the carried factor may have drifted: factor B afresh
-            sol = _solution(problem, mf, path, solve_mid(
-                mf, tol, replace(warm, _factor=None)))
-        # a dualized answer that fails its check is solved again directly
-        if sol.status != "fallback" and _passes(sol, tol):
-            return sol
-    return sol
-
-
-def _solution(problem, mf, path, result) -> LpSolution:
-    """Map a mid-form result to the original coordinates and fill in its
-    residuals."""
-    status, val, x, y, carry = result
-    if status != "optimal":
-        return LpSolution(status=status)
-    canon = mf.canon
-    x_orig = canon.sign * x + canon.shift
-    y_orig = y[:canon.n_orig_rows].copy()
-    value = val + mf.const
-    if problem.maximize:
-        value = -value
-        y_orig = -y_orig
-    basis = None if carry is None else LpBasis(
-        path, tuple(carry[0].tolist()), canon, carry[1])
-    residuals = _fill_residuals(problem, canon, problem.c, x_orig, y_orig)
-    return LpSolution("optimal", value, x_orig, y_orig,
-                      *(float(r) for r in residuals), basis)
-
-
-def _margins(value, primal, dual, gap, tol):
-    """(name, threshold - residual) of each check an optimal solution must
-    pass; a negative or NaN margin fails.  Works on floats and on arrays
-    of lanes alike."""
-    return (("primal_residual", tol - primal), ("dual_residual", tol - dual),
-            ("gap", tol * (1.0 + abs(value)) - gap))
+    return LpBasis(start.path, cols, canon)
 
 
 def _failed_check(sol: LpSolution, tol):
@@ -784,20 +745,16 @@ def _failed_check(sol: LpSolution, tol):
     Only optimal solutions carry residuals."""
     if sol.status != "optimal":
         return None
-    for name, margin in _margins(sol.value, sol.primal_residual,
-                                 sol.dual_residual, sol.gap, tol):
+    for name, margin in (("primal_residual", tol - sol.primal_residual),
+                         ("dual_residual", tol - sol.dual_residual),
+                         ("gap", tol * (1.0 + abs(sol.value)) - sol.gap)):
         if not margin >= 0.0:
             return name, margin
     return None
 
 
-def _passes(sol: LpSolution, tol) -> bool:
-    """Whether sol passes the LpError thresholds."""
-    return _failed_check(sol, tol) is None
-
-
 # ---------------------------------------------------------------------------
-# batched re-solves: many objectives over one constraint set
+# warm and batched re-solves: lanes from one start
 # ---------------------------------------------------------------------------
 
 def solve_many(problem: LpProblem, objectives,
@@ -806,15 +763,12 @@ def solve_many(problem: LpProblem, objectives,
     `solve(problem.with_objective(c), start=start)` would, in lockstep.
 
     The lanes share the canonical form, the start's tableau or one
-    factorization of its B, and the right-hand sides B^-1 [b_1 ... b_k]
-    from one product; each lane then pivots by the rules of `solve` in a
-    stack of tableaux, and one refinement and one residual check run over
-    all lanes.  A start that cannot seed the lanes (none, another path, or
-    rejected) is handed with the first objective to `solve`, whose basis
-    seeds the others.  A lane that would switch to Bland's rule, ends
-    unbounded or infeasible, or fails its check, and every lane of a seed
-    that still does not fit, is solved by `solve` from the seed; so every
-    answer passes the thresholds of `solve`.
+    factorization of its B, and its carried-over columns.  A start that
+    cannot seed the lanes (none, another path, or rejected) is handed with
+    the first objective to `solve`, whose basis seeds the others.  A lane
+    that leaves the batch or fails its check, and every lane of a seed that
+    still does not fit, is solved by `solve` from the seed; so every answer
+    passes the thresholds of `solve`.
     """
     C = np.array(objectives, dtype=float)
     if C.size == 0:
@@ -824,28 +778,26 @@ def solve_many(problem: LpProblem, objectives,
     if np.isnan(C).any():
         raise LpError("NaN in problem data")
     tol = lp_tol()
-    canon = None if start is None else start._canonical
-    if canon is None or not canon.matches(problem):
-        old, canon = canon, _Canonical(problem)
-        if start is not None:
-            start = _carried_over(start, old, canon)
+    canon = _canonical(problem)
+    if start is not None:
+        start = _carried_over(start, canon)
     out = [None] * len(C)
-    lanes = np.arange(len(C))
+    first = 0
     batch = _Batch.seed(problem, canon, start, C, tol)
-    if batch is None and lanes.size:
+    if batch is None and len(C):
         out[0] = solve(problem.with_objective(C[0]), tol, start)
-        start, lanes = out[0].basis, lanes[1:]
+        start, first = out[0].basis, 1
         batch = _Batch.seed(problem, canon, start, C, tol)
-    if batch is not None and lanes.size:
-        m2, cols = batch.T0.shape
-        step = max(1, _BATCH_CELLS // (m2 * (cols + 1)))
-        for lo in range(0, lanes.size, step):
-            block = lanes[lo:lo + step]
-            for lane, sol in zip(block, batch.run(block)):
-                out[lane] = sol
-    for lane in lanes:
+    if batch is not None:
+        m2, cols = batch.body.shape
+        step = max(1, _BATCH_CELLS // (m2 * (cols + m2 + 1)))
+        for lo in range(first, len(C), step):
+            block = slice(lo, min(lo + step, len(C)))
+            out[block] = [None if sol is None or _failed_check(sol, tol)
+                          else sol for sol in batch.run(block)]
+    for lane, c in enumerate(C):
         if out[lane] is None:
-            out[lane] = solve(problem.with_objective(C[lane]), tol, start)
+            out[lane] = solve(problem.with_objective(c), tol, start)
     return out
 
 
@@ -856,133 +808,88 @@ _BATCH_CELLS = 2 ** 20
 
 @dataclass(eq=False)
 class _Batch:
-    """The work `solve_many` shares between its lanes, on the standard form
-    `std` of the path the start took: the start's tableau [B^-1 A2 | B^-1]
-    (T0) and basis, and per objective (one row each) the costs and the
-    right-hand side in that form, B^-1 of that right-hand side (X0), the
-    mid-form objective and the constant it drops."""
+    """What the lanes of one start share, on the standard form of the path
+    the start took: the start's columns, B^-1 A2 and B^-1, the pivots they
+    took since B was factored, and the carried factor they came from (None
+    for a fresh factorization); per lane, B^-1 of its right-hand side."""
 
-    problem: LpProblem
-    canon: _Canonical
-    path: str
-    std: _StdForm
-    cmap: tuple | np.ndarray    # the column map of canon.form(path)
-    T0: np.ndarray
-    basis: np.ndarray
-    pivots: int                 # taken by T0 since B was factored
-    costs: np.ndarray
-    rhs: np.ndarray
+    lanes: _Lanes
+    cols: np.ndarray
+    body: np.ndarray
+    binv: np.ndarray
     X0: np.ndarray
-    Cmid: np.ndarray
-    const: np.ndarray
-    C: np.ndarray
+    pivots: int
+    factor: _Factor | None
     tol: float
 
     @staticmethod
-    def seed(problem, canon, start, C, tol):
-        """The batch over the objectives C from `start`, or None when the
-        start is not on the path `solve` takes first or does not fit."""
-        m, n = canon.A.shape
-        path = DUALIZED if m > 2 * n + 20 else DIRECT
+    def seed(problem, canon, start, C, tol) -> "_Batch | None":
+        """The batch over the objectives C (rows) from `start`, or None
+        when the start is not on the path `solve` takes first or does not
+        fit."""
+        path = _paths(canon)[0]
         if start is None or start.path != path:
             return None
-        # the mid form of every objective: min c.x, x = sign x_mid + shift
-        Cmin = -C if problem.maximize else C
-        Cmid = Cmin * canon.sign
-        b_mid = _to_midform(problem, canon).b
-        std, cmap = canon.form(path)
-        k = len(C)
-        if path == DUALIZED:
-            # a new objective is a new right-hand side of the dual
-            col_sgn, free_u = cmap
-            d_c = -(b_mid * col_sgn)
-            costs = np.broadcast_to(np.concatenate([d_c, -d_c[free_u]]),
-                                    (k, std.n))
-            rhs = Cmid
-        else:
-            costs = np.hstack([Cmid, -Cmid[:, cmap]])
-            rhs = np.broadcast_to(b_mid, (k, b_mid.size))
+        lanes = _Lanes.of(problem, canon, path, C)
         factor = start._factor
         if factor is not None and factor.pivots > _REFACTOR_PIVOTS:
             factor = None
-        # one factorization, or product, for every distinct right-hand side
-        distinct = rhs if path == DUALIZED else rhs[:1]
-        seeded = _start_tableau(std.A2, distinct.T, start.cols, factor)
+        seeded = _start_tableau(canon.form(path)[0].A2, lanes.rhs, start.cols,
+                                factor)
         if seeded is None:
             return None
-        T, pivots = seeded
-        cut = std.A2.shape[1] + std.A2.shape[0]
-        X0 = np.broadcast_to(T[:, cut:].T, rhs.shape)
-        return _Batch(problem, canon, path, std, cmap, T[:, :cut],
-                      np.array(start.cols), pivots, costs, rhs, X0, Cmid,
-                      Cmin @ canon.shift, C, tol)
+        return _Batch(lanes, np.array(start.cols), *seeded, factor, tol)
 
-    def run(self, lanes):
-        """The solutions of the given lanes; None for a lane that left."""
-        k = lanes.size
-        A2, canon, std = self.std.A2, self.canon, self.std
-        m2, n2 = A2.shape
+    def run(self, lanes: slice) -> list:
+        """The solutions of the lanes in the slice `lanes`, or None for a
+        lane that left; the caller checks them."""
+        L = self.lanes
+        std = L.canon.form(L.path)[0]
+        m2, n2 = std.A2.shape
+        k = len(L.C[lanes])
         T = np.empty((k, m2, n2 + m2 + 1))
-        T[:, :, :-1] = self.T0
+        T[:, :, :n2] = self.body
+        T[:, :, n2:-1] = self.binv
         T[:, :, -1] = self.X0[lanes]
-        basis = np.tile(self.basis, (k, 1))
+        basis = self.cols[None].repeat(k, 0)
         cext = np.zeros((k, n2 + m2))
-        cext[:, :std.n] = self.costs[lanes]
-        rhs = self.rhs[lanes]
+        cext[:, :std.n] = L.costs[lanes]
         ok, pivots = _lockstep(T, basis, cext, n2, self.tol)
-        # refine x_B and y with the final B^-1 and one correction step
-        # against the original B, as a warm `solve` does
+        # one step of refinement against the original B sheds the error
+        # B^-1 took on in its pivots
         binv = T[:, :, n2:-1]
-        B = A2[:, basis].transpose(1, 0, 2)
-        rows = np.arange(k)[:, None]
-        cB = cext[rows, basis]
+        B = std.A2[:, basis].transpose(1, 0, 2)
+        cB = cext[np.arange(k)[:, None], basis]
+        rhs = L.rhs[lanes]
         xB = _apply(binv, rhs)
         xB += _apply(binv, rhs - _apply(B, xB))
         y = _apply_t(binv, cB)
         y += _apply_t(binv, cB - _apply_t(B, y))
-        z = np.zeros((k, n2))
-        z[rows, basis] = xB
-        # back to the mid form, as `_solve_mid_dual` and `_solve_mid_direct`
-        if self.path == DUALIZED:
-            col_sgn, free_u = self.cmap
-            m = canon.A.shape[0]
-            u = z[:, :m]
-            u[:, free_u] -= z[:, m:std.n]
-            X, Y = -y, col_sgn * u
-        else:
-            n = canon.A.shape[1]
-            X, Y = z[:, :n], y
-            X[:, self.cmap] -= z[:, n:std.n]
-        value = (self.Cmid[lanes] * X).sum(axis=1) + self.const[lanes]
-        # and to the original coordinates, as `_solution`
-        X = canon.sign * X + canon.shift
-        Y = Y[:, :canon.n_orig_rows]
-        if self.problem.maximize:
-            value, Y = -value, -Y
-        pr, dr, gap, cs = _fill_residuals(self.problem, canon,
-                                          self.C[lanes], X, Y)
-        for _, margin in _margins(value, pr, dr, gap, self.tol):
-            ok &= margin >= 0.0
-        # each lane's basis carries its tableau, like a `solve` answer's
+        f = self.factor
+        if f is not None and not pivots.all():
+            # a basis no pivot changed keeps the start's refined values
+            for i in np.flatnonzero(pivots == 0):
+                if np.array_equal(rhs[i], f.b):
+                    xB[i] = f.xB
+                if np.array_equal(cB[i], f.cB):
+                    y[i] = f.y
         for a in (T, rhs, xB, cB, y):
             a.setflags(write=False)
-        pivots += self.pivots
-        out = []
-        for i in range(k):
-            if not ok[i]:
-                out.append(None)
-                continue
-            factor = _Factor(T[i, :, :n2], binv[i], int(pivots[i]), rhs[i],
-                             xB[i], cB[i], y[i])
-            out.append(LpSolution(
-                "optimal", float(value[i]), X[i], Y[i], float(pr[i]),
-                float(dr[i]), float(gap[i]), float(cs[i]),
-                LpBasis(self.path, tuple(basis[i].tolist()), canon, factor)))
-        return out
+        factors = [_Factor(T[i, :, :n2], binv[i], self.pivots + int(pivots[i]),
+                           rhs[i], xB[i], cB[i], y[i]) for i in range(k)]
+        sols = L.answers(lanes, basis, xB, y, factors)
+        return [sol if fit else None for sol, fit in zip(sols, ok)]
+
+
+def _dots(A, B):
+    """A_l . B_l for each row l of A and of B (or of a vector B), each the
+    one product `a @ b` a single lane makes."""
+    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
 
 
 def _apply(M, v):
-    """M_l v_l for each lane l of the stacks M (k x m x m) and v (k x m)."""
+    """M_l v_l for each lane l of the stacks M (k x m x m, or one m x m)
+    and v (k x m)."""
     return np.matmul(M, v[:, :, None])[:, :, 0]
 
 
@@ -992,16 +899,17 @@ def _apply_t(M, v):
 
 
 def _lockstep(T, basis, cext, n2, tol):
-    """Re-optimize in lockstep and in place the lanes of the tableau stack
-    T (k x m x N+1, with the columns from n2 on blocked), each from its row
-    of `basis` with its row of costs `cext` (N, zero on the blocked
-    columns).  Lanes that start primal infeasible run the dual simplex
-    first, then all run primal phase 2; each lane picks its own pivots by
-    the rules of `_dual_iterate` and `_iterate` (Dantzig pricing and their
-    tie breaks).  Returns (ok, pivots) per lane.  A lane is not ok if it is
-    not dual feasible where it needs the dual simplex, finds no entering
-    column there, ends unbounded, stalls past _STALL_LIMIT (where a single
-    solve switches to Bland's rule) or reaches _MAX_ITER."""
+    """Re-optimize in place the lanes of the tableau stack T (k x m x N+1,
+    with the columns from n2 on blocked), each from its row of `basis`
+    with its row of costs `cext` (N, zero on the blocked columns).  Lanes
+    that start primal infeasible run the dual simplex first, then all run
+    primal phase 2.  One lane runs `_dual_iterate` and `_iterate`; more
+    lanes pivot in lockstep, each by the rules of those two (Dantzig
+    pricing and their tie breaks).  Returns (ok, pivots) per lane.  A lane
+    is not ok if it is not dual feasible where it needs the dual simplex,
+    finds no entering column there or ends unbounded; in lockstep also if
+    it stalls past _STALL_LIMIT (where one lane switches to Bland's rule)
+    or reaches _MAX_ITER."""
     k = basis.shape[0]
     lanes = np.arange(k)[:, None]
     ok = np.ones(k, dtype=bool)
@@ -1011,6 +919,15 @@ def _lockstep(T, basis, cext, n2, tol):
         r = _reduced_costs(T, basis, cext)[:, :n2]
         r[lanes, basis] = 0.0
         ok &= ~dual | (r.min(axis=1, initial=0.0) >= -tol)
+    if k == 1:
+        blocked = np.arange(cext.shape[1]) >= n2
+        for kernel, needed in ((_dual_iterate, dual[0]), (_iterate, True)):
+            if needed and ok[0]:
+                status, p = kernel(T[0], basis[0], cext[0], blocked, tol)
+                ok[0] = status == "optimal"
+                pivots[0] += p
+        return ok, pivots
+    if dual.any():
         _lockstep_phase(_dual_step, T, basis, cext, dual & ok, ok, pivots,
                         n2, tol)
     _lockstep_phase(_primal_step, T, basis, cext, ok.copy(), ok, pivots, n2,
@@ -1036,7 +953,7 @@ def _lockstep_phase(step, T, basis, cext, live, ok, pivots, n2, tol):
         L = np.nonzero(live)[0]
         _pivot_lanes(T, basis, L, rows[L], cols[L])
         pivots[L] += 1
-        obj = (cext[lanes, basis] * T[:, :, -1]).sum(axis=1)
+        obj = _dots(cext[lanes, basis], T[:, :, -1])
         flat = sign * obj >= sign * prev - tol * (1.0 + np.abs(obj))
         stall = np.where(live, np.where(flat, stall + 1, 0), stall)
         prev = np.where(live, obj, prev)
@@ -1048,7 +965,7 @@ def _lockstep_phase(step, T, basis, cext, live, ok, pivots, n2, tol):
 def _reduced_costs(T, basis, cext):
     """c - c_B B^-1 A of each lane, over every column but the last."""
     cB = cext[np.arange(basis.shape[0])[:, None], basis]
-    return cext - np.matmul(cB[:, None, :], T)[:, 0, :-1]
+    return cext - np.matmul(cB[:, None, :], T[:, :, :-1])[:, 0, :]
 
 
 def _primal_step(T, basis, cext, n2, tol):
@@ -1130,8 +1047,7 @@ def _fill_residuals(problem: LpProblem, canon: _Canonical, C, X, Y):
     constraints have the canonical form `canon`, for a stack of lanes: row
     l of C, X and Y is the objective, the primal point and the row duals of
     lane l.  Returns the primal, dual, gap and complementary-slackness
-    residuals, one entry per lane.  Vectors C, X and Y are one lane, whose
-    residuals are 0-d arrays."""
+    residuals, one entry per lane."""
     code = canon.codes
     sgn = -1.0 if problem.maximize else 1.0
     Ys = sgn * Y

@@ -387,14 +387,27 @@ _FAMILY_BUILDERS = {
 }
 
 
+#: The parameters each gallery space takes; families take none.
+_GALLERY_PARAMS = {"line": ("n", "coords"), "equilateral": ("n", "scale"),
+                   "branching_tree": ("n",), "cantor": ("level",),
+                   "three_point_aligned": ()}
+
+
 def gallery(name: str, **params):
     """Named example spaces and families.
 
     Spaces: line(n or coords), equilateral(n, scale), branching_tree(n),
     cantor(level), three_point_aligned.
     Families: almost_aligned, rotund_no_gap, branching_tree_family,
-    nonaligned_not_discrete.
+    nonaligned_not_discrete.  A parameter the space or family does not
+    take raises MetricError.
     """
+    if name not in _GALLERY_PARAMS and name not in _FAMILY_BUILDERS:
+        raise MetricError(f"unknown gallery name {name!r}")
+    unknown = sorted(set(params) - set(_GALLERY_PARAMS.get(name, ())))
+    if unknown:
+        raise MetricError(f"gallery {name!r} takes no parameter "
+                          f"{unknown[0]!r}")
     if name == "line":
         coords = params.get("coords")
         if coords is None:
@@ -412,9 +425,7 @@ def gallery(name: str, **params):
         return cantor_endpoints(_integer(params, "level", 2))
     if name == "three_point_aligned":
         return three_point_aligned()
-    if name in _FAMILY_BUILDERS:
-        return _FAMILY_BUILDERS[name]()
-    raise MetricError(f"unknown gallery name {name!r}")
+    return _FAMILY_BUILDERS[name]()
 
 
 def _integer(params: dict, key: str, default: int) -> int:

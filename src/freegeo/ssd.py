@@ -98,6 +98,14 @@ def _slab_problem(space, mu, eta, norm_mu) -> lp.LpProblem:
                               [lp.LE] * len(rhs), rhs, maximize=True)
 
 
+def _slab_at_depth(slab, eta, norm_mu) -> lp.LpProblem:
+    """The slab LP `slab` at depth eta: only the slab row's right-hand side
+    changes, so the constraints and their canonical form are shared."""
+    b = slab.b.copy()
+    b[-1] = -(norm_mu * (1.0 - eta))
+    return slab.with_rhs(b)
+
+
 def _face_problem(space, mu_masses, norm, scale=1.0):
     """The face-distance LP, min t over (g, t): ||g|| <= scale,
     pairing(g, mu) = norm and |(v - g)(p) - (v - g)(q)| <= t d(p, q), for
@@ -192,25 +200,20 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     sample is certified not to raise the entry by the margin
     worst - ||f - g|| >= 0 against a guarded face point.
 
-    Each slab LP is built once per eta and the face-distance LP, which
-    does not depend on eta, once per probe.  A sample changes only the
-    objective of the one or the right-hand side of the other.  An eta's
-    samples are drawn together, in the order of single draws, and solved
-    as one batch by `lp.solve_many`, every lane from `norm.basis`, the norm
-    LP's optimal basis; where the norm LP took the dualized path, it is a
-    spanning tree of n - 1 ball-row arcs.  It leaves the slab LP dual
-    feasible, so B is factored once per batch and each lane runs the dual
-    simplex from it.  Each face-distance solve re-optimizes from the basis
-    of the previous one and the tableau it carries; the first starts from
-    `norm.basis` too, which with the slack of t's dual row, added by
-    `lp.solve`, leaves the face-distance LP primal feasible: there B^-1 b
-    = (0, ..., 0, 1) >= 0 for every sample.  On the direct
-    path the norm basis does not fit: the first sample of a batch and the
-    first face-distance LP are solved cold, and the first sample's basis
-    seeds the rest of its batch.  Every sample is checked against the unit
-    ball and the slab, and every face point from an LP against the unit
-    ball and the pairing with mu, independently of the solver; a failed
-    check raises SsdError with its margin.
+    The slab LP and the face-distance LP are built once per probe; an eta
+    changes only the slab row's right-hand side, and a sample the slab's
+    objective or the face LP's right-hand side, so each LP's constraints
+    are canonicalized once.  An eta's samples are drawn together, in the
+    order of single draws, and solved as one batch by `lp.solve_many` from
+    `norm.basis`, the norm LP's optimal basis.  Each face-distance LP is
+    solved by `lp.solve` from the basis of the previous one, the first from
+    `norm.basis` too.  Where the norm LP took the dualized path, its basis
+    is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
+    feasible and the face-distance LP primal feasible, so neither starts
+    cold.  Every sample is checked against the unit ball and the slab, and
+    every face point from an LP against the unit ball and the pairing with
+    mu, independently of the solver; a failed check raises SsdError with
+    its margin.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -235,16 +238,18 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     # on the dualized path the slab's dual is the norm's dual plus the slab
     # row's column, whose reduced cost there is the row's slack
     # eta ||mu|| >= 0, so the norm basis is a dual feasible slab start; it
-    # is a primal feasible face start (see above)
+    # is a primal feasible face start: B^-1 b = (0, ..., 0, 1) >= 0 for
+    # every sample (see `lp`)
+    slab = _slab_problem(space, mu, 0.0, norm_mu)
     face = _face_problem(space, masses, norm_mu)
     face_start = norm.basis
     # D(mu) does not depend on eta: face points serve the whole grid
     faces = norm.potential.values[None, :]
     for eta in eta_grid:
-        slab = _slab_problem(space, mu, eta, norm_mu)
         objectives = rng.standard_normal((samples_per_eta, space.n - 1))
         F = np.zeros((samples_per_eta, space.n))
-        for j, sol in enumerate(lp.solve_many(slab, objectives, norm.basis)):
+        for j, sol in enumerate(lp.solve_many(
+                _slab_at_depth(slab, eta, norm_mu), objectives, norm.basis)):
             if sol.status != "optimal":
                 raise SsdError(
                     f"slab sampling LP ended with status {sol.status}")
@@ -469,17 +474,13 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     if S >= 1.0:
         return fail(PRECONDITION_FAILED,
                     "tapered lift reaches slope one off the support set")
-    # per-pair bound for pairs inside the radius-beta ball
-    d0 = space.dist[0]
+    # per-pair bound for the pairs p < q inside the radius-beta ball with
+    # an endpoint off the support set
     case1_bound = (2.0 * beta + gamma / 2.0) / (2.0 * beta + gamma)
-    worst_case1 = np.inf
-    sl = np.abs(slope_matrix(G))
-    for p in range(space.n):
-        for q in range(p + 1, space.n):
-            if (in_n[p] and in_n[q]) or d0[p] > beta or d0[q] > beta:
-                continue
-            worst_case1 = min(worst_case1, case1_bound - sl[p, q])
-    if np.isfinite(worst_case1):
+    near = ~(space.dist[0] > beta)
+    inner = np.triu(np.outer(near, near) & ~np.outer(in_n, in_n), 1)
+    if inner.any():
+        worst_case1 = (case1_bound - np.abs(slope_matrix(G))[inner]).min()
         _check(verified, "inner_pair_bound", float(worst_case1) + tol)
     c = (max(S, 0.5 + 10.0 * tol) + 1.0) / 2.0
     K = gamma * (c - 0.5) / (1.0 - c)
@@ -661,20 +662,21 @@ def common_norming_witness(space: PointedMetricSpace, gamma: float,
     for y in ys:
         shifted[y] = f(y)
     # pairwise verification in the singly fattened metric, split as the two
-    # sign cases of the shifted difference
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if x == y:
-                continue
-            diff = shifted[x] - shifted[y]
-            if diff >= 0:
-                margin = single.d(x, y) - (f(x) - f(y) - gamma)
-            else:
-                margin = single.d(x, y) + diff
-            if margin < -tol:
-                raise SsdError(
-                    f"shifted witness is not 1-Lipschitz on the pair "
-                    f"({x}, {y}); margin {margin!r}")
+    # sign cases of the shifted difference; the first failing pair in the
+    # order of the terms is reported
+    X, Y = np.array(xs, dtype=int), np.array(ys, dtype=int)
+    diff = (np.array([shifted[x] for x in xs])[:, None]
+            - np.array([shifted[y] for y in ys])[None, :])
+    d = single.dist[np.ix_(X, Y)]
+    margin = np.where(diff >= 0,
+                      d - (f.values[X][:, None] - f.values[Y][None, :]
+                           - gamma), d + diff)
+    bad = np.argwhere((margin < -tol) & (X[:, None] != Y[None, :]))
+    if bad.size:
+        i, j = bad[0]
+        raise SsdError(
+            f"shifted witness is not 1-Lipschitz on the pair "
+            f"({xs[i]}, {ys[j]}); margin {float(margin[i, j])!r}")
     keys = sorted(shifted)
     witness = mcshane_extend(single, keys, [shifted[k] for k in keys], 1.0)
     for i, (lam, x, y) in enumerate(terms):
@@ -787,18 +789,14 @@ def almost_aligned_certificate(space: PointedMetricSpace, eps_of, eps: float,
                    (2.0 * e + 2.0 * gamma_cut) / (1.0 + 2.0 * e) - dy + tol)
             _check(checks, f"case3_zy_{k}_under_4eps",
                    4.0 * eps - dy, strict=True)
-    worst4 = 0.0
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            dz = abs(pair_slope(diff, i + 1, j + 1))
-            if i <= n0 and j <= n0:
-                bound = 2.0 * eps
-            elif i <= n0:
-                bound = 3.0 * eps
-            else:
-                bound = 4.0 * eps
-            worst4 = max(worst4, dz - bound)
     if m >= 2:
+        # interior pairs z_i, z_j (i < j, points i + 1 and j + 1): 2 eps
+        # within the head, 3 eps from the head to the tail, 4 eps beyond
+        head = np.arange(1, m + 1) <= n0
+        bound = np.where(head[:, None], np.where(head[None, :], 2.0 * eps,
+                                                 3.0 * eps), 4.0 * eps)
+        excess = np.abs(slope_matrix(diff))[2:, 2:] - bound
+        worst4 = max(0.0, excess[np.triu_indices(m, 1)].max())
         _check(checks, "case4_interior_pairs", -worst4 + tol)
     distance = lip_norm(diff)
     _check(checks, "total_distance_4eps", 4.0 * eps + tol - distance)

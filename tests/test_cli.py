@@ -385,6 +385,30 @@ def test_params_non_integral_size_is_rejected(capsys, name, params):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["gallery", "--gallery", "line", "--params", "m=3"], "m"),
+    (["classify-space", "--gallery", "equilateral", "--params",
+      "n=4,size=2"], "size"),
+    (["family-trend", "--gallery", "almost_aligned", "--params", "n=3",
+      "--indices", "1-3"], "n")])
+def test_params_unknown_key_is_exit_2(capsys, argv, key):
+    # unknown keys were ignored: line with m=3 printed the default 4-point
+    # line, echoed the params and exited 0
+    code, out, err = _run_err(capsys, argv)
+    _assert_error_line((code, out, err), code=2)
+    assert f"takes no parameter {key!r}" in err
+
+
+@pytest.mark.parametrize("indices", ["5-1", "2-1"])
+def test_family_trend_reversed_range_is_usage_error(capsys, indices):
+    # a reversed range gave an empty list of rows and exit 0
+    code, out, err = _run_err(capsys, ["family-trend", "--gallery",
+                                       "almost_aligned", "--indices",
+                                       indices])
+    _assert_error_line((code, out, err))
+    assert f"--indices range {indices} is empty" in err
+
+
 def test_modulus_zero_samples_is_usage_error(capsys, tmp_path, line_file):
     # exited 2 through the library's check, unlike --seed -1
     el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})

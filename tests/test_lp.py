@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 import freegeo.lp as lp_module
 from freegeo.lp import EQ, GE, LE, LpBasis, LpError, LpProblem, solve
+from conftest import record_warm_solves
 
 
 def test_single_variable_max():
@@ -202,9 +203,11 @@ def _recorder(monkeypatch, name, outcome):
 
 
 @pytest.fixture
-def warm_accepted(monkeypatch):
-    """Per warm-started solve, whether the start was used."""
-    return _recorder(monkeypatch, "_warm_start", lambda out: out is not None)
+def warm_solves(monkeypatch):
+    """Per seed of a warm-started solve, (A2, b, cols, factor, accepted):
+    the carried factor it was given (None when it factors B from the data)
+    and whether the start gave the answer; see `record_warm_solves`."""
+    return record_warm_solves(monkeypatch)
 
 
 @pytest.fixture
@@ -236,7 +239,7 @@ def _assert_matches_cold(problem, start):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_warm_start_after_objective_change(seed, warm_accepted):
+def test_warm_start_after_objective_change(seed, warm_solves):
     rng = np.random.default_rng(2000 + seed)
     c, A, b = _dualized_data(rng)
     first = solve(_max_problem(c, A, b))
@@ -245,11 +248,11 @@ def test_warm_start_after_objective_change(seed, warm_accepted):
     for _ in range(4):
         start = _assert_matches_cold(
             _max_problem(rng.normal(size=c.size), A, b), start).basis
-    assert all(warm_accepted)
+    assert warm_solves and all(c[4] for c in warm_solves)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_warm_start_after_rhs_change(seed, warm_accepted):
+def test_warm_start_after_rhs_change(seed, warm_solves):
     rng = np.random.default_rng(3000 + seed)
     c, A, b = _dualized_data(rng)
     start = solve(_max_problem(c, A, b)).basis
@@ -257,7 +260,7 @@ def test_warm_start_after_rhs_change(seed, warm_accepted):
         b2 = b.copy()
         b2[:-2 * c.size] = np.abs(rng.normal(size=b.size - 2 * c.size)) + 0.5
         start = _assert_matches_cold(_max_problem(c, A, b2), start).basis
-    assert all(warm_accepted)
+    assert warm_solves and all(c[4] for c in warm_solves)
 
 
 def test_warm_start_equality_rows_and_bounds():
@@ -277,7 +280,7 @@ def test_warm_start_equality_rows_and_bounds():
         _assert_matches_cold(p, first.basis)
 
 
-def test_solution_basis_is_reusable_on_same_problem(warm_accepted,
+def test_solution_basis_is_reusable_on_same_problem(warm_solves,
                                                     factorizations):
     rng = np.random.default_rng(5)
     p = _max_problem(*_dualized_data(rng))
@@ -286,7 +289,7 @@ def test_solution_basis_is_reusable_on_same_problem(warm_accepted,
     again = solve(p, start=first.basis)
     assert np.array_equal(again.x, first.x)
     assert np.array_equal(again.y, first.y)
-    assert warm_accepted == [True]
+    assert [c[4] for c in warm_solves] == [True]
     # the carried tableau is optimal as it is: nothing is factored
     assert factorizations[0] == count
 
@@ -329,12 +332,9 @@ def test_singular_start_is_rejected():
     A[1] = A[0]
     start = _bad_starts(rng, c, A, b)["singular"]
     p = _max_problem(c, A, b)
-    mf = lp_module._to_midform(p, lp_module._Canonical(p))
-    m = mf.A.shape[0]
-    # the dualized standard form: one column per primal row
-    A2 = (mf.A * -1.0).T
-    assert lp_module._warm_start(A2, mf.c.copy(), np.zeros(m),
-                                 np.array(start.cols), 1e-9) is None
+    canon = lp_module._canonical(p)
+    start = lp_module._carried_over(start, canon)
+    assert lp_module._Batch.seed(p, canon, start, p.c[None], 1e-9) is None
 
 
 def test_dual_simplex_without_entering_column_falls_back(dual_outcomes):
@@ -448,13 +448,16 @@ def test_failed_dualized_answer_falls_back_to_direct(monkeypatch):
     p = _max_problem(*_dualized_data(rng))
     clean = solve(p)
     assert clean.basis.path == "dualized"
-    original = lp_module._solve_mid_dual
+    dual_std = lp_module._canonical(p).form("dualized")[0]
+    original = lp_module._solve_cf
 
-    def broken(mf, tol, start=None):
-        status, val, x, y, basis = original(mf, tol, start)
-        return status, val, x + 100.0, y, basis    # leaves the box rows
+    def broken(std, c, b, tol):
+        status, cols, xB, y, factor = original(std, c, b, tol)
+        if std is dual_std:
+            y = y - 100.0       # x = -y + 100 leaves the box rows
+        return status, cols, xB, y, factor
 
-    monkeypatch.setattr(lp_module, "_solve_mid_dual", broken)
+    monkeypatch.setattr(lp_module, "_solve_cf", broken)
     sol = solve(p)
     assert sol.basis.path == "direct"
     _assert_certified(sol)
@@ -485,8 +488,7 @@ def test_same_constraints_reuse_the_canonical_form():
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (7, 3), (-1, 4)])
-def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted,
-                                                    factors_given):
+def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_solves):
     rng = np.random.default_rng(4300)
     c, A, b = _dualized_data(rng)
     p = _max_problem(c, A, b)
@@ -500,10 +502,11 @@ def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_accepted,
     assert warm.value == pytest.approx(cold.value, abs=1e-9, rel=1e-9)
     assert np.allclose(warm.x, cold.x, atol=1e-7)
     # the start's tableau is of the old matrix: B is factored afresh
-    assert factors_given and all(f is None for f in factors_given)
+    assert warm_solves and all(c[3] is None for c in warm_solves)
     canon = warm.basis._canonical
     assert canon is not first.basis._canonical
-    assert canon.matches(q) and not canon.matches(p)
+    assert canon is lp_module._canonical(q)
+    assert canon is not lp_module._canonical(p)
     assert np.array_equal(canon.A, lp_module._Canonical(q).A)
     assert not np.array_equal(canon.A, first.basis._canonical.A)
 
@@ -516,7 +519,7 @@ def test_canonical_form_of_a_mutable_matrix_is_not_reused():
     p = LpProblem(c, A, (LE,) * len(b), b, np.full(c.size, -np.inf),
                   np.full(c.size, np.inf), True)
     first = solve(p)
-    assert not first.basis._canonical.matches(p)
+    assert lp_module._canonical(p) is not first.basis._canonical
     A[0, 0] += 1.0
     warm = solve(p, start=first.basis)
     assert warm.basis._canonical is not first.basis._canonical
@@ -546,17 +549,9 @@ def test_dualized_start_extends_to_new_rows_and_variables(bounded,
         lb[-1] = 0.0
     p = LpProblem.build(np.append(c, -1.0), rows, [LE] * (m + 2),
                         np.append(b, [1.0, 1.0]), lb=lb, maximize=True)
-    seen = []
-    original = lp_module._warm_start
-
-    def recording(A2, b, cvec, start, tol, factor=None):
-        out = original(A2, b, cvec, start, tol, factor)
-        seen.append((tuple(start), factor, out is not None))
-        return out
-
-    monkeypatch.setattr(lp_module, "_warm_start", recording)
+    seen = record_warm_solves(monkeypatch)
     warm = _assert_matches_cold(p, first)
-    cols, factor, accepted = seen[0]
+    _, _, cols, factor, accepted = seen[0]
     assert factor is None and cols[:len(first.cols)] == first.cols
     if bounded:
         std, _ = warm.basis._canonical.form("dualized")
@@ -691,41 +686,31 @@ def test_failed_check_is_named_with_its_margin(check, warm, monkeypatch):
     # a warm start fails on its carried tableau, on a fresh factorization
     # and cold before the error
     start = solve(p).basis if warm else None
-    calls = []
-    for name in ("_solve_mid_dual", "_solve_mid_direct"):
-        def tampered(mf, tol, start=None, _original=getattr(lp_module, name)):
-            calls.append(start)
-            status, val, x, y, carry = _original(mf, tol, start)
-            return (status, val, *_tampered_result(x, y, check), carry)
+    seeds, cold = [], _recorder(monkeypatch, "_two_phase", lambda out: None)
+    residuals, seed = lp_module._fill_residuals, lp_module._Batch.seed
 
-        monkeypatch.setattr(lp_module, name, tampered)
+    def seeding(problem, canon, start, C, tol):
+        seeds.append(start)
+        return seed(problem, canon, start, C, tol)
+
+    def tampered(problem, canon, C, X, Y):
+        # every answer, warm or cold, is checked as the tampered one
+        return residuals(problem, canon, C, *_tampered_result(X, Y, check))
+
+    monkeypatch.setattr(lp_module._Batch, "seed", staticmethod(seeding))
+    monkeypatch.setattr(lp_module, "_fill_residuals", tampered)
     with pytest.raises(LpError, match=rf"^certificate check failed: {check}"
                                       r" with margin -\d"):
         solve(p, start=start)
     if warm:
-        assert calls[0] is start
-        assert calls[1].cols == start.cols and calls[1]._factor is None
-    assert calls[-1] is None
+        assert seeds[0] is start
+        assert seeds[1].cols == start.cols and seeds[1]._factor is None
+    assert len(seeds) == (2 if warm else 0) and len(cold) == 2
 
 
 # ---------------------------------------------------------------------------
 # the tableau and B^-1 carried by a basis
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def factors_given(monkeypatch):
-    """Per `_warm_start` call, the carried factor it was given (None when
-    it factors B from the data)."""
-    seen = []
-    original = lp_module._warm_start
-
-    def recording(A2, b, cvec, start, tol, factor=None):
-        seen.append(factor)
-        return original(A2, b, cvec, start, tol, factor)
-
-    monkeypatch.setattr(lp_module, "_warm_start", recording)
-    return seen
-
 
 def _chain(seed, path, change, length=200):
     """Problems of one constraint matrix on `path`, each with a new
@@ -748,7 +733,7 @@ def _chain(seed, path, change, length=200):
 
 @pytest.mark.parametrize("change", ["objective", "rhs"])
 @pytest.mark.parametrize("path", ["dualized", "direct"])
-def test_carried_tableau_chain_matches_cold(path, change, factors_given):
+def test_carried_tableau_chain_matches_cold(path, change, warm_solves):
     start, problems = _chain(4600, path, change)
     for q in problems:
         warm = solve(q, start=start)
@@ -757,21 +742,22 @@ def test_carried_tableau_chain_matches_cold(path, change, factors_given):
         assert abs(warm.value - cold.value) <= 1e-12
         assert np.max(np.abs(warm.x - cold.x)) <= 1e-12
         start = warm.basis
-    carried = [f for f in factors_given if f is not None]
+    carried = [c[3] for c in warm_solves if c[3] is not None]
     assert len(carried) >= 150
     assert all(f.pivots <= lp_module._REFACTOR_PIVOTS for f in carried)
 
 
-def test_long_chain_refactors_from_the_data(factors_given, factorizations):
+def test_long_chain_refactors_from_the_data(warm_solves, factorizations):
     start, problems = _chain(4700, "dualized", "objective")
     pivots = []
     for q in problems:
         count = factorizations[0]
         start = solve(q, start=start).basis
         # a rebuild from the data is one solve of B; a carried tableau none
-        assert factorizations[0] - count == (factors_given[-1] is None)
+        assert factorizations[0] - count == (warm_solves[-1][3] is None)
         pivots.append(start._factor.pivots)
-    rebuilt = [i for i, f in enumerate(factors_given) if f is None]
+    assert len(warm_solves) == len(problems)
+    rebuilt = [i for i, c in enumerate(warm_solves) if c[3] is None]
     assert rebuilt     # 200 solves take far more than _REFACTOR_PIVOTS
     for i in rebuilt:
         # only a factor past the threshold is rebuilt, and the count
@@ -781,7 +767,7 @@ def test_long_chain_refactors_from_the_data(factors_given, factorizations):
 
 
 @pytest.mark.parametrize("part", ["body", "binv"])
-def test_tampered_carried_tableau_is_still_certified(part, factors_given):
+def test_tampered_carried_tableau_is_still_certified(part, warm_solves):
     rng = np.random.default_rng(4800)
     c, A, b = _dualized_data(rng)
     p = _max_problem(c, A, b)
@@ -792,7 +778,7 @@ def test_tampered_carried_tableau_is_still_certified(part, factors_given):
     _assert_matches_cold(p.with_objective(rng.normal(size=c.size)), start)
     # the warm start was given the tampered factor; whatever it made of
     # it, the answer was certified (or refactored, or solved cold)
-    assert factors_given[0] is start._factor
+    assert warm_solves[0][3] is start._factor
 
 
 # ---------------------------------------------------------------------------
@@ -939,17 +925,52 @@ def test_solve_many_single_lane(lp_solves):
 
 def test_solve_many_from_a_direct_start(lp_solves):
     # few rows: the direct path, started from a basis of the same problem,
-    # whose carried tableau seeds every lane
+    # whose carried tableau seeds every lane.  Lane 3 has the start's own
+    # objective and takes no pivot: like a single solve, it keeps the
+    # start's refined values
     rng = np.random.default_rng(5300)
     c, A, b = _dualized_data(rng, m=20)
     p = _max_problem(c, A, b)
-    start = solve(p).basis
+    first = solve(p)
+    start = first.basis
     assert start.path == "direct"
     C = rng.normal(size=(10, c.size))
+    C[3] = c
     got = lp_module.solve_many(p, C, start)
     assert not lp_solves
-    _assert_lanes_match_solve(p, C, start, got)
+    _assert_lanes_equal_solve(p, C, start, got)
     assert all(s.basis.path == "direct" for s in got)
+    assert got[3].basis._factor.pivots == start._factor.pivots
+    assert np.array_equal(got[3].x, first.x)
+    assert np.array_equal(got[3].y, first.y)
+
+
+def _assert_lanes_equal_solve(problem, C, start, got):
+    """Each lane of `got` is bitwise the answer of `solve` from `start`."""
+    assert len(got) == len(C)
+    for c, sol in zip(C, got):
+        ref = solve(problem.with_objective(c), start=start)
+        assert sol.status == ref.status
+        if ref.status != "optimal":
+            continue
+        assert sol.value == ref.value
+        assert np.array_equal(sol.x, ref.x) and np.array_equal(sol.y, ref.y)
+        assert sol.basis.cols == ref.basis.cols
+
+
+@pytest.mark.parametrize("stall_limit", [lp_module._STALL_LIMIT, 0])
+@pytest.mark.parametrize("name", sorted(
+    name for name, (_, s) in _POLYTOPES.items() if s.path == "dualized"))
+def test_solve_many_lanes_equal_single_solves(name, stall_limit,
+                                              monkeypatch):
+    # a warm solve is a batch of one lane: the lanes of a batch, pivoted in
+    # lockstep or (with no stall allowance) left to solve, are bitwise the
+    # single solves from the same start, value included
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", stall_limit)
+    problem, start = _POLYTOPES[name]
+    C = np.random.default_rng(5500).normal(size=(12, problem.c.size))
+    _assert_lanes_equal_solve(problem, C, start,
+                              lp_module.solve_many(problem, C, start))
 
 
 @pytest.mark.parametrize("per_block", [1, 3])

@@ -203,6 +203,18 @@ class TestGallery:
         with pytest.raises(MetricError, match=f"{key} must be an integer"):
             gallery(name, **{key: value})
 
+    @pytest.mark.parametrize("name,params,key", [
+        ("line", {"m": 3}, "m"), ("equilateral", {"n": 3, "size": 2}, "size"),
+        ("branching_tree", {"level": 2}, "level"),
+        ("three_point_aligned", {"n": 3}, "n"),
+        ("almost_aligned", {"index": 2}, "index")])
+    def test_unknown_parameter_is_rejected(self, name, params, key):
+        # every family and line ignored an unknown key: line(m=3) was the
+        # default 4-point line
+        with pytest.raises(MetricError,
+                           match=f"{name!r} takes no parameter {key!r}"):
+            gallery(name, **params)
+
     def test_integral_float_sizes_are_accepted(self):
         assert gallery("line", n=5.0).n == 5
         assert gallery("cantor", level=1.0).n == 4

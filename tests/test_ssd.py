@@ -9,7 +9,9 @@ from freegeo.free_space import (FreeElement, MoleculeCombination,
                                 free_norm, lipschitz_ball_rows, molecule,
                                 norming_functional, optimal_representation,
                                 pairing)
-from freegeo.lipschitz import aux_f_xy, from_values, lip_norm, pair_slope
+from freegeo.tolerances import lp_tol
+from freegeo.lipschitz import (LipschitzError, aux_f_xy, from_values,
+                               lip_norm, pair_slope)
 from freegeo.metric import (PointedMetricSpace, branching_tree, gallery,
                             gamma_fatten, line_space)
 from freegeo.ssd import (CERTIFIED, PRECONDITION_FAILED, SsdError,
@@ -17,7 +19,8 @@ from freegeo.ssd import (CERTIFIED, PRECONDITION_FAILED, SsdError,
                          common_norming_witness, exposedness_probe,
                          face_distance, find_common_norming,
                          perturbation_pipeline, single_molecule_perturb)
-from conftest import random_euclidean_space, random_zero_sum
+from conftest import (random_euclidean_space, random_zero_sum,
+                      record_warm_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +322,26 @@ def test_face_family_serves_the_whole_eta_grid(monkeypatch):
     assert len(calls) == 1
 
 
-def _record_warm_starts(monkeypatch):
-    """A list that gains (A2, b, cols, factor, accepted) per `_warm_start`
-    call."""
-    calls = []
-    original = lp._warm_start
+def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
+    # the norm, slab and face-distance LPs build one canonical form each:
+    # an eta changes only the slab row's right-hand side, and a sample only
+    # an objective or a right-hand side.  The entries are those of the
+    # probe that built a slab LP, and its canonical form, per eta
+    built = []
+    original = lp._Canonical.__init__
 
-    def recording(A2, b, cvec, start, tol, factor=None):
-        out = original(A2, b, cvec, start, tol, factor)
-        calls.append((A2, b, tuple(start), factor, out is not None))
-        return out
+    def counting(self, problem):
+        built.append(problem.A.shape)
+        original(self, problem)
 
-    monkeypatch.setattr(lp, "_warm_start", recording)
-    return calls
+    monkeypatch.setattr(lp._Canonical, "__init__", counting)
+    curve = exposedness_probe(_leaf_combination(12, False),
+                              [0.01, 0.05, 0.1, 0.2, 0.4], 8, seed=12)
+    assert len(built) == 3
+    assert [e[1].hex() for e in curve.entries] == [
+        "0x1.eb851eb851ea0p-4", "0x1.3333333333334p-1",
+        "0x1.3333333333330p+0", "0x1.0000000000000p+1",
+        "0x1.0000000000000p+1"]
 
 
 @pytest.mark.parametrize("fattened", [False, True])
@@ -345,7 +355,7 @@ def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened, monkeypatch):
     norm = free_norm(mu)
     assert norm.basis.path == lp.DUALIZED
     problem = ssd._face_problem(mu.space, mu.masses, norm.value)
-    calls = _record_warm_starts(monkeypatch)
+    calls = record_warm_solves(monkeypatch)
     sol = lp.solve(problem, start=norm.basis)
     A2, rhs, cols, factor, accepted = calls[0]
     assert accepted and factor is None
@@ -366,7 +376,7 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
     norm = free_norm(mu)
     assert norm.basis.path == lp.DIRECT
     problem = ssd._face_problem(mu.space, mu.masses, norm.value)
-    calls = _record_warm_starts(monkeypatch)
+    calls = record_warm_solves(monkeypatch)
     cold = _count_cold_solves(monkeypatch)
     sol = lp.solve(problem, start=norm.basis)
     assert [c[2] for c in calls] == [norm.basis.cols] * len(calls)
@@ -535,16 +545,16 @@ def test_rejected_face_seed_falls_back_to_cold(monkeypatch):
     # them) is rejected: those solves run cold and give the cold answer
     mu = _leaf_combination(12, False)
     rejected = []
-    original = lp._warm_start
+    original = lp._start_tableau
 
-    def rejecting(A2, b, cvec, start, tol, factor=None):
+    def rejecting(A2, R, cols, factor=None):
         if A2.shape[0] == mu.space.n and factor is None:
             rejected.append(None)
             return None
-        return original(A2, b, cvec, start, tol, factor)
+        return original(A2, R, cols, factor)
 
     calls = _count_cold_solves(monkeypatch)
-    monkeypatch.setattr(lp, "_warm_start", rejecting)
+    monkeypatch.setattr(lp, "_start_tableau", rejecting)
     grid = [0.01, 0.2]
     warm = exposedness_probe(mu, grid, 8, seed=3)
     assert rejected
@@ -577,7 +587,8 @@ def test_face_distance_does_not_depend_on_distance_scale():
 
 
 def test_probe_builds_each_lp_once(monkeypatch):
-    # the face-distance LP once per probe, each slab LP once per eta
+    # the face-distance LP and the slab LP once per probe: an eta changes
+    # only the slab row's right-hand side
     grid = [0.01, 0.05, 0.2]
     mu = _leaf_combination(6, False)
     builds = {"_slab_problem": 0, "_face_problem": 0}
@@ -589,7 +600,7 @@ def test_probe_builds_each_lp_once(monkeypatch):
 
         monkeypatch.setattr(ssd, name, counting)
     exposedness_probe(mu, grid, 8, seed=3)
-    assert builds == {"_slab_problem": len(grid), "_face_problem": 1}
+    assert builds == {"_slab_problem": 1, "_face_problem": 1}
 
 
 def test_slab_sample_rejects_malformed_objectives():
@@ -740,6 +751,125 @@ def test_pipeline_inner_pair_bound_recorded():
     assert "distance_bound" in names
 
 
+def _tree_setup(n, gamma=1.0):
+    """The probe_trees pipeline input: the uniform leaf-to-base combination
+    on the gamma-fattened branching_tree(n)."""
+    tree = branching_tree(n)
+    terms = tuple((1.0 / n, k, 0) for k in range(1, n + 1))
+    comb = MoleculeCombination(gamma_fatten(tree, gamma), terms)
+    f = find_common_norming(tree, MoleculeCombination(tree, terms))
+    return tree, gamma, comb, f, norming_functional(comb.element())
+
+
+def test_pipeline_inner_pair_bound_matches_loop(monkeypatch):
+    # the bound over the pairs inside the radius-beta ball, one masked
+    # broadcast, has the margin of the pair loop it replaced, bitwise
+    lifts = []
+    original = ssd.g_gamma_construct
+
+    def capturing(*args):
+        lifts.append(original(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(ssd, "g_gamma_construct", capturing)
+    # a point inside the radius-beta ball off the support set
+    inner = line_space([0.0, 0.5, 1.0, 2.0, 3.0])
+    comb = MoleculeCombination(gamma_fatten(inner, 1.0), ((1.0, 2, 0),))
+    setups = [(inner, 1.0, comb, from_values(inner, inner.dist[0]),
+               norming_functional(comb.element()))]
+    setups += [_line_setup()[:5]] + [_tree_setup(n) for n in (4, 9, 14)]
+    recorded = 0
+    for space, gamma, comb, f, g in setups:
+        res = perturbation_pipeline(space, gamma, comb, f, g, 0.04)
+        N = [0] + [t[1] for t in comb.terms] + [t[2] for t in comb.terms]
+        G, beta = lifts[-1], ssd.radius_beta(space, sorted(set(N)))
+        in_n = np.zeros(space.n, dtype=bool)
+        in_n[N] = True
+        d0 = space.dist[0]
+        bound = (2.0 * beta + gamma / 2.0) / (2.0 * beta + gamma)
+        sl = np.abs(ssd.slope_matrix(G))
+        worst = np.inf
+        for p in range(space.n):
+            for q in range(p + 1, space.n):
+                if (in_n[p] and in_n[q]) or d0[p] > beta or d0[q] > beta:
+                    continue
+                worst = min(worst, bound - sl[p, q])
+        got = [c.margin for c in res.verified if c.name == "inner_pair_bound"]
+        assert got == ([float(worst) + lp_tol()] if np.isfinite(worst)
+                       else [])
+        recorded += len(got)
+    assert recorded
+
+
+@pytest.mark.parametrize("index", [4, 9, 16])
+def test_certificate_interior_pairs_match_loop(index):
+    space = _truncation(index)
+    eps = 0.1
+    f = norming_functional(molecule(space, 0, 1))
+    f = from_values(space, f.values / lip_norm(f))
+    cert = almost_aligned_certificate(space, lambda k: 2.0 ** -k, eps, f)
+    diff = from_values(space, cert.h.values - f.values)
+    m, n0 = space.n - 2, cert.n0
+    worst4 = 0.0
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            dz = abs(pair_slope(diff, i + 1, j + 1))
+            bound = (2.0 * eps if j <= n0 else 3.0 * eps if i <= n0
+                     else 4.0 * eps)
+            worst4 = max(worst4, dz - bound)
+    got = [c.margin for c in cert.checks if c.name == "case4_interior_pairs"]
+    assert got == [-worst4 + lp_tol()]
+
+
+def test_witness_reports_the_first_failing_pair(monkeypatch):
+    # the LP's norming function is tampered with until the shifted witness
+    # fails on some pairs; the error names the first in the order of the
+    # terms, with its margin, as the pair loop did
+    space, gamma = branching_tree(6), 0.25
+    double = gamma_fatten(space, 2 * gamma)
+    comb = optimal_representation(FreeElement(
+        double, np.array([0.0, 1.0, 1.0, -1.0, -1.0, 0.5, -0.5])))
+    single, tol = gamma_fatten(space, gamma), lp_tol()
+    xs, ys = [t[1] for t in comb.terms], [t[2] for t in comb.terms]
+    original = lp.solve
+    values = []
+    later_first = 0
+    for seed in range(8):
+        noise = np.random.default_rng(seed).normal(size=space.n - 1)
+
+        def tampered(problem, tol=None, start=None):
+            sol = dataclasses.replace(original(problem, tol, start))
+            sol.x = sol.x + noise
+            values.append(np.concatenate([[0.0], sol.x]))
+            return sol
+
+        monkeypatch.setattr(lp, "solve", tampered)
+        try:
+            common_norming_witness(space, gamma, comb)
+            message = ""
+        except (SsdError, LipschitzError) as exc:
+            message = str(exc)
+        f = values[-1]
+        shifted = {0: 0.0, **{x: f[x] - gamma for x in xs},
+                   **{y: f[y] for y in ys}}
+        failing = []
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                diff = shifted[x] - shifted[y]
+                margin = (single.d(x, y) - (f[x] - f[y] - gamma)
+                          if diff >= 0 else single.d(x, y) + diff)
+                if x != y and margin < -tol:
+                    failing.append((i, j, float(margin)))
+        if not failing:
+            assert not message.startswith("shifted witness")
+            continue
+        i, j, margin = failing[0]
+        assert message == ("shifted witness is not 1-Lipschitz on the pair "
+                           f"({xs[i]}, {ys[j]}); margin {margin!r}")
+        later_first += len(failing) > 1 and (i, j) != (0, 0)
+    assert later_first
+
+
 # ---------------------------------------------------------------------------
 # common norming search and the tilde-f witness
 # ---------------------------------------------------------------------------
@@ -772,6 +902,56 @@ def test_find_common_norming_does_not_depend_on_distance_scale(scale):
             d = scaled.d(x, y)
             assert abs(f(x) - f(y) - d) <= 1e-9 * d
         assert lip_norm(f) <= 1.0 + 1e-9
+
+
+def _scaled_cases():
+    """Seeded random 2-D Euclidean spaces, each with random masses."""
+    rng = np.random.default_rng(2026)
+    for _ in range(12):
+        n = int(rng.integers(4, 9))
+        yield random_euclidean_space(rng, n, dim=2), rng.normal(size=n)
+
+
+def _perturb_status(space, gamma, masses, eps=1e-4):
+    """The status of the `perturb` command's pipeline on these inputs."""
+    fattened = gamma_fatten(space, gamma)
+    comb = optimal_representation(FreeElement(fattened, masses))
+    total = comb.weight_sum()
+    comb = MoleculeCombination(
+        fattened, tuple((lam / total, x, y) for lam, x, y in comb.terms))
+    f = find_common_norming(space, MoleculeCombination(space, comb.terms))
+    g = norming_functional(comb.element())
+    return perturbation_pipeline(space, gamma, comb, f, g, eps).status
+
+
+@pytest.mark.parametrize("scale", [1e-6, pytest.param(1e6, marks=(
+    pytest.mark.xfail(raises=lp.LpError, strict=True,
+                      reason="the projection LP is solved at the input's "
+                             "distance scale, where its absolute residual "
+                             "bound fails")))])
+def test_pipeline_status_does_not_depend_on_distance_scale(scale):
+    # perturbation_pipeline's projection LP solves at the input's scale;
+    # with gamma scaled too, the statuses are those at scale 1
+    for space, masses in _scaled_cases():
+        ref = _perturb_status(space, 0.5, masses)
+        scaled = PointedMetricSpace(scale * space.dist)
+        assert _perturb_status(scaled, 0.5 * scale, masses) == ref
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_witness_does_not_depend_on_distance_scale(scale):
+    # common_norming_witness solves its LP at the input's scale; the
+    # witness norms every term to within 1e-9 relative at every scale
+    for space, _ in _scaled_cases():
+        space = PointedMetricSpace(scale * space.dist)
+        gamma = 0.5 * scale
+        comb = optimal_representation(
+            molecule(gamma_fatten(space, 2.0 * gamma), 1, 0))
+        witness = common_norming_witness(space, gamma, comb)
+        single = gamma_fatten(space, gamma)
+        for _, x, y in comb.terms:
+            d = single.d(x, y)
+            assert abs(witness(x) - witness(y) - d) <= 1e-9 * d
 
 
 def test_find_common_norming_infeasible():
