@@ -32,10 +32,22 @@ from .ssd import (CERTIFIED, SsdError, almost_aligned_certificate,
 from .tolerances import TAU_METRIC, lp_tol
 
 
+class _UsageError(ValueError):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are usage errors (exit 1, an `error:` line)
+    rather than argparse's own exit 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing does not change it."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="freegeo",
         description="Computable geometry of Lipschitz-free spaces over "
                     "finite pointed metric spaces.")
@@ -61,10 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     return p
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _number(text: str, kind, what: str):
@@ -400,8 +408,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_tolerance()
         return _COMMANDS[args.command](args)
     except (_UsageError, OSError, json.JSONDecodeError) as exc:

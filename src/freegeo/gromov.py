@@ -112,10 +112,16 @@ def classify_space(space: PointedMetricSpace) -> dict:
 
 
 def family_trend(family: MetricFamily, indices) -> list:
-    """Per-index (index, eta, delta_rotund) for the distinguished pair."""
+    """Per-index (index, eta, delta_rotund) for the distinguished pair.
+
+    The spaces come from `family.spaces`: when the largest index's space is
+    a metric, every space that is bitwise a leading block of it is one too,
+    so a nested family is validated once, not once per index.  Rows and
+    errors are those of `generate` called index by index.
+    """
+    indices = list(indices)
     rows = []
-    for idx in indices:
-        space, (x, y) = family.generate(idx)
+    for idx, (space, (x, y)) in zip(indices, family.spaces(indices)):
         rep = analyze_pair(space, x, y)
         rows.append({"index": int(idx), "eta": rep.eta,
                      "delta_rotund": rep.delta_rotund})

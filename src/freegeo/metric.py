@@ -235,14 +235,57 @@ class MetricFamily:
     generator: Callable[[int], tuple]   # index -> (space, (x, y))
 
     def generate(self, index: int):
-        space, pair = self.generator(index)
-        rep = validate(space)
-        if not rep.ok:
-            raise MetricError(f"family {self.name}[{index}] invalid: {rep}")
-        x, y = pair
-        if x == y or not (0 <= x < space.n and 0 <= y < space.n):
-            raise MetricError("bad distinguished pair")
-        return space, pair
+        """(space, pair) at one index: `spaces([index])`."""
+        return next(self.spaces([index]))
+
+    def spaces(self, indices):
+        """Yield (space, pair) for each index, in the given order, each
+        space validated and its pair checked; the first invalid index
+        raises MetricError.
+
+        The largest index's space is generated and validated first.  Each
+        bad pair and each bad triple of a leading principal block of a
+        matrix is one of the whole matrix, with the same values and the
+        same test.  So when the largest space is a metric, a space whose
+        matrix is bitwise a leading block of it is one too, and is not
+        validated again; any other space is validated on its own.  Nesting
+        is read off the matrices, not assumed of the generator.  Only the
+        largest space and the current one are held at a time.
+        """
+        indices = list(indices)
+        if not indices:
+            return
+        top = max(indices)
+        try:
+            big = self.generator(top)
+            big_rep = validate(big[0])
+        except Exception:
+            # the largest index then raises again at its own turn, after
+            # the earlier ones, as if each index were generated alone
+            big = big_rep = None
+        for index in indices:
+            if big is not None and index == top:
+                (space, pair), rep = big, big_rep
+            else:
+                space, pair = self.generator(index)
+                rep = (None if big_rep and _leading_block(space, big[0])
+                       else validate(space))
+            if rep is not None and not rep.ok:
+                raise MetricError(f"family {self.name}[{index}] invalid: "
+                                  f"{rep}")
+            x, y = pair
+            if x == y or not (0 <= x < space.n and 0 <= y < space.n):
+                raise MetricError("bad distinguished pair")
+            yield space, pair
+
+
+def _leading_block(space: PointedMetricSpace, big: PointedMetricSpace
+                   ) -> bool:
+    """Whether space.dist is bitwise the leading principal block of
+    big.dist of its size."""
+    m = space.n
+    return m <= big.n and (space.dist.tobytes()
+                           == big.dist[:m, :m].tobytes())
 
 
 def _from_line(coords, labels=None) -> PointedMetricSpace:
@@ -308,14 +351,13 @@ def _almost_aligned_family(eps_of=None) -> MetricFamily:
     def gen(n):
         if n < 1:
             raise MetricError("index must be >= 1")
+        eps = np.array([eps_of(k) for k in range(1, n + 1)], dtype=float)
+        if not (eps > 0).all():     # NaN fails too
+            raise MetricError("eps values must be positive")
         m = n + 2
         d = np.ones((m, m))
-        for k in range(1, n + 1):
-            e = eps_of(k)
-            if not 0 < e:
-                raise MetricError("eps values must be positive")
-            d[0, k + 1] = d[k + 1, 0] = 0.5
-            d[1, k + 1] = d[k + 1, 1] = 0.5 + e
+        d[0, 2:] = d[2:, 0] = 0.5
+        d[1, 2:] = d[2:, 1] = 0.5 + eps
         np.fill_diagonal(d, 0.0)
         labels = tuple(["x", "y"] + [f"z{k}" for k in range(1, n + 1)])
         return PointedMetricSpace(d, labels), (0, 1)

@@ -419,6 +419,28 @@ def test_modulus_zero_samples_is_usage_error(capsys, tmp_path, line_file):
     assert "--samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv,says", [
+    (["classify-space", "--index", "x"], "invalid int value"),
+    (["no-such-command"], "invalid choice"),
+    (["family-trend", "--gallery", "almost_aligned", "--indices", "-3-1"],
+     "expected one argument"),
+    (["validate", "--bogus"], "unrecognized arguments"),
+    ([], "required"),
+])
+def test_argparse_errors_are_usage_errors(capsys, argv, says):
+    # argparse printed its usage and exited 2, through SystemExit
+    code, out, err = _run_err(capsys, argv)
+    _assert_error_line((code, out, err))
+    assert says in err and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: freegeo")
+
+
 def test_tolerance_env_non_numeric(capsys, monkeypatch):
     monkeypatch.setenv("FREEGEO_TOL", "abc")
     _assert_error_line(_run_err(capsys, [
@@ -448,10 +470,9 @@ def test_parser_reused_across_calls(capsys, tmp_path, line_file):
     rep = json.loads(out)
     assert rep["inputs"]["samples"] == 32
     assert rep["outputs"]["entries"][0][2] == 32
-    with pytest.raises(SystemExit) as exc:
-        main(["modulus", "--samples", "many"])
-    assert exc.value.code == 2
-    assert "invalid int value" in capsys.readouterr().err
+    result = _run_err(capsys, ["modulus", "--samples", "many"])
+    _assert_error_line(result)
+    assert "invalid int value" in result[2]
     argv = ["classify-space", "--gallery", "branching_tree", "--params",
             "n=5"]
     code, out = _run(capsys, argv)

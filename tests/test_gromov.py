@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from freegeo import metric
 from freegeo.gromov import (PairError, analyze_pair, classify_space,
                             family_trend, gromov_product)
-from freegeo.metric import gallery, gamma_fatten, line_space
+from freegeo.metric import (MetricError, MetricFamily, PointedMetricSpace,
+                            gallery, gamma_fatten, line_space, validate)
 from conftest import random_euclidean_space
 
 
@@ -191,3 +193,186 @@ def test_analyze_pair_rejects_out_of_range():
         analyze_pair(space, 1, 9)
     with pytest.raises(PairError):
         analyze_pair(space, -1, 2)
+
+
+# ---------------------------------------------------------------------------
+# family_trend against generating and validating index by index
+# ---------------------------------------------------------------------------
+
+def generate_alone(family, idx):
+    """MetricFamily.generate before nested trends: the space validated on
+    its own, then its pair checked."""
+    space, (x, y) = family.generator(idx)
+    rep = validate(space)
+    if not rep.ok:
+        raise MetricError(f"family {family.name}[{idx}] invalid: {rep}")
+    if x == y or not (0 <= x < space.n and 0 <= y < space.n):
+        raise MetricError("bad distinguished pair")
+    return space, (x, y)
+
+
+def trend_reference(family, indices, generate=generate_alone):
+    """family_trend as a loop of one-index generates."""
+    rows = []
+    for idx in indices:
+        space, (x, y) = generate(family, idx)
+        r = analyze_pair(space, x, y)
+        rows.append({"index": int(idx), "eta": r.eta,
+                     "delta_rotund": r.delta_rotund})
+    return rows
+
+
+def _outcome(fn, *args):
+    """repr of the result, or the type and text of the error raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_trend_matches(family, indices):
+    """family_trend is bitwise the per-index loop, in rows and in the
+    error raised, with generate or with its old body; returns the
+    outcome."""
+    want = _outcome(trend_reference, family, indices)
+    assert _outcome(family_trend, family, indices) == want
+    assert _outcome(trend_reference, family, indices,
+                    MetricFamily.generate) == want
+    return want
+
+
+def _prefix_family(d, raise_at=None):
+    """Leading blocks of one matrix: index n is d[:n, :n], so the family
+    is nested; index `raise_at` raises instead."""
+    d = np.asarray(d, dtype=float)
+
+    def gen(n):
+        if n == raise_at:
+            raise MetricError(f"no space at index {n}")
+        if n < 2:
+            raise MetricError("index must be >= 2")
+        return PointedMetricSpace(d[:n, :n]), (0, 1)
+
+    return MetricFamily("prefix", {}, gen)
+
+
+def _line_broken_from(k, n=12):
+    """n points on a line, with d(0, k - 1) too long: every block of k or
+    more points breaks the triangle inequality."""
+    d = line_space(list(range(n))).dist.copy()
+    d[0, k - 1] = d[k - 1, 0] = 3.0 * (k - 1)
+    return d
+
+
+@pytest.mark.parametrize("name, lo, hi", [
+    ("rotund_no_gap", 1, 40), ("almost_aligned", 1, 29),
+    ("almost_aligned", 1, 30), ("nonaligned_not_discrete", 2, 40),
+    ("branching_tree_family", 2, 20)])
+def test_family_trend_matches_per_index_on_gallery_ranges(name, lo, hi):
+    family = gallery(name)
+    for indices in (list(range(lo, hi + 1)), list(range(lo, 9)), [hi]):
+        assert _assert_trend_matches(family, indices).startswith("[")
+
+
+def test_family_trend_non_nested_generator():
+    # index n is n + 1 points spread over [0, 1]: no index is a block of
+    # another, so each is validated on its own
+    family = MetricFamily("unit_line", {}, lambda n: (
+        line_space([k / n for k in range(n + 1)]), (0, n)))
+    assert _assert_trend_matches(family, range(1, 12)).startswith("[")
+
+    # a non-nested family whose odd indices are not metrics, while the
+    # largest is: the first odd index raises
+    def gen(n):
+        d = line_space(list(range(n + 1))).dist.copy() * (1 + n % 7)
+        if n % 2:
+            d[0, n] = d[n, 0] = 5.0 * d[0, n]
+        return PointedMetricSpace(d), (0, 1)
+
+    family = MetricFamily("odd_broken", {}, gen)
+    want = _assert_trend_matches(family, range(2, 11))
+    assert want.startswith("MetricError: family odd_broken[3] invalid")
+
+
+def test_family_trend_nested_with_invalid_middle_index():
+    family = _prefix_family(_line_broken_from(5))
+    want = _assert_trend_matches(family, range(2, 13))
+    assert want.startswith("MetricError: family prefix[5] invalid")
+    assert _assert_trend_matches(family, range(2, 5)).startswith("[")
+    # the largest index raises; the earlier invalid index still raises first
+    family = _prefix_family(_line_broken_from(5), raise_at=12)
+    want = _assert_trend_matches(family, range(2, 13))
+    assert want.startswith("MetricError: family prefix[5] invalid")
+
+
+@pytest.mark.parametrize("error", [MetricError, ValueError, IndexError])
+def test_family_trend_largest_index_raises_at_its_turn(error):
+    def gen(n):
+        if n == 9:
+            raise error("no space at index 9")
+        return line_space(list(range(n))), (0, 1)
+
+    calls = []
+    family = MetricFamily("line", {}, lambda n: calls.append(n) or gen(n))
+    want = _assert_trend_matches(family, [2, 9, 3])
+    assert want == f"{error.__name__}: no space at index 9"
+    calls.clear()
+    with pytest.raises(error):
+        family_trend(family, [2, 3, 9])
+    assert calls == [9, 2, 3, 9]
+
+
+def test_family_trend_bad_pair_at_middle_index():
+    def gen(n):
+        return line_space(list(range(n))), ((0, 0) if n == 4 else (0, 1))
+
+    family = MetricFamily("line", {}, gen)
+    want = _assert_trend_matches(family, range(2, 8))
+    assert want == "MetricError: bad distinguished pair"
+
+
+@pytest.mark.parametrize("indices", [[5, 3, 5], [3, 5, 5, 3], [7, 2, 4, 2]])
+def test_family_trend_unsorted_and_duplicate_indices(indices):
+    for name in ("rotund_no_gap", "almost_aligned",
+                 "nonaligned_not_discrete"):
+        rows = family_trend(gallery(name), indices)
+        assert [r["index"] for r in rows] == indices
+        _assert_trend_matches(gallery(name), indices)
+    _assert_trend_matches(_prefix_family(_line_broken_from(5)), indices)
+
+
+def test_family_trend_takes_a_range():
+    family = gallery("rotund_no_gap")
+    assert repr(family_trend(family, range(1, 41))) == \
+        repr(family_trend(family, list(range(1, 41)))) == \
+        repr(trend_reference(family, range(1, 41)))
+    assert family_trend(family, range(5, 5)) == []
+
+
+def test_nested_trend_validates_once(monkeypatch):
+    calls = []
+    real = metric.validate
+
+    def spy(space):
+        calls.append(space.n)
+        return real(space)
+
+    monkeypatch.setattr(metric, "validate", spy)
+    family_trend(gallery("rotund_no_gap"), range(1, 41))
+    assert calls == [42]
+    calls.clear()
+    family_trend(gallery("nonaligned_not_discrete"), [9, 2, 9, 5])
+    assert calls == [10]
+
+
+def test_spaces_holds_one_space_at_a_time():
+    made = []
+    family = gallery("rotund_no_gap")
+    lazy = MetricFamily(family.name, {}, lambda n: made.append(n) or
+                        family.generator(n))
+    it = lazy.spaces([1, 2, 3])
+    assert made == []
+    assert next(it)[0].n == 3
+    assert made == [3, 1]
+    assert [space.n for space, _ in it] == [4, 5]
+    assert made == [3, 1, 2]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from freegeo.metric import (MetricError, MetricFamily, PointedMetricSpace,
-                            branching_tree, cantor_endpoints, equilateral,
-                            gallery, gamma_fatten, gamma_thin, line_space,
+                            _almost_aligned_family, branching_tree,
+                            cantor_endpoints, equilateral, gallery,
+                            gamma_fatten, gamma_thin, line_space,
                             metric_segment, radius_beta, subspace,
                             three_point_aligned,
                             uniform_discreteness_constant, validate)
@@ -176,6 +177,21 @@ class TestGallery:
         assert space.d(x, z2) == pytest.approx(0.25)
         assert space.d(y, z2) == pytest.approx(0.875)
         assert space.d(z1, z2) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
+    def test_almost_aligned_rejects_non_positive_eps(self, bad):
+        calls = []
+
+        def eps_of(k):
+            calls.append(k)
+            return bad if k == 3 else 2.0 ** -k
+
+        gen = _almost_aligned_family(eps_of).generator
+        assert gen(2)[0].d(1, 3) == 0.75
+        with pytest.raises(MetricError, match="eps values must be positive"):
+            gen(4)
+        # eps_of is called once per k and index
+        assert calls == [1, 2, 1, 2, 3, 4]
 
     def test_all_gallery_items_validate(self):
         for name in ("line", "equilateral", "branching_tree", "cantor",

@@ -103,6 +103,17 @@ def rotund_no_gap_loop(n):
     return d
 
 
+def almost_aligned_loop(n):
+    m = n + 2
+    d = np.ones((m, m))
+    for k in range(1, n + 1):
+        e = 2.0 ** (-k)
+        d[0, k + 1] = d[k + 1, 0] = 0.5
+        d[1, k + 1] = d[k + 1, 1] = 0.5 + e
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def nonaligned_not_discrete_loop(n):
     m = n + 1
     d = np.zeros((m, m))
@@ -315,6 +326,26 @@ def test_valid_space_is_not_enumerated(monkeypatch):
     assert validate(gallery("equilateral", n=40)).ok
 
 
+@SETTINGS
+@given(st.one_of(METRICS, near_tie(), hostile()), st.data())
+def test_principal_block_flags_only_what_the_whole_flags(d, data):
+    # the lemma behind MetricFamily.spaces: a bad pair or triple of a
+    # principal sub-matrix, re-indexed, is one of the whole matrix, so a
+    # metric's principal blocks are metrics
+    n = d.shape[0]
+    whole = validate(_space(d))
+    keeps = [list(range(m)) for m in range(n + 1)]
+    keeps.append(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)),
+                                          max_size=n))) if n else [])
+    for keep in keeps:
+        block = validate(_space(d[np.ix_(keep, keep)]))
+        assert {tuple(keep[i] for i in p) for p in block.bad_pairs} <= \
+            set(whole.bad_pairs)
+        assert {tuple(keep[i] for i in t) for t in block.bad_triples} <= \
+            set(whole.bad_triples)
+        assert block.ok or not whole.ok
+
+
 # ---------------------------------------------------------------------------
 # Gromov products
 # ---------------------------------------------------------------------------
@@ -382,6 +413,7 @@ def test_classify_space_on_family_members():
 @pytest.mark.parametrize("name, reference, first", [
     ("rotund_no_gap", rotund_no_gap_loop, 1),
     ("nonaligned_not_discrete", nonaligned_not_discrete_loop, 2),
+    ("almost_aligned", almost_aligned_loop, 1),
 ])
 def test_family_matrices_match_loop_bitwise(name, reference, first):
     family = gallery(name)
