@@ -23,8 +23,8 @@ from .gromov import PairError, analyze_pair, classify_space, family_trend
 from .lipschitz import (LipschitzError, aux_f_xy, from_values, lip_norm,
                         peaking_check)
 from .lp import LpError
-from .metric import (MetricError, PointedMetricSpace, gallery, gamma_fatten,
-                     validate)
+from .metric import (MAX_FAMILY_INDEX, MetricError, PointedMetricSpace,
+                     gallery, gamma_fatten, validate)
 from .ssd import (CERTIFIED, SsdError, almost_aligned_certificate,
                   bilipschitz_distortion, exposedness_probe,
                   find_common_norming, perturbation_pipeline,
@@ -34,6 +34,10 @@ from .tolerances import TAU_METRIC, lp_tol
 
 class _UsageError(ValueError):
     pass
+
+
+#: Cap on --samples, the slab samples per eta of `modulus`.
+_MAX_SAMPLES = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,10 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="freegeo",
         description="Computable geometry of Lipschitz-free spaces over "
                     "finite pointed metric spaces.")
-    p.add_argument("command", choices=[
-        "validate", "gallery", "norm", "represent", "classify-pair",
-        "classify-space", "family-trend", "modulus", "perturb",
-        "perturb-single", "certify-almost-aligned", "distort"])
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--space", help="JSON file with a pointed metric space")
     p.add_argument("--gallery", dest="gallery_name",
                    help="named gallery space or family")
@@ -108,12 +109,18 @@ def _parse_params(text: str) -> dict:
 def _parse_indices(text: str):
     if not text:
         raise _UsageError("family-trend needs --indices (e.g. 1-10)")
-    if "-" in text and "," not in text:
-        lo, hi = _numbers(text.replace("-", ",", 1), int, "--indices")
+    ranged = "-" in text and "," not in text
+    values = _numbers(text.replace("-", ",", 1) if ranged else text, int,
+                      "--indices")
+    if max(values) > MAX_FAMILY_INDEX:
+        raise _UsageError(f"--indices value {max(values)} is above the cap "
+                          f"of {MAX_FAMILY_INDEX}")
+    if ranged:
+        lo, hi = values
         if hi < lo:
             raise _UsageError(f"--indices range {text} is empty")
         return list(range(lo, hi + 1))
-    return _numbers(text, int, "--indices")
+    return values
 
 
 def _parse_pair(text: str, space: PointedMetricSpace):
@@ -305,8 +312,9 @@ def _cmd_modulus(args):
         raise _UsageError("modulus needs --seed for reproducibility")
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
-    if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise _UsageError(f"--samples must be at least 1 and at most "
+                          f"{_MAX_SAMPLES}")
     if not args.eta_grid:
         raise _UsageError("modulus needs --eta-grid a,b,c")
     grid = _numbers(args.eta_grid, float, "--eta-grid")
@@ -415,10 +423,8 @@ def main(argv=None) -> int:
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MetricError, PairError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SsdError, LipschitzError, FreeSpaceError) as exc:
+    except (MetricError, PairError, SsdError, LipschitzError,
+            FreeSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LpError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, LE, LpBasis, LpProblem, solve
+from .lp import EQ, LE, LpBasis, LpProblem, solve, solve_many
 from .lipschitz import LipFunction, lip_norm
 from .metric import PointedMetricSpace
 from .tolerances import lp_tol
@@ -304,7 +304,9 @@ def dual_face(mu: FreeElement) -> DualFace:
 
 
 def face_coordinate_ranges(face: DualFace) -> np.ndarray:
-    """Per-point [min, max] of f(p) over the dual face (2n LP solves)."""
+    """Per-point [min, max] of f(p) over the dual face: one `solve_many`
+    batch over the objectives +e_p and -e_p (max f(p) = -min -f(p)); the
+    first is solved cold and its basis starts the others."""
     space = face.space
     n = space.n
     A_ub, b_ub, prow, prhs = face.constraint_rows()
@@ -313,20 +315,14 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
     s = distance_scale(space)
     b = np.concatenate([b_ub, [prhs]]) / s
     face_lp = LpProblem.build(np.zeros(n - 1), A, [LE] * len(b_ub) + [EQ], b)
+    e = np.eye(n - 1)
+    sols = solve_many(face_lp, np.vstack([e, -e]))
+    if any(sol.status != "optimal" for sol in sols):
+        raise FreeSpaceError("face range LP failed (empty face?)")
+    values = np.array([sol.value for sol in sols])
     out = np.zeros((n, 2))
-    # one polytope, only the objective changes: re-optimize from the last
-    # basis; max f(p) is -min(-f(p))
-    basis = None
-    for p in range(1, n):
-        c = np.zeros(n - 1)
-        c[p - 1] = 1.0
-        lo = solve(face_lp.with_objective(c), start=basis)
-        basis = lo.basis
-        hi = solve(face_lp.with_objective(-c), start=basis)
-        basis = hi.basis
-        if lo.status != "optimal" or hi.status != "optimal":
-            raise FreeSpaceError("face range LP failed (empty face?)")
-        out[p] = (s * lo.value, -s * hi.value)
+    out[1:, 0] = s * values[:n - 1]
+    out[1:, 1] = -s * values[n - 1:]
     return out
 
 

@@ -9,6 +9,7 @@ to the solver rather than to input rounding.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -226,6 +227,13 @@ def radius_beta(space: PointedMetricSpace, subset) -> float:
 # gallery
 # ---------------------------------------------------------------------------
 
+#: Cap on the points of a gallery space, checked before anything is
+#: allocated (an 8 MB matrix).  The k-th space of a family has at most k + 2
+#: points; at the last index almost_aligned's 2^-k is a normal float.
+MAX_GALLERY_POINTS = 1024
+MAX_FAMILY_INDEX = MAX_GALLERY_POINTS - 2
+
+
 @dataclass(frozen=True)
 class MetricFamily:
     """Indexed family of spaces, each with a distinguished pair of points."""
@@ -240,8 +248,8 @@ class MetricFamily:
 
     def spaces(self, indices):
         """Yield (space, pair) for each index, in the given order, each
-        space validated and its pair checked; the first invalid index
-        raises MetricError.
+        space validated and its pair checked; an index above
+        MAX_FAMILY_INDEX, then the first invalid index, raises MetricError.
 
         The largest index's space is generated and validated first.  Each
         bad pair and each bad triple of a leading principal block of a
@@ -256,6 +264,9 @@ class MetricFamily:
         if not indices:
             return
         top = max(indices)
+        if top > MAX_FAMILY_INDEX:
+            raise MetricError(f"family index {top} is above the cap of "
+                              f"{MAX_FAMILY_INDEX}")
         try:
             big = self.generator(top)
             big_rep = validate(big[0])
@@ -303,8 +314,9 @@ def line_space(coords) -> PointedMetricSpace:
 
 
 def equilateral(n: int, scale: float = 1.0) -> PointedMetricSpace:
-    if n < 2 or not 0 < scale < np.inf:
-        raise MetricError("need n >= 2 and a positive finite scale")
+    if not 2 <= n <= MAX_GALLERY_POINTS or not 0 < scale < np.inf:
+        raise MetricError(f"need 2 <= n <= {MAX_GALLERY_POINTS} and a "
+                          "positive finite scale")
     d = np.full((n, n), float(scale))
     np.fill_diagonal(d, 0.0)
     return PointedMetricSpace(d)
@@ -312,8 +324,8 @@ def equilateral(n: int, scale: float = 1.0) -> PointedMetricSpace:
 
 def branching_tree(n: int) -> PointedMetricSpace:
     """Star of n leaves: d(0,i) = 1 and d(i,j) = 2 between leaves."""
-    if n < 1:
-        raise MetricError("need at least one leaf")
+    if not 1 <= n < MAX_GALLERY_POINTS:
+        raise MetricError(f"need 1 to {MAX_GALLERY_POINTS - 1} leaves")
     d = np.full((n + 1, n + 1), 2.0)
     d[0, :] = 1.0
     d[:, 0] = 1.0
@@ -322,9 +334,11 @@ def branching_tree(n: int) -> PointedMetricSpace:
 
 
 def cantor_endpoints(level: int) -> PointedMetricSpace:
-    """Endpoints of the middle-thirds construction after `level` removals."""
-    if level < 0:
-        raise MetricError("level must be >= 0")
+    """The 2^(level + 1) endpoints of the middle-thirds construction after
+    `level` removals."""
+    top = int(math.log2(MAX_GALLERY_POINTS)) - 1
+    if not 0 <= level <= top:
+        raise MetricError(f"need 0 <= level <= {top}")
     intervals = [(0.0, 1.0)]
     for _ in range(level):
         nxt = []
@@ -454,8 +468,8 @@ def gallery(name: str, **params):
         coords = params.get("coords")
         if coords is None:
             n = _integer(params, "n", 4)
-            if n < 2:
-                raise MetricError("need n >= 2")
+            if not 2 <= n <= MAX_GALLERY_POINTS:
+                raise MetricError(f"need 2 <= n <= {MAX_GALLERY_POINTS}")
             coords = list(range(n))
         return line_space(coords)
     if name == "equilateral":

@@ -365,15 +365,6 @@ class PerturbationResult:
                 "verified": [c.to_json() for c in self.verified]}
 
 
-def _off_support_slope_sup(f: LipFunction, in_n: np.ndarray) -> float:
-    """sup |slope| over pairs with at least one endpoint off the subset."""
-    s = np.abs(slope_matrix(f))
-    np.fill_diagonal(s, 0.0)
-    both_in = np.outer(in_n, in_n)
-    s[both_in] = 0.0
-    return float(s.max())
-
-
 def _search_T(beta: float, gamma: float):
     """Smallest T = beta + 2^k making the taper-tail estimate strict."""
     k = 0
@@ -417,10 +408,10 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     fattened = gamma_fatten(space, gamma)
     terms = combination.terms
 
-    def fail(status, msg):
+    def fail(status, msg, **found):
         return PerturbationResult(status=status, psi=None, g=g, eps=eps,
                                   gamma=gamma, verified=tuple(verified),
-                                  message=msg)
+                                  message=msg, **found)
 
     if not 0.0 < eps < 1.0:
         return fail(PRECONDITION_FAILED, "eps must lie in (0, 1)")
@@ -431,9 +422,9 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     # (i) source and sink supports may not meet
     xs = [t[1] for t in terms]
     ys = [t[2] for t in terms]
+    common = set(xs) & set(ys)
     if not _check(verified, "disjoint_supports",
-                  -float(len(set(xs) & set(ys)))
-                  if set(xs) & set(ys) else 1.0, strict=True):
+                  -float(len(common)) if common else 1.0, strict=True):
         return fail(PRECONDITION_FAILED,
                     "source and sink supports intersect")
     for i, (lam, x, y) in enumerate(terms):
@@ -451,6 +442,7 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     N = sorted({0, *xs, *ys})
     in_n = np.zeros(space.n, dtype=bool)
     in_n[N] = True
+    both_in = np.outer(in_n, in_n)
     beta = radius_beta(space, N)
     f_ext = mcshane_extend(space, N, [f(p) for p in N], 1.0,
                            clip=(-beta, beta))
@@ -468,8 +460,13 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     G = g_gamma_construct(space, f_gamma, cutoff_xi(beta, T))
     _check(verified, "taper_pairing_one", tol - abs(pairing(G, mu) - 1.0))
 
-    # (v) off-support slope supremum of the tapered lift
-    S = _off_support_slope_sup(G, in_n)
+    # (v) off-support slope supremum of the tapered lift.  The |slope|
+    # matrices of G, h and psi are built once each, with a zero diagonal; a
+    # max over one is lip_norm bitwise: |a| / d = |a / d| for d > 0, and
+    # zeros do not raise a max of absolute values
+    s_G = np.abs(slope_matrix(G))
+    np.fill_diagonal(s_G, 0.0)
+    S = float(s_G[~both_in].max(initial=0.0))
     _check(verified, "off_support_sup_below_one", 1.0 - S, strict=True)
     if S >= 1.0:
         return fail(PRECONDITION_FAILED,
@@ -478,9 +475,9 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     # an endpoint off the support set
     case1_bound = (2.0 * beta + gamma / 2.0) / (2.0 * beta + gamma)
     near = ~(space.dist[0] > beta)
-    inner = np.triu(np.outer(near, near) & ~np.outer(in_n, in_n), 1)
+    inner = np.triu(np.outer(near, near) & ~both_in, 1)
     if inner.any():
-        worst_case1 = (case1_bound - np.abs(slope_matrix(G))[inner]).min()
+        worst_case1 = (case1_bound - s_G[inner]).min()
         _check(verified, "inner_pair_bound", float(worst_case1) + tol)
     c = (max(S, 0.5 + 10.0 * tol) + 1.0) / 2.0
     K = gamma * (c - 0.5) / (1.0 - c)
@@ -503,32 +500,31 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     # (vii) the blend pairs above anything it can do off the support set
     se = math.sqrt(eps)
     h = from_values(fattened, (1.0 - se) * g.values + se * G.values)
-    off_sup_h = _off_support_slope_sup(h, in_n)
+    s_h = np.abs(slope_matrix(h))
+    np.fill_diagonal(s_h, 0.0)
+    off_sup_h = float(s_h[~both_in].max(initial=0.0))
     ph = pairing(h, mu)
     if not _check(verified, "blend_dominates_off_support", ph - off_sup_h,
                   strict=True):
         return fail(PRECONDITION_FAILED,
                     "blend does not dominate its off-support slopes")
-    norm_h = lip_norm(h)
+    norm_h = float(s_h.max())
     _check(verified, "blend_norm_on_support",
-           tol - abs(norm_h - lip_norm(from_values(
-               *_restrict(fattened, h, N)))))
+           tol - abs(norm_h - float(s_h[both_in].max())))
 
     # (viii) project the restriction onto the finite face
     sub, kept = subspace(fattened, N)
     pos = {old: new for new, old in enumerate(kept)}
     mu_n = MoleculeCombination(
         sub, tuple((lam, pos[x], pos[y]) for lam, x, y in terms)).element()
-    h_n = np.array([h(p) for p in kept])
+    h_n = h.values[kept]
     proj_dist, phi_vals = _projection_lp(sub, h_n, mu_n.masses, norm_h)
     if not _check(verified, "face_projection_within_eps", eps - proj_dist,
                   strict=True):
-        return PerturbationResult(
-            status=RHO_TOO_LARGE, psi=None, g=g, eps=eps, gamma=gamma,
-            beta=beta, T=T, T0=T0, S=S, c=c, K=K, rho=rho,
-            verified=tuple(verified),
-            message=f"face projection distance {proj_dist!r} is not below "
-                    f"eps; supply g with pairing above {1.0 - rho / 2.0!r}")
+        return fail(RHO_TOO_LARGE,
+                    f"face projection distance {proj_dist!r} is not below "
+                    f"eps; supply g with pairing above {1.0 - rho / 2.0!r}",
+                    beta=beta, T=T, T0=T0, S=S, c=c, K=K, rho=rho)
 
     # (ix) stitch and verify
     psi_vals = h.values.copy()
@@ -537,36 +533,22 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     p_psi = pairing(psi, mu)
     s_abs = np.abs(slope_matrix(psi))
     np.fill_diagonal(s_abs, 0.0)
-    both_in = np.outer(in_n, in_n)
     both_out = np.outer(~in_n, ~in_n)
-    mixed = ~(both_in | both_out)
-    _check(verified, "attainment_inside",
-           p_psi - float(s_abs[both_in].max()) + tol)
-    if both_out.any():
-        _check(verified, "attainment_outside",
-               p_psi - float(s_abs[both_out].max()) + tol)
-    if mixed.any():
-        _check(verified, "attainment_mixed",
-               p_psi - float(s_abs[mixed].max()) + tol)
-    _check(verified, "norm_attained", 1e-8 - abs(p_psi - lip_norm(psi)))
+    for where, pairs in (("inside", both_in), ("outside", both_out),
+                         ("mixed", ~(both_in | both_out))):
+        if pairs.any():
+            _check(verified, f"attainment_{where}",
+                   p_psi - float(s_abs[pairs].max()) + tol)
+    _check(verified, "norm_attained", 1e-8 - abs(p_psi - float(s_abs.max())))
     bound = max(eps, beta * eps / gamma) + 2.0 * se
     dist = lip_norm(from_values(fattened, psi.values - g.values))
     _check(verified, "distance_bound", bound + tol - dist)
-    if not all(chk.ok for chk in verified):
-        bad = [chk.name for chk in verified if not chk.ok]
-        return PerturbationResult(
-            status=PRECONDITION_FAILED, psi=psi, g=g, eps=eps, gamma=gamma,
-            beta=beta, T=T, T0=T0, S=S, c=c, K=K, rho=rho, bound=bound,
-            verified=tuple(verified), message=f"failed checks: {bad}")
+    bad = [chk.name for chk in verified if not chk.ok]
     return PerturbationResult(
-        status=CERTIFIED, psi=psi, g=g, eps=eps, gamma=gamma, beta=beta,
-        T=T, T0=T0, S=S, c=c, K=K, rho=rho, bound=bound,
-        verified=tuple(verified))
-
-
-def _restrict(fattened, h, N):
-    sub, kept = subspace(fattened, N)
-    return sub, np.array([h(p) for p in kept])
+        status=PRECONDITION_FAILED if bad else CERTIFIED, psi=psi, g=g,
+        eps=eps, gamma=gamma, beta=beta, T=T, T0=T0, S=S, c=c, K=K, rho=rho,
+        bound=bound, verified=tuple(verified),
+        message=f"failed checks: {bad}" if bad else "")
 
 
 def _norming_rows(space, terms):

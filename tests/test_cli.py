@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import freegeo
-from freegeo import free_space
+from freegeo import cli, free_space, metric
 from freegeo.cli import main
 from freegeo.metric import gallery, line_space, space_to_json_str
 
@@ -407,6 +408,65 @@ def test_family_trend_reversed_range_is_usage_error(capsys, indices):
                                        indices])
     _assert_error_line((code, out, err))
     assert f"--indices range {indices} is empty" in err
+
+
+CAP = metric.MAX_GALLERY_POINTS
+TOP = metric.MAX_FAMILY_INDEX
+
+
+@pytest.mark.parametrize("argv,code,says", [
+    (["gallery", "--gallery", "line", "--params", f"n={CAP + 1}"], 2,
+     "need 2 <= n <= 1024"),
+    (["gallery", "--gallery", "equilateral", "--params", f"n={CAP + 1}"], 2,
+     "need 2 <= n <= 1024 and a positive finite scale"),
+    (["gallery", "--gallery", "branching_tree", "--params", f"n={CAP}"], 2,
+     "need 1 to 1023 leaves"),
+    (["gallery", "--gallery", "cantor", "--params", "level=10"], 2,
+     "need 0 <= level <= 9"),
+    (["classify-space", "--gallery", "almost_aligned", "--index",
+      str(TOP + 1)], 2, f"family index {TOP + 1} is above the cap"),
+    (["certify-almost-aligned", "--index", str(TOP + 1), "--epsilon", "0.1"],
+     2, f"family index {TOP + 1} is above the cap"),
+    (["family-trend", "--gallery", "rotund_no_gap", "--indices",
+      f"1-{TOP + 1}"], 1, f"--indices value {TOP + 1} is above the cap"),
+    (["family-trend", "--gallery", "almost_aligned", "--indices",
+      f"3,{TOP + 1},2"], 1, f"--indices value {TOP + 1} is above the cap"),
+])
+def test_oversized_gallery_request_fails_before_allocating(
+        capsys, argv, code, says):
+    # each of these grew until numpy or the machine gave up; just above the
+    # cap each would still allocate at least one 8 MB matrix
+    tracemalloc.start()
+    try:
+        result = _run_err(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_error_line(result, code=code)
+    assert says in result[2] and result[2].count("\n") == 1
+    assert peak < 2 ** 20
+
+
+def test_modulus_samples_above_cap_is_usage_error(capsys, monkeypatch,
+                                                  tmp_path, line_file):
+    monkeypatch.setattr(cli, "exposedness_probe", None)
+    el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})
+    code, out, err = _run_err(capsys, [
+        "modulus", "--space", line_file, "--element", el, "--eta-grid",
+        "0.1", "--seed", "3", "--samples", str(cli._MAX_SAMPLES + 1)])
+    _assert_error_line((code, out, err))
+    assert f"at most {cli._MAX_SAMPLES}" in err
+
+
+def test_invalid_command_lists_the_commands_in_order(capsys):
+    # the parser's choices come from _COMMANDS, in its order
+    code, out, err = _run_err(capsys, ["no-such-command"])
+    assert code == 1
+    assert err == ("error: argument command: invalid choice: "
+                   "'no-such-command' (choose from 'validate', 'gallery', "
+                   "'norm', 'represent', 'classify-pair', 'classify-space', "
+                   "'family-trend', 'modulus', 'perturb', 'perturb-single', "
+                   "'certify-almost-aligned', 'distort')\n")
 
 
 def test_modulus_zero_samples_is_usage_error(capsys, tmp_path, line_file):

@@ -289,6 +289,67 @@ class TestFaceRanges:
             hi = solve(LpProblem.build(c, A, senses, b, maximize=True)).value
             assert ranges[p] == pytest.approx([lo, hi], abs=1e-12)
 
+    def test_ranges_are_one_batch(self, monkeypatch):
+        # one solve_many over +e_p and -e_p, no start; no basis is handed
+        # from one single solve to the next
+        batches, singles = [], []
+        solve_many = free_space.solve_many
+
+        def counted(problem, objectives, start=None):
+            batches.append((np.array(objectives), start))
+            return solve_many(problem, objectives, start)
+
+        monkeypatch.setattr(free_space, "solve_many", counted)
+        monkeypatch.setattr(free_space, "solve", lambda *a, **k: (
+            singles.append(a) or solve(*a, **k)))
+        mu = combo(LINE, (0.5, 1, 0), (0.5, 3, 2)).element()
+        face = dual_face(mu)
+        singles.clear()
+        face_coordinate_ranges(face)
+        assert singles == []
+        assert len(batches) == 1
+        objectives, start = batches[0]
+        e = np.eye(LINE.n - 1)
+        assert start is None
+        assert np.array_equal(objectives, np.vstack([e, -e]))
+
+    @pytest.mark.parametrize("case", [
+        "split_pair", "equilateral", "consecutive", "tree", "cantor",
+        "euclid5", "euclid9", "euclid8", "euclid16"])
+    def test_ranges_match_cold_per_objective_solves(self, case):
+        # each endpoint against its own cold solve of the same unit-scale
+        # LP, within 1e-9 relative
+        if case.startswith("euclid"):
+            n = int(case[6:])
+            rng = np.random.default_rng(700 + n)
+            space = random_euclidean_space(rng, n, dim=2)
+            mu = FreeElement(space, random_zero_sum(rng, n))
+        else:
+            mu = {"split_pair": combo(LINE, (0.5, 1, 0), (0.5, 3, 2)),
+                  "equilateral": combo(equilateral(3), (1.0, 1, 2)),
+                  "consecutive": combo(LINE, (1 / 3, 1, 0), (1 / 3, 2, 1),
+                                       (1 / 3, 3, 2)),
+                  "tree": combo(branching_tree(4), (0.5, 1, 0),
+                                (0.5, 2, 3)),
+                  "cantor": combo(cantor_endpoints(2), (0.5, 1, 0),
+                                  (0.5, 5, 4))}[case].element()
+        face = dual_face(mu)
+        n = mu.space.n
+        A_ub, b_ub, prow, prhs = face.constraint_rows()
+        s = free_space.distance_scale(mu.space)
+        face_lp = LpProblem.build(
+            np.zeros(n - 1), np.vstack([A_ub, prow]),
+            [LE] * len(b_ub) + [EQ], np.concatenate([b_ub, [prhs]]) / s)
+        ranges = face_coordinate_ranges(face)
+        assert np.array_equal(ranges[0], [0.0, 0.0])
+        for p in range(1, n):
+            c = np.zeros(n - 1)
+            c[p - 1] = 1.0
+            want = (s * solve(face_lp.with_objective(c)).value,
+                    -s * solve(face_lp.with_objective(-c)).value)
+            for got, v in zip(ranges[p], want):
+                assert abs(got - v) <= 1e-9 * max(1.0, abs(v)), (p, got, v)
+
 
 class TestGateaux:
     def test_consecutive_true(self):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from freegeo.metric import (MetricError, MetricFamily, PointedMetricSpace,
+from freegeo.metric import (MAX_FAMILY_INDEX, MAX_GALLERY_POINTS,
+                            MetricError, MetricFamily, PointedMetricSpace,
                             _almost_aligned_family, branching_tree,
                             cantor_endpoints, equilateral, gallery,
                             gamma_fatten, gamma_thin, line_space,
@@ -239,6 +240,34 @@ class TestGallery:
     def test_equilateral_scale_must_be_positive_and_finite(self, scale):
         with pytest.raises(MetricError, match="positive finite scale"):
             gallery("equilateral", n=3, scale=scale)
+
+    def test_sizes_at_the_cap_are_built(self):
+        cap = MAX_GALLERY_POINTS
+        assert gallery("line", n=cap).n == cap
+        assert gallery("equilateral", n=cap).n == cap
+        assert gallery("branching_tree", n=cap - 1).n == cap
+        assert gallery("cantor", level=9).n == cap
+        for name in ("almost_aligned", "rotund_no_gap"):
+            assert gallery(name).generator(MAX_FAMILY_INDEX)[0].n == cap
+        # almost_aligned's eps_k = 2^-k is still a normal float at the cap
+        assert 2.0 ** -MAX_FAMILY_INDEX == np.finfo(float).tiny
+
+    @pytest.mark.parametrize("name,params,says", [
+        ("line", {"n": MAX_GALLERY_POINTS + 1}, "n <= 1024"),
+        ("equilateral", {"n": MAX_GALLERY_POINTS + 1}, "n <= 1024"),
+        ("branching_tree", {"n": MAX_GALLERY_POINTS}, "1 to 1023 leaves"),
+        ("cantor", {"level": 10}, "level <= 9")])
+    def test_sizes_above_the_cap_are_rejected(self, name, params, says):
+        with pytest.raises(MetricError, match=says):
+            gallery(name, **params)
+
+    def test_family_index_above_the_cap_is_not_generated(self):
+        calls = []
+        fam = MetricFamily("f", {}, calls.append)
+        for indices in ([MAX_FAMILY_INDEX + 1], [2, MAX_FAMILY_INDEX + 1]):
+            with pytest.raises(MetricError, match="above the cap of 1022"):
+                list(fam.spaces(indices))
+        assert calls == []
 
 
 class TestJson:

@@ -9,13 +9,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freegeo import metric
 from freegeo.gromov import (PairGeometryReport, analyze_pair, classify_space,
                             gromov_product)
+from freegeo.lipschitz import LipFunction, lip_norm, slope_matrix
 from freegeo.metric import (PointedMetricSpace, ValidationReport, gallery,
-                            line_space, validate)
+                            line_space, subspace, validate)
 from freegeo.tolerances import TAU_METRIC
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -421,3 +422,43 @@ def test_family_matrices_match_loop_bitwise(name, reference, first):
         space, _ = family.generator(k)
         assert space.dist.tobytes() == reference(k).tobytes(), (name, k)
     assert family.generate(60)[0].n == reference(60).shape[0]
+
+
+# ---------------------------------------------------------------------------
+# slopes: what perturbation_pipeline reads off one matrix per function
+# ---------------------------------------------------------------------------
+
+def off_support_slope_sup_loop(f, in_n):
+    """The pipeline's old helper: sup |slope| off N x N."""
+    s = np.abs(slope_matrix(f))
+    np.fill_diagonal(s, 0.0)
+    s[np.outer(in_n, in_n)] = 0.0
+    return float(s.max())
+
+
+@SETTINGS
+@given(st.one_of(METRICS, near_tie(), hostile()), st.data())
+def test_slope_matrix_maxima_are_the_norms_bitwise(d, data):
+    # |a| / d = |a / d| needs d >= +0 (NaN and inf propagate alike); a
+    # hostile negative distance flips the sign of one side only
+    n = d.shape[0]
+    assume(n >= 1 and not np.signbit(d[~np.eye(n, dtype=bool)]).any())
+    space = _space(d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=n) * data.draw(SCALES)
+    values[0] = 0.0
+    f = LipFunction(space, values)
+    N = sorted({0} | data.draw(st.sets(st.integers(0, n - 1))))
+    in_n = np.zeros(n, dtype=bool)
+    in_n[N] = True
+    both_in = np.outer(in_n, in_n)
+    sub, kept = subspace(space, N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the pipeline's matrix: |slope| with a zero diagonal
+        s = np.abs(slope_matrix(f))
+        np.fill_diagonal(s, 0.0)
+        assert float(s.max()).hex() == lip_norm(f).hex()
+        assert float(s[both_in].max()).hex() == \
+            lip_norm(LipFunction(sub, values[kept])).hex()
+        assert float(s[~both_in].max(initial=0.0)).hex() == \
+            off_support_slope_sup_loop(f, in_n).hex()

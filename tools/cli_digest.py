@@ -1,0 +1,104 @@
+"""Digests of freegeo's observable output, to show that a change leaves it
+byte-identical.
+
+    python3 tools/cli_digest.py [--seed 11] [--rounds 40]
+
+Run it in two checkouts and compare the two lines it prints:
+
+- ``cli_gallery``: the op count and one SHA-1 over the argv (file paths
+  cut to basenames), stdout, stderr and exit code of every op of the
+  benchmark's ``cli_gallery`` workload, rounds 0 to ``rounds - 1`` of the
+  seed, defect probes included.  The workload's input files live in a
+  temporary directory that is removed afterwards.
+- ``probe_trees``: one SHA-1 over the entries of every exposedness probe
+  of the ``probe_trees`` workload, rounds 0-3 for seeds 1-3, with every
+  float as ``float.hex``.
+
+The package is imported from the checkout's ``src`` and the workloads from
+its ``bench/workloads.py``, which this script only reads.  BLAS runs on one
+thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBE_SEEDS = (1, 2, 3)
+PROBE_ROUNDS = 4
+
+
+def _field(h, data: bytes) -> None:
+    """Hash one field, length-prefixed so that fields cannot run together."""
+    h.update(b"%d:" % len(data))
+    h.update(data)
+
+
+def cli_digest(workloads, seed: int, rounds: int):
+    """(op count, SHA-1) over every cli_gallery op of rounds 0..rounds-1."""
+    h = hashlib.sha1()
+    count = 0
+    workdir = tempfile.mkdtemp(prefix="cli-digest-")
+    wl = workloads.CliGallery(seed, workdir)
+    try:
+        wl.setup()
+        for r in range(rounds):
+            for op in wl.round(r):
+                code, out, err = wl.call(op)
+                # describe() is the argv with file paths cut to basenames
+                _field(h, wl.describe(op))
+                for text in (out, err):
+                    _field(h, text.replace(wl.dir, "<dir>").encode())
+                _field(h, repr(code).encode())
+                count += 1
+    finally:
+        wl.close()
+        shutil.rmtree(workdir, ignore_errors=True)
+    return count, h.hexdigest()
+
+
+def probe_digest(workloads):
+    """(probe count, SHA-1) over the probe entries of the fixed rounds."""
+    h = hashlib.sha1()
+    count = 0
+    for seed in PROBE_SEEDS:
+        wl = workloads.ProbeTrees(seed)
+        wl.setup()
+        for r in range(PROBE_ROUNDS):
+            for op in wl.round(r):
+                for eta, worst, k in wl.call(op).entries:
+                    _field(h, f"{eta.hex()} {worst.hex()} {k}".encode())
+                count += 1
+    return count, h.hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--seed", type=int, default=11,
+                   help="cli_gallery seed (default 11)")
+    p.add_argument("--rounds", type=int, default=40,
+                   help="cli_gallery rounds 0..ROUNDS-1 (default 40)")
+    args = p.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads
+
+    count, digest = cli_digest(workloads, args.seed, args.rounds)
+    print(f"cli_gallery seed {args.seed} rounds 0-{args.rounds - 1}: "
+          f"{count} ops sha1 {digest}")
+    count, digest = probe_digest(workloads)
+    print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
+          f"{count} probes sha1 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
