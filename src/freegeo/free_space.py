@@ -168,21 +168,15 @@ def pair_rows(n: int):
 
 
 def lipschitz_ball_rows(space, scale: float = 1.0):
-    """Rows A f <= b encoding |f(p) - f(q)| <= scale * d(p, q), one row per
-    arc of `ball_row_arcs`."""
+    """Rows A f <= b encoding |f(p) - f(q)| <= scale * d(p, q): row 2k is
+    f(p) - f(q) <= scale * d(p, q) for the k-th pair p < q of `pair_rows`,
+    row 2k+1 its mirror.  In the max-pairing LP the dual of a row is the
+    flow along its arc."""
     p, q, R = pair_rows(space.n)
     rows = np.empty((2 * R.shape[0], R.shape[1]))
     rows[0::2] = R
     rows[1::2] = -R
     return rows, np.repeat(scale * space.dist[p, q], 2)
-
-
-def ball_row_arcs(n: int):
-    """(src, dst) per row of `lipschitz_ball_rows`: row 2k is f(p) - f(q) <=
-    d(p, q) for the k-th pair p < q of `pair_rows`, row 2k+1 its mirror.  In
-    the max-pairing LP the dual of a row is the flow along its arc."""
-    p, q = np.triu_indices(n, 1)
-    return np.column_stack([p, q]).ravel(), np.column_stack([q, p]).ravel()
 
 
 def distance_scale(space) -> float:
@@ -243,9 +237,13 @@ def free_norm(mu: FreeElement) -> NormCertificates:
     if sol.status != "optimal":
         raise FreeSpaceError(f"Lipschitz LP failed: {sol.status}")
     potential = _values_from_vars(space, s * sol.x)
-    # off-diagonal entries in row-major order: the arcs in lexicographic order
+    # the duals of rows 2k and 2k+1 are the flows p -> q and q -> p of the
+    # k-th pair; off-diagonal entries in row-major order: the arcs in
+    # lexicographic order
+    p, q, _ = pair_rows(n)
     F = np.zeros((n, n))
-    F[ball_row_arcs(n)] = sol.y
+    F[p, q] = sol.y[0::2]
+    F[q, p] = sol.y[1::2]
     arcs = ~np.eye(n, dtype=bool)
     flows = F[arcs]
     primal = float(space.dist[arcs] @ flows)

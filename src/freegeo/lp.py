@@ -204,7 +204,6 @@ class LpSolution:
     primal_residual: float = np.nan
     dual_residual: float = np.nan
     gap: float = np.nan
-    cs_residual: float = np.nan
     basis: LpBasis | None = None    # pass as solve(..., start=) to re-optimize
 
 
@@ -1046,15 +1045,14 @@ def _fill_residuals(problem: LpProblem, canon: _Canonical, C, X, Y):
     """The residual check against the original data of `problem`, whose
     constraints have the canonical form `canon`, for a stack of lanes: row
     l of C, X and Y is the objective, the primal point and the row duals of
-    lane l.  Returns the primal, dual, gap and complementary-slackness
-    residuals, one entry per lane."""
+    lane l.  Returns the primal, dual and gap residuals, one entry per lane
+    (complementary slackness follows from the three)."""
     code = canon.codes
     sgn = -1.0 if problem.maximize else 1.0
     Ys = sgn * Y
     R = X @ problem.A.T - problem.b
     pr = np.maximum(_top(np.where(canon.eq_rows, np.abs(R), code * R)),
                     _top(np.maximum(problem.lb - X, X - problem.ub)))
-    cs = _top(np.abs(Y * R))
     # reduced costs in min orientation, where the row duals must satisfy
     # y <= 0 on '<=' rows and y >= 0 on '>=' rows
     RC = sgn * C - Ys @ problem.A
@@ -1067,12 +1065,11 @@ def _fill_residuals(problem: LpProblem, canon: _Canonical, C, X, Y):
         at_hi = canon.hi_finite & (X >= canon.hi_reach)
         only_lo = at_lo & ~at_hi
         only_hi = at_hi & ~at_lo
-        # a reduced cost of the wrong sign at a bound violates both dual
-        # feasibility and complementary slackness
+        # a reduced cost of the wrong sign at a bound violates dual
+        # feasibility
         at_bound = _top(np.where(only_lo, -RC, np.where(only_hi, RC, 0.0)))
         dr = np.maximum(np.maximum(
             _top(np.where(at_lo | at_hi, 0.0, np.abs(RC))), at_bound), y_sign)
-        cs = np.maximum(cs, at_bound)
         # a fixed variable takes its whole reduced cost, one at a single
         # bound the part of the sign that bound allows
         dual_obj = dual_obj + (
@@ -1081,7 +1078,7 @@ def _fill_residuals(problem: LpProblem, canon: _Canonical, C, X, Y):
             + canon.hi_f * np.where(only_hi, np.minimum(RC, 0.0), 0.0)
         ).sum(axis=-1)
     gap = np.abs((C * X).sum(axis=-1) - sgn * dual_obj)
-    return pr, dr, gap, cs
+    return pr, dr, gap
 
 
 def _top(v: np.ndarray) -> np.ndarray:

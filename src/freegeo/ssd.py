@@ -112,13 +112,11 @@ def _face_problem(space, mu_masses, norm, scale=1.0):
     the values v = 0; `_with_face_values` sets v."""
     n = space.n
     A, b = lipschitz_ball_rows(space, scale=scale)
-    p, q, R = pair_rows(n)
-    k = R.shape[0]
+    p, q, _ = pair_rows(n)
+    k = p.size
     rows = np.zeros((4 * k + 1, n))
-    rows[:2 * k, :-1] = A
-    # two rows per pair, in the order of the ball rows
-    rows[2 * k:-1:2, :-1] = R
-    rows[2 * k + 1:-1:2, :-1] = -R
+    # the distance rows are the ball rows, two per pair, with a t column
+    rows[:2 * k, :-1] = rows[2 * k:-1, :-1] = A
     rows[2 * k:-1, -1] = -np.repeat(space.dist[p, q], 2)
     rows[-1, :-1] = mu_masses[1:]
     senses = [lp.LE] * (4 * k) + [lp.EQ]
@@ -382,11 +380,10 @@ def _search_T(beta: float, gamma: float):
 
 def _projection_lp(sub_space, h_vals, mu_masses, norm_h):
     """min ||phi - h||_Lip0 over {||phi|| <= ||h||, pairing(phi, mu) = ||h||}
-    on the finite subset; returns (optimum, phi values)."""
-    sol = lp.solve(_with_face_values(
-        _face_problem(sub_space, mu_masses, norm_h, scale=norm_h), h_vals))
-    if sol.status != "optimal":
-        raise SsdError(f"projection LP ended with status {sol.status}")
+    on the finite subset, a face-distance LP; returns (optimum, phi
+    values)."""
+    sol = _solve_face(_face_problem(sub_space, mu_masses, norm_h,
+                                    scale=norm_h), h_vals)
     return float(sol.value), np.concatenate([[0.0], sol.x[:-1]])
 
 
@@ -461,11 +458,9 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     _check(verified, "taper_pairing_one", tol - abs(pairing(G, mu) - 1.0))
 
     # (v) off-support slope supremum of the tapered lift.  The |slope|
-    # matrices of G, h and psi are built once each, with a zero diagonal; a
-    # max over one is lip_norm bitwise: |a| / d = |a / d| for d > 0, and
-    # zeros do not raise a max of absolute values
+    # matrices of G, h and psi are built once each; a max over one is
+    # lip_norm bitwise, as lip_norm is the max over the whole matrix
     s_G = np.abs(slope_matrix(G))
-    np.fill_diagonal(s_G, 0.0)
     S = float(s_G[~both_in].max(initial=0.0))
     _check(verified, "off_support_sup_below_one", 1.0 - S, strict=True)
     if S >= 1.0:
@@ -501,7 +496,6 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     se = math.sqrt(eps)
     h = from_values(fattened, (1.0 - se) * g.values + se * G.values)
     s_h = np.abs(slope_matrix(h))
-    np.fill_diagonal(s_h, 0.0)
     off_sup_h = float(s_h[~both_in].max(initial=0.0))
     ph = pairing(h, mu)
     if not _check(verified, "blend_dominates_off_support", ph - off_sup_h,
@@ -532,7 +526,6 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     psi = from_values(fattened, psi_vals)
     p_psi = pairing(psi, mu)
     s_abs = np.abs(slope_matrix(psi))
-    np.fill_diagonal(s_abs, 0.0)
     both_out = np.outer(~in_n, ~in_n)
     for where, pairs in (("inside", both_in), ("outside", both_out),
                          ("mixed", ~(both_in | both_out))):
@@ -617,22 +610,17 @@ def common_norming_witness(space: PointedMetricSpace, gamma: float,
     # find f norming every pair in the double metric, with extra rows that
     # keep the shifted values compatible with the base point
     A, b, senses = _norming_rows(double, terms)
-    extra_rows, extra_rhs = [], []
-    for x in set(xs):
-        r = np.zeros(space.n - 1)
-        r[x - 1] = 1.0
-        # |f(x_i) - gamma| <= d_single(0, x_i)
-        extra_rows += [r, -r]
-        extra_rhs += [single.d(0, x) + gamma, single.d(0, x) - gamma]
-    for y in set(ys) - {0}:
-        r = np.zeros(space.n - 1)
-        r[y - 1] = 1.0
-        extra_rows += [r, -r]
-        extra_rhs += [single.d(0, y), single.d(0, y)]
-    senses += [lp.LE] * len(extra_rhs)
+    # |f(p) - shift| <= d_single(0, p), with the shift gamma at sources and
+    # 0 at sinks: per point the rows f(p) <= d + shift, -f(p) <= d - shift
+    sources, sinks = list(set(xs)), list(set(ys) - {0})
+    pts = np.repeat(np.array(sources + sinks, dtype=int), 2)
+    sign = np.tile([1.0, -1.0], len(sources) + len(sinks))
+    shift = np.repeat([gamma] * len(sources) + [0.0] * len(sinks), 2)
+    senses += [lp.LE] * pts.size
     sol = lp.solve(lp.LpProblem.build(
-        np.zeros(space.n - 1), np.vstack([A, extra_rows]), senses,
-        np.concatenate([b, extra_rhs])))
+        np.zeros(space.n - 1),
+        np.vstack([A, sign[:, None] * np.eye(space.n)[pts, 1:]]), senses,
+        np.concatenate([b, single.dist[0, pts] + sign * shift])))
     if sol.status != "optimal":
         raise SsdError("no common norming function is compatible with the "
                        "base point shift")

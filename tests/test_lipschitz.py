@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
-from freegeo.lipschitz import (LipschitzError, aux_f_xy, cutoff_xi,
-                               f_gamma_construct, from_values,
+from freegeo.lipschitz import (LipFunction, LipschitzError, aux_f_xy,
+                               cutoff_xi, f_gamma_construct, from_values,
                                g_gamma_construct, lip_norm, mcshane_extend,
                                pair_slope, peaking_check)
 from freegeo.metric import (branching_tree, equilateral, gallery,
                             gamma_fatten, line_space)
+from freegeo.tolerances import lp_tol
 from conftest import random_euclidean_space
 
 
@@ -183,3 +186,95 @@ def test_function_copies_the_callers_values():
     assert v.flags.writeable and not f.values.flags.writeable
     v[1] = 5.0
     assert f(1) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected(bad):
+    # a NaN norm passed the norm-one preconditions, which test
+    # abs(lip_norm(g) - 1) > tol: peaking_check returned a NaN witness
+    space = gallery("line", n=4)
+    for values in ([0.0, 1.0, bad, 3.0], [bad, 1.0, 2.0, 3.0]):
+        with pytest.raises(LipschitzError,
+                           match="^function values must be finite$"):
+            LipFunction(space, values)
+    with pytest.raises(LipschitzError, match="must be finite"), \
+            np.errstate(invalid="ignore"):
+        from_values(space, [bad, 1.0, 2.0, 3.0], shift_to_base=True)
+
+
+def f_gamma_construct_loop(space, gamma, terms, f, fattened):
+    """The nested-loop form of `f_gamma_construct`, kept as the reference
+    for its broadcast pair checks."""
+    tol = lp_tol()
+    xs = [t[1] for t in terms]
+    ys = [t[2] for t in terms]
+    d = space.dist
+    for i, (lam, x, y) in enumerate(terms):
+        if abs((f(x) - f(y)) - d[x, y]) > tol:
+            raise LipschitzError(
+                f"term {i}: function does not norm the pair ({x}, {y})")
+    vals = f.values + gamma / 2.0
+    for x in xs:
+        vals[x] = f(x) + gamma
+    for y in ys:
+        vals[y] = f(y)
+    if 0 not in xs and 0 not in ys:
+        vals[0] = f(0)
+    out = from_values(fattened, vals, shift_to_base=True)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if abs(out(x) - out(y)) > d[x, y] + gamma + tol:
+                raise LipschitzError(f"pair bound failed at (x_{i}, y_{j})")
+    off = [p for p in space.points() if p not in set(xs) | set(ys) | {0}]
+    for i, x in enumerate(xs):
+        for p in off:
+            if abs(out(x) - out(p)) > d[x, p] + gamma / 2.0 + tol:
+                raise LipschitzError(f"slack bound failed at (x_{i}, {p})")
+    for j, y in enumerate(ys):
+        for p in off:
+            if abs(out(y) - out(p)) > d[y, p] + gamma / 2.0 + tol:
+                raise LipschitzError(f"slack bound failed at (y_{j}, {p})")
+    if abs(lip_norm(out) - 1.0) > tol:
+        raise LipschitzError("lifted function must have norm one")
+    pairing = sum(lam * (out(x) - out(y)) / (d[x, y] + gamma)
+                  for lam, x, y in terms)
+    if abs(pairing - 1.0) > tol:
+        raise LipschitzError("lifted function must pair to one")
+    return out
+
+
+def _outcome(construct, *args):
+    try:
+        return construct(*args).values.tobytes()
+    except LipschitzError as exc:
+        return str(exc)
+
+
+def test_lift_checks_match_nested_loops():
+    # random disjoint terms normed by f, with the values off the terms
+    # scaled until some pairs are pushed past their bounds: the broadcast
+    # checks raise on the first failing pair of the loops, with its text
+    rng = np.random.default_rng(7100)
+    kinds = set()
+    for _ in range(400):
+        n = int(rng.integers(3, 11))
+        space = random_euclidean_space(rng, n, dim=2)
+        gamma = float(rng.uniform(0.05, 1.0))
+        k = int(rng.integers(1, n // 2 + 1))
+        pts = rng.permutation(n)
+        xs, ys = pts[:k], pts[k:2 * k]
+        if rng.random() < 0.5:
+            ys = rng.choice(ys, size=k)     # shared sinks
+        vals = rng.normal(size=n) * rng.choice([0.1, 0.5, 2.0])
+        vals[xs] = vals[ys] + space.dist[xs, ys]
+        lams = rng.uniform(0.1, 1.0, size=k)
+        terms = [(float(lam / lams.sum()), int(x), int(y))
+                 for lam, x, y in zip(lams, xs, ys)]
+        f = LipFunction(space, vals - vals[0])
+        args = (space, gamma, terms, f, gamma_fatten(space, gamma))
+        want = _outcome(f_gamma_construct_loop, *args)
+        assert _outcome(f_gamma_construct, *args) == want
+        failed = re.match(r"\w+ bound failed at \(\w", str(want))
+        kinds.add(failed.group() if failed else type(want).__name__)
+    assert {"bytes", "pair bound failed at (x", "slack bound failed at (x",
+            "slack bound failed at (y"} <= kinds

@@ -361,10 +361,9 @@ def _loop_residuals(problem, x, y):
     the reference for the vectorized `_fill_residuals`."""
     r = problem.A @ x - problem.b
     sgn = -1.0 if problem.maximize else 1.0
-    pr = cs = dr = 0.0
+    pr = dr = 0.0
     for i, s in enumerate(problem.senses):
         pr = max(pr, r[i] if s == LE else -r[i] if s == GE else abs(r[i]))
-        cs = max(cs, abs(y[i] * r[i]))
         # min orientation: y <= 0 on '<=' rows, y >= 0 on '>=' rows
         dr = max(dr, sgn * y[i] if s == LE else -sgn * y[i] if s == GE
                  else 0.0)
@@ -381,15 +380,13 @@ def _loop_residuals(problem, x, y):
         elif at_lo:
             dr = max(dr, -rc[j])
             dual_obj += lo * max(rc[j], 0.0)
-            cs = max(cs, abs(min(rc[j], 0.0)))
         elif at_hi:
             dr = max(dr, rc[j])
             dual_obj += hi * min(rc[j], 0.0)
-            cs = max(cs, abs(max(rc[j], 0.0)))
         else:
             dr = max(dr, abs(rc[j]))
     gap = abs(float(problem.c @ x) - sgn * dual_obj)
-    return pr, dr, gap, cs
+    return pr, dr, gap
 
 
 def _check_residuals_against_loop(seed, free):
@@ -410,10 +407,9 @@ def _check_residuals_against_loop(seed, free):
     y = rng.normal(size=m)
     got = lp_module._fill_residuals(p, lp_module._Canonical(p), p.c[None],
                                     x[None], y[None])
-    pr, dr, gap, cs = _loop_residuals(p, x, y)
+    pr, dr, gap = _loop_residuals(p, x, y)
     assert got[0].tolist() == [pr]
     assert got[1].tolist() == [dr]
-    assert got[3].tolist() == [cs]
     # only the summation order of the dual objective changed
     assert got[2][0] == pytest.approx(gap, rel=1e-13, abs=1e-13)
 
@@ -437,7 +433,7 @@ def test_wrong_sign_row_dual_is_a_dual_residual(maximize):
                         maximize=maximize)
     right = np.array([1.0, -1.0]) if maximize else np.array([-1.0, 1.0])
     for y, residual in ((right, 0.0), (-right, 1.0)):
-        _, dr, gap, _ = lp_module._fill_residuals(
+        _, dr, gap = lp_module._fill_residuals(
             p, lp_module._Canonical(p), p.c[None], np.ones((1, 1)), y[None])
         assert dr.tolist() == [residual]
         assert gap.tolist() == [0.0]
@@ -873,11 +869,11 @@ def test_failing_lane_falls_back_alone(lp_solves, monkeypatch):
     original = lp_module._fill_residuals
 
     def failing_lane_2(problem, canon, C, X, Y):
-        pr, dr, gap, cs = original(problem, canon, C, X, Y)
+        pr, dr, gap = original(problem, canon, C, X, Y)
         if C.ndim == 2:     # a batch, not a single solve
             pr = pr.copy()
             pr[2] = np.nan
-        return pr, dr, gap, cs
+        return pr, dr, gap
 
     monkeypatch.setattr(lp_module, "_fill_residuals", failing_lane_2)
     got = lp_module.solve_many(problem, C, start)

@@ -870,6 +870,73 @@ def test_witness_reports_the_first_failing_pair(monkeypatch):
     assert later_first
 
 
+def _witness_rows_loop(space, gamma, terms):
+    """The loops that built the LP of `common_norming_witness`, kept as the
+    reference for its array form: (A, senses, b)."""
+    single = gamma_fatten(space, gamma)
+    A, b, senses = ssd._norming_rows(gamma_fatten(space, 2.0 * gamma), terms)
+    xs = [t[1] for t in terms]
+    ys = [t[2] for t in terms]
+    extra_rows, extra_rhs = [], []
+    for x in set(xs):
+        r = np.zeros(space.n - 1)
+        r[x - 1] = 1.0
+        extra_rows += [r, -r]
+        extra_rhs += [single.d(0, x) + gamma, single.d(0, x) - gamma]
+    for y in set(ys) - {0}:
+        r = np.zeros(space.n - 1)
+        r[y - 1] = 1.0
+        extra_rows += [r, -r]
+        extra_rhs += [single.d(0, y), single.d(0, y)]
+    return (np.vstack([A, extra_rows]), senses + [lp.LE] * len(extra_rhs),
+            np.concatenate([b, extra_rhs]))
+
+
+def test_witness_rows_match_loops(monkeypatch):
+    # bitwise, signed zeros included, and in the loops' row order, which
+    # follows set iteration: points from 8 up can hash out of sorted order
+    original, built = lp.solve, []
+
+    def recording(problem, tol=None, start=None):
+        built.append(problem)
+        return original(problem, tol, start)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    rng = np.random.default_rng(7200)
+    checked = unsorted = 0
+    for _ in range(40):
+        n = int(rng.integers(4, 15))
+        space = random_euclidean_space(rng, n, dim=2)
+        gamma = float(rng.uniform(0.05, 0.5))
+        comb = optimal_representation(FreeElement(
+            gamma_fatten(space, 2.0 * gamma), random_zero_sum(rng, n)))
+        built.clear()
+        try:
+            common_norming_witness(space, gamma, comb)
+        except (SsdError, LipschitzError):
+            pass
+        if not built:       # rejected before its LP: the base is a source
+            continue
+        A, senses, b = _witness_rows_loop(space, gamma, comb.terms)
+        assert built[0].A.tobytes() == A.tobytes()
+        assert built[0].b.tobytes() == b.tobytes()
+        assert built[0].senses == tuple(senses)
+        checked += 1
+        points = {t[1] for t in comb.terms}
+        unsorted += list(points) != sorted(points)
+    assert checked >= 10 and unsorted
+
+
+def test_projection_status_error_names_the_face_distance_lp(monkeypatch):
+    space = line_space([0.0, 1.0, 2.0])
+    monkeypatch.setattr(lp, "solve", lambda problem, tol=None, start=None:
+                        lp.LpSolution("infeasible"))
+    with pytest.raises(SsdError, match="^face-distance LP ended with status "
+                                       "infeasible$"):
+        ssd._projection_lp(space, np.array([0.0, 1.0, 2.0]),
+                           molecule(space, 1, 0).masses, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # common norming search and the tilde-f witness
 # ---------------------------------------------------------------------------

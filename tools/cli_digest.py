@@ -3,7 +3,7 @@ byte-identical.
 
     python3 tools/cli_digest.py [--seed 11] [--rounds 40]
 
-Run it in two checkouts and compare the two lines it prints:
+Run it in two checkouts and compare the three lines it prints:
 
 - ``cli_gallery``: the op count and one SHA-1 over the argv (file paths
   cut to basenames), stdout, stderr and exit code of every op of the
@@ -13,6 +13,12 @@ Run it in two checkouts and compare the two lines it prints:
 - ``probe_trees``: one SHA-1 over the entries of every exposedness probe
   of the ``probe_trees`` workload, rounds 0-3 for seeds 1-3, with every
   float as ``float.hex``.
+- ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
+  ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
+  ``lip_norm`` and ``peaking_check`` on seeded random 2-D Euclidean spaces
+  at distance scales 1e-6, 1 and 1e6, inputs that the ops and probes
+  above do not reach; every float as ``float.hex`` and every error as its
+  type and text.
 
 The package is imported from the checkout's ``src`` and the workloads from
 its ``bench/workloads.py``, which this script only reads.  BLAS runs on one
@@ -29,9 +35,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PROBE_SEEDS = (1, 2, 3)
 PROBE_ROUNDS = 4
+LIBRARY_SPACES = 6
+LIBRARY_SCALES = (1e-6, 1.0, 1e6)
 
 
 def _field(h, data: bytes) -> None:
@@ -78,6 +88,70 @@ def probe_digest(workloads):
     return count, h.hexdigest()
 
 
+def _hex(values) -> str:
+    return " ".join(float(v).hex() for v in np.ravel(values))
+
+
+def _library_case(fg, space, rng):
+    """(name, text) per output of the library calls on one space; a call
+    that raises gives its error's type and text."""
+    n, s = space.n, space.dist.max()
+    values = rng.normal(size=n) * s
+    values[0] = 0.0
+    f = fg.LipFunction(space, values)
+    mu = fg.FreeElement(space, rng.normal(size=n))
+    x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+    gamma = 0.5 * s
+    # masses whose base point is a sink, as the witness needs
+    sink_base = mu.masses if mu.masses[0] <= 0.0 else -mu.masses
+    calls = (
+        ("lip_norm", lambda: fg.lip_norm(f)),
+        ("peaking_check", lambda: fg.peaking_check(
+            fg.aux_f_xy(space, x, y), x, y)),
+        ("face_distance", lambda: fg.face_distance(
+            fg.from_values(space, values / fg.lip_norm(f)), mu)),
+        ("face_coordinate_ranges",
+         lambda: fg.face_coordinate_ranges(fg.dual_face(mu))),
+        ("find_common_norming", lambda: fg.find_common_norming(
+            space, fg.optimal_representation(mu)).values),
+        ("common_norming_witness", lambda: fg.common_norming_witness(
+            space, gamma, fg.optimal_representation(fg.molecule(
+                fg.gamma_fatten(space, 2.0 * gamma), 1, 0))).values),
+        ("common_norming_witness_masses",
+         lambda: fg.common_norming_witness(
+             space, gamma, fg.optimal_representation(fg.FreeElement(
+                 fg.gamma_fatten(space, 2.0 * gamma), sink_base))).values),
+    )
+    for name, call in calls:
+        try:
+            out = call()
+            text = "none" if out is None else _hex(out)
+        except (ValueError, fg.lp.LpError) as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        yield name, text
+
+
+def library_digest():
+    """(case count, SHA-1) over the library outputs of every space and
+    scale.  Case k draws from a generator seeded with k, the same draws at
+    every scale: only the unit of distance changes."""
+    import freegeo as fg
+
+    h = hashlib.sha1()
+    count = 0
+    for k in range(LIBRARY_SPACES):
+        for scale in LIBRARY_SCALES:
+            rng = np.random.default_rng(k)
+            n = int(rng.integers(4, 10))
+            pts = rng.normal(size=(n, 2))
+            dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+            space = fg.PointedMetricSpace(scale * dist)
+            for name, text in _library_case(fg, space, rng):
+                _field(h, f"{k} {scale!r} {name} {text}".encode())
+            count += 1
+    return count, h.hexdigest()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=11,
@@ -97,6 +171,9 @@ def main(argv=None) -> int:
     count, digest = probe_digest(workloads)
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
           f"{count} probes sha1 {digest}")
+    count, digest = library_digest()
+    print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
+          f"{count} cases sha1 {digest}")
     return 0
 
 
