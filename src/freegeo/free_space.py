@@ -167,23 +167,28 @@ def pair_rows(n: int):
     return p, q, R
 
 
-def lipschitz_ball_rows(space, scale: float = 1.0):
-    """Rows A f <= b encoding |f(p) - f(q)| <= scale * d(p, q): row 2k is
-    f(p) - f(q) <= scale * d(p, q) for the k-th pair p < q of `pair_rows`,
-    row 2k+1 its mirror.  In the max-pairing LP the dual of a row is the
-    flow along its arc."""
+def lipschitz_ball_rows(space):
+    """Rows A f <= b encoding |f(p) - f(q)| <= d(p, q): row 2k is
+    f(p) - f(q) <= d(p, q) for the k-th pair p < q of `pair_rows`, row
+    2k+1 its mirror.  In the max-pairing LP the dual of a row is the flow
+    along its arc."""
     p, q, R = pair_rows(space.n)
     rows = np.empty((2 * R.shape[0], R.shape[1]))
     rows[0::2] = R
     rows[1::2] = -R
-    return rows, np.repeat(scale * space.dist[p, q], 2)
+    return rows, np.repeat(space.dist[p, q], 2)
 
 
-def distance_scale(space) -> float:
-    """The power of two nearest the largest distance (in log scale).  LPs
-    over the Lipschitz ball are solved on the space divided by it: their
-    residual bounds are absolute, and a power of two rescales exactly."""
-    return float(2.0 ** np.round(np.log2(space.dist.max())))
+def unit_scale(space):
+    """(space / s, s) for s the power of two nearest the largest distance
+    in log scale (1 on a one-point space).  Every LP over the Lipschitz
+    ball is solved on space / s: its residual bounds are absolute, and a
+    power of two rescales exactly."""
+    top = space.dist.max()
+    s = float(2.0 ** np.round(np.log2(top))) if top > 0.0 else 1.0
+    if s == 1.0:
+        return space, s
+    return PointedMetricSpace(space.dist / s, space.labels), s
 
 
 def _values_from_vars(space, fv) -> LipFunction:
@@ -230,8 +235,8 @@ def free_norm(mu: FreeElement) -> NormCertificates:
         return NormCertificates(0.0, 0.0, 0.0, {}, zero)
 
     # solve at unit distance scale; the Lipschitz check below is relative
-    s = distance_scale(space)
-    A_ub, b_ub = lipschitz_ball_rows(space, scale=1.0 / s)
+    unit, s = unit_scale(space)
+    A_ub, b_ub = lipschitz_ball_rows(unit)
     sol = solve(LpProblem.build(mu.masses[1:], A_ub, [LE] * len(b_ub), b_ub,
                                 maximize=True))
     if sol.status != "optimal":
@@ -305,13 +310,12 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
     """Per-point [min, max] of f(p) over the dual face: one `solve_many`
     batch over the objectives +e_p and -e_p (max f(p) = -min -f(p)); the
     first is solved cold and its basis starts the others."""
-    space = face.space
-    n = space.n
-    A_ub, b_ub, prow, prhs = face.constraint_rows()
-    A = np.vstack([A_ub, prow])
     # solved for f / s at unit distance scale, then scaled back exactly
-    s = distance_scale(space)
-    b = np.concatenate([b_ub, [prhs]]) / s
+    unit, s = unit_scale(face.space)
+    n = unit.n
+    A_ub, b_ub = lipschitz_ball_rows(unit)
+    A = np.vstack([A_ub, face.mu.masses[1:]])
+    b = np.concatenate([b_ub, [face.norm / s]])
     face_lp = LpProblem.build(np.zeros(n - 1), A, [LE] * len(b_ub) + [EQ], b)
     e = np.eye(n - 1)
     sols = solve_many(face_lp, np.vstack([e, -e]))
@@ -330,6 +334,7 @@ def is_gateaux(mu: FreeElement, tol: float = 1e-7) -> bool:
     does not depend on the unit of distance."""
     if mu.is_zero():
         raise FreeSpaceError("zero element")
-    ranges = face_coordinate_ranges(dual_face(mu))
+    unit, _ = unit_scale(mu.space)
+    ranges = face_coordinate_ranges(dual_face(FreeElement(unit, mu.masses)))
     widths = ranges[:, 1] - ranges[:, 0]
-    return bool(widths.max() / distance_scale(mu.space) <= tol)
+    return bool(widths.max() <= tol)

@@ -140,11 +140,16 @@ def mcshane_extend(space: PointedMetricSpace, subset, f_subset, L: float,
         raise LipschitzError("data must vanish at the base")
     tol = lp_tol()
     d = space.dist
-    for a_i, a in enumerate(subset):
-        for b_i, b in enumerate(subset):
-            if a != b and abs(vals[a_i] - vals[b_i]) > L * d[a, b] + tol:
-                raise LipschitzError(
-                    f"data is not {L}-Lipschitz on pair ({a}, {b})")
+    # every ordered pair of distinct points at once; the first failing
+    # pair in row-major order is the first of a loop over the subset
+    idx = np.array(subset, dtype=int)
+    bad = np.argwhere((np.abs(vals[:, None] - vals[None, :])
+                       > L * d[np.ix_(idx, idx)] + tol)
+                      & (idx[:, None] != idx[None, :]))
+    if bad.size:
+        a_i, b_i = bad[0]
+        raise LipschitzError(f"data is not {L}-Lipschitz on pair "
+                             f"({subset[a_i]}, {subset[b_i]})")
     ext = (vals[None, :] + L * d[:, subset]).min(axis=1)
     if clip is not None:
         lo, hi = clip

@@ -233,7 +233,7 @@ def _iterate(T, basis, cvec, blocked, tol):
         r = cvec - cvec[basis] @ T[:, :-1]
         r[basis] = 0.0
         r[blocked] = np.inf
-        if bland:
+        if bland or not r.size:     # no columns: optimal at once
             cand = np.nonzero(r < -tol)[0]
             if cand.size == 0:
                 return "optimal", k
@@ -770,7 +770,7 @@ def solve_many(problem: LpProblem, objectives,
     passes the thresholds of `solve`.
     """
     C = np.array(objectives, dtype=float)
-    if C.size == 0:
+    if C.shape == (0,):
         C = C.reshape(0, problem.c.size)
     if C.ndim != 2 or C.shape[1] != problem.c.size:
         raise LpError("inconsistent problem dimensions")

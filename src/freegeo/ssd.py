@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .free_space import (FreeElement, MoleculeCombination, distance_scale,
-                         free_norm, lipschitz_ball_rows, molecule, pair_rows,
-                         pairing)
+from .free_space import (FreeElement, MoleculeCombination, free_norm,
+                         lipschitz_ball_rows, molecule, pair_rows, pairing,
+                         unit_scale)
 from .lipschitz import (LipFunction, LipschitzError, cutoff_xi,
                         f_gamma_construct, from_values, g_gamma_construct,
                         lip_norm, mcshane_extend, pair_slope, peaking_check,
@@ -106,12 +106,12 @@ def _slab_at_depth(slab, eta, norm_mu) -> lp.LpProblem:
     return slab.with_rhs(b)
 
 
-def _face_problem(space, mu_masses, norm, scale=1.0):
-    """The face-distance LP, min t over (g, t): ||g|| <= scale,
+def _face_problem(space, mu_masses, norm):
+    """The face-distance LP, min t over (g, t): ||g|| <= 1,
     pairing(g, mu) = norm and |(v - g)(p) - (v - g)(q)| <= t d(p, q), for
     the values v = 0; `_with_face_values` sets v."""
     n = space.n
-    A, b = lipschitz_ball_rows(space, scale=scale)
+    A, b = lipschitz_ball_rows(space)
     p, q, _ = pair_rows(n)
     k = p.size
     rows = np.zeros((4 * k + 1, n))
@@ -150,19 +150,21 @@ def _solve_face(problem, vals, start=None) -> lp.LpSolution:
     return sol
 
 
+def _nearest_face_point(space, vals, mu_masses, norm):
+    """(||f - g||, g) for f = vals and g nearest f on the face {||g|| <= 1,
+    pairing(g, mu) = norm}: one face-distance LP, solved on space / s
+    (`unit_scale`) with f and norm divided by s; g scales back exactly."""
+    unit, s = unit_scale(space)
+    sol = _solve_face(_face_problem(unit, mu_masses, norm / s), vals / s)
+    return float(sol.value), s * np.concatenate([[0.0], sol.x[:-1]])
+
+
 def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None) -> float:
     """Lip-distance from f to the dual face D(mu) = {g : ||g|| <= 1,
-    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t).
-
-    The LP is solved on the space divided by its `distance_scale` s, with
-    f and ||mu|| divided by s too; Lip-distances do not change."""
+    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t)."""
     if norm_mu is None:
         norm_mu = free_norm(mu).value
-    space = f.space
-    s = distance_scale(space)
-    unit = space if s == 1.0 else PointedMetricSpace(space.dist / s)
-    problem = _face_problem(unit, mu.masses, norm_mu / s)
-    return float(_solve_face(problem, f.values / s).value)
+    return _nearest_face_point(f.space, f.values, mu.masses, norm_mu)[0]
 
 
 def _lip_distances(space, F, G) -> np.ndarray:
@@ -225,8 +227,7 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     # probe mu on the space at unit distance scale: the slab and the face
     # scale with the distances, Lip-distances to the face do not
     masses = mu.masses
-    space = PointedMetricSpace(mu.space.dist / distance_scale(mu.space),
-                               mu.space.labels)
+    space, _ = unit_scale(mu.space)
     mu = FreeElement(space, masses)
     norm = free_norm(mu)
     norm_mu = norm.value
@@ -378,15 +379,6 @@ def _search_T(beta: float, gamma: float):
             raise SsdError("no taper length satisfies the tail estimate")
 
 
-def _projection_lp(sub_space, h_vals, mu_masses, norm_h):
-    """min ||phi - h||_Lip0 over {||phi|| <= ||h||, pairing(phi, mu) = ||h||}
-    on the finite subset, a face-distance LP; returns (optimum, phi
-    values)."""
-    sol = _solve_face(_face_problem(sub_space, mu_masses, norm_h,
-                                    scale=norm_h), h_vals)
-    return float(sol.value), np.concatenate([[0.0], sol.x[:-1]])
-
-
 def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
                           combination: MoleculeCombination,
                           f: LipFunction, g: LipFunction,
@@ -511,8 +503,10 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     pos = {old: new for new, old in enumerate(kept)}
     mu_n = MoleculeCombination(
         sub, tuple((lam, pos[x], pos[y]) for lam, x, y in terms)).element()
-    h_n = h.values[kept]
-    proj_dist, phi_vals = _projection_lp(sub, h_n, mu_n.masses, norm_h)
+    # phi = ||h|| g for g the face point pairing to 1 nearest h / ||h||
+    dist_n, g_n = _nearest_face_point(sub, h.values[kept] / norm_h,
+                                      mu_n.masses, 1.0)
+    proj_dist, phi_vals = norm_h * dist_n, norm_h * g_n
     if not _check(verified, "face_projection_within_eps", eps - proj_dist,
                   strict=True):
         return fail(RHO_TOO_LARGE,
@@ -560,12 +554,11 @@ def find_common_norming(space: PointedMetricSpace,
                         combination: MoleculeCombination) -> LipFunction:
     """A norm-one f in the original metric with f(x_i) - f(y_i) = d(x_i, y_i)
     for every term, found by LP; raises if no such function exists.  The
-    LP is solved for f / s at unit distance scale s (`distance_scale`), as
+    LP is solved for f / s over the ball of space / s (`unit_scale`), as
     in `free_norm`, and f is scaled back exactly."""
-    A, b, senses = _norming_rows(space, combination.terms)
-    s = distance_scale(space)
-    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), A, senses,
-                                      b / s))
+    unit, s = unit_scale(space)
+    A, b, senses = _norming_rows(unit, combination.terms)
+    sol = lp.solve(lp.LpProblem.build(np.zeros(space.n - 1), A, senses, b))
     if sol.status != "optimal":
         raise SsdError(
             "no norm-one function norms every pair of the combination")
@@ -589,12 +582,22 @@ def common_norming_witness(space: PointedMetricSpace, gamma: float,
     fattened metric, and is McShane-extended to the whole space.  It norms
     every pair there, so it can seed perturbation_pipeline with fattening
     gamma, certifying the combination in the doubly fattened space.
+
+    The witness is built at the unit scale s of the doubly fattened space
+    (`unit_scale`), on space / s with gamma / s, and scaled back by s
+    exactly.  So its LP runs on that unit-scale space, and its pair checks
+    compare margins with lp_tol() at unit scale, as every LP site does.
     """
     tol = lp_tol()
     if not 0.0 < gamma < math.inf:
         raise SsdError("gamma must be positive and finite")
     single = gamma_fatten(space, gamma)
     double = gamma_fatten(space, 2.0 * gamma)
+    _, s = unit_scale(double)
+    if s != 1.0:
+        unit = PointedMetricSpace(space.dist / s, space.labels)
+        witness = common_norming_witness(unit, gamma / s, combination)
+        return from_values(single, s * witness.values)
     terms = combination.terms
     mu = MoleculeCombination(double, terms).element()
     nrm = free_norm(mu).value
@@ -728,7 +731,8 @@ def almost_aligned_certificate(space: PointedMetricSpace, eps_of, eps: float,
     head_norm = lip_norm(LipFunction(sub, f_head))
     f_tilde = f_head / head_norm
     mu_head = molecule(sub, 0, 1)
-    proj_dist, h_head = _projection_lp(sub, f_tilde, mu_head.masses, 1.0)
+    proj_dist, h_head = _nearest_face_point(sub, f_tilde, mu_head.masses,
+                                            1.0)
     if not _check(checks, "head_projection_within_eps", eps - proj_dist,
                   strict=True):
         raise SsdError(

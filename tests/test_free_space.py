@@ -336,7 +336,7 @@ class TestFaceRanges:
         face = dual_face(mu)
         n = mu.space.n
         A_ub, b_ub, prow, prhs = face.constraint_rows()
-        s = free_space.distance_scale(mu.space)
+        _, s = free_space.unit_scale(mu.space)
         face_lp = LpProblem.build(
             np.zeros(n - 1), np.vstack([A_ub, prow]),
             [LE] * len(b_ub) + [EQ], np.concatenate([b_ub, [prhs]]) / s)
@@ -468,3 +468,12 @@ class TestElementsAndRows:
     def test_norm_certificates_carry_the_norm_basis(self):
         cert = free_norm(molecule(branching_tree(8), 3, 0))
         assert cert.basis is not None and cert.basis.path == "dualized"
+
+
+def test_unit_scale_of_a_one_point_space_is_one():
+    # 2^round(log2 0) was 0, and every LP site divided by it
+    space = PointedMetricSpace(np.zeros((1, 1)))
+    assert free_space.unit_scale(space) == (space, 1.0)
+    big = PointedMetricSpace(3e6 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    unit, s = free_space.unit_scale(big)
+    assert s == 2.0 ** 22 and np.array_equal(unit.dist * s, big.dist)

@@ -278,3 +278,70 @@ def test_lift_checks_match_nested_loops():
         kinds.add(failed.group() if failed else type(want).__name__)
     assert {"bytes", "pair bound failed at (x", "slack bound failed at (x",
             "slack bound failed at (y"} <= kinds
+
+
+def mcshane_extend_loop(space, subset, f_subset, L, clip=None):
+    """The pair-loop form of `mcshane_extend`, kept as the reference for
+    its broadcast data check."""
+    subset = list(subset)
+    vals = np.asarray(f_subset, dtype=float)
+    if len(subset) != vals.size:
+        raise LipschitzError("subset and value sizes differ")
+    if 0 not in subset:
+        raise LipschitzError("the base point must belong to the subset")
+    if vals[subset.index(0)] != 0.0:
+        raise LipschitzError("data must vanish at the base")
+    tol = lp_tol()
+    d = space.dist
+    for a_i, a in enumerate(subset):
+        for b_i, b in enumerate(subset):
+            if a != b and abs(vals[a_i] - vals[b_i]) > L * d[a, b] + tol:
+                raise LipschitzError(
+                    f"data is not {L}-Lipschitz on pair ({a}, {b})")
+    ext = (vals[None, :] + L * d[:, subset]).min(axis=1)
+    if clip is not None:
+        lo, hi = clip
+        if np.any(vals < lo - tol) or np.any(vals > hi + tol):
+            raise LipschitzError("data escapes the clipping window")
+        ext = np.clip(ext, lo, hi)
+    ext[subset] = vals
+    return LipFunction(space, ext)
+
+
+def test_mcshane_checks_match_loop():
+    # random subsets, some with repeated points (whose pairs are skipped),
+    # and values scaled until some pairs are pushed past the bound: the
+    # broadcast check raises on the loop's first failing pair, with its
+    # text, and otherwise the extension is bitwise the loop's
+    rng = np.random.default_rng(7300)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 10))
+        space = random_euclidean_space(rng, n, dim=2)
+        k = int(rng.integers(1, n + 1))
+        subset = [0] + [int(p) for p in rng.choice(n, size=k)]
+        if rng.random() < 0.5:
+            subset = [int(p) for p in rng.permutation(subset)]
+        L = float(rng.choice([0.5, 1.0, 2.0]))
+        base = from_values(space, rng.normal(size=n), shift_to_base=True)
+        vals = base.values[subset] * rng.choice([0.01, 0.1, 1.0, 3.0])
+        vals[[p == 0 for p in subset]] = 0.0
+        if rng.random() < 0.3:      # repeated points with other values
+            vals = vals + rng.normal(size=len(subset)) * 1e-3 \
+                * np.array([p != 0 for p in subset])
+        clip = (-1.0, 1.0) if rng.random() < 0.3 else None
+        args = (space, subset, vals, L, clip)
+        want = _outcome(mcshane_extend_loop, *args)
+        assert _outcome(mcshane_extend, *args) == want
+        outcomes.add(want if isinstance(want, str) and "window" in want
+                     else "pair" if isinstance(want, str) else "values")
+    assert outcomes >= {"pair", "values"}
+    # values half a tolerance inside and outside L d + tol
+    space = line_space([0.0, 0.3, 1.1])
+    for L in (0.5, 1.0, 2.0):
+        for c in (0.5, 1.5):
+            vals = [0.0, L * 0.8 + 0.3 * L + c * lp_tol(), 0.3 * L]
+            args = (space, [0, 2, 1], vals, L)
+            want = _outcome(mcshane_extend_loop, *args)
+            assert _outcome(mcshane_extend, *args) == want
+            assert isinstance(want, str) == (c > 1.0)

@@ -1003,3 +1003,18 @@ def test_solve_many_rejects_malformed_objectives():
                 np.full((2, problem.c.size), np.nan)):
         with pytest.raises(LpError):
             lp_module.solve_many(problem, bad, start)
+
+
+def test_solve_many_without_variables_answers_every_objective():
+    # an LP over no variables and no rows is optimal with value 0; its
+    # (k, 0) objectives were read as no objectives at all
+    p = LpProblem.build(np.zeros(0), np.zeros((0, 0)), [], np.zeros(0))
+    sol = solve(p)
+    assert (sol.status, sol.value, sol.x.size) == ("optimal", 0.0, 0)
+    for k in (1, 3):
+        sols = lp_module.solve_many(p, np.zeros((k, 0)))
+        assert [(s.status, s.value) for s in sols] == [("optimal", 0.0)] * k
+    wide = LpProblem.build(np.zeros(2), np.zeros((0, 2)), [], np.zeros(0))
+    for q in (p, wide):
+        assert lp_module.solve_many(q, []) == []
+        assert lp_module.solve_many(q, np.zeros((0, q.c.size))) == []

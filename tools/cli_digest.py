@@ -1,7 +1,7 @@
 """Digests of freegeo's observable output, to show that a change leaves it
 byte-identical.
 
-    python3 tools/cli_digest.py [--seed 11] [--rounds 40]
+    python3 tools/cli_digest.py [--seed 11] [--rounds 40] [--dump FILE]
 
 Run it in two checkouts and compare the three lines it prints:
 
@@ -15,10 +15,16 @@ Run it in two checkouts and compare the three lines it prints:
   float as ``float.hex``.
 - ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
-  ``lip_norm`` and ``peaking_check`` on seeded random 2-D Euclidean spaces
-  at distance scales 1e-6, 1 and 1e6, inputs that the ops and probes
-  above do not reach; every float as ``float.hex`` and every error as its
-  type and text.
+  ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
+  (ending in ``perturbation_pipeline``) on seeded random 2-D Euclidean
+  spaces at distance scales 1e-6, 1 and 1e6, inputs that the ops and
+  probes above do not reach; every float as ``float.hex`` (the pipeline's
+  result as its sorted JSON, whose floats round-trip) and every error as
+  its type and text.
+
+With ``--dump FILE`` it also writes the text behind every hashed field to
+one JSON file, per op, probe and library case, so that two checkouts whose
+digests differ can be compared item by item.
 
 The package is imported from the checkout's ``src`` and the workloads from
 its ``bench/workloads.py``, which this script only reads.  BLAS runs on one
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import sys
@@ -50,8 +57,9 @@ def _field(h, data: bytes) -> None:
     h.update(data)
 
 
-def cli_digest(workloads, seed: int, rounds: int):
-    """(op count, SHA-1) over every cli_gallery op of rounds 0..rounds-1."""
+def cli_digest(workloads, seed: int, rounds: int, dump: list):
+    """(op count, SHA-1) over every cli_gallery op of rounds 0..rounds-1;
+    appends each op's fields to dump."""
     h = hashlib.sha1()
     count = 0
     workdir = tempfile.mkdtemp(prefix="cli-digest-")
@@ -62,10 +70,13 @@ def cli_digest(workloads, seed: int, rounds: int):
             for op in wl.round(r):
                 code, out, err = wl.call(op)
                 # describe() is the argv with file paths cut to basenames
-                _field(h, wl.describe(op))
-                for text in (out, err):
-                    _field(h, text.replace(wl.dir, "<dir>").encode())
-                _field(h, repr(code).encode())
+                fields = [wl.describe(op).decode(),
+                          out.replace(wl.dir, "<dir>"),
+                          err.replace(wl.dir, "<dir>"), repr(code)]
+                for text in fields:
+                    _field(h, text.encode())
+                dump.append(dict(zip(("op", "stdout", "stderr", "exit"),
+                                     fields), round=r))
                 count += 1
     finally:
         wl.close()
@@ -73,8 +84,9 @@ def cli_digest(workloads, seed: int, rounds: int):
     return count, h.hexdigest()
 
 
-def probe_digest(workloads):
-    """(probe count, SHA-1) over the probe entries of the fixed rounds."""
+def probe_digest(workloads, dump: list):
+    """(probe count, SHA-1) over the probe entries of the fixed rounds;
+    appends each probe's entries to dump."""
     h = hashlib.sha1()
     count = 0
     for seed in PROBE_SEEDS:
@@ -82,14 +94,34 @@ def probe_digest(workloads):
         wl.setup()
         for r in range(PROBE_ROUNDS):
             for op in wl.round(r):
-                for eta, worst, k in wl.call(op).entries:
-                    _field(h, f"{eta.hex()} {worst.hex()} {k}".encode())
+                entries = [f"{eta.hex()} {worst.hex()} {k}"
+                           for eta, worst, k in wl.call(op).entries]
+                for text in entries:
+                    _field(h, text.encode())
+                dump.append({"seed": seed, "round": r,
+                             "op": wl.describe(op).decode(),
+                             "entries": entries})
                 count += 1
     return count, h.hexdigest()
 
 
 def _hex(values) -> str:
     return " ".join(float(v).hex() for v in np.ravel(values))
+
+
+def _perturb(fg, space, masses, gamma, eps=1e-4):
+    """The ``perturb`` command's steps: the optimal representation of the
+    masses in the fattened metric, normalized, a common norming f in the
+    original one, g norming the combination, and the pipeline."""
+    fattened = fg.gamma_fatten(space, gamma)
+    comb = fg.optimal_representation(fg.FreeElement(fattened, masses))
+    total = comb.weight_sum()
+    comb = fg.MoleculeCombination(
+        fattened, tuple((lam / total, x, y) for lam, x, y in comb.terms))
+    f = fg.find_common_norming(space,
+                               fg.MoleculeCombination(space, comb.terms))
+    g = fg.norming_functional(comb.element())
+    return fg.perturbation_pipeline(space, gamma, comb, f, g, eps)
 
 
 def _library_case(fg, space, rng):
@@ -121,20 +153,25 @@ def _library_case(fg, space, rng):
          lambda: fg.common_norming_witness(
              space, gamma, fg.optimal_representation(fg.FreeElement(
                  fg.gamma_fatten(space, 2.0 * gamma), sink_base))).values),
+        ("perturb", lambda: _perturb(fg, space, mu.masses, gamma)),
     )
     for name, call in calls:
         try:
             out = call()
-            text = "none" if out is None else _hex(out)
+            if isinstance(out, fg.PerturbationResult):
+                text = json.dumps(out.to_json(), sort_keys=True)
+            else:
+                text = "none" if out is None else _hex(out)
         except (ValueError, fg.lp.LpError) as exc:
             text = f"{type(exc).__name__}: {exc}"
         yield name, text
 
 
-def library_digest():
+def library_digest(dump: list):
     """(case count, SHA-1) over the library outputs of every space and
-    scale.  Case k draws from a generator seeded with k, the same draws at
-    every scale: only the unit of distance changes."""
+    scale; appends each output to dump.  Case k draws from a generator
+    seeded with k, the same draws at every scale: only the unit of
+    distance changes."""
     import freegeo as fg
 
     h = hashlib.sha1()
@@ -148,6 +185,8 @@ def library_digest():
             space = fg.PointedMetricSpace(scale * dist)
             for name, text in _library_case(fg, space, rng):
                 _field(h, f"{k} {scale!r} {name} {text}".encode())
+                dump.append({"case": k, "scale": scale, "name": name,
+                             "text": text})
             count += 1
     return count, h.hexdigest()
 
@@ -158,6 +197,9 @@ def main(argv=None) -> int:
                    help="cli_gallery seed (default 11)")
     p.add_argument("--rounds", type=int, default=40,
                    help="cli_gallery rounds 0..ROUNDS-1 (default 40)")
+    p.add_argument("--dump", metavar="FILE",
+                   help="also write the text behind every hashed field "
+                        "to FILE as JSON")
     args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS"):
@@ -165,15 +207,20 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
 
-    count, digest = cli_digest(workloads, args.seed, args.rounds)
+    dump = {"cli_gallery": [], "probe_trees": [], "library": []}
+    count, digest = cli_digest(workloads, args.seed, args.rounds,
+                               dump["cli_gallery"])
     print(f"cli_gallery seed {args.seed} rounds 0-{args.rounds - 1}: "
           f"{count} ops sha1 {digest}")
-    count, digest = probe_digest(workloads)
+    count, digest = probe_digest(workloads, dump["probe_trees"])
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
           f"{count} probes sha1 {digest}")
-    count, digest = library_digest()
+    count, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
           f"{count} cases sha1 {digest}")
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            json.dump(dump, fh, indent=1)
     return 0
 
 
