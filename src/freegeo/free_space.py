@@ -172,11 +172,35 @@ def lipschitz_ball_rows(space):
     f(p) - f(q) <= d(p, q) for the k-th pair p < q of `pair_rows`, row
     2k+1 its mirror.  In the max-pairing LP the dual of a row is the flow
     along its arc."""
-    p, q, R = pair_rows(space.n)
+    return _ball_matrix(space.n), _ball_rhs(space)
+
+
+def _ball_matrix(n: int):
+    """The matrix A of `lipschitz_ball_rows` over n points."""
+    _, _, R = pair_rows(n)
     rows = np.empty((2 * R.shape[0], R.shape[1]))
     rows[0::2] = R
     rows[1::2] = -R
-    return rows, np.repeat(space.dist[p, q], 2)
+    return rows
+
+
+def _ball_rhs(space):
+    """The right-hand side b of `lipschitz_ball_rows`."""
+    p, q, _ = pair_rows(space.n)
+    return np.repeat(space.dist[p, q], 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _norm_lp(n: int) -> LpProblem:
+    """The norm LP over n points, max pairing(f, mu) over the rows of
+    `lipschitz_ball_rows`, with a zero objective and right-hand side that
+    `free_norm` replaces.  Its constraints depend on n alone (like
+    `pair_rows`), so every norm LP over n points shares them and the
+    canonical form that the first solve builds; cached per n, built on
+    first use."""
+    A = _ball_matrix(n)
+    return LpProblem.build(np.zeros(n - 1), A, [LE] * len(A),
+                           np.zeros(len(A)), maximize=True)
 
 
 def unit_scale(space):
@@ -236,9 +260,8 @@ def free_norm(mu: FreeElement) -> NormCertificates:
 
     # solve at unit distance scale; the Lipschitz check below is relative
     unit, s = unit_scale(space)
-    A_ub, b_ub = lipschitz_ball_rows(unit)
-    sol = solve(LpProblem.build(mu.masses[1:], A_ub, [LE] * len(b_ub), b_ub,
-                                maximize=True))
+    sol = solve(_norm_lp(n).with_objective(mu.masses[1:])
+                .with_rhs(_ball_rhs(unit)))
     if sol.status != "optimal":
         raise FreeSpaceError(f"Lipschitz LP failed: {sol.status}")
     potential = _values_from_vars(space, s * sol.x)
@@ -265,8 +288,11 @@ def free_norm(mu: FreeElement) -> NormCertificates:
     _certify("potential_lipschitz", 1.0 + tol - lip_norm(potential))
     _certify("duality_gap", tol * (1.0 + abs(value)) - abs(primal - dual))
 
-    flow = {(int(p), int(q)): float(w)
-            for p, q, w in zip(*np.nonzero(arcs), flows) if w > tol}
+    # the arcs that carry flow, in lexicographic order
+    src, dst = np.nonzero(arcs)
+    moved = np.flatnonzero(flows > tol)
+    flow = dict(zip(zip(src[moved].tolist(), dst[moved].tolist()),
+                    flows[moved].tolist()))
     return NormCertificates(value, primal, dual, flow, potential, sol.basis)
 
 

@@ -68,8 +68,9 @@ class ModulusCurve:
     the true modulus: it only sees the sampled extreme points of each slab
     {lip_norm(f) <= 1, pairing(f, mu) >= ||mu|| (1 - eta)}.  worst_dist is
     the max over the face-distance LPs solved; each skipped sample is
-    certified not to raise it by worst_dist - ||f - g|| >= 0 against a
-    guarded face point g (see `exposedness_probe`).
+    certified not to raise it by more than the LP's own gap, by the margin
+    worst_dist + tol (1 + worst_dist) - ||f - g|| >= 0 against a guarded
+    face point g, tol = lp_tol() (see `exposedness_probe`).
     """
 
     mu_masses: tuple
@@ -153,10 +154,13 @@ def _solve_face(problem, vals, start=None) -> lp.LpSolution:
 def _nearest_face_point(space, vals, mu_masses, norm):
     """(||f - g||, g) for f = vals and g nearest f on the face {||g|| <= 1,
     pairing(g, mu) = norm}: one face-distance LP, solved on space / s
-    (`unit_scale`) with f and norm divided by s; g scales back exactly."""
+    (`unit_scale`) with f and norm divided by s; g scales back exactly.
+    The distance is never below 0, the lower bound of the LP's t."""
     unit, s = unit_scale(space)
     sol = _solve_face(_face_problem(unit, mu_masses, norm / s), vals / s)
-    return float(sol.value), s * np.concatenate([[0.0], sol.x[:-1]])
+    # on f already on the face the optimum can end a few ulps below t >= 0
+    g = s * np.concatenate([[0.0], sol.x[:-1]])
+    return max(float(sol.value), 0.0), g
 
 
 def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None) -> float:
@@ -196,9 +200,13 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     face points for the whole grid (the norming potential of `free_norm`
     and the optimal g of each face-distance LP it solves) and solves the
     samples in decreasing order of their bound U = min ||f - g||, until the
-    largest open U is at most the worst distance so far.  Each skipped
-    sample is certified not to raise the entry by the margin
-    worst - ||f - g|| >= 0 against a guarded face point.
+    largest open U is at most worst + tol (1 + worst), for worst the
+    largest distance so far and tol = lp_tol(): the gap that every LP
+    answer is certified within (`lp`).  So each skipped sample is
+    certified by the margin worst + tol (1 + worst) - ||f - g|| >= 0
+    against a guarded face point, and raises the entry by no more than
+    the LP's own gap.  Samples tied at the bound of the norming potential,
+    whose face LPs end a few ulps on either side of it, take one face LP.
 
     The slab LP and the face-distance LP are built once per probe; an eta
     changes only the slab row's right-hand side, and a sample the slab's
@@ -210,10 +218,10 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     `norm.basis` too.  Where the norm LP took the dualized path, its basis
     is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
     feasible and the face-distance LP primal feasible, so neither starts
-    cold.  Every sample is checked against the unit ball and the slab, and
-    every face point from an LP against the unit ball and the pairing with
-    mu, independently of the solver; a failed check raises SsdError with
-    its margin.
+    cold.  Every sample is checked against the unit ball and the slab, in
+    one batch per eta, and every face point from an LP against the unit
+    ball and the pairing with mu, independently of the solver; a failed
+    check raises SsdError with its margin, the worst over the batch.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -253,16 +261,17 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
                 raise SsdError(
                     f"slab sampling LP ended with status {sol.status}")
             F[j, 1:] = sol.x
-            f = from_values(space, F[j])
-            _guard("slab_sample_in_unit_ball", 1.0 + tol - lip_norm(f))
-            _guard("slab_sample_in_slab",
-                   pairing(f, mu) - (norm_mu * (1.0 - eta) - tol))
+        # each guard checks the worst sample of the batch
+        norms = _lip_distances(space, F, np.zeros((1, space.n)))[:, 0]
+        _guard("slab_sample_in_unit_ball", 1.0 + tol - float(norms.max()))
+        _guard("slab_sample_in_slab", float((F @ masses).min())
+               - (norm_mu * (1.0 - eta) - tol))
         worst = 0.0
         bound = _lip_distances(space, F, faces).min(axis=1)
         while True:
             j = int(np.argmax(bound))
-            if bound[j] <= worst:
-                break       # every open sample: worst - bound >= 0
+            if bound[j] <= worst + tol * (1.0 + worst):
+                break       # every open sample is within the LP's gap
             bound[j] = -np.inf      # solved
             sol = _solve_face(face, F[j], face_start)
             face_start = sol.basis

@@ -159,6 +159,24 @@ def test_perturb_line_certified(capsys, tmp_path, line_file):
     assert rep["outputs"]["bound"] == pytest.approx(0.44)
 
 
+@pytest.mark.parametrize("space,x", [
+    (line_space([0.0, 1.0, 2.0, 3.0]), 1), (gallery("branching_tree", n=3), 2),
+    (gallery("branching_tree", n=4), 4)])
+def test_perturb_projection_margin_is_epsilon(capsys, tmp_path, space, x):
+    # h / ||h|| restricted to the support lies on the face: its projection
+    # distance is 0, and the margin is eps exactly (it read 0.04 + 5.55e-17
+    # when the face LP's t ended below its bound 0)
+    path = tmp_path / "space.json"
+    path.write_text(space_to_json_str(space))
+    el = _element_file(tmp_path, {"molecules": [[1.0, x, 0]]})
+    code, out = _run(capsys, ["perturb", "--space", str(path), "--element",
+                              el, "--gamma", "2", "--epsilon", "0.04"])
+    assert code == 0
+    checks = {c["name"]: c["margin"]
+              for c in json.loads(out)["outputs"]["verified"]}
+    assert checks["face_projection_within_eps"] == 0.04
+
+
 def test_perturb_eps_too_large_exits_2(capsys, tmp_path, line_file):
     el = _element_file(tmp_path, {"molecules": [[1.0, 1, 0]]})
     code, out = _run(capsys, ["perturb", "--space", line_file,

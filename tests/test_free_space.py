@@ -477,3 +477,106 @@ def test_unit_scale_of_a_one_point_space_is_one():
     big = PointedMetricSpace(3e6 * np.array([[0.0, 1.0], [1.0, 0.0]]))
     unit, s = free_space.unit_scale(big)
     assert s == 2.0 ** 22 and np.array_equal(unit.dist * s, big.dist)
+
+
+def _norm_cases():
+    """Elements over sizes on both paths (direct at 4 and 6 points),
+    degenerate ones and extreme distance scales, some sizes repeated."""
+    rng = np.random.default_rng(19)
+    for n, scale in ((4, 1.0), (9, 1e-6), (6, 1.0), (9, 1.0), (13, 1e6),
+                     (4, 1e6), (13, 1.0)):
+        space = random_euclidean_space(rng, n, scale=scale)
+        yield FreeElement(space, random_zero_sum(rng, n))
+    for n in (5, 9):
+        yield molecule(equilateral(n, 1.0), 1, 2)
+    yield MoleculeCombination(branching_tree(12), tuple(
+        (1.0 / 12, k, 0) for k in range(1, 13))).element()
+
+
+def _per_call_norm(monkeypatch, mu):
+    """free_norm(mu) with its LP built per call from the ball rows of the
+    unit-scale space, as before the per-size norm LP."""
+    unit, _ = free_space.unit_scale(mu.space)
+    A, b = free_space.lipschitz_ball_rows(unit)
+    with monkeypatch.context() as m:
+        m.setattr(free_space, "solve", lambda problem: solve(LpProblem.build(
+            mu.masses[1:], A, [LE] * len(b), b, maximize=True)))
+        return free_norm(mu)
+
+
+def _flow_hex(flow):
+    return [(arc, w.hex()) for arc, w in flow.items()]
+
+
+class TestNormLpPerSize:
+    def test_matches_the_per_call_build_bitwise(self, monkeypatch):
+        free_space._norm_lp.cache_clear()
+        cases = list(_norm_cases())
+        cached = [free_norm(mu) for mu in cases]
+        for mu, got in zip(cases, cached):
+            ref = _per_call_norm(monkeypatch, mu)
+            assert got.value.hex() == ref.value.hex()
+            assert (got.primal_value.hex(), got.dual_value.hex()) == (
+                ref.primal_value.hex(), ref.dual_value.hex())
+            assert _flow_hex(got.flow) == _flow_hex(ref.flow)
+            assert got.potential.values.tobytes() == \
+                ref.potential.values.tobytes()
+            assert (got.basis.path, got.basis.cols) == (ref.basis.path,
+                                                        ref.basis.cols)
+
+    def test_spaces_of_one_size_share_one_canonical_form(self, monkeypatch):
+        free_space._norm_lp.cache_clear()
+        built = []
+        original = free_space.LpProblem.build
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(free_space.LpProblem, "build", counting)
+        rng = np.random.default_rng(5)
+        a = free_norm(FreeElement(random_euclidean_space(rng, 10),
+                                  random_zero_sum(rng, 10)))
+        b = free_norm(molecule(equilateral(10, 3.0), 4, 7))
+        assert len(built) == 1
+        assert a.basis._canonical is b.basis._canonical
+        assert free_norm(molecule(LINE, 1, 0)).basis._canonical \
+            is not a.basis._canonical
+        assert len(built) == 2
+
+    def test_is_built_on_first_use(self):
+        free_space._norm_lp.cache_clear()
+        assert free_space._norm_lp.cache_info().currsize == 0
+        template = free_space._norm_lp(7)
+        assert free_space._norm_lp(7) is template
+        assert template._shared[0] is None      # canonicalized on a solve
+        cert = free_norm(molecule(branching_tree(6), 2, 0))
+        assert cert.basis._canonical is template._shared[0]
+
+
+def _loop_flow(flows, n, tol):
+    """The flow dict as a loop over the arcs in lexicographic order: the
+    reference for `free_norm`'s vectorized one."""
+    arcs = ~np.eye(n, dtype=bool)
+    return {(int(p), int(q)): float(w)
+            for p, q, w in zip(*np.nonzero(arcs), flows) if w > tol}
+
+
+def test_flow_matches_loop_reference(monkeypatch):
+    sols = []
+
+    def recording(problem):
+        sols.append(solve(problem))
+        return sols[-1]
+
+    monkeypatch.setattr(free_space, "solve", recording)
+    for mu in _norm_cases():
+        got = free_norm(mu).flow
+        n = mu.space.n
+        p, q, _ = free_space.pair_rows(n)
+        F = np.zeros((n, n))
+        F[p, q] = sols[-1].y[0::2]
+        F[q, p] = sols[-1].y[1::2]
+        ref = _loop_flow(F[~np.eye(n, dtype=bool)], n, free_space.lp_tol())
+        assert _flow_hex(got) == _flow_hex(ref)
+        assert all(type(p) is int and type(q) is int for p, q in got)

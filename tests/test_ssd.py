@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from freegeo import lp, ssd
+from freegeo import free_space, lp, ssd
 from freegeo.free_space import (FreeElement, MoleculeCombination, dual_face,
                                 face_coordinate_ranges, free_norm,
                                 is_gateaux, lipschitz_ball_rows, molecule,
@@ -325,7 +325,9 @@ def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
     # the norm, slab and face-distance LPs build one canonical form each:
     # an eta changes only the slab row's right-hand side, and a sample only
     # an objective or a right-hand side.  The entries are those of the
-    # probe that built a slab LP, and its canonical form, per eta
+    # probe that built a slab LP, and its canonical form, per eta.  The norm
+    # LP is cached per size, so an earlier test may have built it already
+    free_space._norm_lp.cache_clear()
     built = []
     original = lp._Canonical.__init__
 
@@ -453,12 +455,55 @@ def _count_face_solves(monkeypatch, n):
 
 @pytest.mark.parametrize("fattened", [False, True])
 def test_probe_prunes_face_distance_lps(fattened, monkeypatch):
-    # the norming potential bounds every tree sample's distance to within
-    # rounding, so one solved face LP certifies the other seven
-    mu = _leaf_combination(12, fattened)
-    calls = _count_face_solves(monkeypatch, mu.space.n)
-    exposedness_probe(mu, [0.05], 8, seed=12)
-    assert 1 <= len(calls) <= 3
+    # on every probe_trees element the norming potential bounds every
+    # sample's distance to within the LP's own gap, so one solved face LP
+    # per eta certifies the other seven samples.  On branching_tree(13)
+    # and (14) every sample ties with that bound, and the face LPs end a
+    # few ulps on either side of it: pruned only at or below the bound,
+    # those probes, and the ones on 6 and 7 leaves, solved more
+    grid = [0.01, 0.05, 0.2]
+    solved = {}
+    for n in range(4, 17):
+        mu = _leaf_combination(n, fattened)
+        with monkeypatch.context() as m:
+            calls = _count_face_solves(m, mu.space.n)
+            exposedness_probe(mu, grid, 8, seed=12)
+        solved[n] = len(calls)
+    assert solved == dict.fromkeys(range(4, 17), len(grid))
+
+
+@pytest.mark.parametrize("bounds,solved", [
+    ((0.5, 2.0, 0.0, 0.0), 2), ((0.5, 1.0, 0.0, 0.0), 1),
+    ((3.0, 0.5, 2.0, 1.0), 3)])
+def test_probe_skips_samples_within_the_lp_gap(bounds, solved,
+                                               monkeypatch):
+    # every face LP is made to end at worst; the first sample, bounded by
+    # 10, is solved first, and the others get the bounds
+    # worst + k tol (1 + worst), k from `bounds`.  A bound at most
+    # tol (1 + worst) above worst is skipped, one above it is solved
+    worst, tol = 0.25, lp_tol()
+    gap = tol * (1.0 + worst)
+    mu = _leaf_combination(7, False)
+    face_solves = []
+    solve_face, lip_distances = ssd._solve_face, ssd._lip_distances
+
+    def fixed_value(problem, vals, start=None):
+        face_solves.append(None)
+        return dataclasses.replace(solve_face(problem, vals, start),
+                                   value=worst)
+
+    def crafted(space, F, G):
+        if not G.any():     # the Lip norms of the slab guard
+            return lip_distances(space, F, G)
+        if face_solves:     # a solved face point bounds nothing more
+            return np.full((len(F), len(G)), np.inf)
+        return np.array([[10.0], *([worst + k * gap] for k in bounds)])
+
+    monkeypatch.setattr(ssd, "_solve_face", fixed_value)
+    monkeypatch.setattr(ssd, "_lip_distances", crafted)
+    curve = exposedness_probe(mu, [0.05], 5, seed=3)
+    assert len(face_solves) == solved
+    assert curve.entries[0][1] == worst
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -566,6 +611,20 @@ def test_rejected_face_seed_falls_back_to_cold(monkeypatch):
 def _random_function(rng, space):
     return from_values(space, np.concatenate([[0.0],
                                               rng.normal(size=space.n - 1)]))
+
+
+def test_face_distance_of_a_norming_functional_is_zero():
+    # f already on the face: the face LP can end a few ulps below t >= 0,
+    # and unclamped, spaces 18, 39, 41 and 43 gave -2.6e-15, -6.2e-33,
+    # -7.0e-33 and -3.2e-16
+    rng = np.random.default_rng(1)
+    got = []
+    for _ in range(60):
+        space = random_euclidean_space(rng, int(rng.integers(3, 9)), dim=2)
+        mu = FreeElement(space, rng.normal(size=space.n))
+        got.append(face_distance(norming_functional(mu), mu))
+    assert min(got) >= 0.0
+    assert [got[k] for k in (18, 39, 41, 43)] == [0.0] * 4
 
 
 def test_face_distance_does_not_depend_on_distance_scale():

@@ -12,7 +12,10 @@ Run it in two checkouts and compare the three lines it prints:
   temporary directory that is removed afterwards.
 - ``probe_trees``: one SHA-1 over the entries of every exposedness probe
   of the ``probe_trees`` workload, rounds 0-3 for seeds 1-3, with every
-  float as ``float.hex``.
+  float as ``float.hex``; beside it, how many face-distance LPs and slab
+  lanes those probes solved, counted by wrapping ``lp.solve`` and
+  ``lp.solve_many``, so that a change in solve counts shows next to the
+  hash.
 - ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
   ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
@@ -85,24 +88,50 @@ def cli_digest(workloads, seed: int, rounds: int, dump: list):
 
 
 def probe_digest(workloads, dump: list):
-    """(probe count, SHA-1) over the probe entries of the fixed rounds;
-    appends each probe's entries to dump."""
+    """(probe count, SHA-1, solves) over the probe entries of the fixed
+    rounds, with solves the numbers of face-distance LPs and slab lanes
+    the probes solved; appends each probe's entries to dump."""
+    from freegeo import lp
+
     h = hashlib.sha1()
     count = 0
-    for seed in PROBE_SEEDS:
-        wl = workloads.ProbeTrees(seed)
-        wl.setup()
-        for r in range(PROBE_ROUNDS):
-            for op in wl.round(r):
-                entries = [f"{eta.hex()} {worst.hex()} {k}"
-                           for eta, worst, k in wl.call(op).entries]
-                for text in entries:
-                    _field(h, text.encode())
-                dump.append({"seed": seed, "round": r,
-                             "op": wl.describe(op).decode(),
-                             "entries": entries})
-                count += 1
-    return count, h.hexdigest()
+    solves = {"face": 0, "lanes": 0}
+    points = None       # of the probe running; None outside probes
+    solve, solve_many = lp.solve, lp.solve_many
+
+    def counting_solve(problem, tol=None, start=None):
+        # the face-distance LP is the probe's one LP with a variable per
+        # point (g(1..n-1) and t); the slab LP has n - 1, and a slab lane
+        # that leaves its batch is solved by lp.solve
+        solves["face"] += problem.A.shape[1] == points
+        return solve(problem, tol, start)
+
+    def counting_many(problem, objectives, start=None):
+        if points is not None:
+            solves["lanes"] += len(objectives)
+        return solve_many(problem, objectives, start)
+
+    lp.solve, lp.solve_many = counting_solve, counting_many
+    try:
+        for seed in PROBE_SEEDS:
+            wl = workloads.ProbeTrees(seed)
+            wl.setup()
+            for r in range(PROBE_ROUNDS):
+                for op in wl.round(r):
+                    points = wl.cases[op["n"], op["kind"]][0].space.n
+                    curve = wl.call(op)
+                    points = None
+                    entries = [f"{eta.hex()} {worst.hex()} {k}"
+                               for eta, worst, k in curve.entries]
+                    for text in entries:
+                        _field(h, text.encode())
+                    dump.append({"seed": seed, "round": r,
+                                 "op": wl.describe(op).decode(),
+                                 "entries": entries})
+                    count += 1
+    finally:
+        lp.solve, lp.solve_many = solve, solve_many
+    return count, h.hexdigest(), solves
 
 
 def _hex(values) -> str:
@@ -212,9 +241,10 @@ def main(argv=None) -> int:
                                dump["cli_gallery"])
     print(f"cli_gallery seed {args.seed} rounds 0-{args.rounds - 1}: "
           f"{count} ops sha1 {digest}")
-    count, digest = probe_digest(workloads, dump["probe_trees"])
+    count, digest, solves = probe_digest(workloads, dump["probe_trees"])
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
-          f"{count} probes sha1 {digest}")
+          f"{count} probes sha1 {digest}; solved {solves['face']} "
+          f"face-distance LPs, {solves['lanes']} slab lanes")
     count, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
           f"{count} cases sha1 {digest}")
