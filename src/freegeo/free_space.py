@@ -311,7 +311,9 @@ def optimal_representation(mu: FreeElement) -> MoleculeCombination:
 
 @dataclass(frozen=True)
 class DualFace:
-    """Norm-one functions pairing to the norm with mu: an LP-ready polytope."""
+    """D(mu) = {f : ||f|| <= 1, pairing(f, mu) = norm}.  Every LP over the
+    face (its ranges here, the slab and face-distance LPs of `freegeo.ssd`)
+    takes its rows from `constraint_rows`."""
 
     mu: FreeElement
     norm: float
@@ -321,7 +323,8 @@ class DualFace:
         return self.mu.space
 
     def constraint_rows(self):
-        """(A_ub, b_ub, pairing_row, pairing_rhs) over f(1..n-1)."""
+        """(A_ub, b_ub, pairing_row, pairing_rhs) over f(1..n-1): the rows
+        of `lipschitz_ball_rows`, then pairing_row . f = pairing_rhs."""
         A_ub, b_ub = lipschitz_ball_rows(self.space)
         return A_ub, b_ub, self.mu.masses[1:].copy(), self.norm
 
@@ -332,26 +335,30 @@ def dual_face(mu: FreeElement) -> DualFace:
     return DualFace(mu, free_norm(mu).value)
 
 
-def face_coordinate_ranges(face: DualFace) -> np.ndarray:
-    """Per-point [min, max] of f(p) over the dual face: one `solve_many`
-    batch over the objectives +e_p and -e_p (max f(p) = -min -f(p)); the
-    first is solved cold and its basis starts the others."""
-    # solved for f / s at unit distance scale, then scaled back exactly
+def _unit_ranges(face: DualFace):
+    """(ranges / s, s) for s = `unit_scale`: the ranges of f / s over the
+    face of mu on space / s, whose norm is norm / s."""
     unit, s = unit_scale(face.space)
+    A_ub, b_ub, row, rhs = DualFace(FreeElement(unit, face.mu.masses),
+                                    face.norm / s).constraint_rows()
     n = unit.n
-    A_ub, b_ub = lipschitz_ball_rows(unit)
-    A = np.vstack([A_ub, face.mu.masses[1:]])
-    b = np.concatenate([b_ub, [face.norm / s]])
-    face_lp = LpProblem.build(np.zeros(n - 1), A, [LE] * len(b_ub) + [EQ], b)
+    face_lp = LpProblem.build(np.zeros(n - 1), np.vstack([A_ub, row]),
+                              [LE] * len(b_ub) + [EQ], np.append(b_ub, rhs))
     e = np.eye(n - 1)
     sols = solve_many(face_lp, np.vstack([e, -e]))
     if any(sol.status != "optimal" for sol in sols):
         raise FreeSpaceError("face range LP failed (empty face?)")
-    values = np.array([sol.value for sol in sols])
-    out = np.zeros((n, 2))
-    out[1:, 0] = s * values[:n - 1]
-    out[1:, 1] = -s * values[n - 1:]
-    return out
+    v = np.array([sol.value for sol in sols])
+    return np.vstack([[0.0, 0.0], np.column_stack([v[:n - 1], -v[n - 1:]])]), s
+
+
+def face_coordinate_ranges(face: DualFace) -> np.ndarray:
+    """Per-point [min, max] of f(p) over the dual face: one `solve_many`
+    batch over the objectives +e_p and -e_p (max f(p) = -min -f(p)); the
+    first is solved cold and its basis starts the others.  Solved at unit
+    distance scale and scaled back exactly."""
+    out, s = _unit_ranges(face)
+    return s * out
 
 
 def is_gateaux(mu: FreeElement, tol: float = 1e-7) -> bool:
@@ -360,7 +367,6 @@ def is_gateaux(mu: FreeElement, tol: float = 1e-7) -> bool:
     does not depend on the unit of distance."""
     if mu.is_zero():
         raise FreeSpaceError("zero element")
-    unit, _ = unit_scale(mu.space)
-    ranges = face_coordinate_ranges(dual_face(FreeElement(unit, mu.masses)))
+    ranges, _ = _unit_ranges(dual_face(mu))
     widths = ranges[:, 1] - ranges[:, 0]
     return bool(widths.max() <= tol)

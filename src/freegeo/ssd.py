@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .free_space import (FreeElement, MoleculeCombination, free_norm,
-                         lipschitz_ball_rows, molecule, pair_rows, pairing,
-                         unit_scale)
+from .free_space import (DualFace, FreeElement, MoleculeCombination,
+                         free_norm, lipschitz_ball_rows, molecule, pair_rows,
+                         pairing, unit_scale)
 from .lipschitz import (LipFunction, LipschitzError, cutoff_xi,
                         f_gamma_construct, from_values, g_gamma_construct,
                         lip_norm, mcshane_extend, pair_slope, peaking_check,
@@ -88,46 +88,38 @@ class ModulusCurve:
         return "\n".join(lines) + "\n"
 
 
-def _slab_problem(space, mu, eta, norm_mu) -> lp.LpProblem:
-    """The eta-slab of the unit ball over f(1..n-1): the ball rows and the
-    slab row pairing(f, mu) >= norm_mu (1 - eta), with a zero objective
-    that each sample replaces."""
-    A, b = lipschitz_ball_rows(space)
-    rows = np.vstack([A, -mu.masses[1:]])
-    rhs = np.concatenate([b, [-(norm_mu * (1.0 - eta))]])
-    return lp.LpProblem.build(np.zeros(space.n - 1), rows,
-                              [lp.LE] * len(rhs), rhs, maximize=True)
+def _guard(name: str, margin: float) -> None:
+    """Raise unless the named check holds (margin >= 0; NaN fails)."""
+    if not margin >= 0.0:
+        raise SsdError(f"check {name} failed with margin {margin!r}")
 
 
-def _slab_at_depth(slab, eta, norm_mu) -> lp.LpProblem:
-    """The slab LP `slab` at depth eta: only the slab row's right-hand side
-    changes, so the constraints and their canonical form are shared."""
-    b = slab.b.copy()
-    b[-1] = -(norm_mu * (1.0 - eta))
-    return slab.with_rhs(b)
+def _slab_problem(face: DualFace, eta) -> lp.LpProblem:
+    """The eta-slab of the unit ball over f(1..n-1): the face's ball rows
+    and its pairing row relaxed to pairing(f, mu) >= norm (1 - eta), with a
+    zero objective that each sample replaces."""
+    A, b, row, norm = face.constraint_rows()
+    return lp.LpProblem.build(np.zeros(A.shape[1]), np.vstack([A, -row]),
+                              [lp.LE] * (len(b) + 1),
+                              np.append(b, -(norm * (1.0 - eta))),
+                              maximize=True)
 
 
-def _face_problem(space, mu_masses, norm):
-    """The face-distance LP, min t over (g, t): ||g|| <= 1,
-    pairing(g, mu) = norm and |(v - g)(p) - (v - g)(q)| <= t d(p, q), for
-    the values v = 0; `_with_face_values` sets v."""
-    n = space.n
-    A, b = lipschitz_ball_rows(space)
-    p, q, _ = pair_rows(n)
-    k = p.size
-    rows = np.zeros((4 * k + 1, n))
-    # the distance rows are the ball rows, two per pair, with a t column
-    rows[:2 * k, :-1] = rows[2 * k:-1, :-1] = A
-    rows[2 * k:-1, -1] = -np.repeat(space.dist[p, q], 2)
-    rows[-1, :-1] = mu_masses[1:]
-    senses = [lp.LE] * (4 * k) + [lp.EQ]
-    c = np.zeros(n)
-    c[-1] = 1.0
-    lb = np.full(n, -np.inf)
-    lb[-1] = 0.0
-    return lp.LpProblem.build(c, rows, senses,
-                              np.concatenate([b, np.zeros(2 * k), [norm]]),
-                              lb=lb)
+def _face_problem(face: DualFace):
+    """The face-distance LP, min t over (g, t): the face's rows on g and
+    |(v - g)(p) - (v - g)(q)| <= t d(p, q), for the values v = 0: the ball
+    rows again, with a t column of minus the ball's right-hand side.
+    `_with_face_values` sets v."""
+    A, b, row, norm = face.constraint_rows()
+    m, n = A.shape
+    rows = np.zeros((2 * m + 1, n + 1))
+    rows[:m, :-1] = rows[m:-1, :-1] = A
+    rows[m:-1, -1] = -b
+    rows[-1, :-1] = row
+    return lp.LpProblem.build(np.eye(n + 1)[-1], rows,
+                              [lp.LE] * (2 * m) + [lp.EQ],
+                              np.concatenate([b, np.zeros(m), [norm]]),
+                              lb=np.append(np.full(n, -np.inf), 0.0))
 
 
 def _with_face_values(problem, vals):
@@ -142,33 +134,45 @@ def _with_face_values(problem, vals):
     return problem.with_rhs(b)
 
 
-def _solve_face(problem, vals, start=None) -> lp.LpSolution:
-    """The face-distance LP `problem` for the values vals, solved from the
-    basis `start`."""
-    sol = lp.solve(_with_face_values(problem, vals), start=start)
-    if sol.status != "optimal":
-        raise SsdError(f"face-distance LP ended with status {sol.status}")
-    return sol
+class _FacePoints:
+    """points(vals) is (||f - g||, g), never below 0, for f = vals and g the
+    face point nearest f: the face-distance LP, built once on space / s
+    (`unit_scale`) and solved for f / s from the previous call's basis
+    (the first from `start`).  Each g is guarded against the unit ball and
+    the pairing with mu, independently of the solver, and scales back by s
+    exactly."""
 
+    def __init__(self, face: DualFace, start=None):
+        unit, self.s = unit_scale(face.space)
+        self.face = DualFace(FreeElement(unit, face.mu.masses),
+                             face.norm / self.s)
+        self.problem = _face_problem(self.face)
+        self.start = start
 
-def _nearest_face_point(space, vals, mu_masses, norm):
-    """(||f - g||, g) for f = vals and g nearest f on the face {||g|| <= 1,
-    pairing(g, mu) = norm}: one face-distance LP, solved on space / s
-    (`unit_scale`) with f and norm divided by s; g scales back exactly.
-    The distance is never below 0, the lower bound of the LP's t."""
-    unit, s = unit_scale(space)
-    sol = _solve_face(_face_problem(unit, mu_masses, norm / s), vals / s)
-    # on f already on the face the optimum can end a few ulps below t >= 0
-    g = s * np.concatenate([[0.0], sol.x[:-1]])
-    return max(float(sol.value), 0.0), g
+    def __call__(self, vals):
+        sol = lp.solve(_with_face_values(self.problem, vals / self.s),
+                       start=self.start)
+        if sol.status != "optimal":
+            raise SsdError(f"face-distance LP ended with status {sol.status}")
+        self.start = sol.basis
+        g = from_values(self.face.space, np.concatenate([[0.0], sol.x[:-1]]))
+        tol = lp_tol()
+        _guard("face_point_in_unit_ball", 1.0 + tol - lip_norm(g))
+        _guard("face_point_pairs_to_norm",
+               tol - abs(pairing(g, self.face.mu) - self.face.norm))
+        # on f already on the face the optimum can end a few ulps below t >= 0
+        return max(float(sol.value), 0.0), self.s * g.values
 
 
 def face_distance(f: LipFunction, mu: FreeElement, norm_mu=None) -> float:
     """Lip-distance from f to the dual face D(mu) = {g : ||g|| <= 1,
-    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t)."""
+    pairing(g, mu) = ||mu||}, computed as one LP (variables g and t) whose
+    face point is checked as in `exposedness_probe`.  f and mu must live on
+    one space (FreeSpaceError otherwise)."""
+    pairing(f, mu)      # raises FreeSpaceError on two spaces
     if norm_mu is None:
         norm_mu = free_norm(mu).value
-    return _nearest_face_point(f.space, f.values, mu.masses, norm_mu)[0]
+    return _FacePoints(DualFace(mu, norm_mu))(f.values)[0]
 
 
 def _lip_distances(space, F, G) -> np.ndarray:
@@ -177,12 +181,6 @@ def _lip_distances(space, F, G) -> np.ndarray:
     p, q, _ = pair_rows(space.n)
     D = F[:, None, :] - G[None, :, :]
     return (np.abs(D[..., p] - D[..., q]) / space.dist[p, q]).max(axis=-1)
-
-
-def _guard(name: str, margin: float) -> None:
-    """Raise unless the named check holds (margin >= 0; NaN fails)."""
-    if not margin >= 0.0:
-        raise SsdError(f"check {name} failed with margin {margin!r}")
 
 
 def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
@@ -208,10 +206,10 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     the LP's own gap.  Samples tied at the bound of the norming potential,
     whose face LPs end a few ulps on either side of it, take one face LP.
 
-    The slab LP and the face-distance LP are built once per probe; an eta
-    changes only the slab row's right-hand side, and a sample the slab's
-    objective or the face LP's right-hand side, so each LP's constraints
-    are canonicalized once.  An eta's samples are drawn together, in the
+    The slab LP and the face-distance LP are built once per probe, from the
+    rows of `DualFace.constraint_rows`; an eta changes only the slab row's
+    right-hand side, and a sample the slab's objective or the face LP's
+    right-hand side, so each LP's constraints are canonicalized once.  An eta's samples are drawn together, in the
     order of single draws, and solved as one batch by `lp.solve_many` from
     `norm.basis`, the norm LP's optimal basis.  Each face-distance LP is
     solved by `lp.solve` from the basis of the previous one, the first from
@@ -219,9 +217,9 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
     feasible and the face-distance LP primal feasible, so neither starts
     cold.  Every sample is checked against the unit ball and the slab, in
-    one batch per eta, and every face point from an LP against the unit
-    ball and the pairing with mu, independently of the solver; a failed
-    check raises SsdError with its margin, the worst over the batch.
+    one batch per eta, and every face point against the unit ball and the
+    pairing with mu, as in `face_distance`, independently of the solver; a
+    failed check raises SsdError with its margin, the worst over a batch.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -247,16 +245,18 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     # eta ||mu|| >= 0, so the norm basis is a dual feasible slab start; it
     # is a primal feasible face start: B^-1 b = (0, ..., 0, 1) >= 0 for
     # every sample (see `lp`)
-    slab = _slab_problem(space, mu, 0.0, norm_mu)
-    face = _face_problem(space, masses, norm_mu)
-    face_start = norm.basis
+    face = DualFace(mu, norm_mu)
+    slab = _slab_problem(face, 0.0)
+    points = _FacePoints(face, norm.basis)
     # D(mu) does not depend on eta: face points serve the whole grid
     faces = norm.potential.values[None, :]
     for eta in eta_grid:
         objectives = rng.standard_normal((samples_per_eta, space.n - 1))
         F = np.zeros((samples_per_eta, space.n))
-        for j, sol in enumerate(lp.solve_many(
-                _slab_at_depth(slab, eta, norm_mu), objectives, norm.basis)):
+        # at depth eta only the slab row's right-hand side changes, so the
+        # constraints and their canonical form are shared
+        depth = slab.with_rhs(np.append(slab.b[:-1], -(norm_mu * (1.0 - eta))))
+        for j, sol in enumerate(lp.solve_many(depth, objectives, norm.basis)):
             if sol.status != "optimal":
                 raise SsdError(
                     f"slab sampling LP ended with status {sol.status}")
@@ -273,14 +273,9 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
             if bound[j] <= worst + tol * (1.0 + worst):
                 break       # every open sample is within the LP's gap
             bound[j] = -np.inf      # solved
-            sol = _solve_face(face, F[j], face_start)
-            face_start = sol.basis
-            g = from_values(space, np.concatenate([[0.0], sol.x[:-1]]))
-            _guard("face_point_in_unit_ball", 1.0 + tol - lip_norm(g))
-            _guard("face_point_pairs_to_norm",
-                   tol - abs(pairing(g, mu) - norm_mu))
-            worst = max(worst, float(sol.value))
-            faces = np.vstack([faces, g.values])
+            dist, g = points(F[j])
+            worst = max(worst, dist)
+            faces = np.vstack([faces, g])
             bound = np.minimum(bound,
                                _lip_distances(space, F, faces[-1:])[:, 0])
         raw.append((eta, worst))
@@ -513,8 +508,7 @@ def perturbation_pipeline(space: PointedMetricSpace, gamma: float,
     mu_n = MoleculeCombination(
         sub, tuple((lam, pos[x], pos[y]) for lam, x, y in terms)).element()
     # phi = ||h|| g for g the face point pairing to 1 nearest h / ||h||
-    dist_n, g_n = _nearest_face_point(sub, h.values[kept] / norm_h,
-                                      mu_n.masses, 1.0)
+    dist_n, g_n = _FacePoints(DualFace(mu_n, 1.0))(h.values[kept] / norm_h)
     proj_dist, phi_vals = norm_h * dist_n, norm_h * g_n
     if not _check(verified, "face_projection_within_eps", eps - proj_dist,
                   strict=True):
@@ -740,8 +734,7 @@ def almost_aligned_certificate(space: PointedMetricSpace, eps_of, eps: float,
     head_norm = lip_norm(LipFunction(sub, f_head))
     f_tilde = f_head / head_norm
     mu_head = molecule(sub, 0, 1)
-    proj_dist, h_head = _nearest_face_point(sub, f_tilde, mu_head.masses,
-                                            1.0)
+    proj_dist, h_head = _FacePoints(DualFace(mu_head, 1.0))(f_tilde)
     if not _check(checks, "head_projection_within_eps", eps - proj_dist,
                   strict=True):
         raise SsdError(

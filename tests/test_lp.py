@@ -784,7 +784,7 @@ def test_tampered_carried_tableau_is_still_certified(part, warm_solves):
 def _gallery_polytopes():
     """(name, LP, start) per slab and face polytope of some gallery spaces,
     each started from its norm LP's basis, as the probe starts its slabs."""
-    from freegeo.free_space import dual_face, free_norm, molecule
+    from freegeo.free_space import DualFace, free_norm, molecule
     from freegeo.metric import gallery
     from freegeo.ssd import _slab_problem
     for name, params in (("equilateral", {"n": 4}), ("equilateral", {"n": 9}),
@@ -795,9 +795,9 @@ def _gallery_polytopes():
         mu = molecule(space, 1, 2)
         norm = free_norm(mu)
         label = f"{name}{params.get('n', '')}"
-        yield f"{label}-slab", _slab_problem(space, mu, 0.05, norm.value), \
-            norm.basis
-        A_ub, b_ub, prow, prhs = dual_face(mu).constraint_rows()
+        face = DualFace(mu, norm.value)
+        yield f"{label}-slab", _slab_problem(face, 0.05), norm.basis
+        A_ub, b_ub, prow, prhs = face.constraint_rows()
         yield f"{label}-face", LpProblem.build(
             np.zeros(space.n - 1), np.vstack([A_ub, prow]),
             [LE] * len(b_ub) + [EQ], np.append(b_ub, prhs)), norm.basis

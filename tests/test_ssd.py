@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from freegeo import free_space, lp, ssd
-from freegeo.free_space import (FreeElement, MoleculeCombination, dual_face,
+from freegeo.free_space import (DualFace, FreeElement, FreeSpaceError,
+                                MoleculeCombination, dual_face,
                                 face_coordinate_ranges, free_norm,
                                 is_gateaux, lipschitz_ball_rows, molecule,
                                 norming_functional, optimal_representation,
@@ -165,7 +166,7 @@ def test_vectorized_rows_match_loop_reference():
         vals = np.concatenate([[0.0], rng.normal(size=space.n - 1)])
         mu = molecule(space, 1, 0)
         problem = ssd._with_face_values(
-            ssd._face_problem(space, mu.masses, 0.8), vals)
+            ssd._face_problem(DualFace(mu, 0.8)), vals)
         rows, rhs = _loop_face_distance_rows(space, vals, mu.masses, 0.8)
         # bitwise, signed zeros included: cold solves see identical data
         assert problem.A.tobytes() == rows.tobytes()
@@ -184,7 +185,7 @@ def _cold_probe(mu, eta_grid, samples, seed):
     raw = []
     for eta in eta_grid:
         worst = 0.0
-        slab = ssd._slab_problem(space, mu, eta, norm_mu)
+        slab = ssd._slab_problem(DualFace(mu, norm_mu), eta)
         for _ in range(samples):
             sol = lp.solve(slab.with_objective(
                 rng.standard_normal(space.n - 1)))
@@ -355,7 +356,7 @@ def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened, monkeypatch):
     mu = _leaf_combination(n, fattened)
     norm = free_norm(mu)
     assert norm.basis.path == lp.DUALIZED
-    problem = ssd._face_problem(mu.space, mu.masses, norm.value)
+    problem = ssd._face_problem(DualFace(mu, norm.value))
     calls = record_warm_solves(monkeypatch)
     sol = lp.solve(problem, start=norm.basis)
     A2, rhs, cols, factor, accepted = calls[0]
@@ -376,7 +377,7 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
     mu = _leaf_combination(4, False)
     norm = free_norm(mu)
     assert norm.basis.path == lp.DIRECT
-    problem = ssd._face_problem(mu.space, mu.masses, norm.value)
+    problem = ssd._face_problem(DualFace(mu, norm.value))
     calls = record_warm_solves(monkeypatch)
     cold = _count_cold_solves(monkeypatch)
     sol = lp.solve(problem, start=norm.basis)
@@ -485,12 +486,11 @@ def test_probe_skips_samples_within_the_lp_gap(bounds, solved,
     gap = tol * (1.0 + worst)
     mu = _leaf_combination(7, False)
     face_solves = []
-    solve_face, lip_distances = ssd._solve_face, ssd._lip_distances
+    points, lip_distances = ssd._FacePoints.__call__, ssd._lip_distances
 
-    def fixed_value(problem, vals, start=None):
+    def fixed_value(self, vals):
         face_solves.append(None)
-        return dataclasses.replace(solve_face(problem, vals, start),
-                                   value=worst)
+        return worst, points(self, vals)[1]
 
     def crafted(space, F, G):
         if not G.any():     # the Lip norms of the slab guard
@@ -499,7 +499,7 @@ def test_probe_skips_samples_within_the_lp_gap(bounds, solved,
             return np.full((len(F), len(G)), np.inf)
         return np.array([[10.0], *([worst + k * gap] for k in bounds)])
 
-    monkeypatch.setattr(ssd, "_solve_face", fixed_value)
+    monkeypatch.setattr(ssd._FacePoints, "__call__", fixed_value)
     monkeypatch.setattr(ssd, "_lip_distances", crafted)
     curve = exposedness_probe(mu, [0.05], 5, seed=3)
     assert len(face_solves) == solved
@@ -522,21 +522,38 @@ def test_face_points_carry_across_the_eta_grid(seed, monkeypatch):
 @pytest.mark.parametrize("factor,check", [
     (2.0, "face_point_in_unit_ball"), (0.5, "face_point_pairs_to_norm")])
 def test_probe_guards_face_points(factor, check, monkeypatch):
-    # the face LP's g is rescaled: out of the unit ball, or off the face
+    # the face LP's g is rescaled: out of the unit ball, or off the face.
+    # Every caller of the face-distance LP checks its face points: the
+    # probe, face_distance, the pipeline's projection and the head
+    # projection of the 4-eps certificate
     mu = _leaf_combination(7, False)
+    f = from_values(mu.space, np.zeros(mu.space.n))
+    tree, gamma, comb, f_tree, g_tree = _tree_setup(4)
+    truncation = _truncation(12)
+    f_head = norming_functional(molecule(truncation, 0, 1))
+    f_head = from_values(truncation, f_head.values / lip_norm(f_head))
+    callers = [     # (points of the face-distance LP's space, the call)
+        (mu.space.n, lambda: exposedness_probe(mu, [0.05], 8, seed=7)),
+        (mu.space.n, lambda: face_distance(f, mu)),
+        (tree.n, lambda: perturbation_pipeline(tree, gamma, comb, f_tree,
+                                               g_tree, 0.04)),
+        # the head x, y, z_1..z_4 (n0 = 4 at eps = 0.1)
+        (6, lambda: almost_aligned_certificate(
+            truncation, lambda k: 2.0 ** -k, 0.1, f_head))]
     original = lp.solve
 
     def rescaled(problem, tol=None, start=None):
         sol = original(problem, tol, start)
-        if problem.A.shape[1] == mu.space.n:
+        if problem.A.shape[1] == points:
             x = sol.x.copy()
             x[:-1] *= factor
             sol = dataclasses.replace(sol, x=x)
         return sol
 
     monkeypatch.setattr(lp, "solve", rescaled)
-    with pytest.raises(SsdError, match=check):
-        exposedness_probe(mu, [0.05], 8, seed=7)
+    for points, call in callers:
+        with pytest.raises(SsdError, match=check):
+            call()
 
 
 def test_lip_distances_match_lip_norm():
@@ -627,6 +644,16 @@ def test_face_distance_of_a_norming_functional_is_zero():
     assert [got[k] for k in (18, 39, 41, 43)] == [0.0] * 4
 
 
+def test_face_distance_rejects_two_spaces():
+    # with one n, f's distances were used with mu's masses (a distance was
+    # returned); with two, numpy failed to broadcast
+    f = from_values(gallery("line", n=4), np.arange(4.0))
+    for space in (gallery("equilateral", n=4), gallery("equilateral", n=5)):
+        with pytest.raises(FreeSpaceError,
+                           match="operands live on different spaces"):
+            face_distance(f, molecule(space, 1, 0))
+
+
 def test_face_distance_does_not_depend_on_distance_scale():
     # solved at the input's scale, 6 of these 12 calls failed at 1e6 and
     # 2 at 1e-6
@@ -665,7 +692,7 @@ def test_slab_sample_rejects_malformed_objectives():
     mu = _leaf_combination(6, False)
     space = mu.space
     norm_mu = free_norm(mu).value
-    slab = ssd._slab_problem(space, mu, 0.1, norm_mu)
+    slab = ssd._slab_problem(DualFace(mu, norm_mu), 0.1)
     rng = np.random.default_rng(3)
     start = free_norm(mu).basis
     for sol in lp.solve_many(slab, rng.normal(size=(4, space.n - 1)),
@@ -1000,8 +1027,8 @@ def test_projection_status_error_names_the_face_distance_lp(monkeypatch):
                         lp.LpSolution("infeasible"))
     with pytest.raises(SsdError, match="^face-distance LP ended with status "
                                        "infeasible$"):
-        ssd._nearest_face_point(space, np.array([0.0, 1.0, 2.0]),
-                                molecule(space, 1, 0).masses, 1.0)
+        ssd._FacePoints(DualFace(molecule(space, 1, 0), 1.0))(
+            np.array([0.0, 1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1255,7 +1282,7 @@ def _unit_outputs(space, c, masses, vals):
     double = gamma_fatten(space, c)
     sink_base = masses if masses[0] <= 0.0 else -masses
     comb = optimal_representation(FreeElement(double, sink_base))
-    dist, g = ssd._nearest_face_point(space, c * vals, masses, norm.value)
+    dist, g = ssd._FacePoints(DualFace(mu, norm.value))(c * vals)
     probe = exposedness_probe(mu, [0.05, 0.2], 6, seed=4)
     return {
         "norm": (norm.value / c, norm.potential.values / c),
@@ -1314,3 +1341,60 @@ def test_witness_on_large_distances(seed):
         for _, x, y in comb.terms:
             d = single.d(x, y)
             assert abs(witness(x) - witness(y) - d) <= 1e-9 * d
+
+
+# ---------------------------------------------------------------------------
+# contract rows: an input that fails each named check
+# ---------------------------------------------------------------------------
+
+def _pipeline_row(eps, negate):
+    """The status of the pipeline on the probe_trees input for n = 4
+    (branching_tree(4), gamma = 1, g the norming functional, or -g)."""
+    tree, gamma, comb, f, g = _tree_setup(4)
+    if negate:
+        g = from_values(g.space, -g.values)
+    return perturbation_pipeline(tree, gamma, comb, f, g, eps).status
+
+
+def _head_projection_row(monkeypatch):
+    """The exception of the 4-eps certificate (eps = 0.1) when every face
+    point comes back at Lip-distance 1."""
+    points = ssd._FacePoints.__call__
+    monkeypatch.setattr(ssd._FacePoints, "__call__",
+                        lambda self, vals: (1.0, points(self, vals)[1]))
+    space = _truncation(12)
+    f = norming_functional(molecule(space, 0, 1))
+    f = from_values(space, f.values / lip_norm(f))
+    with pytest.raises(SsdError, match="projection distance 1.0 on the head"):
+        almost_aligned_certificate(space, lambda k: 2.0 ** -k, 0.1, f)
+    return SsdError
+
+
+# (check name, input, status or exception, margin as measured)
+_CONTRACT = [
+    ("rho_positive", lambda mp: _pipeline_row(0.5, False),
+     PRECONDITION_FAILED, -0.5518),
+    ("g_close_enough", lambda mp: _pipeline_row(0.04, True),
+     PRECONDITION_FAILED, -1.99375),
+    ("head_projection_within_eps", _head_projection_row, SsdError, -0.9),
+]
+
+
+@pytest.mark.parametrize("name,run,outcome,margin", _CONTRACT,
+                         ids=[row[0] for row in _CONTRACT])
+def test_named_check_fails_on_its_contract_input(name, run, outcome, margin,
+                                                 monkeypatch):
+    recorded = []
+    check = ssd._check
+
+    def recording(verified, name, margin, strict=False):
+        ok = check(verified, name, margin, strict)
+        recorded.append(verified[-1])
+        return ok
+
+    monkeypatch.setattr(ssd, "_check", recording)
+    assert run(monkeypatch) == outcome
+    got = [c for c in recorded if c.name == name]
+    assert len(got) == 1 and not got[0].ok
+    assert got[0].margin < 0.0
+    assert got[0].margin == pytest.approx(margin, abs=1e-4)
