@@ -42,8 +42,8 @@ class FreeElement:
             raise FreeSpaceError("mass vector size mismatch")
         finite = np.isfinite(m).all()
         # 0.0 - s, not -s: a balanced base mass of zero stays +0.0.  The
-        # sum of finite masses can overflow; the check below rejects it
-        with np.errstate(over="ignore"):
+        # sum can overflow, or be inf - inf; the check below rejects both
+        with np.errstate(over="ignore", invalid="ignore"):
             m[0] = 0.0 - m[1:].sum()
         if not (finite and np.isfinite(m[0])):
             raise FreeSpaceError("masses must be finite")
@@ -102,9 +102,11 @@ class MoleculeCombination:
 
     def element(self) -> FreeElement:
         m = np.zeros(self.space.n)
-        for lam, x, y in self.terms:
-            m[x] += lam / self.space.d(x, y)
-            m[y] -= lam / self.space.d(x, y)
+        # a mass can overflow, or be inf - inf; FreeElement rejects both
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lam, x, y in self.terms:
+                m[x] += lam / self.space.d(x, y)
+                m[y] -= lam / self.space.d(x, y)
         return FreeElement(self.space, m)
 
     def to_json(self) -> dict:

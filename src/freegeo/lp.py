@@ -31,28 +31,31 @@ primal feasible (only the objective changed) runs primal phase 2 directly;
 one that is dual feasible (only the right-hand side changed) runs the dual
 simplex first.  In the dualized form the two cases swap: a new objective
 is a new right-hand side of the dual, so the lanes of one start share B^-1
-and differ in their last column.  One lane pivots with the single-tableau
-kernels; two or more pivot in lockstep in a (k, m, N+1) stack of tableaux,
-where every lane is priced at once and takes its own pivot by Dantzig's
-rule with the same tie breaks.  Each lane refines x_B and y with its final
-B^-1 and one correction step against the original B (a lane that took no
-pivot keeps the start's refined values), so a batch makes at most one
-factorization, and none from a carried tableau; and every lane is mapped
-back to the problem and certified by the same code as a cold answer.
+and differ in their last column.  There is one dual simplex: the dual
+phase of any number of lanes pivots in lockstep in a (k, m, N+1) stack of
+tableaux, where every lane is priced at once and takes its own pivot by
+Dantzig's rule with the same tie breaks.  Primal phase 2 pivots two or
+more lanes the same way, and one lane with the single-tableau kernel of
+the cold solve.  Each lane refines x_B and y with its final B^-1 and one
+correction step against the original B (a lane that took no pivot keeps
+the start's refined values), so a batch makes at most one factorization,
+and none from a carried tableau; and every lane is mapped back to the
+problem and certified by the same code as a cold answer.
 
 A start seeds no batch if it is of the wrong length or path, has
 out-of-range columns or a singular B.  A lane leaves its batch if it is
 neither primal nor dual feasible, its dual simplex finds no entering
-column or it ends unbounded; in lockstep also if it stalls past
-_STALL_LIMIT, where a single lane switches to Bland's rule.  `solve` then
-solves cold.  Its answer from a carried tableau that fails the check is
-solved again from a fresh factorization of its start, then cold, before
-`LpError` names the failed check and its margin.  A lane of `solve_many`
-that leaves or fails is solved by `solve` from the same start, so every
-answer passes the thresholds of `solve`.  A start that seeds no batch
-(none, another path, or rejected) is handed to `solve` with the first
-objective, whose basis seeds the rest.  A stack holds at most _BATCH_CELLS
-cells; more lanes run in blocks.
+column or stalls past _STALL_LIMIT, or it ends unbounded; in lockstep
+primal phase 2 also if it stalls past _STALL_LIMIT, where a single lane
+switches to Bland's rule.  `solve` then solves cold.  Its answer from a
+carried tableau that fails the check is solved again from a fresh
+factorization of its start, then cold, before `LpError` names the failed
+check and its margin.  A lane of `solve_many` that leaves or fails is
+solved by `solve` from the same start, so every answer passes the
+thresholds of `solve`.  A start that seeds no batch (none, another path,
+or rejected) is handed to `solve` with the first objective, whose basis
+seeds the rest.  A stack holds at most _BATCH_CELLS cells; more lanes run
+in blocks.
 
 A start may also come from an LP with other constraints.  Its tableau is
 then dropped and B is factored from the problem's data.  A dualized start
@@ -262,50 +265,6 @@ def _iterate(T, basis, cvec, blocked, tol):
             stall = 0
         prev_obj = obj
     raise LpError("simplex iteration limit exceeded")
-
-
-def _dual_iterate(T, basis, cvec, blocked, tol):
-    """Dual simplex on a dual-feasible tableau, in place; `blocked` columns
-    never enter.  Returns (status, pivots) with status 'optimal' once every
-    basic value is >= -tol, 'infeasible' when a row with a negative value
-    has no negative entry to pivot on, and 'stalled' at the iteration
-    limit."""
-    bland = False
-    stall = 0
-    prev_obj = -np.inf
-    for k in range(_MAX_ITER):
-        rhs = T[:, -1]
-        if bland:
-            rows = np.nonzero(rhs < -tol)[0]
-            if rows.size == 0:
-                return "optimal", k
-            row = int(rows[np.argmin(basis[rows])])
-        else:
-            row = int(np.argmin(rhs))
-            if rhs[row] >= -tol:
-                return "optimal", k
-        a = T[row, :-1]
-        cand = a < -tol
-        cand[basis] = False
-        cand[blocked] = False
-        cand = np.nonzero(cand)[0]
-        if cand.size == 0:
-            return "infeasible", k
-        r = cvec[cand] - cvec[basis] @ T[:, cand]
-        ratios = np.maximum(r, 0.0) / -a[cand]
-        best = ratios.min()
-        # entering tie break: lowest column index (Bland-compatible)
-        j = int(cand[np.nonzero(ratios <= best + tol * (1.0 + best))[0][0]])
-        _pivot(T, basis, row, j)
-        obj = float(cvec[basis] @ T[:, -1])
-        if obj <= prev_obj + tol * (1.0 + abs(obj)):
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        prev_obj = obj
-    return "stalled", _MAX_ITER
 
 
 @dataclass(frozen=True, eq=False)
@@ -901,14 +860,14 @@ def _lockstep(T, basis, cext, n2, tol):
     """Re-optimize in place the lanes of the tableau stack T (k x m x N+1,
     with the columns from n2 on blocked), each from its row of `basis`
     with its row of costs `cext` (N, zero on the blocked columns).  Lanes
-    that start primal infeasible run the dual simplex first, then all run
-    primal phase 2.  One lane runs `_dual_iterate` and `_iterate`; more
-    lanes pivot in lockstep, each by the rules of those two (Dantzig
-    pricing and their tie breaks).  Returns (ok, pivots) per lane.  A lane
-    is not ok if it is not dual feasible where it needs the dual simplex,
-    finds no entering column there or ends unbounded; in lockstep also if
-    it stalls past _STALL_LIMIT (where one lane switches to Bland's rule)
-    or reaches _MAX_ITER."""
+    that start primal infeasible run the dual simplex first, always in
+    lockstep (`_dual_step`); then all run primal phase 2, one lane by
+    `_iterate` and more in lockstep by its rules (`_primal_step`: Dantzig
+    pricing and the same tie breaks).  Returns (ok, pivots) per lane.  A
+    lane is not ok if it is not dual feasible where it needs the dual
+    simplex, finds no entering column there or ends unbounded; and if, in
+    lockstep, it stalls past _STALL_LIMIT (where `_iterate` switches to
+    Bland's rule) or reaches _MAX_ITER."""
     k = basis.shape[0]
     lanes = np.arange(k)[:, None]
     ok = np.ones(k, dtype=bool)
@@ -918,17 +877,15 @@ def _lockstep(T, basis, cext, n2, tol):
         r = _reduced_costs(T, basis, cext)[:, :n2]
         r[lanes, basis] = 0.0
         ok &= ~dual | (r.min(axis=1, initial=0.0) >= -tol)
-    if k == 1:
-        blocked = np.arange(cext.shape[1]) >= n2
-        for kernel, needed in ((_dual_iterate, dual[0]), (_iterate, True)):
-            if needed and ok[0]:
-                status, p = kernel(T[0], basis[0], cext[0], blocked, tol)
-                ok[0] = status == "optimal"
-                pivots[0] += p
-        return ok, pivots
-    if dual.any():
         _lockstep_phase(_dual_step, T, basis, cext, dual & ok, ok, pivots,
                         n2, tol)
+    if k == 1:
+        if ok[0]:
+            status, p = _iterate(T[0], basis[0], cext[0],
+                                 np.arange(cext.shape[1]) >= n2, tol)
+            ok[0] = status == "optimal"
+            pivots[0] += p
+        return ok, pivots
     _lockstep_phase(_primal_step, T, basis, cext, ok.copy(), ok, pivots, n2,
                     tol)
     return ok, pivots
@@ -991,9 +948,10 @@ def _primal_step(T, basis, cext, n2, tol):
 
 
 def _dual_step(T, basis, cext, n2, tol):
-    """One dual simplex choice per lane, as in `_dual_iterate`: (rows, cols,
-    done, left), done for a primal feasible lane, left for one with no
-    entering column."""
+    """One dual simplex choice per lane: the leaving row of the most
+    negative basic value, and the entering column by the dual ratio test.
+    Returns (rows, cols, done, left), done for a primal feasible lane, left
+    for one with no entering column."""
     k = basis.shape[0]
     lanes = np.arange(k)
     rows = np.argmin(T[:, :, -1], axis=1)

@@ -735,11 +735,11 @@ def almost_aligned_certificate(space: PointedMetricSpace, eps_of, eps: float,
     f_tilde = f_head / head_norm
     mu_head = molecule(sub, 0, 1)
     proj_dist, h_head = _FacePoints(DualFace(mu_head, 1.0))(f_tilde)
-    if not _check(checks, "head_projection_within_eps", eps - proj_dist,
-                  strict=True):
-        raise SsdError(
-            f"projection distance {proj_dist!r} on the head subset is not "
-            f"below eps; supply f with pairing closer to one")
+    margin = eps - proj_dist
+    if not _check(checks, "head_projection_within_eps", margin, strict=True):
+        raise SsdError(f"check head_projection_within_eps failed with "
+                       f"margin {margin!r}; supply f with pairing closer "
+                       f"to one")
 
     # extend with norm one and verify the case bounds
     h = mcshane_extend(space, kept, h_head, 1.0)

@@ -333,6 +333,7 @@ def test_violated_triangle_inequality_still_exits_2(capsys, tmp_path):
 
 
 _LINE3 = '{"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
+_EQUILATERAL3 = '{"dist": [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]}'
 
 
 @pytest.mark.parametrize("space,element,code", [
@@ -346,15 +347,21 @@ _LINE3 = '{"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
     (_LINE3, '{"masses": [0, -Infinity, 1]}', 1),
     (_LINE3, '{"masses": [0, 1e308, 1e308]}', 1),
     (_LINE3, '{"molecules": [[NaN, 1, 0]]}', 1),
+    (_LINE3, '{"masses": [0, Infinity, -Infinity]}', 1),
+    (_EQUILATERAL3, '{"molecules": [[1e308, 1, 2], [1e308, 2, 1]]}', 1),
+    (_EQUILATERAL3, '{"molecules": [[1e308, 1, 2]]}', 1),
 ], ids=["inf", "non-numeric", "ragged", "top-level-list",
         "no-dist", "nan-mass", "inf-mass", "minus-inf-mass",
-        "overflowing-base-mass", "nan-weight"])
+        "overflowing-base-mass", "nan-weight", "opposite-inf-masses",
+        "opposite-overflowing-molecules", "overflowing-molecule"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_files_end_in_one_error_line(capsys, tmp_path, space,
                                                element, code):
     # infinite distances passed validation, then the norm LP failed on
     # NaN data; the other space files ended in a traceback; non-finite
-    # masses ended in a solver error, or a warning and an LP failure
+    # masses ended in a solver error, or a warning and an LP failure;
+    # opposite infinite masses, and molecules whose masses overflow, warned
+    # before the error line
     (tmp_path / "space.json").write_text(space)
     (tmp_path / "el.json").write_text(element)
     got, out, err = _run_err(capsys, [

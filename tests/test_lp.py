@@ -212,8 +212,22 @@ def warm_solves(monkeypatch):
 
 @pytest.fixture
 def dual_outcomes(monkeypatch):
-    """The status of every dual simplex run (without its pivot count)."""
-    return _recorder(monkeypatch, "_dual_iterate", lambda out: out[0])
+    """The exit of every lane of every dual simplex phase: "optimal", "no
+    entering column" or "stalled" (past _STALL_LIMIT or _MAX_ITER)."""
+    seen = []
+    original = lp_module._lockstep_phase
+
+    def recording(step, T, basis, cext, live, ok, pivots, n2, tol):
+        entered = np.flatnonzero(live)
+        original(step, T, basis, cext, live, ok, pivots, n2, tol)
+        if step is lp_module._dual_step:
+            # a lane that left with no entering column still has none
+            left = step(T, basis, cext, n2, tol)[3]
+            seen.extend("optimal" if ok[i] else "no entering column"
+                        if left[i] else "stalled" for i in entered)
+
+    monkeypatch.setattr(lp_module, "_lockstep_phase", recording)
+    return seen
 
 
 @pytest.fixture
@@ -353,7 +367,7 @@ def test_dual_simplex_without_entering_column_falls_back(dual_outcomes):
     p = LpProblem.build([-1.0], A, [LE] * 31, b, maximize=True)
     assert solve(p, start=first.basis).status == "unbounded"
     assert solve(p).status == "unbounded"
-    assert dual_outcomes == ["infeasible", "infeasible"]
+    assert dual_outcomes == ["no entering column"] * 2
 
 
 def _loop_residuals(problem, x, y):
@@ -846,7 +860,8 @@ def test_solve_many_matches_solve_on_gallery_polytopes(name, lp_solves):
 @pytest.mark.parametrize("name", sorted(_POLYTOPES))
 def test_solve_many_under_blands_rule(name, lp_solves, monkeypatch):
     # with no stall allowance a lane leaves at its first degenerate pivot,
-    # where a single solve switches to Bland's rule; it is solved alone
+    # where a single solve's primal phase switches to Bland's rule (and its
+    # dual phase leaves to a cold solve too); it is solved alone
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
     problem, start = _POLYTOPES[name]
     C = np.random.default_rng(5000).normal(size=(12, problem.c.size))

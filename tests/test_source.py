@@ -56,11 +56,9 @@ _NAME_ARG = {"_check": 1, "_guard": 0, "_certify": 0}
 # here fails the test below until it is taken out
 _UNTESTED = {
     "attainment_", "blend_dominates_off_support", "blend_norm_on_support",
-    "case1_molecule", "case2_xz_", "case2_zy_", "case3_zy_",
-    "clipped_extension_bounded", "h_norm_one", "h_norms_molecule",
-    "lift_norm_one", "lift_pairing_one", "norm_attained",
-    "off_support_sup_below_one", "slope_floor_xz_", "slope_floor_zy_",
-    "taper_pairing_one", "total_distance_4eps"}
+    "case3_zy_", "clipped_extension_bounded", "lift_norm_one",
+    "lift_pairing_one", "norm_attained", "off_support_sup_below_one",
+    "taper_pairing_one"}
 
 
 def _check_names():

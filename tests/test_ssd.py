@@ -241,8 +241,9 @@ def test_probe_does_not_depend_on_distance_scale(scale):
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_warm_probe_matches_cold_under_blands_rule(n, monkeypatch):
-    # with no stall allowance every degenerate pivot switches the primal
-    # and the dual simplex to Bland's rule
+    # with no stall allowance a degenerate pivot switches a single lane's
+    # primal simplex to Bland's rule, and sends a lane whose dual simplex
+    # stalls to a cold solve
     monkeypatch.setattr(lp, "_STALL_LIMIT", 0)
     mu = molecule(gallery("equilateral", n=n), 1, 2)
     warm = exposedness_probe(mu, [0.01, 0.2], 12, seed=5)
@@ -1356,18 +1357,55 @@ def _pipeline_row(eps, negate):
     return perturbation_pipeline(tree, gamma, comb, f, g, eps).status
 
 
+def _certificate_row(match, sign=1.0, n=12, eps=0.1):
+    """The exception of the 4-eps certificate on the truncation with n
+    interior points, for sign times the normalized norming functional of its
+    molecule m_xy, with a message that matches `match`."""
+    space = _truncation(n)
+    f = norming_functional(molecule(space, 0, 1))
+    f = from_values(space, sign * f.values / lip_norm(f))
+    with pytest.raises(SsdError, match=match):
+        almost_aligned_certificate(space, lambda k: 2.0 ** -k, eps, f)
+    return SsdError
+
+
 def _head_projection_row(monkeypatch):
-    """The exception of the 4-eps certificate (eps = 0.1) when every face
-    point comes back at Lip-distance 1."""
+    """The certificate's exception when every face point comes back at
+    Lip-distance 1."""
     points = ssd._FacePoints.__call__
     monkeypatch.setattr(ssd._FacePoints, "__call__",
                         lambda self, vals: (1.0, points(self, vals)[1]))
-    space = _truncation(12)
-    f = norming_functional(molecule(space, 0, 1))
-    f = from_values(space, f.values / lip_norm(f))
-    with pytest.raises(SsdError, match="projection distance 1.0 on the head"):
-        almost_aligned_certificate(space, lambda k: 2.0 ** -k, 0.1, f)
-    return SsdError
+    return _certificate_row(
+        r"check head_projection_within_eps failed with margin -0\.9; "
+        r"supply f with pairing closer to one")
+
+
+def _zero_face_point_row(monkeypatch):
+    """The certificate's exception when the head's face point comes back as
+    the zero function, at Lip-distance 0: h, the extension of zero from
+    the head, norms nothing and lies at Lip-distance 2 from f."""
+    monkeypatch.setattr(ssd._FacePoints, "__call__",
+                        lambda self, vals: (0.0, np.zeros_like(vals)))
+    return _certificate_row("certificate checks failed")
+
+
+def _halved_face_point_row(monkeypatch):
+    """The certificate's exception when the head's face point comes back
+    halved, at Lip-distance 0, on a truncation whose head is every point
+    (3 interior points, eps = 0.2): h is the halved point, of norm 1/2."""
+    points = ssd._FacePoints.__call__
+    monkeypatch.setattr(ssd._FacePoints, "__call__",
+                        lambda self, vals: (0.0, 0.5 * points(self, vals)[1]))
+    return _certificate_row("certificate checks failed", n=3, eps=0.2)
+
+
+def _anti_norming_row(monkeypatch):
+    """The certificate's exception for -f, with f norming m_xy, when the
+    pairing says that -f norms m_xy too: every slope floor fails, then the
+    head projection."""
+    monkeypatch.setattr(ssd, "pairing", lambda f, mu: 1.0)
+    return _certificate_row("check head_projection_within_eps failed",
+                            sign=-1.0)
 
 
 # (check name, input, status or exception, margin as measured)
@@ -1377,6 +1415,14 @@ _CONTRACT = [
     ("g_close_enough", lambda mp: _pipeline_row(0.04, True),
      PRECONDITION_FAILED, -1.99375),
     ("head_projection_within_eps", _head_projection_row, SsdError, -0.9),
+    ("h_norms_molecule", _zero_face_point_row, SsdError, -1.0),
+    ("h_norm_one", _halved_face_point_row, SsdError, -0.5),
+    ("case1_molecule", _zero_face_point_row, SsdError, -0.9),
+    ("case2_xz_1", _zero_face_point_row, SsdError, -0.8),
+    ("case2_zy_1", _zero_face_point_row, SsdError, -0.3),
+    ("total_distance_4eps", _zero_face_point_row, SsdError, -1.6),
+    ("slope_floor_xz_1", _anti_norming_row, SsdError, -0.95),
+    ("slope_floor_zy_1", _anti_norming_row, SsdError, -0.975),
 ]
 
 
