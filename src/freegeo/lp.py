@@ -14,32 +14,26 @@ the signs of the row duals, duality gap); a dualized answer that fails it
 is solved again on the direct path.
 
 Warm and batched re-solves.  Every optimal solution carries its final
-basis (`LpSolution.basis`).  `solve(problem, start=basis)`, for a problem
-with the same constraint matrix and senses, re-optimizes instead of
-re-solving, and `solve_many(problem, objectives, start)` does so for k
-objectives as k such calls would.  There is one warm path: the start runs
-as the lanes of a batch (`_Batch`), and a warm `solve` is a batch of one
-lane.  The basis also carries the solve's final tableau body B^-1 A and
-B^-1, updated by the same pivots.  When the constraints are the ones that
-tableau was built from, the lanes start from it: after an objective change
-it is used as it is, and after a right-hand-side change each lane's last
-column is the one product B^-1 b.  Rows negated for phase 1 change
-neither, so B^-1 is kept for the rows as given.  Otherwise, and once the
-carried B^-1 has taken more than _REFACTOR_PIVOTS pivots, B is factored
-afresh from the original data, once for all lanes.  A lane that is still
-primal feasible (only the objective changed) runs primal phase 2 directly;
-one that is dual feasible (only the right-hand side changed) runs the dual
-simplex first.  In the dualized form the two cases swap: a new objective
-is a new right-hand side of the dual, so the lanes of one start share B^-1
-and differ in their last column.  There is one dual simplex: the dual
-phase of any number of lanes pivots in lockstep in a (k, m, N+1) stack of
-tableaux, where every lane is priced at once and takes its own pivot by
-Dantzig's rule with the same tie breaks.  Primal phase 2 pivots two or
-more lanes the same way, and one lane with the single-tableau kernel of
-the cold solve.  Each lane refines x_B and y with its final B^-1 and one
-correction step against the original B (a lane that took no pivot keeps
-the start's refined values), so a batch makes at most one factorization,
-and none from a carried tableau; and every lane is mapped back to the
+basis (`LpSolution.basis`): its path and basic columns.
+`solve(problem, start=basis)`, for a problem with the same constraint
+matrix and senses, re-optimizes instead of re-solving, and
+`solve_many(problem, objectives, start)` does so for k objectives as k
+such calls would.  There is one warm path: the start runs as the lanes of
+a batch (`_Batch`), and a warm `solve` is a batch of one lane.  A batch
+factors its start's B once from the problem's data, for all its lanes,
+and each lane's last column is B^-1 of its right-hand side.  A lane that
+is still primal feasible (only the objective changed) runs primal phase 2
+directly; one that is dual feasible (only the right-hand side changed)
+runs the dual simplex first.  In the dualized form the two cases swap: a
+new objective is a new right-hand side of the dual, so the lanes of one
+start share B^-1 and differ in their last column.  There is one dual
+simplex: the dual phase of any number of lanes pivots in lockstep in a
+(k, m, N+1) stack of tableaux, where every lane is priced at once and
+takes its own pivot by Dantzig's rule with the same tie breaks.  Primal
+phase 2 pivots two or more lanes the same way, and one lane with the
+single-tableau kernel of the cold solve.  Each lane refines x_B and y with
+its final B^-1 and one correction step against the original B, so a batch
+makes exactly one factorization; and every lane is mapped back to the
 problem and certified by the same code as a cold answer.
 
 A start seeds no batch if it is of the wrong length or path, has
@@ -47,20 +41,18 @@ out-of-range columns or a singular B.  A lane leaves its batch if it is
 neither primal nor dual feasible, its dual simplex finds no entering
 column or stalls past _STALL_LIMIT, or it ends unbounded; in lockstep
 primal phase 2 also if it stalls past _STALL_LIMIT, where a single lane
-switches to Bland's rule.  `solve` then solves cold.  Its answer from a
-carried tableau that fails the check is solved again from a fresh
-factorization of its start, then cold, before `LpError` names the failed
-check and its margin.  A lane of `solve_many` that leaves or fails is
-solved by `solve` from the same start, so every answer passes the
-thresholds of `solve`.  A start that seeds no batch (none, another path,
-or rejected) is handed to `solve` with the first objective, whose basis
-seeds the rest.  A stack holds at most _BATCH_CELLS cells; more lanes run
-in blocks.
+switches to Bland's rule.  `solve` then solves cold, and so it does a warm
+answer that fails the check, before `LpError` names the failed check and
+its margin.  A lane of `solve_many` that leaves or fails is solved by
+`solve` from the same start, so every answer passes the thresholds of
+`solve`.  A start that seeds no batch (none, another path, or rejected) is
+handed to `solve` with the first objective, whose basis seeds the rest.
+A stack holds at most _BATCH_CELLS cells; more lanes run in blocks.
 
-A start may also come from an LP with other constraints.  Its tableau is
-then dropped and B is factored from the problem's data.  A dualized start
-whose columns are all dual variables of the solved LP's rows also starts
-an LP whose constraints extend those by rows and variables: column j of a
+A start may also come from an LP with other constraints: its B is
+factored from the problem's data all the same.  A dualized start whose
+columns are all dual variables of the solved LP's rows also starts an LP
+whose constraints extend those by rows and variables: column j of a
 dualized form, for j below the row count, is the dual variable of row j,
 so the columns carry over, and the dual row of each new variable takes
 its slack.  The exposedness probe starts its face-distance LP this way
@@ -75,8 +67,8 @@ mid-form matrix, the dualized matrix, the slack block, the bound masks of
 the residual check) is one record per constraint matrix (`_canonical`).  A
 problem builds it on its first solve and shares it with the problems that
 `LpProblem.with_objective` and `LpProblem.with_rhs` make from it.  A basis
-carries the record of its problem, and a solve started from it reuses its
-tableau only over that same record.
+carries the record of its problem, and a solve started from it over the
+same record reuses it.
 """
 
 from __future__ import annotations
@@ -98,8 +90,6 @@ _MAX_ITER = 50_000
 _STALL_LIMIT = 80
 # largest |B^-1 B - I| entry accepted from a warm-start basis
 _WARM_BASIS_TOL = 1e-9
-# pivots a carried B^-1 may take before a warm start factors B afresh
-_REFACTOR_PIVOTS = 64
 
 
 class LpError(Exception):
@@ -130,10 +120,10 @@ class LpProblem:
         m, n = A.shape
         if len(senses) != m:
             raise LpError("inconsistent problem dimensions")
-        c = _checked_vector(c, (n,))
-        b = _checked_vector(b, (m,))
-        if np.isnan(A).any():
-            raise LpError("NaN in problem data")
+        c = _checked_vector(c, (n,), "objective")
+        b = _checked_vector(b, (m,), "right-hand side")
+        if not np.isfinite(A).all():
+            raise LpError("non-finite entry in the constraint matrix")
         if lb is None:
             lb = np.full(n, -np.inf)
         if ub is None:
@@ -144,6 +134,10 @@ class LpProblem:
             raise LpError("bad bound shapes")
         if np.isnan(lb).any() or np.isnan(ub).any():
             raise LpError("NaN in problem data")
+        if (lb == np.inf).any():
+            raise LpError("lower bound +inf")
+        if (ub == -np.inf).any():
+            raise LpError("upper bound -inf")
         bad = [s for s in senses if s not in _SENSES]
         if bad:
             raise LpError(f"unknown row sense {bad[0]!r}")
@@ -154,26 +148,27 @@ class LpProblem:
     def with_objective(self, c) -> "LpProblem":
         """This problem with objective c.  The constraints are shared, and
         with them their canonical form (see `_canonical`)."""
-        return self._sharing(replace(self, c=_checked_vector(c,
-                                                             self.c.shape)))
+        return self._sharing(replace(
+            self, c=_checked_vector(c, self.c.shape, "objective")))
 
     def with_rhs(self, b) -> "LpProblem":
         """This problem with right-hand side b; see `with_objective`."""
-        return self._sharing(replace(self, b=_checked_vector(b,
-                                                             self.b.shape)))
+        return self._sharing(replace(
+            self, b=_checked_vector(b, self.b.shape, "right-hand side")))
 
     def _sharing(self, other: "LpProblem") -> "LpProblem":
         object.__setattr__(other, "_shared", self._shared)
         return other
 
 
-def _checked_vector(v, shape) -> np.ndarray:
-    """A read-only copy of v, which must have the given shape and no NaN."""
+def _checked_vector(v, shape, name) -> np.ndarray:
+    """A read-only copy of v, the `name` of a problem, which must have the
+    given shape and finite entries."""
     v = np.array(v, dtype=float)
     if v.shape != shape:
         raise LpError("inconsistent problem dimensions")
-    if np.isnan(v).any():
-        raise LpError("NaN in problem data")
+    if not np.isfinite(v).all():
+        raise LpError(f"non-finite entry in the {name}")
     v.setflags(write=False)
     return v
 
@@ -185,17 +180,14 @@ DUALIZED = "dualized"
 class LpBasis:
     """Optimal basis of a solve: the path it took (direct or dualized) and
     the basic columns of that path's standard form.  Opaque to callers.
-    It also carries the canonical form of the solved problem's constraints
-    and the solve's final tableau and B^-1, which a solve started from it
-    reuses when its constraints are the same; neither takes part in
-    comparisons."""
+    It also carries the canonical form of the solved problem's constraints,
+    which a solve started from it reuses when its constraints are the
+    same; it takes no part in comparisons."""
 
     path: str
     cols: tuple
     _canonical: "_Canonical | None" = field(default=None, compare=False,
                                             repr=False)
-    _factor: "_Factor | None" = field(default=None, compare=False,
-                                      repr=False)
 
 
 @dataclass
@@ -226,29 +218,29 @@ def _pivot(T, basis, row, col):
 
 
 def _iterate(T, basis, cvec, blocked, tol):
-    """Run simplex iterations in place.  Returns (status, pivots) with
-    status 'optimal' or 'unbounded'."""
+    """Run simplex iterations in place.  Returns 'optimal' or
+    'unbounded'."""
     m = T.shape[0]
     bland = False
     stall = 0
     prev_obj = np.inf
-    for k in range(_MAX_ITER):
+    for _ in range(_MAX_ITER):
         r = cvec - cvec[basis] @ T[:, :-1]
         r[basis] = 0.0
         r[blocked] = np.inf
         if bland or not r.size:     # no columns: optimal at once
             cand = np.nonzero(r < -tol)[0]
             if cand.size == 0:
-                return "optimal", k
+                return "optimal"
             j = int(cand[0])
         else:
             j = int(np.argmin(r))
             if r[j] >= -tol:
-                return "optimal", k
+                return "optimal"
         col = T[:m, j]
         pos = col > tol
         if not pos.any():
-            return "unbounded", k
+            return "unbounded"
         ratios = np.full(m, np.inf)
         ratios[pos] = T[pos, -1] / col[pos]
         best = ratios.min()
@@ -267,30 +259,10 @@ def _iterate(T, basis, cvec, blocked, tol):
     raise LpError("simplex iteration limit exceeded")
 
 
-@dataclass(frozen=True, eq=False)
-class _Factor:
-    """What a solve leaves for the next warm start on its standard form:
-    the tableau body B^-1 A2 and B^-1, both of the rows before any is
-    negated (negating rows changes neither B^-1 A2 nor B^-1 b), the pivots
-    they took since B was last factored from the data, and the refined
-    basic values x_B and row duals y with the b and c_B they are for."""
-
-    body: np.ndarray            # read-only, like every array here
-    binv: np.ndarray
-    pivots: int
-    b: np.ndarray
-    xB: np.ndarray
-    cB: np.ndarray
-    y: np.ndarray
-
-
-def _start_tableau(A2, R, cols, factor=None):
-    """(B^-1 A2, B^-1, X0, pivots) for the basic columns `cols` of A2, where
-    row l of X0 is B^-1 of the right-hand side in row l of R and pivots are
-    those B^-1 has taken since B was factored from the data: from the
-    carried `factor` when one is given (only X0 is computed, one product
-    per row), else from one factorization of B.  None when cols is
-    malformed or B singular."""
+def _start_tableau(A2, R, cols):
+    """(B^-1 A2, B^-1, X0) from one factorization of B, the basic columns
+    `cols` of A2, where row l of X0 is B^-1 of the right-hand side in row
+    l of R.  None when cols is malformed or B singular."""
     m, n2 = A2.shape
     cols = np.asarray(cols)
     if cols.shape != (m,) or cols.dtype.kind not in "iu":
@@ -298,9 +270,6 @@ def _start_tableau(A2, R, cols, factor=None):
     if m and (cols.min() < 0 or cols.max() >= n2
               or len(set(cols.tolist())) != m):
         return None
-    if factor is not None:
-        return factor.body, factor.binv, _apply(factor.binv, R), \
-            factor.pivots
     eye = np.eye(m)
     try:
         T = np.linalg.solve(A2[:, cols], np.hstack([A2, eye, R.T]))
@@ -310,13 +279,13 @@ def _start_tableau(A2, R, cols, factor=None):
             np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
         return None
     T[:, cols] = eye
-    return T[:, :n2], T[:, n2:n2 + m], T[:, n2 + m:].T, 0
+    return T[:, :n2], T[:, n2:n2 + m], T[:, n2 + m:].T
 
 
 def _two_phase(A2, b, c2, slack_of_row, tol):
     """Cold solve from a slack/artificial basis, which is the identity:
     phase 1, then phase 2 with costs c2.  b must be >= 0.  Returns (status,
-    T, basis, first, keep_rows, pivots): first is the initial basis and
+    T, basis, first, keep_rows): first is the initial basis and
     keep_rows the constraint rows phase 1 kept, so that with B the basic
     columns over those rows, T = B^-1 [A2 | artificials | b] restricted
     to them and T[:, first[keep_rows]] = B^-1."""
@@ -338,16 +307,15 @@ def _two_phase(A2, b, c2, slack_of_row, tol):
     T = np.hstack([A2, Aart, b[:, None]])
     total = n2 + n_art
     keep_rows = np.arange(m)
-    pivots = 0
 
     blocked = np.zeros(total, dtype=bool)
     if n_art:
         c1 = np.zeros(total)
         c1[n2:] = 1.0
-        status, pivots = _iterate(T, basis, c1, blocked, tol)
+        _iterate(T, basis, c1, blocked, tol)
         phase1 = float(c1[basis] @ T[:, -1])
         if phase1 > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
-            return "infeasible", None, None, None, None, pivots
+            return "infeasible", None, None, None, None
         # drive remaining artificials out of the basis
         drop = []
         for i in range(T.shape[0]):
@@ -357,7 +325,6 @@ def _two_phase(A2, b, c2, slack_of_row, tol):
                 cand = np.nonzero(cand)[0]
                 if cand.size:
                     _pivot(T, basis, i, int(cand[0]))
-                    pivots += 1
                 else:
                     drop.append(i)  # redundant row
         if drop:
@@ -373,8 +340,8 @@ def _two_phase(A2, b, c2, slack_of_row, tol):
     blocked[n2:] = True
 
     c2 = np.concatenate([c2, np.zeros(n_art)])
-    status, k = _iterate(T, basis, c2, blocked, tol)
-    return status, T, basis, first, keep_rows, pivots + k
+    status = _iterate(T, basis, c2, blocked, tol)
+    return status, T, basis, first, keep_rows
 
 
 @dataclass(frozen=True)
@@ -405,23 +372,22 @@ def _std_form(A, senses) -> _StdForm:
 def _solve_cf(std: _StdForm, c, b, tol):
     """Cold two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
 
-    Returns (status, basis, xB, y, factor): the optimal basic columns of
-    [A | slacks] and their values, one dual per row with the min-problem
-    sign convention (y <= 0 on '<=' rows, y >= 0 on '>=' rows), and the
-    `_Factor` of the solve (None if phase 1 dropped redundant rows).
+    Returns (status, basis, xB, y): the optimal basic columns of
+    [A | slacks] (fewer than the rows if phase 1 dropped redundant ones)
+    and their values, and one dual per row with the min-problem sign
+    convention (y <= 0 on '<=' rows, y >= 0 on '>=' rows).
     """
     A2 = std.A2
-    b = np.array(b, dtype=float)
     m, n2 = A2.shape
     c2 = np.zeros(n2)
     c2[:std.n] = c
     # phase 1 starts from b >= 0: negate the rows with b < 0
     row_sign = np.where(b < 0, -1.0, 1.0)
     A2n, bn = A2 * row_sign[:, None], b * row_sign
-    status, T, basis, first, keep, pivots = _two_phase(
+    status, T, basis, first, keep = _two_phase(
         A2n, bn, c2, std.slack_of_row, tol)
     if status != "optimal":
-        return status, None, None, None, None
+        return status, None, None, None
     # refine from the original data to shed accumulated tableau error
     B = A2n[np.ix_(keep, basis)]
     cB = c2[basis]
@@ -434,13 +400,7 @@ def _solve_cf(std: _StdForm, c, b, tol):
         yk = cB @ T[:, first[keep]]
     y = np.zeros(m)
     y[keep] = yk * row_sign[keep]
-    if basis.size < m:
-        return "optimal", basis, xB, y, None
-    binv = T[:, first] * row_sign
-    for a in (T, binv, b, xB, cB, y):
-        a.setflags(write=False)
-    return "optimal", basis, xB, y, _Factor(T[:, :n2], binv, pivots, b, xB,
-                                            cB, y)
+    return "optimal", basis, xB, y
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +532,14 @@ class _Lanes:
         return _Lanes(problem, canon, path, C, Cmid,
                       _dots(Cmin, canon.shift), costs, rhs)
 
-    def answers(self, lanes, basis, xB, y, factors) -> list:
+    def answers(self, lanes, basis, xB, y) -> list:
         """The optimal solutions of the lanes in the slice `lanes`, with
         their residuals, from their answers on the standard form: per lane
-        (row) the basic columns, x_B and the row duals y, and the `_Factor`
-        its basis carries (None: no basis)."""
+        (row) the basic columns, x_B and the row duals y.  Basic columns
+        short of the rows (phase 1 dropped some) give no basis."""
         canon = self.canon
         std, cmap = canon.form(self.path)
-        k = basis.shape[0]
+        k, rows = basis.shape
         z = np.zeros((k, std.A2.shape[1]))
         z[np.arange(k)[:, None], basis] = xB
         if self.path == DUALIZED:
@@ -607,8 +567,8 @@ class _Lanes:
         return [LpSolution(
             "optimal", float(value[i]), X[i], Y[i],
             *(r.item(i) for r in residuals),
-            None if factors[i] is None else LpBasis(
-                self.path, tuple(basis[i].tolist()), canon, factors[i]))
+            None if rows < std.A2.shape[0] else LpBasis(
+                self.path, tuple(basis[i].tolist()), canon))
             for i in range(k)]
 
 
@@ -617,13 +577,12 @@ def solve(problem: LpProblem, tol: float | None = None,
     """Solve an LP; optimal solutions carry verified certificates.
 
     `start` is the `basis` of an earlier solution; the solve re-optimizes
-    from it as a batch of one lane (see `solve_many`).  If the constraints
-    are the ones the start was solved with, the start's tableau is reused;
-    otherwise the start keeps only its columns (see `_carried_over`).  A
-    warm answer from a carried tableau that fails its certificate check is
-    solved again from a fresh factorization of its start; a start that
-    does not fit, and a warm answer that still fails, are solved cold.
-    `LpError` names the check that still fails, with its margin.
+    from it as a batch of one lane (see `solve_many`), from one
+    factorization of the start's B on this problem's data.  The start may
+    come from an LP with other constraints (see `_carried_over`).  A start
+    that does not fit, and a warm answer that fails its certificate check,
+    are solved cold.  `LpError` names the check that still fails, with its
+    margin.
     """
     if tol is None:
         tol = lp_tol()
@@ -641,19 +600,14 @@ def solve(problem: LpProblem, tol: float | None = None,
 
 
 def _solve_warm(problem, canon, start, tol) -> LpSolution | None:
-    """The certified answer from `start`, run as one lane: from its carried
-    tableau, then, if that answer fails its check, from a fresh
-    factorization of its B.  None if the start does not fit, the lane
-    leaves the batch, or the answer still fails."""
-    while True:
-        batch = _Batch.seed(problem, canon, start, problem.c[None], tol)
-        sol = None if batch is None else batch.run(slice(0, 1))[0]
-        if sol is None or _failed_check(sol, tol) is None:
-            return sol
-        if batch.factor is None:
-            return None
-        # the carried factor may have drifted: factor B afresh
-        start = replace(start, _factor=None)
+    """The certified answer from `start`, run as one lane.  None if the
+    start does not fit, the lane leaves the batch, or the answer fails its
+    check."""
+    batch = _Batch.seed(problem, canon, start, problem.c[None], tol)
+    sol = None if batch is None else batch.run(slice(0, 1))[0]
+    if sol is None or _failed_check(sol, tol) is not None:
+        return None
+    return sol
 
 
 def _solve_cold(problem, canon, tol) -> LpSolution:
@@ -663,11 +617,11 @@ def _solve_cold(problem, canon, tol) -> LpSolution:
     problem to the direct path."""
     for path in _paths(canon):
         lanes = _Lanes.of(problem, canon, path, problem.c[None])
-        status, cols, xB, y, factor = _solve_cf(
+        status, cols, xB, y = _solve_cf(
             canon.form(path)[0], lanes.costs[0], lanes.rhs[0], tol)
         if status == "optimal":
-            sol = lanes.answers(slice(0, 1), cols[None], xB[None], y[None],
-                                [factor])[0]
+            sol = lanes.answers(slice(0, 1), cols[None], xB[None],
+                                y[None])[0]
             if path == DIRECT or _failed_check(sol, tol) is None:
                 return sol
         elif path == DIRECT:
@@ -677,8 +631,8 @@ def _solve_cold(problem, canon, tol) -> LpSolution:
 
 
 def _carried_over(start: LpBasis, canon: _Canonical) -> LpBasis:
-    """`start` as a start over the constraints of `canon`: as it is if it
-    was solved over them, else its columns without its tableau.  A
+    """`start` as a start over the constraints of `canon`: its columns,
+    whose B the warm solve factors from canon's data either way.  A
     dualized start whose columns are all dual variables of the rows it was
     solved over gains the slack of each further dual row, the dual row of
     a variable its LP did not have; the new B is block triangular over the
@@ -720,10 +674,10 @@ def solve_many(problem: LpProblem, objectives,
     """Solve `problem` once per row c of `objectives`, as
     `solve(problem.with_objective(c), start=start)` would, in lockstep.
 
-    The lanes share the canonical form, the start's tableau or one
-    factorization of its B, and its carried-over columns.  A start that
-    cannot seed the lanes (none, another path, or rejected) is handed with
-    the first objective to `solve`, whose basis seeds the others.  A lane
+    The lanes share the canonical form, the start's carried-over columns
+    and one factorization of their B.  A start that cannot seed the lanes
+    (none, another path, or rejected) is handed with the first objective
+    to `solve`, whose basis seeds the others.  A lane
     that leaves the batch or fails its check, and every lane of a seed that
     still does not fit, is solved by `solve` from the seed; so every answer
     passes the thresholds of `solve`.
@@ -733,8 +687,8 @@ def solve_many(problem: LpProblem, objectives,
         C = C.reshape(0, problem.c.size)
     if C.ndim != 2 or C.shape[1] != problem.c.size:
         raise LpError("inconsistent problem dimensions")
-    if np.isnan(C).any():
-        raise LpError("NaN in problem data")
+    if not np.isfinite(C).all():
+        raise LpError("non-finite entry in the objectives")
     tol = lp_tol()
     canon = _canonical(problem)
     if start is not None:
@@ -767,17 +721,14 @@ _BATCH_CELLS = 2 ** 20
 @dataclass(eq=False)
 class _Batch:
     """What the lanes of one start share, on the standard form of the path
-    the start took: the start's columns, B^-1 A2 and B^-1, the pivots they
-    took since B was factored, and the carried factor they came from (None
-    for a fresh factorization); per lane, B^-1 of its right-hand side."""
+    the start took: the start's columns, and B^-1 A2 and B^-1 from one
+    factorization of their B; per lane, B^-1 of its right-hand side."""
 
     lanes: _Lanes
     cols: np.ndarray
     body: np.ndarray
     binv: np.ndarray
     X0: np.ndarray
-    pivots: int
-    factor: _Factor | None
     tol: float
 
     @staticmethod
@@ -789,14 +740,10 @@ class _Batch:
         if start is None or start.path != path:
             return None
         lanes = _Lanes.of(problem, canon, path, C)
-        factor = start._factor
-        if factor is not None and factor.pivots > _REFACTOR_PIVOTS:
-            factor = None
-        seeded = _start_tableau(canon.form(path)[0].A2, lanes.rhs, start.cols,
-                                factor)
+        seeded = _start_tableau(canon.form(path)[0].A2, lanes.rhs, start.cols)
         if seeded is None:
             return None
-        return _Batch(lanes, np.array(start.cols), *seeded, factor, tol)
+        return _Batch(lanes, np.array(start.cols), *seeded, tol)
 
     def run(self, lanes: slice) -> list:
         """The solutions of the lanes in the slice `lanes`, or None for a
@@ -812,7 +759,7 @@ class _Batch:
         basis = self.cols[None].repeat(k, 0)
         cext = np.zeros((k, n2 + m2))
         cext[:, :std.n] = L.costs[lanes]
-        ok, pivots = _lockstep(T, basis, cext, n2, self.tol)
+        ok = _lockstep(T, basis, cext, n2, self.tol)
         # one step of refinement against the original B sheds the error
         # B^-1 took on in its pivots
         binv = T[:, :, n2:-1]
@@ -823,19 +770,7 @@ class _Batch:
         xB += _apply(binv, rhs - _apply(B, xB))
         y = _apply_t(binv, cB)
         y += _apply_t(binv, cB - _apply_t(B, y))
-        f = self.factor
-        if f is not None and not pivots.all():
-            # a basis no pivot changed keeps the start's refined values
-            for i in np.flatnonzero(pivots == 0):
-                if np.array_equal(rhs[i], f.b):
-                    xB[i] = f.xB
-                if np.array_equal(cB[i], f.cB):
-                    y[i] = f.y
-        for a in (T, rhs, xB, cB, y):
-            a.setflags(write=False)
-        factors = [_Factor(T[i, :, :n2], binv[i], self.pivots + int(pivots[i]),
-                           rhs[i], xB[i], cB[i], y[i]) for i in range(k)]
-        sols = L.answers(lanes, basis, xB, y, factors)
+        sols = L.answers(lanes, basis, xB, y)
         return [sol if fit else None for sol, fit in zip(sols, ok)]
 
 
@@ -863,7 +798,7 @@ def _lockstep(T, basis, cext, n2, tol):
     that start primal infeasible run the dual simplex first, always in
     lockstep (`_dual_step`); then all run primal phase 2, one lane by
     `_iterate` and more in lockstep by its rules (`_primal_step`: Dantzig
-    pricing and the same tie breaks).  Returns (ok, pivots) per lane.  A
+    pricing and the same tie breaks).  Returns ok per lane.  A
     lane is not ok if it is not dual feasible where it needs the dual
     simplex, finds no entering column there or ends unbounded; and if, in
     lockstep, it stalls past _STALL_LIMIT (where `_iterate` switches to
@@ -871,27 +806,22 @@ def _lockstep(T, basis, cext, n2, tol):
     k = basis.shape[0]
     lanes = np.arange(k)[:, None]
     ok = np.ones(k, dtype=bool)
-    pivots = np.zeros(k, dtype=int)
     dual = np.min(T[:, :, -1], axis=1, initial=0.0) < -tol
     if dual.any():
         r = _reduced_costs(T, basis, cext)[:, :n2]
         r[lanes, basis] = 0.0
         ok &= ~dual | (r.min(axis=1, initial=0.0) >= -tol)
-        _lockstep_phase(_dual_step, T, basis, cext, dual & ok, ok, pivots,
-                        n2, tol)
+        _lockstep_phase(_dual_step, T, basis, cext, dual & ok, ok, n2, tol)
     if k == 1:
         if ok[0]:
-            status, p = _iterate(T[0], basis[0], cext[0],
-                                 np.arange(cext.shape[1]) >= n2, tol)
-            ok[0] = status == "optimal"
-            pivots[0] += p
-        return ok, pivots
-    _lockstep_phase(_primal_step, T, basis, cext, ok.copy(), ok, pivots, n2,
-                    tol)
-    return ok, pivots
+            ok[0] = _iterate(T[0], basis[0], cext[0],
+                             np.arange(cext.shape[1]) >= n2, tol) == "optimal"
+        return ok
+    _lockstep_phase(_primal_step, T, basis, cext, ok.copy(), ok, n2, tol)
+    return ok
 
 
-def _lockstep_phase(step, T, basis, cext, live, ok, pivots, n2, tol):
+def _lockstep_phase(step, T, basis, cext, live, ok, n2, tol):
     """Run `step` until each live lane is optimal (it stops being live) or
     leaves (it is no longer ok either); see `_lockstep`.  Every lane is
     priced at each step, and only the live ones pivot."""
@@ -908,7 +838,6 @@ def _lockstep_phase(step, T, basis, cext, live, ok, pivots, n2, tol):
         live &= ~(done | left)
         L = np.nonzero(live)[0]
         _pivot_lanes(T, basis, L, rows[L], cols[L])
-        pivots[L] += 1
         obj = _dots(cext[lanes, basis], T[:, :, -1])
         flat = sign * obj >= sign * prev - tol * (1.0 + np.abs(obj))
         stall = np.where(live, np.where(flat, stall + 1, 0), stall)

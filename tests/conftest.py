@@ -25,18 +25,18 @@ def random_zero_sum(rng, n, nonzero=True):
 
 
 def record_warm_solves(monkeypatch):
-    """A list that gains (A2, b, cols, factor, accepted) per seed of a warm
-    `lp.solve`: the standard form, right-hand side, basic columns and
-    carried factor (None: B is factored afresh) its one lane starts from
-    (`lp._start_tableau`), and whether the warm solve gave the answer
-    (`lp._solve_warm`) rather than leaving the problem to a cold solve."""
+    """A list that gains (A2, b, cols, accepted) per seed of a warm
+    `lp.solve`: the standard form, right-hand side and basic columns its
+    one lane starts from (`lp._start_tableau`), and whether the warm solve
+    gave the answer (`lp._solve_warm`) rather than leaving the problem to a
+    cold solve."""
     from freegeo import lp
     calls, seeds = [], []
     tableau, warm = lp._start_tableau, lp._solve_warm
 
-    def seeding(A2, R, cols, factor=None):
-        seeds.append((A2, R[0], tuple(cols), factor))
-        return tableau(A2, R, cols, factor)
+    def seeding(A2, R, cols):
+        seeds.append((A2, R[0], tuple(cols)))
+        return tableau(A2, R, cols)
 
     def solving(*args):
         seeds.clear()

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -552,6 +555,30 @@ class TestNormLpPerSize:
         assert template._shared[0] is None      # canonicalized on a solve
         cert = free_norm(molecule(branching_tree(6), 2, 0))
         assert cert.basis._canonical is template._shared[0]
+
+    def test_a_kept_basis_holds_no_array_but_its_columns(self):
+        # the basis of a certificate is its path, its columns and the
+        # canonical form its size's norm LP shares: keeping the certificate
+        # keeps no tableau (2.0 MB at n = 64)
+        rng = np.random.default_rng(64)
+        space = random_euclidean_space(rng, 64, dim=2)
+        first, second = (FreeElement(space, random_zero_sum(rng, 64))
+                         for _ in range(2))
+        free_norm(first)    # builds the norm LP and its canonical form
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = free_norm(second)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        basis = kept.basis
+        assert set(vars(basis)) == {"path", "cols", "_canonical"}
+        assert basis.path == "dualized" and len(basis.cols) == 63
+        assert all(type(j) is int for j in basis.cols)
+        assert basis._canonical is free_space._norm_lp(64)._shared[0]
+        assert retained < 0.1 * 2 ** 20
 
 
 def _loop_flow(flows, n, tol):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -204,9 +204,8 @@ def _recorder(monkeypatch, name, outcome):
 
 @pytest.fixture
 def warm_solves(monkeypatch):
-    """Per seed of a warm-started solve, (A2, b, cols, factor, accepted):
-    the carried factor it was given (None when it factors B from the data)
-    and whether the start gave the answer; see `record_warm_solves`."""
+    """Per seed of a warm-started solve, (A2, b, cols, accepted): whether
+    the start gave the answer; see `record_warm_solves`."""
     return record_warm_solves(monkeypatch)
 
 
@@ -217,9 +216,9 @@ def dual_outcomes(monkeypatch):
     seen = []
     original = lp_module._lockstep_phase
 
-    def recording(step, T, basis, cext, live, ok, pivots, n2, tol):
+    def recording(step, T, basis, cext, live, ok, n2, tol):
         entered = np.flatnonzero(live)
-        original(step, T, basis, cext, live, ok, pivots, n2, tol)
+        original(step, T, basis, cext, live, ok, n2, tol)
         if step is lp_module._dual_step:
             # a lane that left with no entering column still has none
             left = step(T, basis, cext, n2, tol)[3]
@@ -262,7 +261,7 @@ def test_warm_start_after_objective_change(seed, warm_solves):
     for _ in range(4):
         start = _assert_matches_cold(
             _max_problem(rng.normal(size=c.size), A, b), start).basis
-    assert warm_solves and all(c[4] for c in warm_solves)
+    assert warm_solves and all(c[3] for c in warm_solves)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -274,7 +273,7 @@ def test_warm_start_after_rhs_change(seed, warm_solves):
         b2 = b.copy()
         b2[:-2 * c.size] = np.abs(rng.normal(size=b.size - 2 * c.size)) + 0.5
         start = _assert_matches_cold(_max_problem(c, A, b2), start).basis
-    assert warm_solves and all(c[4] for c in warm_solves)
+    assert warm_solves and all(c[3] for c in warm_solves)
 
 
 def test_warm_start_equality_rows_and_bounds():
@@ -301,11 +300,14 @@ def test_solution_basis_is_reusable_on_same_problem(warm_solves,
     first = solve(p)
     count = factorizations[0]
     again = solve(p, start=first.basis)
-    assert np.array_equal(again.x, first.x)
-    assert np.array_equal(again.y, first.y)
-    assert [c[4] for c in warm_solves] == [True]
-    # the carried tableau is optimal as it is: nothing is factored
-    assert factorizations[0] == count
+    assert [c[3] for c in warm_solves] == [True]
+    # the start is optimal as it is: its B is factored once and kept
+    assert factorizations[0] == count + 1
+    assert again.basis == first.basis
+    _assert_certified(again)
+    assert abs(again.value - first.value) <= 1e-12
+    assert np.max(np.abs(again.x - first.x)) <= 1e-12
+    assert np.max(np.abs(again.y - first.y)) <= 1e-12
 
 
 def _bad_starts(rng, c, A, b):
@@ -462,10 +464,10 @@ def test_failed_dualized_answer_falls_back_to_direct(monkeypatch):
     original = lp_module._solve_cf
 
     def broken(std, c, b, tol):
-        status, cols, xB, y, factor = original(std, c, b, tol)
+        status, cols, xB, y = original(std, c, b, tol)
         if std is dual_std:
             y = y - 100.0       # x = -y + 100 leaves the box rows
-        return status, cols, xB, y, factor
+        return status, cols, xB, y
 
     monkeypatch.setattr(lp_module, "_solve_cf", broken)
     sol = solve(p)
@@ -511,9 +513,10 @@ def test_changed_matrix_rebuilds_the_canonical_form(entry, warm_solves):
     _assert_certified(warm)
     assert warm.value == pytest.approx(cold.value, abs=1e-9, rel=1e-9)
     assert np.allclose(warm.x, cold.x, atol=1e-7)
-    # the start's tableau is of the old matrix: B is factored afresh
-    assert warm_solves and all(c[3] is None for c in warm_solves)
+    # the start's B is factored from the new matrix
     canon = warm.basis._canonical
+    new = canon.form(first.basis.path)[0].A2
+    assert warm_solves and all(c[0] is new for c in warm_solves)
     assert canon is not first.basis._canonical
     assert canon is lp_module._canonical(q)
     assert canon is not lp_module._canonical(p)
@@ -561,8 +564,8 @@ def test_dualized_start_extends_to_new_rows_and_variables(bounded,
                         np.append(b, [1.0, 1.0]), lb=lb, maximize=True)
     seen = record_warm_solves(monkeypatch)
     warm = _assert_matches_cold(p, first)
-    _, _, cols, factor, accepted = seen[0]
-    assert factor is None and cols[:len(first.cols)] == first.cols
+    _, _, cols, accepted = seen[0]
+    assert cols[:len(first.cols)] == first.cols
     if bounded:
         std, _ = warm.basis._canonical.form("dualized")
         assert cols[len(first.cols):] == (std.slack_of_row[-1],)
@@ -621,6 +624,53 @@ def test_nan_bound_rejected(bound):
     with pytest.raises(LpError, match="NaN in problem data"):
         LpProblem.build([1.0], [[1.0]], [LE], [3.0], maximize=True,
                         **{bound: [np.nan]})
+
+
+_NON_FINITE = {"c": "objective", "A": "constraint matrix",
+               "b": "right-hand side"}
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+def test_non_finite_data_rejected(where, value):
+    # infinite data cannot be certified: unchecked, it ends in numpy
+    # RuntimeWarnings and a NaN gap, or, in A, in "argmin of an empty
+    # sequence"
+    data = {"c": [1.0, 1.0], "A": [[1.0, 2.0]], "b": [3.0]}
+    data[where] = np.array(data[where])
+    data[where].flat[-1] = value
+    with pytest.raises(LpError, match=f"^non-finite entry in the "
+                                      f"{_NON_FINITE[where]}$"):
+        LpProblem.build(senses=[LE], lb=[0.0, 0.0], **data)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_non_finite_replaced_vectors_rejected(value):
+    p = LpProblem.build([1.0, 2.0], np.eye(2), [LE, LE], [1.0, 1.0])
+    with pytest.raises(LpError, match="^non-finite entry in the objective$"):
+        p.with_objective([1.0, value])
+    with pytest.raises(LpError,
+                       match="^non-finite entry in the right-hand side$"):
+        p.with_rhs([value, 1.0])
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_non_finite_objectives_rejected_by_solve_many(value):
+    p = LpProblem.build([1.0, 2.0], np.eye(2), [LE, LE], [1.0, 1.0],
+                        lb=[0.0, 0.0])
+    with pytest.raises(LpError, match="^non-finite entry in the objectives$"):
+        lp_module.solve_many(p, [[1.0, 1.0], [value, 1.0]])
+
+
+@pytest.mark.parametrize("bound", ["lb", "ub"])
+def test_bound_no_point_can_meet_is_rejected(bound):
+    # lb = +inf (ub = -inf) is a bound no x meets, not the absence of one,
+    # which would make min x with x <= 1 and x >= +inf unbounded
+    value, name = (np.inf, "lower bound +inf") if bound == "lb" else (
+        -np.inf, "upper bound -inf")
+    with pytest.raises(LpError, match=f"^{re.escape(name)}$"):
+        LpProblem.build([1.0], [[1.0]], [LE], [1.0],
+                        maximize=bound == "ub", **{bound: [value]})
 
 
 # problems with redundant equality rows, which phase 1 drops
@@ -693,8 +743,7 @@ def _tampered_result(x, y, check):
 def test_failed_check_is_named_with_its_margin(check, warm, monkeypatch):
     rng = np.random.default_rng(4100)
     p = _max_problem(*_dualized_data(rng))
-    # a warm start fails on its carried tableau, on a fresh factorization
-    # and cold before the error
+    # a warm start fails, then the cold solve, before the error
     start = solve(p).basis if warm else None
     seeds, cold = [], _recorder(monkeypatch, "_two_phase", lambda out: None)
     residuals, seed = lp_module._fill_residuals, lp_module._Batch.seed
@@ -714,12 +763,11 @@ def test_failed_check_is_named_with_its_margin(check, warm, monkeypatch):
         solve(p, start=start)
     if warm:
         assert seeds[0] is start
-        assert seeds[1].cols == start.cols and seeds[1]._factor is None
-    assert len(seeds) == (2 if warm else 0) and len(cold) == 2
+    assert len(seeds) == (1 if warm else 0) and len(cold) == 2
 
 
 # ---------------------------------------------------------------------------
-# the tableau and B^-1 carried by a basis
+# chains of warm solves, each started from the basis of the one before
 # ---------------------------------------------------------------------------
 
 def _chain(seed, path, change, length=200):
@@ -752,43 +800,18 @@ def test_carried_tableau_chain_matches_cold(path, change, warm_solves):
         assert abs(warm.value - cold.value) <= 1e-12
         assert np.max(np.abs(warm.x - cold.x)) <= 1e-12
         start = warm.basis
-    carried = [c[3] for c in warm_solves if c[3] is not None]
-    assert len(carried) >= 150
-    assert all(f.pivots <= lp_module._REFACTOR_PIVOTS for f in carried)
+    assert len(warm_solves) == len(problems)
 
 
 def test_long_chain_refactors_from_the_data(warm_solves, factorizations):
     start, problems = _chain(4700, "dualized", "objective")
-    pivots = []
     for q in problems:
         count = factorizations[0]
         start = solve(q, start=start).basis
-        # a rebuild from the data is one solve of B; a carried tableau none
-        assert factorizations[0] - count == (warm_solves[-1][3] is None)
-        pivots.append(start._factor.pivots)
+        # every warm solve factors its start's B once, from the data
+        assert factorizations[0] - count == 1
     assert len(warm_solves) == len(problems)
-    rebuilt = [i for i, c in enumerate(warm_solves) if c[3] is None]
-    assert rebuilt     # 200 solves take far more than _REFACTOR_PIVOTS
-    for i in rebuilt:
-        # only a factor past the threshold is rebuilt, and the count
-        # starts again from the fresh factorization
-        assert i == 0 or pivots[i - 1] > lp_module._REFACTOR_PIVOTS
-        assert pivots[i] < lp_module._REFACTOR_PIVOTS
-
-
-@pytest.mark.parametrize("part", ["body", "binv"])
-def test_tampered_carried_tableau_is_still_certified(part, warm_solves):
-    rng = np.random.default_rng(4800)
-    c, A, b = _dualized_data(rng)
-    p = _max_problem(c, A, b)
-    basis = solve(p).basis
-    factor = basis._factor
-    bad = getattr(factor, part) + rng.normal(size=getattr(factor, part).shape)
-    start = replace(basis, _factor=replace(factor, **{part: bad}))
-    _assert_matches_cold(p.with_objective(rng.normal(size=c.size)), start)
-    # the warm start was given the tampered factor; whatever it made of
-    # it, the answer was certified (or refactored, or solved cold)
-    assert warm_solves[0][3] is start._factor
+    assert all(c[3] for c in warm_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -936,9 +959,8 @@ def test_solve_many_single_lane(lp_solves):
 
 def test_solve_many_from_a_direct_start(lp_solves):
     # few rows: the direct path, started from a basis of the same problem,
-    # whose carried tableau seeds every lane.  Lane 3 has the start's own
-    # objective and takes no pivot: like a single solve, it keeps the
-    # start's refined values
+    # whose B is factored once for every lane.  Lane 3 has the start's own
+    # objective and takes no pivot: it keeps the start's basis
     rng = np.random.default_rng(5300)
     c, A, b = _dualized_data(rng, m=20)
     p = _max_problem(c, A, b)
@@ -951,9 +973,9 @@ def test_solve_many_from_a_direct_start(lp_solves):
     assert not lp_solves
     _assert_lanes_equal_solve(p, C, start, got)
     assert all(s.basis.path == "direct" for s in got)
-    assert got[3].basis._factor.pivots == start._factor.pivots
-    assert np.array_equal(got[3].x, first.x)
-    assert np.array_equal(got[3].y, first.y)
+    assert got[3].basis == start
+    assert abs(got[3].value - first.value) <= 1e-12
+    assert np.max(np.abs(got[3].x - first.x)) <= 1e-12
 
 
 def _assert_lanes_equal_solve(problem, C, start, got):

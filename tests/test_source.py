@@ -56,9 +56,7 @@ _NAME_ARG = {"_check": 1, "_guard": 0, "_certify": 0}
 # here fails the test below until it is taken out
 _UNTESTED = {
     "attainment_", "blend_dominates_off_support", "blend_norm_on_support",
-    "case3_zy_", "clipped_extension_bounded", "lift_norm_one",
-    "lift_pairing_one", "norm_attained", "off_support_sup_below_one",
-    "taper_pairing_one"}
+    "case3_zy_", "norm_attained", "off_support_sup_below_one"}
 
 
 def _check_names():

@@ -351,7 +351,7 @@ def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
 @pytest.mark.parametrize("n", [7, 12])
 def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened, monkeypatch):
     # started from the norm LP's basis, the face-distance solve gets the
-    # norm LP's tree and the slack of t's dual row, without a tableau; its
+    # norm LP's tree and the slack of t's dual row; its
     # B^-1 b = (0, ..., 0, 1) >= 0 for every sample (the dual columns of
     # the ball rows hold no distances, so any distance scale will do)
     mu = _leaf_combination(n, fattened)
@@ -360,8 +360,8 @@ def test_face_seed_is_the_norm_tree_plus_t_slack(n, fattened, monkeypatch):
     problem = ssd._face_problem(DualFace(mu, norm.value))
     calls = record_warm_solves(monkeypatch)
     sol = lp.solve(problem, start=norm.basis)
-    A2, rhs, cols, factor, accepted = calls[0]
-    assert accepted and factor is None
+    A2, rhs, cols, accepted = calls[0]
+    assert accepted
     assert cols[:-1] == norm.basis.cols
     last = np.eye(mu.space.n)[-1]
     np.testing.assert_array_equal(A2[:, cols[-1]], last)   # t's slack
@@ -383,7 +383,7 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
     cold = _count_cold_solves(monkeypatch)
     sol = lp.solve(problem, start=norm.basis)
     assert [c[2] for c in calls] == [norm.basis.cols] * len(calls)
-    assert not any(c[4] for c in calls)
+    assert not any(c[3] for c in calls)
     assert cold
     assert sol.value == lp.solve(problem).value
 
@@ -391,11 +391,11 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
 @pytest.mark.parametrize("fattened", [False, True])
 @pytest.mark.parametrize("n", [5, 12])
 def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
-    # a warm solve starts from the carried tableau (no factorization) or
-    # factors its start's B once, and a batch of slab samples factors B at
-    # most once for all its lanes.  Solves that end cold (a start of the
-    # wrong length, on 6 points the norm basis) refine with two, and are
-    # not counted; a batch does not count the solves it hands to lp.solve
+    # a warm solve factors its start's B once, and a batch of slab samples
+    # factors B once for all its lanes.  Solves that end cold (a start of
+    # the wrong length, on 6 points the norm basis) refine with two, and
+    # are not counted; a batch does not count the solves it hands to
+    # lp.solve
     count = {"linalg": 0, "cold": 0, "in_solve": 0}
     per_warm_solve, per_batch = [], []
     originals = np.linalg.solve, lp._two_phase, lp.solve, lp.solve_many
@@ -430,14 +430,10 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     monkeypatch.setattr(lp, "solve_many", counting_many)
     exposedness_probe(_leaf_combination(n, fattened), [0.05, 0.2], 16,
                       seed=n)
-    assert len(per_batch) == 2 and max(per_batch) <= 1
-    assert per_warm_solve and max(per_warm_solve) <= 1
-    if n == 12:
-        # each batch starts from the norm basis, factored once; on 6 points
-        # from the carried tableau of its first lane, solved cold
-        assert per_batch == [1, 1]
-    else:
-        assert per_batch == [0, 0]
+    # each batch starts from the norm basis or, on 6 points, from the
+    # basis of its first lane, solved cold
+    assert per_batch == [1, 1]
+    assert per_warm_solve and set(per_warm_solve) == {1}
 
 
 def _count_face_solves(monkeypatch, n):
@@ -603,17 +599,17 @@ def test_seeded_multi_eta_probe_matches_cold_reference_on_trees(n, fattened):
 
 
 def test_rejected_face_seed_falls_back_to_cold(monkeypatch):
-    # every face-distance start without a carried tableau (the seed among
-    # them) is rejected: those solves run cold and give the cold answer
+    # every face-distance start (the seed among them) is rejected: those
+    # solves run cold and give the cold answer
     mu = _leaf_combination(12, False)
     rejected = []
     original = lp._start_tableau
 
-    def rejecting(A2, R, cols, factor=None):
-        if A2.shape[0] == mu.space.n and factor is None:
+    def rejecting(A2, R, cols):
+        if A2.shape[0] == mu.space.n:
             rejected.append(None)
             return None
-        return original(A2, R, cols, factor)
+        return original(A2, R, cols)
 
     calls = _count_cold_solves(monkeypatch)
     monkeypatch.setattr(lp, "_start_tableau", rejecting)
@@ -1357,6 +1353,28 @@ def _pipeline_row(eps, negate):
     return perturbation_pipeline(tree, gamma, comb, f, g, eps).status
 
 
+def _scaled_step_row(monkeypatch, step, factor):
+    """`_pipeline_row(0.04, False)` when the function that ssd.<step>
+    returns is scaled by factor."""
+    original = getattr(ssd, step)
+
+    def scaled(*args, **kwargs):
+        f = original(*args, **kwargs)
+        return from_values(f.space, factor * f.values)
+
+    monkeypatch.setattr(ssd, step, scaled)
+    return _pipeline_row(0.04, False)
+
+
+def _doubled_extension_row(monkeypatch):
+    """The pipeline's exception when the clipped extension of f comes back
+    doubled: past the clip bound, and of Lipschitz norm 2, which the lift
+    rejects."""
+    with pytest.raises(LipschitzError):
+        _scaled_step_row(monkeypatch, "mcshane_extend", 2.0)
+    return LipschitzError
+
+
 def _certificate_row(match, sign=1.0, n=12, eps=0.1):
     """The exception of the 4-eps certificate on the truncation with n
     interior points, for sign times the normalized norming functional of its
@@ -1423,6 +1441,17 @@ _CONTRACT = [
     ("total_distance_4eps", _zero_face_point_row, SsdError, -1.6),
     ("slope_floor_xz_1", _anti_norming_row, SsdError, -0.95),
     ("slope_floor_zy_1", _anti_norming_row, SsdError, -0.975),
+    ("lift_norm_one", lambda mp: _scaled_step_row(mp, "f_gamma_construct",
+                                                  1.1),
+     PRECONDITION_FAILED, -0.1),
+    ("lift_pairing_one", lambda mp: _scaled_step_row(mp, "f_gamma_construct",
+                                                     1.1),
+     PRECONDITION_FAILED, -0.1),
+    ("taper_pairing_one", lambda mp: _scaled_step_row(mp, "g_gamma_construct",
+                                                      1.1),
+     PRECONDITION_FAILED, -0.1),
+    ("clipped_extension_bounded", _doubled_extension_row, LipschitzError,
+     -1.0),
 ]
 
 

@@ -14,9 +14,11 @@ Run it in two checkouts and compare the three lines it prints:
   of the ``probe_trees`` workload, rounds 0-3 for seeds 1-3, with every
   float as ``float.hex``; beside it, how many face-distance LPs and slab
   lanes those probes solved, counted by wrapping ``lp.solve`` and
-  ``lp.solve_many``, and how many of their solves ran cold, counted by
-  wrapping ``lp._solve_cold``, so that a change in solve counts, or one
-  that sends warm solves cold, shows next to the hash.
+  ``lp.solve_many``, how many of their solves ran cold, counted by
+  wrapping ``lp._solve_cold``, and how many warm starts factored their B,
+  counted by wrapping ``lp._start_tableau``, so that a change in solve or
+  factorization counts, or one that sends warm solves cold, shows next to
+  the hash.
 - ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
   ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
@@ -91,15 +93,16 @@ def cli_digest(workloads, seed: int, rounds: int, dump: list):
 def probe_digest(workloads, dump: list):
     """(probe count, SHA-1, solves) over the probe entries of the fixed
     rounds, with solves the numbers of face-distance LPs and slab lanes
-    the probes solved and of their solves that ran cold; appends each
-    probe's entries to dump."""
+    the probes solved, of their solves that ran cold and of their warm
+    starts that factored B; appends each probe's entries to dump."""
     from freegeo import lp
 
     h = hashlib.sha1()
     count = 0
-    solves = {"face": 0, "lanes": 0, "cold": 0}
+    solves = {"face": 0, "lanes": 0, "cold": 0, "factored": 0}
     points = None       # of the probe running; None outside probes
     solve, solve_many, solve_cold = lp.solve, lp.solve_many, lp._solve_cold
+    start_tableau = lp._start_tableau
 
     def counting_solve(problem, tol=None, start=None):
         # the face-distance LP is the probe's one LP with a variable per
@@ -117,8 +120,15 @@ def probe_digest(workloads, dump: list):
         solves["cold"] += points is not None
         return solve_cold(problem, canon, tol)
 
+    def counting_tableau(A2, R, cols):
+        # only a start that yields a tableau counts: a malformed start is
+        # rejected before B is factored, and a singular B yields none
+        out = start_tableau(A2, R, cols)
+        solves["factored"] += points is not None and out is not None
+        return out
+
     lp.solve, lp.solve_many = counting_solve, counting_many
-    lp._solve_cold = counting_cold
+    lp._solve_cold, lp._start_tableau = counting_cold, counting_tableau
     try:
         for seed in PROBE_SEEDS:
             wl = workloads.ProbeTrees(seed)
@@ -138,7 +148,7 @@ def probe_digest(workloads, dump: list):
                     count += 1
     finally:
         lp.solve, lp.solve_many = solve, solve_many
-        lp._solve_cold = solve_cold
+        lp._solve_cold, lp._start_tableau = solve_cold, start_tableau
     return count, h.hexdigest(), solves
 
 
@@ -253,7 +263,8 @@ def main(argv=None) -> int:
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
           f"{count} probes sha1 {digest}; solved {solves['face']} "
           f"face-distance LPs, {solves['lanes']} slab lanes, "
-          f"{solves['cold']} cold solves")
+          f"{solves['cold']} cold solves, {solves['factored']} warm starts "
+          f"that factored B")
     count, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
           f"{count} cases sha1 {digest}")
