@@ -12,6 +12,7 @@ the transport cost and the pairing.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -337,6 +338,89 @@ def dual_face(mu: FreeElement) -> DualFace:
     return DualFace(mu, free_norm(mu).value)
 
 
+@dataclass(frozen=True)
+class PointFace:
+    """D(mu) as the one point `potential`, the norming potential g* of
+    `free_norm`, up to the norm LP's gap: every g in D(mu) lies within
+    `reach` of g* at each point, so within `radius` = 2 reach / min d of it
+    in Lip-distance (see `point_face`)."""
+
+    potential: LipFunction
+    reach: float
+    radius: float
+
+
+def _holds(name: str, margin: float) -> bool:
+    """Whether the named margin holds (margin >= 0; NaN fails): a route
+    condition, where `_certify` raises."""
+    return margin >= 0.0
+
+
+def point_face(mu: FreeElement, cert: NormCertificates) -> PointFace | None:
+    """The dual face of mu as one point, read off the optimal plan of
+    `cert` (the norm certificates of mu), or None.
+
+    A 1-Lipschitz g pairs with mu to ||mu|| exactly when it is tight,
+    g(p) - g(q) = d(p, q), on every arc that a plan w moves mass along.
+    When those arcs connect every point (union-find gives one component),
+    tightness fixes g along paths from the base: D(mu) = {g*}.  The plan
+    is a float plan, so each arc a is tight only up to gap' / w_a, where
+    gap' bounds sum_a w_a (d_a - g(p_a) + g(q_a)) over D(mu): the plan's
+    cost minus the lower bound <g*, mu> / Lip(g*) on ||mu||, plus the flow
+    balance residual of the plan weighted by d(0, p) and a rounding
+    allowance, all recomputed from the data.  Summed along the arcs with
+    g*'s own slack, that gives `reach`, and its margin face_radius is
+    tol - 2 reach / min d, tol = lp_tol(): the gap that every LP answer is
+    certified within.  None when the support does not span, or the margin
+    fails."""
+    space = mu.space
+    n = space.n
+    if not cert.flow:
+        return None
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    components = n
+    for p, q in cert.flow:
+        a, b = find(p), find(q)
+        if a != b:
+            root[a] = b
+            components -= 1
+    if components > 1:
+        return None
+    p, q = np.array(list(cert.flow)).T
+    w = np.array(list(cert.flow.values()))
+    d = space.dist[p, q]
+    g = cert.potential.values
+    m, d0 = mu.masses[1:], space.dist[0, 1:]
+    out, into = np.bincount(p, w, n)[1:], np.bincount(q, w, n)[1:]
+    degree = (np.bincount(p, minlength=n) + np.bincount(q, minlength=n))[1:]
+    cost = math.fsum(w * d)
+    pairing_terms = m * g[1:]
+    lower = math.fsum(pairing_terms) / max(lip_norm(cert.potential), 1.0)
+    residual = math.fsum(d0 * np.abs(out - into - m))
+    # what rounding can hide: each sum is correctly rounded (fsum) over
+    # terms rounded once, lower takes three more roundings, and a point's
+    # balance sums its arcs' flows one by one
+    eps = np.finfo(float).eps
+    rounding = eps * (cost + 3.0 * math.fsum(np.abs(pairing_terms))
+                      + residual + math.fsum(
+                          d0 * ((degree + 2) * (out + into) + np.abs(m))))
+    gap = abs(cost - lower) + residual + rounding
+    slack = np.abs(d - (g[p] - g[q])) + eps * (d + np.abs(g[p])
+                                               + np.abs(g[q]))
+    reach = (1.0 + 4.0 * eps) * math.fsum(gap / w + slack)
+    radius = 2.0 * reach / _ball_rhs(space).min()
+    if not _holds("face_radius", lp_tol() - radius):
+        return None
+    return PointFace(cert.potential, reach, radius)
+
+
 def _unit_ranges(face: DualFace):
     """(ranges / s, s) for s = `unit_scale`: the ranges of f / s over the
     face of mu on space / s, whose norm is norm / s."""
@@ -366,9 +450,16 @@ def face_coordinate_ranges(face: DualFace) -> np.ndarray:
 def is_gateaux(mu: FreeElement, tol: float = 1e-7) -> bool:
     """True iff the dual face pins every coordinate (unique norming f).
     The widths are compared with tol at unit distance scale, so the answer
-    does not depend on the unit of distance."""
+    does not depend on the unit of distance.  A point face (`point_face`)
+    answers True at once when its widths, at most 2 reach, are within tol
+    at that scale; other faces take their widths from the face range LPs
+    of `face_coordinate_ranges`."""
     if mu.is_zero():
         raise FreeSpaceError("zero element")
-    ranges, _ = _unit_ranges(dual_face(mu))
+    cert = free_norm(mu)
+    face = point_face(mu, cert)
+    if face is not None and 2.0 * face.reach / unit_scale(mu.space)[1] <= tol:
+        return True
+    ranges, _ = _unit_ranges(DualFace(mu, cert.value))
     widths = ranges[:, 1] - ranges[:, 0]
     return bool(widths.max() <= tol)

@@ -60,7 +60,11 @@ from the norm LP's optimal basis, a spanning tree of ball-row arcs.  The
 dual's right-hand side is the face LP's objective (0, ..., 0, 1), which
 every sample shares, and B is the tree over the slack of t's dual row, so
 B^-1 b = (0, ..., 0, 1) >= 0: the start is primal feasible, and phase 2
-runs after one factorization.
+runs after one factorization.  A direct start carries over to an LP over
+the same variables with further rows, each of which takes its slack.  The
+probe starts its slab LP this way on spaces small enough for the direct
+path: the slab row's slack is eta ||mu|| >= 0 at the norm LP's optimum, so
+that start is primal feasible too.
 
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
@@ -632,21 +636,32 @@ def _solve_cold(problem, canon, tol) -> LpSolution:
 
 def _carried_over(start: LpBasis, canon: _Canonical) -> LpBasis:
     """`start` as a start over the constraints of `canon`: its columns,
-    whose B the warm solve factors from canon's data either way.  A
-    dualized start whose columns are all dual variables of the rows it was
-    solved over gains the slack of each further dual row, the dual row of
-    a variable its LP did not have; the new B is block triangular over the
-    old one.  A dual row without a slack (a free variable) leaves the
-    start a column short, and like any start that does not fit, it is
-    rejected."""
+    whose B the warm solve factors from canon's data either way.  A start
+    whose columns keep their meaning gains the slack of each further row
+    of its path's standard form, and the new B is block triangular over
+    the old one.  On the dualized path that is a start whose columns are
+    all dual variables of the rows it was solved over, and a further dual
+    row is the dual row of a variable its LP did not have.  On the direct
+    path it is a start over the same variables whose rows keep their
+    slack columns, and a further row is a row its LP did not have.  A row
+    without a slack (an equality, or the dual row of a free variable)
+    leaves the start a column short, and like any start that does not
+    fit, it is rejected."""
     old = start._canonical
     if old is canon:
         return start
     cols = start.cols
-    if start.path == DUALIZED and old is not None and \
-            max(cols, default=-1) < old.n_orig_rows:
-        extra = canon.form(DUALIZED)[0].slack_of_row[len(cols):]
-        if (extra >= 0).all():
+    # a start on another path than the solve's first is rejected anyway
+    if old is not None and start.path == _paths(canon)[0]:
+        std = canon.form(start.path)[0]
+        if start.path == DUALIZED:
+            fits = max(cols, default=-1) < old.n_orig_rows
+        else:
+            was = old.form(DIRECT)[0]
+            fits = was.n == std.n and np.array_equal(
+                was.slack_of_row, std.slack_of_row[:len(cols)])
+        extra = std.slack_of_row[len(cols):]
+        if fits and (extra >= 0).all():
             cols += tuple(extra.tolist())
     return LpBasis(start.path, cols, canon)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import lp
 from .free_space import (DualFace, FreeElement, MoleculeCombination,
                          free_norm, lipschitz_ball_rows, molecule, pair_rows,
-                         pairing, unit_scale)
+                         pairing, point_face, unit_scale)
 from .lipschitz import (LipFunction, LipschitzError, cutoff_xi,
                         f_gamma_construct, from_values, g_gamma_construct,
                         lip_norm, mcshane_extend, pair_slope, peaking_check,
@@ -66,11 +66,15 @@ class ModulusCurve:
 
     Entries are (eta, worst_dist, samples).  The curve is a lower bound on
     the true modulus: it only sees the sampled extreme points of each slab
-    {lip_norm(f) <= 1, pairing(f, mu) >= ||mu|| (1 - eta)}.  worst_dist is
-    the max over the face-distance LPs solved; each skipped sample is
-    certified not to raise it by more than the LP's own gap, by the margin
-    worst_dist + tol (1 + worst_dist) - ||f - g|| >= 0 against a guarded
-    face point g, tol = lp_tol() (see `exposedness_probe`).
+    {lip_norm(f) <= 1, pairing(f, mu) >= ||mu|| (1 - eta)}.  Where D(mu) is
+    a point face (`free_space.point_face`), worst_dist is the max of
+    ||f - g*|| over the samples, for g* the norming potential, and each of
+    these is within face_radius <= tol of the sample's exact distance to
+    the face.  Elsewhere worst_dist is the max over the face-distance LPs
+    solved; each skipped sample is certified not to raise it by more than
+    the LP's own gap, by the margin worst_dist + tol (1 + worst_dist) -
+    ||f - g|| >= 0 against a guarded face point g.  tol = lp_tol() (see
+    `exposedness_probe`).
     """
 
     mu_masses: tuple
@@ -134,6 +138,15 @@ def _with_face_values(problem, vals):
     return problem.with_rhs(b)
 
 
+def _guard_face_point(g: LipFunction, face: DualFace) -> None:
+    """Guard a face point g against the unit ball and the pairing with mu,
+    independently of the solver that found it."""
+    tol = lp_tol()
+    _guard("face_point_in_unit_ball", 1.0 + tol - lip_norm(g))
+    _guard("face_point_pairs_to_norm",
+           tol - abs(pairing(g, face.mu) - face.norm))
+
+
 class _FacePoints:
     """points(vals) is (||f - g||, g), never below 0, for f = vals and g the
     face point nearest f: the face-distance LP, built once on space / s
@@ -156,10 +169,7 @@ class _FacePoints:
             raise SsdError(f"face-distance LP ended with status {sol.status}")
         self.start = sol.basis
         g = from_values(self.face.space, np.concatenate([[0.0], sol.x[:-1]]))
-        tol = lp_tol()
-        _guard("face_point_in_unit_ball", 1.0 + tol - lip_norm(g))
-        _guard("face_point_pairs_to_norm",
-               tol - abs(pairing(g, self.face.mu) - self.face.norm))
+        _guard_face_point(g, self.face)
         # on f already on the face the optimum can end a few ulps below t >= 0
         return max(float(sol.value), 0.0), self.s * g.values
 
@@ -193,33 +203,44 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     envelope; it is deterministic given the seed and a lower bound on the
     true modulus.
 
-    Each entry is the max over the face-distance LPs solved.  Any g in
-    D(mu) bounds a sample's distance by ||f - g||; the probe keeps such
-    face points for the whole grid (the norming potential of `free_norm`
-    and the optimal g of each face-distance LP it solves) and solves the
-    samples in decreasing order of their bound U = min ||f - g||, until the
-    largest open U is at most worst + tol (1 + worst), for worst the
-    largest distance so far and tol = lp_tol(): the gap that every LP
-    answer is certified within (`lp`).  So each skipped sample is
+    Where the optimal plan of `free_norm` spans the space and its margin
+    face_radius holds (`free_space.point_face`), D(mu) = {g*}, the norming
+    potential, within the LP's gap: every g in D(mu) is within face_radius
+    <= tol = lp_tol() of g*.  Then each entry is the max of ||f - g*|| over
+    the samples, which is within face_radius of the exact distance, and
+    the probe builds and solves no face-distance LP; g* is guarded like any
+    face point.
+
+    Otherwise each entry is the max over the face-distance LPs solved.
+    Any g in D(mu) bounds a sample's distance by ||f - g||; the probe keeps
+    such face points for the whole grid (the norming potential of
+    `free_norm` and the optimal g of each face-distance LP it solves) and
+    solves the samples in decreasing order of their bound U = min ||f - g||,
+    until the largest open U is at most worst + tol (1 + worst), for worst
+    the largest distance so far: tol is the gap that every LP answer is
+    certified within (`lp`).  So each skipped sample is
     certified by the margin worst + tol (1 + worst) - ||f - g|| >= 0
     against a guarded face point, and raises the entry by no more than
     the LP's own gap.  Samples tied at the bound of the norming potential,
     whose face LPs end a few ulps on either side of it, take one face LP.
 
-    The slab LP and the face-distance LP are built once per probe, from the
+    The slab LP and any face-distance LP are built once per probe, from the
     rows of `DualFace.constraint_rows`; an eta changes only the slab row's
     right-hand side, and a sample the slab's objective or the face LP's
-    right-hand side, so each LP's constraints are canonicalized once.  An eta's samples are drawn together, in the
-    order of single draws, and solved as one batch by `lp.solve_many` from
-    `norm.basis`, the norm LP's optimal basis.  Each face-distance LP is
-    solved by `lp.solve` from the basis of the previous one, the first from
-    `norm.basis` too.  Where the norm LP took the dualized path, its basis
-    is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
-    feasible and the face-distance LP primal feasible, so neither starts
-    cold.  Every sample is checked against the unit ball and the slab, in
-    one batch per eta, and every face point against the unit ball and the
-    pairing with mu, as in `face_distance`, independently of the solver; a
-    failed check raises SsdError with its margin, the worst over a batch.
+    right-hand side, so each LP's constraints are canonicalized once.  An
+    eta's samples are drawn together, in the order of single draws, and
+    solved as one batch by `lp.solve_many` from `norm.basis`, the norm LP's
+    optimal basis.  Each face-distance LP is solved by `lp.solve` from the
+    basis of the previous one, the first from `norm.basis` too.  Where the
+    norm LP took the dualized path, its basis is a spanning tree of n - 1
+    ball-row arcs: it leaves the slab LP dual feasible and the
+    face-distance LP primal feasible, so neither starts cold.  Where it
+    took the direct path, the slab row's slack extends it to a primal
+    feasible slab start.  Every sample is checked against the unit ball
+    and the slab, in one batch per eta, and every face point against the
+    unit ball and the pairing with mu, as in `face_distance`,
+    independently of the solver; a failed check raises SsdError with its
+    margin, the worst over a batch.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -247,7 +268,13 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     # every sample (see `lp`)
     face = DualFace(mu, norm_mu)
     slab = _slab_problem(face, 0.0)
-    points = _FacePoints(face, norm.basis)
+    # on a point face each sample's distance is its bound against g*, and
+    # no face-distance LP is built
+    points = None
+    if point_face(mu, norm) is None:
+        points = _FacePoints(face, norm.basis)
+    else:
+        _guard_face_point(norm.potential, face)
     # D(mu) does not depend on eta: face points serve the whole grid
     faces = norm.potential.values[None, :]
     for eta in eta_grid:
@@ -266,8 +293,11 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
         _guard("slab_sample_in_unit_ball", 1.0 + tol - float(norms.max()))
         _guard("slab_sample_in_slab", float((F @ masses).min())
                - (norm_mu * (1.0 - eta) - tol))
-        worst = 0.0
         bound = _lip_distances(space, F, faces).min(axis=1)
+        if points is None:
+            raw.append((eta, float(bound.max())))
+            continue
+        worst = 0.0
         while True:
             j = int(np.argmax(bound))
             if bound[j] <= worst + tol * (1.0 + worst):

@@ -12,7 +12,7 @@ from freegeo.free_space import (FreeElement, FreeSpaceError,
                                 is_gateaux, molecule, norming_functional,
                                 optimal_representation, pairing)
 from freegeo.lipschitz import from_values, lip_norm
-from freegeo.lp import EQ, LE, LpProblem, solve
+from freegeo.lp import EQ, LE, LpProblem, solve, solve_many
 from freegeo.metric import (PointedMetricSpace, branching_tree,
                             cantor_endpoints, equilateral, line_space)
 from conftest import random_euclidean_space, random_zero_sum
@@ -354,6 +354,15 @@ class TestFaceRanges:
                 assert abs(got - v) <= 1e-9 * max(1.0, abs(v)), (p, got, v)
 
 
+def _leaf_combination(tree, first=None):
+    """The uniform leaf-to-base combination on a branching tree, or with
+    weight `first` on leaf 1 and the rest shared by the other leaves."""
+    n = tree.n - 1
+    w = [1.0 / n] * n if first is None else \
+        [first] + [(1.0 - first) / (n - 1)] * (n - 1)
+    return combo(tree, *((w[k - 1], k, 0) for k in range(1, n + 1))).element()
+
+
 class TestGateaux:
     def test_consecutive_true(self):
         mu = combo(LINE, (1 / 3, 1, 0), (1 / 3, 2, 1), (1 / 3, 3, 2)).element()
@@ -365,6 +374,46 @@ class TestGateaux:
 
     def test_equilateral_molecule_false(self):
         assert not is_gateaux(molecule(equilateral(3), 1, 2))
+
+    def test_point_face_takes_no_range_lp(self, monkeypatch):
+        # a plan whose support spans the space pins the norming function:
+        # is_gateaux answers from the point face, without the 2(n - 1)
+        # face range LPs
+        def no_range_lps(*args, **kwargs):
+            raise AssertionError("face range LPs solved")
+
+        cases = [combo(LINE, (1 / 3, 1, 0), (1 / 3, 2, 1),
+                       (1 / 3, 3, 2)).element()]
+        for n in (4, 9, 16):
+            cases.append(_leaf_combination(branching_tree(n)))
+        rng = np.random.default_rng(5)
+        for n in (8, 16):
+            space = random_euclidean_space(rng, n, dim=2)
+            cases.append(FreeElement(space, random_zero_sum(rng, n)))
+        for mu in cases:
+            assert free_space.point_face(mu, free_norm(mu)) is not None
+        monkeypatch.setattr(free_space, "solve_many", no_range_lps)
+        assert all(is_gateaux(mu) for mu in cases)
+
+    @pytest.mark.parametrize("first,lps", [(1e-7, 1), (0.25, 0)])
+    def test_thin_arc_takes_the_range_lps(self, first, lps, monkeypatch):
+        # a leaf that sends 1e-7 leaves its arc tight only to within
+        # gap' / 1e-7: the radius exceeds the LP's gap, and the range LPs
+        # answer, as on a face that is no point (a split pair).  With the
+        # weight 1/4 of every leaf, the face is a point
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return solve_many(*args, **kwargs)
+
+        monkeypatch.setattr(free_space, "solve_many", counting)
+        mu = _leaf_combination(branching_tree(4), first)
+        assert (free_space.point_face(mu, free_norm(mu)) is None) == bool(lps)
+        assert is_gateaux(mu)
+        assert len(calls) == lps
+        assert not is_gateaux(combo(LINE, (0.5, 1, 0), (0.5, 3, 2)).element())
+        assert len(calls) == lps + 1
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_answer_does_not_depend_on_distance_scale(self, scale):

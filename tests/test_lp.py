@@ -574,6 +574,32 @@ def test_dualized_start_extends_to_new_rows_and_variables(bounded,
         assert cols == first.cols and not accepted
 
 
+@pytest.mark.parametrize("sense", [LE, EQ])
+def test_direct_start_extends_to_new_rows(sense, monkeypatch):
+    # a new row c.x >= c.x* - 1 over the same variables, with slack 1 at
+    # the start's optimum x*: the start's columns carry over, the new row's
+    # slack joins them, and the start is primal feasible for any objective
+    # (the probe's slab row on small spaces).  As c.x = c.x* - 1 the row
+    # has no slack; the start stays a column short and the LP is solved
+    # cold
+    rng = np.random.default_rng(4600)
+    c, A, b = _dualized_data(rng, m=20)
+    first = solve(_max_problem(c, A, b))
+    assert first.basis.path == "direct"
+    p = LpProblem.build(rng.normal(size=c.size), np.vstack([A, -c]),
+                        [LE] * len(b) + [sense],
+                        np.append(b, 1.0 - first.value), maximize=True)
+    seen = record_warm_solves(monkeypatch)
+    warm = _assert_matches_cold(p, first.basis)
+    _, _, cols, accepted = seen[0]
+    if sense == LE:
+        std, _ = warm.basis._canonical.form("direct")
+        assert cols == first.basis.cols + (std.slack_of_row[-1],)
+        assert accepted
+    else:
+        assert cols == first.basis.cols and not accepted
+
+
 def test_build_copies_and_freezes_its_inputs():
     c, A, b = np.array([1.0, 2.0]), np.eye(2), np.ones(2)
     p = LpProblem.build(c, A, [LE, LE], b, lb=np.zeros(2), ub=np.ones(2))
@@ -874,9 +900,13 @@ def test_solve_many_matches_solve_on_gallery_polytopes(name, lp_solves):
     problem, start = _POLYTOPES[name]
     C = np.random.default_rng(4900).normal(size=(12, problem.c.size))
     got = lp_module.solve_many(problem, C, start)
-    # a start on the path of the first solve seeds every lane; otherwise
-    # the first lane alone goes to solve, and its basis seeds the others
-    assert len(lp_solves) == (0 if start.path == "dualized" else 1)
+    # a start that fits the path of the first solve seeds every lane: a
+    # dualized start, and a direct one on a slab, whose further row takes
+    # its slack.  A direct start on a face LP, whose further row is an
+    # equality, does not: the first lane alone goes to solve, and its
+    # basis seeds the others
+    seeds = start.path == "dualized" or name.endswith("-slab")
+    assert len(lp_solves) == (0 if seeds else 1)
     _assert_lanes_match_solve(problem, C, start, got)
 
 

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from freegeo import free_space, lp, ssd
 from freegeo.free_space import (DualFace, FreeElement, FreeSpaceError,
@@ -10,7 +11,7 @@ from freegeo.free_space import (DualFace, FreeElement, FreeSpaceError,
                                 face_coordinate_ranges, free_norm,
                                 is_gateaux, lipschitz_ball_rows, molecule,
                                 norming_functional, optimal_representation,
-                                pairing, unit_scale)
+                                pairing, point_face, unit_scale)
 from freegeo.tolerances import lp_tol
 from freegeo.lipschitz import (LipschitzError, aux_f_xy, from_values,
                                lip_norm, pair_slope)
@@ -289,6 +290,22 @@ def _leaf_combination(n, fattened):
     return MoleculeCombination(space, terms).element()
 
 
+def _tree_molecule(n, fattened):
+    """The molecule m_12 between two leaves of branching_tree(n), or of its
+    gamma = 1 fattening: its optimal plan does not span the space, so its
+    dual face is not a point and the probe solves face-distance LPs."""
+    tree = branching_tree(n)
+    return molecule(gamma_fatten(tree, 1.0) if fattened else tree, 1, 2)
+
+
+def _without_point_route(monkeypatch):
+    """Raise every face radius by twice the LP's gap: each point face fails
+    its face_radius margin, and the probe takes the face-LP route."""
+    holds = free_space._holds
+    monkeypatch.setattr(free_space, "_holds", lambda name, margin: holds(
+        name, margin - 2.0 * lp_tol() if name == "face_radius" else margin))
+
+
 def _count_cold_solves(monkeypatch):
     """A list that gains one entry per `lp._two_phase` call."""
     calls = []
@@ -302,15 +319,17 @@ def _count_cold_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n,cold", [(12, 1), (4, 3)])
+@pytest.mark.parametrize("n,cold", [(12, 1), (4, 2), (5, 3)])
 def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
     # 13 points take the dualized path, where the norm LP's basis starts the
     # first slab LP and, with the slack of t's dual row, the first
-    # face-distance LP: the only cold solve is the norm LP.  On 5 points
-    # (direct path) the norm basis does not map, and the first slab and
-    # face-distance LPs are solved cold too.
+    # face-distance LP: the only cold solve is the norm LP.  On 5 points the
+    # norm LP takes the direct path: its basis, with the slack of the slab
+    # row, starts the first slab LP, but not the face-distance LP, which
+    # takes the dualized path and is solved cold.  On 6 points the slab LP
+    # takes the dualized path too, and is solved cold as well
     calls = _count_cold_solves(monkeypatch)
-    exposedness_probe(_leaf_combination(n, False), [0.05], 8, seed=11)
+    exposedness_probe(_tree_molecule(n, False), [0.05], 8, seed=11)
     assert len(calls) == cold
 
 
@@ -328,7 +347,8 @@ def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
     # an eta changes only the slab row's right-hand side, and a sample only
     # an objective or a right-hand side.  The entries are those of the
     # probe that built a slab LP, and its canonical form, per eta.  The norm
-    # LP is cached per size, so an earlier test may have built it already
+    # LP is cached per size, so an earlier test may have built it already.
+    # A molecule's face is not a point, so the probe solves face LPs
     free_space._norm_lp.cache_clear()
     built = []
     original = lp._Canonical.__init__
@@ -338,13 +358,13 @@ def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
         original(self, problem)
 
     monkeypatch.setattr(lp._Canonical, "__init__", counting)
-    curve = exposedness_probe(_leaf_combination(12, False),
+    curve = exposedness_probe(_tree_molecule(12, False),
                               [0.01, 0.05, 0.1, 0.2, 0.4], 8, seed=12)
     assert len(built) == 3
     assert [e[1].hex() for e in curve.entries] == [
-        "0x1.eb851eb851ea0p-4", "0x1.3333333333334p-1",
-        "0x1.3333333333330p+0", "0x1.0000000000000p+1",
-        "0x1.0000000000000p+1"]
+        "0x1.47ae147ae1480p-6", "0x1.99999999999a0p-4",
+        "0x1.9999999999998p-3", "0x1.9999999999998p-2",
+        "0x1.999999999999ap-1"]
 
 
 @pytest.mark.parametrize("fattened", [False, True])
@@ -428,8 +448,7 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     monkeypatch.setattr(lp, "_two_phase", counting_cold)
     monkeypatch.setattr(lp, "solve", counting_lp)
     monkeypatch.setattr(lp, "solve_many", counting_many)
-    exposedness_probe(_leaf_combination(n, fattened), [0.05, 0.2], 16,
-                      seed=n)
+    exposedness_probe(_tree_molecule(n, fattened), [0.05, 0.2], 16, seed=n)
     # each batch starts from the norm basis or, on 6 points, from the
     # basis of its first lane, solved cold
     assert per_batch == [1, 1]
@@ -458,12 +477,16 @@ def test_probe_prunes_face_distance_lps(fattened, monkeypatch):
     # per eta certifies the other seven samples.  On branching_tree(13)
     # and (14) every sample ties with that bound, and the face LPs end a
     # few ulps on either side of it: pruned only at or below the bound,
-    # those probes, and the ones on 6 and 7 leaves, solved more
+    # those probes, and the ones on 6 and 7 leaves, solved more.  Each of
+    # these faces is a point, which the probe answers without face LPs;
+    # with its face radius raised above the LP's gap, it takes the face-LP
+    # route
     grid = [0.01, 0.05, 0.2]
     solved = {}
     for n in range(4, 17):
         mu = _leaf_combination(n, fattened)
         with monkeypatch.context() as m:
+            _without_point_route(m)
             calls = _count_face_solves(m, mu.space.n)
             exposedness_probe(mu, grid, 8, seed=12)
         solved[n] = len(calls)
@@ -481,7 +504,7 @@ def test_probe_skips_samples_within_the_lp_gap(bounds, solved,
     # tol (1 + worst) above worst is skipped, one above it is solved
     worst, tol = 0.25, lp_tol()
     gap = tol * (1.0 + worst)
-    mu = _leaf_combination(7, False)
+    mu = _tree_molecule(7, False)
     face_solves = []
     points, lip_distances = ssd._FacePoints.__call__, ssd._lip_distances
 
@@ -522,8 +545,8 @@ def test_probe_guards_face_points(factor, check, monkeypatch):
     # the face LP's g is rescaled: out of the unit ball, or off the face.
     # Every caller of the face-distance LP checks its face points: the
     # probe, face_distance, the pipeline's projection and the head
-    # projection of the 4-eps certificate
-    mu = _leaf_combination(7, False)
+    # projection of the 4-eps certificate.  The probe's face is no point
+    mu = _tree_molecule(7, False)
     f = from_values(mu.space, np.zeros(mu.space.n))
     tree, gamma, comb, f_tree, g_tree = _tree_setup(4)
     truncation = _truncation(12)
@@ -601,7 +624,7 @@ def test_seeded_multi_eta_probe_matches_cold_reference_on_trees(n, fattened):
 def test_rejected_face_seed_falls_back_to_cold(monkeypatch):
     # every face-distance start (the seed among them) is rejected: those
     # solves run cold and give the cold answer
-    mu = _leaf_combination(12, False)
+    mu = _tree_molecule(12, False)
     rejected = []
     original = lp._start_tableau
 
@@ -670,9 +693,9 @@ def test_face_distance_does_not_depend_on_distance_scale():
 
 def test_probe_builds_each_lp_once(monkeypatch):
     # the face-distance LP and the slab LP once per probe: an eta changes
-    # only the slab row's right-hand side
+    # only the slab row's right-hand side.  A molecule's face is no point
     grid = [0.01, 0.05, 0.2]
-    mu = _leaf_combination(6, False)
+    mu = _tree_molecule(6, False)
     builds = {"_slab_problem": 0, "_face_problem": 0}
     for name in builds:
         def counting(*args, _name=name, _original=getattr(ssd, name),
@@ -683,6 +706,136 @@ def test_probe_builds_each_lp_once(monkeypatch):
         monkeypatch.setattr(ssd, name, counting)
     exposedness_probe(mu, grid, 8, seed=3)
     assert builds == {"_slab_problem": 1, "_face_problem": 1}
+
+
+def _oracle_face_distances(mu, F):
+    """dist(f, D(mu)) for each row f of F by scipy (oracle only): min t over
+    (g, t) with g in the unit ball, pairing(g, mu) = ||mu|| from scipy's
+    own norm LP, and |(f - g)(p) - (f - g)(q)| <= t d(p, q)."""
+    A, b = lipschitz_ball_rows(mu.space)
+    m, k = A.shape
+    norm = -linprog(-mu.masses[1:], A_ub=A, b_ub=b, bounds=(None, None),
+                    method="highs").fun
+    rows = np.block([[A, np.zeros((m, 1))], [-A, -b[:, None]]])
+    out = []
+    for f in F:
+        res = linprog(np.eye(k + 1)[-1], A_ub=rows,
+                      b_ub=np.concatenate([b, -A @ f[1:]]),
+                      A_eq=np.append(mu.masses[1:], 0.0)[None], b_eq=[norm],
+                      bounds=[(None, None)] * k + [(0.0, None)],
+                      method="highs")
+        assert res.status == 0
+        out.append(res.fun)
+    return np.array(out)
+
+
+def _probe_and_samples(monkeypatch, mu, grid, seed):
+    """(curve, samples, face LPs) of an 8-sample probe of mu: the slab
+    samples of each eta, at unit distance scale as the probe draws them,
+    and the number of face-distance LPs it solved."""
+    samples = []
+    original = lp.solve_many
+
+    def recording(problem, objectives, start=None):
+        sols = original(problem, objectives, start)
+        samples.append(np.array([np.append(0.0, sol.x) for sol in sols]))
+        return sols
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "solve_many", recording)
+        calls = _count_face_solves(m, mu.space.n)
+        curve = exposedness_probe(mu, grid, 8, seed=seed)
+    return curve, samples, len(calls)
+
+
+def _point_face_cases():
+    """The 26 probe_trees elements and full-support masses on random 2-D
+    Euclidean spaces of 8 and 16 points."""
+    for n in range(4, 17):
+        for fattened in (False, True):
+            yield f"tree{n}{'_fattened' * fattened}", \
+                _leaf_combination(n, fattened)
+    rng = np.random.default_rng(5)
+    for n in (8, 16):
+        for k in range(3):
+            space = random_euclidean_space(rng, n, dim=2)
+            yield f"euclidean{n}_{k}", FreeElement(
+                space, random_zero_sum(rng, n))
+
+
+_POINT_FACES = dict(_point_face_cases())
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_FACES))
+def test_point_route_entries_match_the_face_lp_oracle(name, monkeypatch):
+    # the plan's support spans each of these spaces: D(mu) = {g*}, and the
+    # probe answers every sample by ||f - g*||, with no face-distance LP.
+    # Each entry is within tol (1 + v) of the largest distance that scipy's
+    # face-distance LP finds for the same samples
+    mu = _POINT_FACES[name]
+    grid = [0.01, 0.05, 0.2]
+    cert = free_norm(mu)
+    face = point_face(mu, cert)
+    assert face is not None and face.radius <= lp_tol()
+    assert face.potential is cert.potential
+    curve, samples, face_lps = _probe_and_samples(monkeypatch, mu, grid, 7)
+    assert face_lps == 0
+    unit = FreeElement(unit_scale(mu.space)[0], mu.masses)
+    want = np.maximum.accumulate(
+        [_oracle_face_distances(unit, F).max() for F in samples])
+    got = np.array([entry[1] for entry in curve.entries])
+    assert np.all(np.abs(got - want) <= lp_tol() * (1.0 + want))
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_molecule_still_solves_face_lps(n, fattened, monkeypatch):
+    # a molecule's plan moves mass along one arc: n components, no point
+    # face, and the probe keeps its face-distance LPs
+    mu = _tree_molecule(n, fattened)
+    assert point_face(mu, free_norm(mu)) is None
+    _, _, face_lps = _probe_and_samples(monkeypatch, mu, [0.05], 3)
+    assert face_lps > 0
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 16])
+def test_radius_above_the_gap_takes_the_face_lp_route(n, monkeypatch):
+    # with its radius raised above the LP's gap a point face fails its
+    # face_radius margin: the probe solves face LPs again, and its entries
+    # stay within tol (1 + v) of the point route's
+    grid = [0.01, 0.05, 0.2]
+    for fattened in (False, True):
+        mu = _leaf_combination(n, fattened)
+        point, _, face_lps = _probe_and_samples(monkeypatch, mu, grid, n)
+        assert face_lps == 0
+        with monkeypatch.context() as m:
+            _without_point_route(m)
+            assert point_face(mu, free_norm(mu)) is None
+            lps, _, face_lps = _probe_and_samples(m, mu, grid, n)
+        assert face_lps >= len(grid)
+        for (eta, v, k), (eta_lp, v_lp, k_lp) in zip(point.entries,
+                                                     lps.entries):
+            assert (eta, k) == (eta_lp, k_lp)
+            assert abs(v - v_lp) <= lp_tol() * (1.0 + v_lp)
+
+
+@pytest.mark.parametrize("factor,check", [
+    (2.0, "face_point_in_unit_ball"), (0.5, "face_point_pairs_to_norm")])
+def test_probe_guards_the_point_face(factor, check, monkeypatch):
+    # g* is a face point like any other: rescaled, out of the unit ball or
+    # off the face, it fails the probe's guards
+    mu = _leaf_combination(7, False)
+    original = ssd.point_face
+
+    def rescaled(mu, cert):
+        face = original(mu, cert)
+        cert.potential = from_values(cert.potential.space,
+                                     factor * cert.potential.values)
+        return face
+
+    monkeypatch.setattr(ssd, "point_face", rescaled)
+    with pytest.raises(SsdError, match=check):
+        exposedness_probe(mu, [0.05], 8, seed=7)
 
 
 def test_slab_sample_rejects_malformed_objectives():
@@ -1353,9 +1506,8 @@ def _pipeline_row(eps, negate):
     return perturbation_pipeline(tree, gamma, comb, f, g, eps).status
 
 
-def _scaled_step_row(monkeypatch, step, factor):
-    """`_pipeline_row(0.04, False)` when the function that ssd.<step>
-    returns is scaled by factor."""
+def _scale_step(monkeypatch, step, factor):
+    """Scale by factor the function that ssd.<step> returns."""
     original = getattr(ssd, step)
 
     def scaled(*args, **kwargs):
@@ -1363,7 +1515,82 @@ def _scaled_step_row(monkeypatch, step, factor):
         return from_values(f.space, factor * f.values)
 
     monkeypatch.setattr(ssd, step, scaled)
+
+
+def _scaled_step_row(monkeypatch, step, factor):
+    """`_pipeline_row(0.04, False)` when the function that ssd.<step>
+    returns is scaled by factor."""
+    _scale_step(monkeypatch, step, factor)
     return _pipeline_row(0.04, False)
+
+
+def _line_row(tamper):
+    """The status of the pipeline on the 5-point line 0, 1, .., 4 for the
+    molecule m_10 (gamma = 1, eps = 0.04, f and g norming it), whose points
+    2, 3 and 4 lie off the support set {0, 1}; `tamper` runs once the
+    inputs are built."""
+    line = line_space([0.0, 1.0, 2.0, 3.0, 4.0])
+    comb = MoleculeCombination(gamma_fatten(line, 1.0), ((1.0, 1, 0),))
+    f = find_common_norming(line, MoleculeCombination(line, comb.terms))
+    g = norming_functional(comb.element())
+    tamper()
+    return perturbation_pipeline(line, 1.0, comb, f, g, 0.04).status
+
+
+def _spike_blend(monkeypatch):
+    """Make the pipeline's blend h, its first function built by
+    ssd.from_values, come back 3 higher at point 4, off the support set."""
+    original = ssd.from_values
+    built = []
+
+    def spiked(space, values):
+        values = np.array(values, dtype=float)
+        if not built:
+            values[4] += 3.0
+        built.append(None)
+        return original(space, values)
+
+    monkeypatch.setattr(ssd, "from_values", spiked)
+
+
+def _misreported_blend_row(monkeypatch):
+    """The pipeline's exception on the line when its blend is spiked off
+    the support set and every pairing reports 2: the blend passes as
+    dominating its off-support slopes, and the pipeline goes on until its
+    face point's pairing is checked."""
+    def tamper():
+        _spike_blend(monkeypatch)
+        monkeypatch.setattr(ssd, "pairing", lambda f, mu: 2.0)
+
+    with pytest.raises(SsdError, match="face_point_pairs_to_norm"):
+        _line_row(tamper)
+    return SsdError
+
+
+def _zero_projection_row(monkeypatch):
+    """The pipeline's status on the line when its face point comes back as
+    the zero function, at Lip-distance 0: psi is zero on the support set
+    and h off it, so it pairs to 0 with mu, below its slopes off the
+    support set."""
+    return _line_row(lambda: monkeypatch.setattr(
+        ssd._FacePoints, "__call__",
+        lambda self, vals: (0.0, np.zeros_like(vals))))
+
+
+def _halved_extension_row(monkeypatch):
+    """The certificate's exception when its extension h comes back halved:
+    on the tail, h - f leaves every case bound."""
+    _scale_step(monkeypatch, "mcshane_extend", 0.5)
+    return _certificate_row("certificate checks failed")
+
+
+def _thin_arc_gateaux(monkeypatch):
+    """is_gateaux of the leaf-to-base combination on branching_tree(4)
+    whose leaf 1 sends 1e-7: the plan spans the space, but that arc is
+    tight only to within gap' / 1e-7, and the range LPs answer."""
+    rest = (1.0 - 1e-7) / 3.0
+    return is_gateaux(MoleculeCombination(branching_tree(4), (
+        (1e-7, 1, 0), (rest, 2, 0), (rest, 3, 0), (rest, 4, 0))).element())
 
 
 def _doubled_extension_row(monkeypatch):
@@ -1452,6 +1679,19 @@ _CONTRACT = [
      PRECONDITION_FAILED, -0.1),
     ("clipped_extension_bounded", _doubled_extension_row, LipschitzError,
      -1.0),
+    ("off_support_sup_below_one", lambda mp: _line_row(
+        lambda: _scale_step(mp, "g_gamma_construct", 4.0)),
+     PRECONDITION_FAILED, -0.9375),
+    ("blend_dominates_off_support", lambda mp: _line_row(
+        lambda: _spike_blend(mp)), PRECONDITION_FAILED, -0.49531),
+    ("blend_norm_on_support", _misreported_blend_row, SsdError, -0.49531),
+    ("attainment_outside", _zero_projection_row, PRECONDITION_FAILED,
+     -0.00625),
+    ("attainment_mixed", _zero_projection_row, PRECONDITION_FAILED,
+     -0.14531),
+    ("norm_attained", _zero_projection_row, PRECONDITION_FAILED, -0.14531),
+    ("case3_zy_5", _halved_extension_row, SsdError, -0.33529),
+    ("face_radius", _thin_arc_gateaux, True, -3.453e-8),
 ]
 
 
@@ -1460,14 +1700,20 @@ _CONTRACT = [
 def test_named_check_fails_on_its_contract_input(name, run, outcome, margin,
                                                  monkeypatch):
     recorded = []
-    check = ssd._check
+    check, holds = ssd._check, free_space._holds
 
     def recording(verified, name, margin, strict=False):
         ok = check(verified, name, margin, strict)
         recorded.append(verified[-1])
         return ok
 
+    def recording_holds(name, margin):
+        ok = holds(name, margin)
+        recorded.append(ssd.Check(name, float(margin), bool(ok)))
+        return ok
+
     monkeypatch.setattr(ssd, "_check", recording)
+    monkeypatch.setattr(free_space, "_holds", recording_holds)
     assert run(monkeypatch) == outcome
     got = [c for c in recorded if c.name == name]
     assert len(got) == 1 and not got[0].ok

@@ -14,7 +14,9 @@ Run it in two checkouts and compare the three lines it prints:
   of the ``probe_trees`` workload, rounds 0-3 for seeds 1-3, with every
   float as ``float.hex``; beside it, how many face-distance LPs and slab
   lanes those probes solved, counted by wrapping ``lp.solve`` and
-  ``lp.solve_many``, how many of their solves ran cold, counted by
+  ``lp.solve_many``, how many of their entries the point face answered
+  with no face-distance LP, counted by wrapping ``ssd.point_face``, how
+  many of their solves ran cold, counted by
   wrapping ``lp._solve_cold``, and how many warm starts factored their B,
   counted by wrapping ``lp._start_tableau``, so that a change in solve or
   factorization counts, or one that sends warm solves cold, shows next to
@@ -93,16 +95,19 @@ def cli_digest(workloads, seed: int, rounds: int, dump: list):
 def probe_digest(workloads, dump: list):
     """(probe count, SHA-1, solves) over the probe entries of the fixed
     rounds, with solves the numbers of face-distance LPs and slab lanes
-    the probes solved, of their solves that ran cold and of their warm
-    starts that factored B; appends each probe's entries to dump."""
-    from freegeo import lp
+    the probes solved, of their entries that the point face answered, of
+    their solves that ran cold and of their warm starts that factored B;
+    appends each probe's entries to dump."""
+    from freegeo import lp, ssd
 
     h = hashlib.sha1()
     count = 0
-    solves = {"face": 0, "lanes": 0, "cold": 0, "factored": 0}
+    solves = {"face": 0, "lanes": 0, "point": 0, "cold": 0, "factored": 0}
     points = None       # of the probe running; None outside probes
+    pointed = []        # point_face answers of the probe running
     solve, solve_many, solve_cold = lp.solve, lp.solve_many, lp._solve_cold
     start_tableau = lp._start_tableau
+    point_face = ssd.point_face
 
     def counting_solve(problem, tol=None, start=None):
         # the face-distance LP is the probe's one LP with a variable per
@@ -115,6 +120,11 @@ def probe_digest(workloads, dump: list):
         if points is not None:
             solves["lanes"] += len(objectives)
         return solve_many(problem, objectives, start)
+
+    def counting_point_face(mu, cert):
+        face = point_face(mu, cert)
+        pointed.append(face is not None)
+        return face
 
     def counting_cold(problem, canon, tol):
         solves["cold"] += points is not None
@@ -129,6 +139,7 @@ def probe_digest(workloads, dump: list):
 
     lp.solve, lp.solve_many = counting_solve, counting_many
     lp._solve_cold, lp._start_tableau = counting_cold, counting_tableau
+    ssd.point_face = counting_point_face
     try:
         for seed in PROBE_SEEDS:
             wl = workloads.ProbeTrees(seed)
@@ -136,8 +147,11 @@ def probe_digest(workloads, dump: list):
             for r in range(PROBE_ROUNDS):
                 for op in wl.round(r):
                     points = wl.cases[op["n"], op["kind"]][0].space.n
+                    pointed.clear()
                     curve = wl.call(op)
                     points = None
+                    # the point face answers every sample of every entry
+                    solves["point"] += len(curve.entries) * any(pointed)
                     entries = [f"{eta.hex()} {worst.hex()} {k}"
                                for eta, worst, k in curve.entries]
                     for text in entries:
@@ -149,6 +163,7 @@ def probe_digest(workloads, dump: list):
     finally:
         lp.solve, lp.solve_many = solve, solve_many
         lp._solve_cold, lp._start_tableau = solve_cold, start_tableau
+        ssd.point_face = point_face
     return count, h.hexdigest(), solves
 
 
@@ -262,7 +277,8 @@ def main(argv=None) -> int:
     count, digest, solves = probe_digest(workloads, dump["probe_trees"])
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
           f"{count} probes sha1 {digest}; solved {solves['face']} "
-          f"face-distance LPs, {solves['lanes']} slab lanes, "
+          f"face-distance LPs ({solves['point']} entries answered by the "
+          f"point face), {solves['lanes']} slab lanes, "
           f"{solves['cold']} cold solves, {solves['factored']} warm starts "
           f"that factored B")
     count, digest = library_digest(dump["library"])
