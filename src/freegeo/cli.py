@@ -135,12 +135,22 @@ def _parse_pair(text: str, space: PointedMetricSpace):
     return parts[0], parts[1]
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file at path; a file that is not UTF-8 text,
+    not JSON or nested too deeply to decode is a malformed `what` file
+    (exit 1)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise _UsageError(f"malformed {what} file: {exc}") from None
+
+
 def _load_space(args, check: bool = True) -> PointedMetricSpace:
     if args.space and args.gallery_name:
         raise _UsageError("give either --space or --gallery, not both")
     if args.space:
-        with open(args.space) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.space, "space")
         if not isinstance(obj, dict) or "dist" not in obj:
             raise _UsageError("malformed space file: need a JSON object "
                               "with a 'dist' matrix")
@@ -179,8 +189,7 @@ def _load_family(args):
 def _load_element(args, space):
     if not args.element:
         raise _UsageError("this command needs --element FILE")
-    with open(args.element) as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.element, "element")
     try:
         return element_from_json(space, obj)
     except (FreeSpaceError, ValueError, TypeError, KeyError) as exc:
@@ -420,7 +429,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         _check_tolerance()
         return _COMMANDS[args.command](args)
-    except (_UsageError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MetricError, PairError, SsdError, LipschitzError,

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import lp
 from .free_space import (DualFace, FreeElement, MoleculeCombination,
-                         free_norm, lipschitz_ball_rows, molecule, pair_rows,
-                         pairing, point_face, unit_scale)
+                         NormCertificates, free_norm, lipschitz_ball_rows,
+                         molecule, pair_rows, pairing, point_face,
+                         unit_scale)
 from .lipschitz import (LipFunction, LipschitzError, cutoff_xi,
                         f_gamma_construct, from_values, g_gamma_construct,
                         lip_norm, mcshane_extend, pair_slope, peaking_check,
@@ -149,17 +150,18 @@ def _guard_face_point(g: LipFunction, face: DualFace) -> None:
 
 class _FacePoints:
     """points(vals) is (||f - g||, g), never below 0, for f = vals and g the
-    face point nearest f: the face-distance LP, built once on space / s
-    (`unit_scale`) and solved for f / s from the previous call's basis
-    (the first from `start`).  Each g is guarded against the unit ball and
-    the pairing with mu, independently of the solver, and scales back by s
-    exactly."""
+    face point nearest f: the face-distance LP on space / s (`unit_scale`),
+    built once unless the caller passes it as `problem` (the one
+    `_face_problem` builds for a face at unit scale), and solved for f / s
+    from the previous call's basis (the first from `start`).  Each g is
+    guarded against the unit ball and the pairing with mu, independently
+    of the solver, and scales back by s exactly."""
 
-    def __init__(self, face: DualFace, start=None):
+    def __init__(self, face: DualFace, start=None, problem=None):
         unit, self.s = unit_scale(face.space)
         self.face = DualFace(FreeElement(unit, face.mu.masses),
                              face.norm / self.s)
-        self.problem = _face_problem(self.face)
+        self.problem = _face_problem(self.face) if problem is None else problem
         self.start = start
 
     def __call__(self, vals):
@@ -193,6 +195,51 @@ def _lip_distances(space, F, G) -> np.ndarray:
     return (np.abs(D[..., p] - D[..., q]) / space.dist[p, q]).max(axis=-1)
 
 
+@dataclass(frozen=True)
+class _ProbePlan:
+    """What `exposedness_probe` derives from mu and tol = lp_tol() alone:
+    mu at unit distance scale, its norm certificates, the slab LP at
+    eta = 0 (whose canonical form every depth and sample shares) and the
+    face-distance LP, None where D(mu) is a point face whose g* passed
+    its guards."""
+
+    tol: float
+    mu: FreeElement
+    norm: NormCertificates
+    slab: lp.LpProblem
+    face: lp.LpProblem | None
+
+
+def _probe_plan(mu: FreeElement) -> _ProbePlan:
+    """mu's probe plan, kept on mu (as `lp.LpProblem` keeps its canonical
+    form) and rebuilt when lp_tol() changes; like `lp._canonical`, it is
+    neither kept nor used while mu's masses or distances are writable."""
+    tol = lp_tol()
+    frozen = not (mu.masses.flags.writeable
+                  or mu.space.dist.flags.writeable)
+    plan = vars(mu).get("_probe_plan") if frozen else None
+    if plan is not None and plan.tol == tol:
+        return plan
+    # probe mu on the space at unit distance scale: the slab and the face
+    # scale with the distances, Lip-distances to the face do not
+    unit = FreeElement(unit_scale(mu.space)[0], mu.masses)
+    norm = free_norm(unit)
+    face = DualFace(unit, norm.value)
+    # on a point face each sample's distance is its bound against g*, and
+    # no face-distance LP is built
+    problem = None
+    if point_face(unit, norm) is None:
+        problem = _face_problem(face)
+    else:
+        _guard_face_point(norm.potential, face)
+    plan = _ProbePlan(tol, unit, norm, _slab_problem(face, 0.0), problem)
+    if frozen:
+        object.__setattr__(mu, "_probe_plan", plan)
+    else:
+        vars(mu).pop("_probe_plan", None)
+    return plan
+
+
 def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
                       seed: int) -> ModulusCurve:
     """Probe the exposedness modulus of mu by sampling slab extreme points.
@@ -224,21 +271,27 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     the LP's own gap.  Samples tied at the bound of the norming potential,
     whose face LPs end a few ulps on either side of it, take one face LP.
 
-    The slab LP and any face-distance LP are built once per probe, from the
-    rows of `DualFace.constraint_rows`; an eta changes only the slab row's
-    right-hand side, and a sample the slab's objective or the face LP's
-    right-hand side, so each LP's constraints are canonicalized once.  An
-    eta's samples are drawn together, in the order of single draws, and
-    solved as one batch by `lp.solve_many` from `norm.basis`, the norm LP's
-    optimal basis.  Each face-distance LP is solved by `lp.solve` from the
-    basis of the previous one, the first from `norm.basis` too.  Where the
-    norm LP took the dualized path, its basis is a spanning tree of n - 1
-    ball-row arcs: it leaves the slab LP dual feasible and the
-    face-distance LP primal feasible, so neither starts cold.  Where it
-    took the direct path, the slab row's slack extends it to a primal
-    feasible slab start.  Every sample is checked against the unit ball
-    and the slab, in one batch per eta, and every face point against the
-    unit ball and the pairing with mu, as in `face_distance`,
+    The slab LP and any face-distance LP are built once per element, from
+    the rows of `DualFace.constraint_rows`; an eta changes only the slab
+    row's right-hand side, and a sample the slab's objective or the face
+    LP's right-hand side, so each LP's constraints are canonicalized once.
+    They are kept on mu in its plan (`_probe_plan`), with mu at unit
+    distance scale, its norm certificates and its point face decision, whose
+    g* is guarded once.  The plan is a pure function of mu and tol: it is
+    rebuilt when lp_tol() changes, not kept while mu's masses or distances
+    are writable, and holds nothing that a probe finds (no basis, no face
+    point), so a probe's entries do not depend on earlier probes.  An eta's
+    samples are drawn together, in the order of single draws, and solved as
+    one batch by `lp.solve_many` from `norm.basis`, the norm LP's optimal
+    basis, afresh in every probe.  Each face-distance LP is solved by
+    `lp.solve` from the basis of the previous one, the first from
+    `norm.basis` too.  Where the norm LP took the dualized path, its basis
+    is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
+    feasible and the face-distance LP primal feasible, so neither starts
+    cold.  Where it took the direct path, the slab row's slack extends it to
+    a primal feasible slab start.  Every sample is checked against the unit
+    ball and the slab, in one batch per eta, and every face point against
+    the unit ball and the pairing with mu, as in `face_distance`,
     independently of the solver; a failed check raises SsdError with its
     margin, the worst over a batch.
     """
@@ -251,30 +304,22 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
         raise SsdError("need at least one sample per slab depth")
     if seed < 0:
         raise SsdError("the seed must be nonnegative")
-    # probe mu on the space at unit distance scale: the slab and the face
-    # scale with the distances, Lip-distances to the face do not
-    masses = mu.masses
-    space, _ = unit_scale(mu.space)
-    mu = FreeElement(space, masses)
-    norm = free_norm(mu)
+    plan = _probe_plan(mu)
+    space, masses = plan.mu.space, plan.mu.masses
+    norm, slab = plan.norm, plan.slab
     norm_mu = norm.value
     rng = np.random.default_rng(seed)
-    tol = lp_tol()
+    tol = plan.tol
     raw = []
     # on the dualized path the slab's dual is the norm's dual plus the slab
     # row's column, whose reduced cost there is the row's slack
     # eta ||mu|| >= 0, so the norm basis is a dual feasible slab start; it
     # is a primal feasible face start: B^-1 b = (0, ..., 0, 1) >= 0 for
     # every sample (see `lp`)
-    face = DualFace(mu, norm_mu)
-    slab = _slab_problem(face, 0.0)
-    # on a point face each sample's distance is its bound against g*, and
-    # no face-distance LP is built
     points = None
-    if point_face(mu, norm) is None:
-        points = _FacePoints(face, norm.basis)
-    else:
-        _guard_face_point(norm.potential, face)
+    if plan.face is not None:
+        points = _FacePoints(DualFace(plan.mu, norm_mu), norm.basis,
+                             plan.face)
     # D(mu) does not depend on eta: face points serve the whole grid
     faces = norm.potential.values[None, :]
     for eta in eta_grid:

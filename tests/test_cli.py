@@ -334,6 +334,9 @@ def test_violated_triangle_inequality_still_exits_2(capsys, tmp_path):
 
 _LINE3 = '{"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
 _EQUILATERAL3 = '{"dist": [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]}'
+# the start of an ELF executable's header: not UTF-8 from byte 24 on
+_ELF = (b"\x7fELF\x02\x01\x01\x00" + bytes(8)
+        + b"\x03\x00>\x00\x01\x00\x00\x00\xd0\x6b\x00\x00" + bytes(4))
 
 
 @pytest.mark.parametrize("space,element,code", [
@@ -350,10 +353,16 @@ _EQUILATERAL3 = '{"dist": [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]}'
     (_LINE3, '{"masses": [0, Infinity, -Infinity]}', 1),
     (_EQUILATERAL3, '{"molecules": [[1e308, 1, 2], [1e308, 2, 1]]}', 1),
     (_EQUILATERAL3, '{"molecules": [[1e308, 1, 2]]}', 1),
+    (_ELF, '{"masses": [0, 1]}', 1),
+    (_LINE3, _ELF, 1),
+    (_LINE3, b'{"masses": [0, 1, "\xff"]}', 1),
+    (b"[" * 100000, '{"masses": [0, 1]}', 1),
 ], ids=["inf", "non-numeric", "ragged", "top-level-list",
         "no-dist", "nan-mass", "inf-mass", "minus-inf-mass",
         "overflowing-base-mass", "nan-weight", "opposite-inf-masses",
-        "opposite-overflowing-molecules", "overflowing-molecule"])
+        "opposite-overflowing-molecules", "overflowing-molecule",
+        "binary-space", "binary-element", "non-utf8-element",
+        "deeply-nested-space"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_files_end_in_one_error_line(capsys, tmp_path, space,
                                                element, code):
@@ -361,14 +370,39 @@ def test_malformed_files_end_in_one_error_line(capsys, tmp_path, space,
     # NaN data; the other space files ended in a traceback; non-finite
     # masses ended in a solver error, or a warning and an LP failure;
     # opposite infinite masses, and molecules whose masses overflow, warned
-    # before the error line
-    (tmp_path / "space.json").write_text(space)
-    (tmp_path / "el.json").write_text(element)
+    # before the error line.  Bytes that are not UTF-8 ended in a
+    # UnicodeDecodeError traceback, and nesting deeper than the decoder's
+    # recursion limit in a RecursionError one
+    for name, text in (("space.json", space), ("el.json", element)):
+        path = tmp_path / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
     got, out, err = _run_err(capsys, [
         "norm", "--space", str(tmp_path / "space.json"),
         "--element", str(tmp_path / "el.json")])
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [_ELF, b'{"dist": ', b"[" * 100000],
+                         ids=["binary", "truncated", "deeply-nested"])
+@pytest.mark.parametrize("option", ["space", "element"])
+def test_undecodable_file_is_malformed(capsys, tmp_path, option, data):
+    # a JSON syntax error printed the decoder's message alone, and the
+    # other two ended in a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    if option == "space":
+        argv = ["--space", str(bad),
+                "--element", _element_file(tmp_path, {"masses": [0, 1]})]
+    else:
+        argv = ["--gallery", "line", "--params", "n=4", "--element", str(bad)]
+    result = _run_err(capsys, ["norm", *argv])
+    _assert_error_line(result)
+    assert result[2].startswith(f"error: malformed {option} file: ")
+    assert result[2].count("\n") == 1
 
 
 def test_classify_pair_non_numeric(capsys):

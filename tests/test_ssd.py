@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -802,7 +803,9 @@ def test_molecule_still_solves_face_lps(n, fattened, monkeypatch):
 def test_radius_above_the_gap_takes_the_face_lp_route(n, monkeypatch):
     # with its radius raised above the LP's gap a point face fails its
     # face_radius margin: the probe solves face LPs again, and its entries
-    # stay within tol (1 + v) of the point route's
+    # stay within tol (1 + v) of the point route's.  mu keeps the route
+    # of its first probe in its plan, so the patched probe takes an equal
+    # fresh element
     grid = [0.01, 0.05, 0.2]
     for fattened in (False, True):
         mu = _leaf_combination(n, fattened)
@@ -811,7 +814,8 @@ def test_radius_above_the_gap_takes_the_face_lp_route(n, monkeypatch):
         with monkeypatch.context() as m:
             _without_point_route(m)
             assert point_face(mu, free_norm(mu)) is None
-            lps, _, face_lps = _probe_and_samples(m, mu, grid, n)
+            lps, _, face_lps = _probe_and_samples(
+                m, FreeElement(mu.space, mu.masses), grid, n)
         assert face_lps >= len(grid)
         for (eta, v, k), (eta_lp, v_lp, k_lp) in zip(point.entries,
                                                      lps.entries):
@@ -836,6 +840,115 @@ def test_probe_guards_the_point_face(factor, check, monkeypatch):
     monkeypatch.setattr(ssd, "point_face", rescaled)
     with pytest.raises(SsdError, match=check):
         exposedness_probe(mu, [0.05], 8, seed=7)
+
+
+def _count_plan_builds(monkeypatch):
+    """A dict counting the calls, as bound in ssd, of what a probe plan
+    is built from."""
+    calls = dict.fromkeys(("free_norm", "point_face", "_slab_problem",
+                           "_face_problem"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(ssd, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ssd, name, counting)
+    return calls
+
+
+def _hex_entries(curve):
+    return [(eta.hex(), v.hex(), k) for eta, v, k in curve.entries]
+
+
+_PLAN_CASES = {"point_route": _leaf_combination,
+               "face_lp_route": _tree_molecule}
+
+
+@pytest.mark.parametrize("route", sorted(_PLAN_CASES))
+def test_second_probe_reuses_the_elements_plan(route, monkeypatch):
+    # the norm LP, the point face decision and the slab and face LPs are
+    # derived once per element; a second probe derives none of them and
+    # gives, bitwise, the curve of a probe on an equal fresh element
+    mu = _PLAN_CASES[route](9, False)
+    grid = [0.01, 0.05, 0.2]
+    exposedness_probe(mu, grid, 8, seed=4)
+    calls = _count_plan_builds(monkeypatch)
+    again = exposedness_probe(mu, grid, 8, seed=5)
+    assert set(calls.values()) == {0}
+    fresh = exposedness_probe(FreeElement(mu.space, mu.masses), grid, 8,
+                              seed=5)
+    assert calls["free_norm"] == calls["_slab_problem"] == 1
+    assert calls["_face_problem"] == (route == "face_lp_route")
+    assert again == fresh
+    assert _hex_entries(again) == _hex_entries(fresh)
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+@pytest.mark.parametrize("route", sorted(_PLAN_CASES))
+def test_probe_entries_do_not_depend_on_call_history(route, fattened):
+    # the plan keeps nothing a probe finds: no slab or face basis, no face
+    # point.  Seed 2 after seed 1 on one element gives the entries of
+    # seed 2 alone
+    grid = [0.01, 0.05, 0.2]
+    for n in (5, 7, 12):
+        mu = _PLAN_CASES[route](n, fattened)
+        exposedness_probe(mu, grid, 8, seed=1)
+        after = exposedness_probe(mu, grid, 8, seed=2)
+        alone = exposedness_probe(FreeElement(mu.space, mu.masses), grid, 8,
+                                  seed=2)
+        assert _hex_entries(after) == _hex_entries(alone)
+
+
+def test_changed_tolerance_rebuilds_the_plan(monkeypatch):
+    # the plan is a function of mu and lp_tol(): a probe under another
+    # FREEGEO_TOL builds a new one, which the next probe under it reuses
+    mu = _tree_molecule(7, False)
+    exposedness_probe(mu, [0.05], 8, seed=3)
+    assert vars(mu)["_probe_plan"].tol == lp_tol()
+    monkeypatch.setenv("FREEGEO_TOL", "1e-8")
+    calls = _count_plan_builds(monkeypatch)
+    curve = exposedness_probe(mu, [0.05], 8, seed=3)
+    assert calls == {"free_norm": 1, "point_face": 1, "_slab_problem": 1,
+                     "_face_problem": 1}
+    assert vars(mu)["_probe_plan"].tol == 1e-8
+    exposedness_probe(mu, [0.05], 8, seed=3)
+    assert calls["free_norm"] == 1
+    fresh = exposedness_probe(FreeElement(mu.space, mu.masses), [0.05], 8,
+                              seed=3)
+    assert _hex_entries(curve) == _hex_entries(fresh)
+
+
+def test_plan_is_freed_with_its_element():
+    mu = _leaf_combination(8, True)
+    exposedness_probe(mu, [0.05], 8, seed=3)
+    element, plan = weakref.ref(mu), weakref.ref(vars(mu)["_probe_plan"])
+    del mu
+    assert element() is None
+    assert plan() is None
+
+
+@pytest.mark.parametrize("array", ["masses", "dist"])
+def test_plan_is_not_used_while_writable(array, monkeypatch):
+    # like a canonical form over writable constraints (`lp._canonical`),
+    # the plan is neither used nor kept while mu's masses or distances can
+    # change between probes
+    mu = _leaf_combination(6, False)
+    exposedness_probe(mu, [0.05], 8, seed=3)
+    (mu.masses if array == "masses" else mu.space.dist).setflags(write=True)
+    calls = _count_plan_builds(monkeypatch)
+    exposedness_probe(mu, [0.05], 8, seed=3)
+    assert calls["free_norm"] == 1
+    assert "_probe_plan" not in vars(mu)
+    if array == "masses":
+        mu.masses[:] = 2.0 * mu.masses
+    else:
+        mu.space.dist[:] = 3.0 * mu.space.dist
+    curve = exposedness_probe(mu, [0.05], 8, seed=3)
+    assert calls["free_norm"] == 2
+    fresh = exposedness_probe(FreeElement(
+        PointedMetricSpace(mu.space.dist), mu.masses), [0.05], 8, seed=3)
+    assert curve.mu_masses == fresh.mu_masses
+    assert _hex_entries(curve) == _hex_entries(fresh)
 
 
 def test_slab_sample_rejects_malformed_objectives():

@@ -15,8 +15,10 @@ Run it in two checkouts and compare the three lines it prints:
   float as ``float.hex``; beside it, how many face-distance LPs and slab
   lanes those probes solved, counted by wrapping ``lp.solve`` and
   ``lp.solve_many``, how many of their entries the point face answered
-  with no face-distance LP, counted by wrapping ``ssd.point_face``, how
-  many of their solves ran cold, counted by
+  with no face-distance LP, counted per probe as the entries of a probe
+  that made no ``ssd._FacePoints`` (wrapped), how many norm LPs they
+  solved, counted by wrapping ``ssd.free_norm``, how many of their solves
+  ran cold, counted by
   wrapping ``lp._solve_cold``, and how many warm starts factored their B,
   counted by wrapping ``lp._start_tableau``, so that a change in solve or
   factorization counts, or one that sends warm solves cold, shows next to
@@ -96,18 +98,19 @@ def probe_digest(workloads, dump: list):
     """(probe count, SHA-1, solves) over the probe entries of the fixed
     rounds, with solves the numbers of face-distance LPs and slab lanes
     the probes solved, of their entries that the point face answered, of
-    their solves that ran cold and of their warm starts that factored B;
-    appends each probe's entries to dump."""
+    the norm LPs they solved, of their solves that ran cold and of their
+    warm starts that factored B; appends each probe's entries to dump."""
     from freegeo import lp, ssd
 
     h = hashlib.sha1()
     count = 0
-    solves = {"face": 0, "lanes": 0, "point": 0, "cold": 0, "factored": 0}
+    solves = {"face": 0, "lanes": 0, "point": 0, "norm": 0, "cold": 0,
+              "factored": 0}
     points = None       # of the probe running; None outside probes
-    pointed = []        # point_face answers of the probe running
+    face_lps = []       # _FacePoints made by the probe running
     solve, solve_many, solve_cold = lp.solve, lp.solve_many, lp._solve_cold
     start_tableau = lp._start_tableau
-    point_face = ssd.point_face
+    face_points, free_norm = ssd._FacePoints, ssd.free_norm
 
     def counting_solve(problem, tol=None, start=None):
         # the face-distance LP is the probe's one LP with a variable per
@@ -121,10 +124,13 @@ def probe_digest(workloads, dump: list):
             solves["lanes"] += len(objectives)
         return solve_many(problem, objectives, start)
 
-    def counting_point_face(mu, cert):
-        face = point_face(mu, cert)
-        pointed.append(face is not None)
-        return face
+    def counting_face_points(*args, **kwargs):
+        face_lps.append(None)
+        return face_points(*args, **kwargs)
+
+    def counting_norm(mu):
+        solves["norm"] += points is not None
+        return free_norm(mu)
 
     def counting_cold(problem, canon, tol):
         solves["cold"] += points is not None
@@ -139,7 +145,7 @@ def probe_digest(workloads, dump: list):
 
     lp.solve, lp.solve_many = counting_solve, counting_many
     lp._solve_cold, lp._start_tableau = counting_cold, counting_tableau
-    ssd.point_face = counting_point_face
+    ssd._FacePoints, ssd.free_norm = counting_face_points, counting_norm
     try:
         for seed in PROBE_SEEDS:
             wl = workloads.ProbeTrees(seed)
@@ -147,11 +153,12 @@ def probe_digest(workloads, dump: list):
             for r in range(PROBE_ROUNDS):
                 for op in wl.round(r):
                     points = wl.cases[op["n"], op["kind"]][0].space.n
-                    pointed.clear()
+                    face_lps.clear()
                     curve = wl.call(op)
                     points = None
-                    # the point face answers every sample of every entry
-                    solves["point"] += len(curve.entries) * any(pointed)
+                    # a probe on the point route answers every sample of
+                    # every entry with no face-distance LP
+                    solves["point"] += len(curve.entries) * (not face_lps)
                     entries = [f"{eta.hex()} {worst.hex()} {k}"
                                for eta, worst, k in curve.entries]
                     for text in entries:
@@ -163,7 +170,7 @@ def probe_digest(workloads, dump: list):
     finally:
         lp.solve, lp.solve_many = solve, solve_many
         lp._solve_cold, lp._start_tableau = solve_cold, start_tableau
-        ssd.point_face = point_face
+        ssd._FacePoints, ssd.free_norm = face_points, free_norm
     return count, h.hexdigest(), solves
 
 
@@ -278,7 +285,8 @@ def main(argv=None) -> int:
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
           f"{count} probes sha1 {digest}; solved {solves['face']} "
           f"face-distance LPs ({solves['point']} entries answered by the "
-          f"point face), {solves['lanes']} slab lanes, "
+          f"point face), {solves['norm']} norm LPs, "
+          f"{solves['lanes']} slab lanes, "
           f"{solves['cold']} cold solves, {solves['factored']} warm starts "
           f"that factored B")
     count, digest = library_digest(dump["library"])
