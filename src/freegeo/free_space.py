@@ -154,11 +154,24 @@ def pairing(f: LipFunction, mu: FreeElement) -> float:
 # LP building blocks (variables are f(p) for p = 1..n-1; f(base) = 0)
 # ---------------------------------------------------------------------------
 
+#: Cap on the points of a Lipschitz-ball LP.  Its rows grow as n^2: at
+#: the cap one norm LP over random 2-D Euclidean masses takes about 1.2 s
+#: and 160 MB on one core of a 2-vCPU VM, at 192 points 12 s and 390 MB,
+#: and at 1024 points the rows alone would take 4 GiB.
+MAX_BALL_POINTS = 128
+
+
 @functools.lru_cache(maxsize=32)
 def pair_rows(n: int):
     """(p, q, R) over the pairs p < q of n points in lexicographic order;
     row k of R is e_p - e_q over the variables f(1..n-1).  Cached per n
-    (the rows do not depend on the distances); the arrays are read-only."""
+    (the rows do not depend on the distances); the arrays are read-only.
+    Every LP over the Lipschitz ball takes its rows from here, so more
+    than MAX_BALL_POINTS points raise FreeSpaceError before anything is
+    allocated."""
+    if n > MAX_BALL_POINTS:
+        raise FreeSpaceError(f"a Lipschitz-ball LP takes at most "
+                             f"{MAX_BALL_POINTS} points, not {n}")
     p, q = np.triu_indices(n, 1)
     k = np.arange(p.size)
     R = np.zeros((p.size, n))

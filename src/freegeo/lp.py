@@ -27,20 +27,22 @@ directly; one that is dual feasible (only the right-hand side changed)
 runs the dual simplex first.  In the dualized form the two cases swap: a
 new objective is a new right-hand side of the dual, so the lanes of one
 start share B^-1 and differ in their last column.  There is one dual
-simplex: the dual phase of any number of lanes pivots in lockstep in a
-(k, m, N+1) stack of tableaux, where every lane is priced at once and
-takes its own pivot by Dantzig's rule with the same tie breaks.  Primal
-phase 2 pivots two or more lanes the same way, and one lane with the
-single-tableau kernel of the cold solve.  Each lane refines x_B and y with
-its final B^-1 and one correction step against the original B, so a batch
-makes exactly one factorization; and every lane is mapped back to the
-problem and certified by the same code as a cold answer.
+simplex and one primal simplex.  The dual phase of any number of lanes
+pivots in lockstep in a (k, m, N+1) stack of tableaux, where every lane is
+priced at once and takes its own pivot by Dantzig's rule with the same
+tie breaks.  Then the lanes are priced in one product, and each that a
+reduced cost still prices out runs primal phase 2 on its own tableau of
+the stack, with the single-tableau kernel of the cold solve, Bland's rule
+included.  Each lane refines x_B and y with its final B^-1 and one
+correction step against the original B, so a batch makes exactly one
+factorization; and every lane is mapped back to the problem and certified
+by the same code as a cold answer.
 
 A start seeds no batch if it is of the wrong length or path, has
-out-of-range columns or a singular B.  A lane leaves its batch if it is
-neither primal nor dual feasible, its dual simplex finds no entering
-column or stalls past _STALL_LIMIT, or it ends unbounded; in lockstep
-primal phase 2 also if it stalls past _STALL_LIMIT, where a single lane
+out-of-range columns or a singular B.  A lane leaves its batch only in
+the dual phase, if it is neither primal nor dual feasible or its dual
+simplex finds no entering column or stalls past _STALL_LIMIT, and at the
+end if its primal phase finds it unbounded; a primal phase that stalls
 switches to Bland's rule.  `solve` then solves cold, and so it does a warm
 answer that fails the check, before `LpError` names the failed check and
 its margin.  A lane of `solve_many` that leaves or fails is solved by
@@ -354,7 +356,6 @@ class _StdForm:
     as [A | slacks], before the rows with b < 0 are negated for a solve."""
 
     A2: np.ndarray              # read-only
-    senses: tuple
     slack_of_row: np.ndarray    # slack column per row, -1 on '=' rows
     n: int                      # columns of A
 
@@ -370,7 +371,7 @@ def _std_form(A, senses) -> _StdForm:
     slack_of_row[rows] = n + k
     A2 = np.hstack([A, S])
     A2.setflags(write=False)
-    return _StdForm(A2, senses, slack_of_row, n)
+    return _StdForm(A2, slack_of_row, n)
 
 
 def _solve_cf(std: _StdForm, c, b, tol):
@@ -811,50 +812,46 @@ def _lockstep(T, basis, cext, n2, tol):
     with the columns from n2 on blocked), each from its row of `basis`
     with its row of costs `cext` (N, zero on the blocked columns).  Lanes
     that start primal infeasible run the dual simplex first, always in
-    lockstep (`_dual_step`); then all run primal phase 2, one lane by
-    `_iterate` and more in lockstep by its rules (`_primal_step`: Dantzig
-    pricing and the same tie breaks).  Returns ok per lane.  A
+    lockstep (`_dual_phase`); then every lane that a reduced cost still
+    prices out runs primal phase 2 on its own tableau with `_iterate`, the
+    cold solve's kernel, Bland's rule included.  Returns ok per lane.  A
     lane is not ok if it is not dual feasible where it needs the dual
-    simplex, finds no entering column there or ends unbounded; and if, in
-    lockstep, it stalls past _STALL_LIMIT (where `_iterate` switches to
-    Bland's rule) or reaches _MAX_ITER."""
+    simplex, finds no entering column there or stalls past _STALL_LIMIT,
+    or ends unbounded; a primal phase past _MAX_ITER raises LpError, as a
+    cold solve does."""
     k = basis.shape[0]
-    lanes = np.arange(k)[:, None]
     ok = np.ones(k, dtype=bool)
     dual = np.min(T[:, :, -1], axis=1, initial=0.0) < -tol
     if dual.any():
-        r = _reduced_costs(T, basis, cext)[:, :n2]
-        r[lanes, basis] = 0.0
-        ok &= ~dual | (r.min(axis=1, initial=0.0) >= -tol)
-        _lockstep_phase(_dual_step, T, basis, cext, dual & ok, ok, n2, tol)
-    if k == 1:
-        if ok[0]:
-            ok[0] = _iterate(T[0], basis[0], cext[0],
-                             np.arange(cext.shape[1]) >= n2, tol) == "optimal"
-        return ok
-    _lockstep_phase(_primal_step, T, basis, cext, ok.copy(), ok, n2, tol)
+        ok &= ~dual | (_least_reduced_cost(T, basis, cext, n2) >= -tol)
+        _dual_phase(T, basis, cext, dual & ok, ok, n2, tol)
+    blocked = np.arange(cext.shape[1]) >= n2
+    for lane in np.flatnonzero(
+            ok & (_least_reduced_cost(T, basis, cext, n2) < -tol)):
+        ok[lane] = _iterate(T[lane], basis[lane], cext[lane], blocked,
+                            tol) == "optimal"
     return ok
 
 
-def _lockstep_phase(step, T, basis, cext, live, ok, n2, tol):
-    """Run `step` until each live lane is optimal (it stops being live) or
-    leaves (it is no longer ok either); see `_lockstep`.  Every lane is
-    priced at each step, and only the live ones pivot."""
+def _dual_phase(T, basis, cext, live, ok, n2, tol):
+    """Run `_dual_step` until each live lane is primal feasible (it stops
+    being live) or leaves (it is no longer ok either); see `_lockstep`.
+    Every lane is priced at each step, and only the live ones pivot."""
     k = basis.shape[0]
     lanes = np.arange(k)[:, None]
-    sign = 1.0 if step is _primal_step else -1.0   # the objective's course
-    prev = np.full(k, sign * np.inf)
+    prev = np.full(k, -np.inf)
     stall = np.zeros(k, dtype=int)
     for _ in range(_MAX_ITER):
         if not live.any():
             return
-        rows, cols, done, left = step(T, basis, cext, n2, tol)
+        rows, cols, done, left = _dual_step(T, basis, cext, n2, tol)
         ok &= ~(live & left)
         live &= ~(done | left)
         L = np.nonzero(live)[0]
         _pivot_lanes(T, basis, L, rows[L], cols[L])
+        # the dual simplex raises the objective; a step that does not is flat
         obj = _dots(cext[lanes, basis], T[:, :, -1])
-        flat = sign * obj >= sign * prev - tol * (1.0 + np.abs(obj))
+        flat = obj <= prev + tol * (1.0 + np.abs(obj))
         stall = np.where(live, np.where(flat, stall + 1, 0), stall)
         prev = np.where(live, obj, prev)
         ok &= ~(live & (stall > _STALL_LIMIT))
@@ -868,27 +865,12 @@ def _reduced_costs(T, basis, cext):
     return cext - np.matmul(cB[:, None, :], T[:, :, :-1])[:, 0, :]
 
 
-def _primal_step(T, basis, cext, n2, tol):
-    """One primal simplex choice per lane, as in `_iterate`: (rows, cols,
-    done, left), done for an optimal lane, left for an unbounded one."""
-    k = basis.shape[0]
-    lanes = np.arange(k)
-    r = _reduced_costs(T, basis, cext)
-    r[lanes[:, None], basis] = 0.0
-    r[:, n2:] = np.inf
-    cols = np.argmin(r, axis=1)
-    done = r[lanes, cols] >= -tol
-    col = T[lanes, :, cols]
-    pos = col > tol
-    left = ~pos.any(axis=1)
-    ratios = np.full(col.shape, np.inf)
-    np.divide(T[:, :, -1], col, out=ratios, where=pos)
-    best = ratios.min(axis=1, keepdims=True)
-    band = ratios <= best + tol * (1.0 + np.abs(best))
-    # leaving tie break: lowest basic-variable index (Bland-compatible)
-    rows = np.argmin(np.where(band, basis, np.iinfo(basis.dtype).max),
-                     axis=1)
-    return rows, cols, done, left & ~done
+def _least_reduced_cost(T, basis, cext, n2):
+    """The least reduced cost of each lane over its nonbasic columns below
+    n2, or 0 if none is less."""
+    r = _reduced_costs(T, basis, cext)[:, :n2]
+    r[np.arange(basis.shape[0])[:, None], basis] = 0.0
+    return r.min(axis=1, initial=0.0)
 
 
 def _dual_step(T, basis, cext, n2, tol):

@@ -506,6 +506,30 @@ def test_oversized_gallery_request_fails_before_allocating(
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--gallery", "line", "--params", f"n={CAP}"],
+    ["certify-almost-aligned", "--index", str(TOP), "--epsilon", "0.1"]])
+def test_ball_lp_above_its_cap_fails_before_allocating(capsys, tmp_path,
+                                                        argv):
+    # inside the gallery caps, the rows of a 1024-point ball LP asked numpy
+    # for 4 GiB and ended in its memory error; only the space and the
+    # element are allocated now
+    if argv[0] == "norm":
+        masses = [1.0] + [0.0] * (CAP - 2) + [-1.0]
+        argv = argv + ["--element", _element_file(tmp_path,
+                                                  {"masses": masses})]
+    tracemalloc.start()
+    try:
+        result = _run_err(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_error_line(result, code=2)
+    assert result[2] == (f"error: a Lipschitz-ball LP takes at most "
+                         f"{free_space.MAX_BALL_POINTS} points, not {CAP}\n")
+    assert peak < 2 ** 26
+
+
 def test_modulus_samples_above_cap_is_usage_error(capsys, monkeypatch,
                                                   tmp_path, line_file):
     monkeypatch.setattr(cli, "exposedness_probe", None)

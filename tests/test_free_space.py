@@ -517,6 +517,13 @@ class TestElementsAndRows:
         assert R.shape == (21, 6)
         assert (p < q).all()
 
+    def test_ball_lp_one_point_over_the_cap_is_refused(self):
+        n = free_space.MAX_BALL_POINTS + 1
+        mu = molecule(line_space(np.arange(float(n))), 1, n - 1)
+        with pytest.raises(FreeSpaceError,
+                           match=f"at most {n - 1} points, not {n}"):
+            free_norm(mu)
+
     def test_norm_certificates_carry_the_norm_basis(self):
         cert = free_norm(molecule(branching_tree(8), 3, 0))
         assert cert.basis is not None and cert.basis.path == "dualized"

@@ -214,18 +214,17 @@ def dual_outcomes(monkeypatch):
     """The exit of every lane of every dual simplex phase: "optimal", "no
     entering column" or "stalled" (past _STALL_LIMIT or _MAX_ITER)."""
     seen = []
-    original = lp_module._lockstep_phase
+    original = lp_module._dual_phase
 
-    def recording(step, T, basis, cext, live, ok, n2, tol):
+    def recording(T, basis, cext, live, ok, n2, tol):
         entered = np.flatnonzero(live)
-        original(step, T, basis, cext, live, ok, n2, tol)
-        if step is lp_module._dual_step:
-            # a lane that left with no entering column still has none
-            left = step(T, basis, cext, n2, tol)[3]
-            seen.extend("optimal" if ok[i] else "no entering column"
-                        if left[i] else "stalled" for i in entered)
+        original(T, basis, cext, live, ok, n2, tol)
+        # a lane that left with no entering column still has none
+        left = lp_module._dual_step(T, basis, cext, n2, tol)[3]
+        seen.extend("optimal" if ok[i] else "no entering column"
+                    if left[i] else "stalled" for i in entered)
 
-    monkeypatch.setattr(lp_module, "_lockstep_phase", recording)
+    monkeypatch.setattr(lp_module, "_dual_phase", recording)
     return seen
 
 
@@ -912,9 +911,9 @@ def test_solve_many_matches_solve_on_gallery_polytopes(name, lp_solves):
 
 @pytest.mark.parametrize("name", sorted(_POLYTOPES))
 def test_solve_many_under_blands_rule(name, lp_solves, monkeypatch):
-    # with no stall allowance a lane leaves at its first degenerate pivot,
-    # where a single solve's primal phase switches to Bland's rule (and its
-    # dual phase leaves to a cold solve too); it is solved alone
+    # with no stall allowance every primal phase, batched or cold, switches
+    # to Bland's rule at its first degenerate pivot, and a lane whose dual
+    # phase stalls leaves the batch and is solved alone
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
     problem, start = _POLYTOPES[name]
     C = np.random.default_rng(5000).normal(size=(12, problem.c.size))
@@ -923,11 +922,29 @@ def test_solve_many_under_blands_rule(name, lp_solves, monkeypatch):
 
 
 def test_lanes_leave_for_blands_rule(lp_solves, monkeypatch):
+    # a new objective is a new right-hand side of the dualized face LP, so
+    # its lanes run the dual phase; with no stall allowance those that
+    # stall leave the batch, and `solve` answers them cold under Bland's
+    # rule, while the others stay
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
     problem, start = _POLYTOPES["equilateral9-face"]
     C = np.random.default_rng(5000).normal(size=(12, problem.c.size))
     lp_module.solve_many(problem, C, start)
     assert 1 <= len(lp_solves) < len(C)
+
+
+def test_primal_phase_keeps_blands_rule(lp_solves, monkeypatch):
+    # a slab from a direct start is primal feasible, so its lanes run
+    # primal phase 2 only; with no stall allowance each switches to
+    # Bland's rule at its first degenerate pivot, as a cold solve does,
+    # and none leaves the batch
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    problem, start = _POLYTOPES["equilateral4-slab"]
+    assert start.path == "direct"
+    C = np.random.default_rng(5000).normal(size=(12, problem.c.size))
+    got = lp_module.solve_many(problem, C, start)
+    assert not lp_solves
+    _assert_lanes_match_solve(problem, C, start, got)
 
 
 def test_failing_lane_falls_back_alone(lp_solves, monkeypatch):

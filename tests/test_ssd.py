@@ -291,6 +291,35 @@ def _leaf_combination(n, fattened):
     return MoleculeCombination(space, terms).element()
 
 
+def _thin_leaf_combination(n, w):
+    """The leaf-to-base combination on branching_tree(n) in which leaf 1
+    sends w and the other leaves share 1 - w.  Its dual face is the point
+    g* for every w > 0, since every leaf sends mass to the base."""
+    terms = ((w, 1, 0),) + tuple(((1.0 - w) / (n - 1), k, 0)
+                                 for k in range(2, n + 1))
+    return MoleculeCombination(branching_tree(n), terms).element()
+
+
+# A flow of 1e-8 on one plan arc: the point face's radius margin declines
+# it, and the face LPs' pairing row, whose optimal dual is about 1 / w,
+# cannot meet its float thresholds.  An exact proof from a spanning tree of
+# tight arcs would decide it.
+@pytest.mark.xfail(strict=True, raises=lp.LpError,
+                   reason="thin plan arc: an LP fails its gap check")
+@pytest.mark.parametrize("n", [4, 8])
+def test_thin_plan_arc_is_gateaux(n):
+    assert is_gateaux(_thin_leaf_combination(n, 1e-8)) is True
+
+
+@pytest.mark.xfail(strict=True, raises=(lp.LpError, SsdError),
+                   reason="thin plan arc: the face LPs fail their checks")
+@pytest.mark.parametrize("n", [4, 8])
+def test_thin_plan_arc_probe_returns(n):
+    probe = exposedness_probe(_thin_leaf_combination(n, 1e-8), [0.05], 8,
+                              seed=1)
+    assert len(probe.entries) == 1
+
+
 def _tree_molecule(n, fattened):
     """The molecule m_12 between two leaves of branching_tree(n), or of its
     gamma = 1 fattening: its optimal plan does not span the space, so its
