@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .free_space import (FreeSpaceError, MoleculeCombination,
                          element_from_json, free_norm, molecule,
-                         norming_functional, optimal_representation)
+                         norming_functional)
 from .gromov import PairError, analyze_pair, classify_space, family_trend
 from .lipschitz import (LipschitzError, aux_f_xy, from_values, lip_norm,
                         peaking_check)
@@ -215,6 +215,67 @@ def _report(args, statement: str, inputs: dict, outputs: dict) -> dict:
             "statement": statement, "inputs": inputs, "outputs": outputs}
 
 
+class _Unlisted(Exception):
+    """A value that `_indented` leaves to `json.dumps`."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+#: The C encoder, on one line: ", " between items, floats as `repr`.
+_encode_flat = json.JSONEncoder(sort_keys=True, allow_nan=True).encode
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _indented(obj, pad: str) -> str:
+    """`obj` as `json.dumps(indent=2, sort_keys=True)` writes it nested at
+    the indent `pad`; raises `_Unlisted` on a type it does not handle."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is int:
+        return repr(obj)
+    if t is float:
+        if math.isfinite(obj):
+            return repr(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = pad + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            raise _Unlisted
+        items = [_encode_str(k) + ": " + _indented(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        if _NUMBER_TYPES.issuperset(map(type, obj)):
+            # one C call for the whole list; no number holds ", "
+            body = _encode_flat(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise _Unlisted
+
+
+def _dumps(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)`, byte for
+    byte, with every list of plain ints and floats written by the C
+    encoder; a value of any other type than dict, list, tuple, str, int,
+    float, bool or None, or a dict key that is not a str, sends the whole
+    of obj to `json.dumps`."""
+    try:
+        return _indented(obj, "")
+    except _Unlisted:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
+
+
 def _emit(args, report, csv_text=None) -> None:
     if args.format == "csv":
         if csv_text is None:
@@ -222,8 +283,7 @@ def _emit(args, report, csv_text=None) -> None:
                 f"command {args.command!r} has no CSV representation")
         text = csv_text
     else:
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          allow_nan=True) + "\n"
+        text = _dumps(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -343,13 +403,18 @@ def _cmd_perturb(args):
     _require(args, "gamma", "epsilon")
     fattened = gamma_fatten(space, args.gamma)
     mu = _load_element(args, fattened)
-    comb = optimal_representation(mu)
+    cert = free_norm(mu)
+    comb = cert.representation()
     scale = comb.weight_sum()
     comb = MoleculeCombination(
         fattened, tuple((lam / scale, x, y) for lam, x, y in comb.terms))
     f = find_common_norming(
         space, MoleculeCombination(space, comb.terms))
-    g = norming_functional(comb.element())
+    nu = comb.element()
+    # a single molecule of weight one normalizes to mu, bit for bit, whose
+    # norm LP is already solved
+    g = (cert.potential if nu.masses.tobytes() == mu.masses.tobytes()
+         else norming_functional(nu))
     res = perturbation_pipeline(space, args.gamma, comb, f, g, args.epsilon)
     _emit(args, _report(args, "certified norm-attaining perturbation in the "
                         "fattened metric",

@@ -50,24 +50,33 @@ class PairGeometryReport:
                 "extreme_molecule": self.extreme_molecule}
 
 
-def analyze_pair(space: PointedMetricSpace, x: int, y: int
-                 ) -> PairGeometryReport:
-    """Enumerate every witness point and classify the pair."""
+def _pair_products(space: PointedMetricSpace, x: int, y: int):
+    """(eta, delta_rotund, prods, near) of the pair (x, y): over the points
+    z outside {x, y}, prods holds the Gromov products and near the
+    distances min(d(x,z), d(y,z)); eta is the least product and
+    delta_rotund the least ratio, both inf when there is no such z."""
     if x == y:
         raise PairError("x and y must differ")
     if not (0 <= x < space.n and 0 <= y < space.n):
         raise PairError(f"pair ({x}, {y}) is out of range for {space.n} "
                         "points")
     others = np.delete(np.arange(space.n), [x, y])
-    if not others.size:
-        return PairGeometryReport(x, y, np.inf, np.inf, (), True, True, True,
-                                  True)
     d = space.dist
     dx, dy = d[x, others], d[y, others]
     prods = dx + d[others, y] - d[x, y]
     near = np.where(dy < dx, dy, dx)     # min(d(x,z), d(y,z)), first on ties
-    eta = float(prods.min())
-    delta_rotund = float((prods / near).min())
+    if not others.size:
+        return np.inf, np.inf, prods, near
+    return float(prods.min()), float((prods / near).min()), prods, near
+
+
+def analyze_pair(space: PointedMetricSpace, x: int, y: int
+                 ) -> PairGeometryReport:
+    """Enumerate every witness point and classify the pair."""
+    eta, delta_rotund, prods, near = _pair_products(space, x, y)
+    if not prods.size:
+        return PairGeometryReport(x, y, eta, delta_rotund, (), True, True,
+                                  True, True)
     order = np.argsort(near, kind="stable")
     # running min of products over { z : r_z >= eps } at each breakpoint,
     # one entry per distinct eps (equal values are adjacent once sorted)
@@ -122,7 +131,7 @@ def family_trend(family: MetricFamily, indices) -> list:
     indices = list(indices)
     rows = []
     for idx, (space, (x, y)) in zip(indices, family.spaces(indices)):
-        rep = analyze_pair(space, x, y)
-        rows.append({"index": int(idx), "eta": rep.eta,
-                     "delta_rotund": rep.delta_rotund})
+        eta, delta_rotund, _, _ = _pair_products(space, x, y)
+        rows.append({"index": int(idx), "eta": eta,
+                     "delta_rotund": delta_rotund})
     return rows

@@ -4,10 +4,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import freegeo
-from freegeo import cli, free_space, metric
+from freegeo import cli, free_space, lp, metric, ssd
 from freegeo.cli import main
 from freegeo.metric import gallery, line_space, space_to_json_str
 
@@ -650,3 +652,127 @@ def test_output_does_not_depend_on_asserts(tmp_path, argv):
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout
     assert runs[0].stderr == runs[1].stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# report emission: cli._dumps against json.dumps
+# ---------------------------------------------------------------------------
+
+def _json_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
+
+
+def _outcome(fn, obj):
+    """The text fn returns, or the type and text of the error it raises."""
+    try:
+        return fn(obj)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                     5e-324, -2.5e-310, 1e16, -1e16, 1e300]))
+_INTS = st.one_of(st.integers(), st.booleans(),
+                  st.integers(min_value=2 ** 63, max_value=2 ** 200),
+                  st.integers(min_value=-2 ** 200, max_value=-2 ** 63))
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([", ", "a, b", '"quoted"', "back\\slash", "[1, 2]",
+                     "{}", "\u00e9t\u00e9 \u2713 \U0001d53d", "\x00\n\t"]))
+_LEAVES = st.one_of(_FLOATS, _INTS, st.none(), _TEXT)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        # lists of numbers alone, the C encoder's share, bools included
+        st.lists(st.one_of(_FLOATS, _INTS), max_size=8),
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_dumps_is_json_dumps(obj):
+    assert cli._dumps(obj) == _json_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [{}], ()],
+    [np.float64(0.1), 2.0], {"x": np.float64(-0.0)},
+    {"x": [1, np.float64(np.nan)], "y": [np.float64(np.inf)]},
+    [np.int64(3)], {"x": np.int64(3)}, [1.0, np.int64(3)], [[np.int64(1)]],
+    {1: "a"}, {None: 1}, {1.5: [1, 2]}, {True: 0}, {"b": 1, 2: 0},
+    {2: 0, 1: [0.5]}, {"a": {3: 1}},
+])
+def test_dumps_fixed_cases(obj):
+    assert _outcome(cli._dumps, obj) == _outcome(_json_dumps, obj)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for obj in ([np.int64(3)], {"a": {1: "x", "y": 2}}, {"a": object()}):
+        assert _outcome(cli._dumps, obj).startswith("TypeError: ")
+
+
+# ---------------------------------------------------------------------------
+# perturb: the norm LP of the requested element is solved once
+# ---------------------------------------------------------------------------
+
+def _cold_solves(monkeypatch):
+    calls = []
+    solve_cold = lp._solve_cold
+
+    def counting(*args):
+        calls.append(None)
+        return solve_cold(*args)
+
+    monkeypatch.setattr(lp, "_solve_cold", counting)
+    return calls
+
+
+def _perturb_with_own_norm_lp(space, mu, gamma, eps):
+    """The perturb command's steps with g from a norm LP of its own on the
+    normalized representation, whatever its masses."""
+    comb = free_space.optimal_representation(mu)
+    total = comb.weight_sum()
+    comb = free_space.MoleculeCombination(
+        mu.space, tuple((lam / total, x, y) for lam, x, y in comb.terms))
+    f = ssd.find_common_norming(
+        space, free_space.MoleculeCombination(space, comb.terms))
+    g = free_space.norming_functional(comb.element())
+    return ssd.perturbation_pipeline(space, gamma, comb, f, g, eps)
+
+
+@pytest.mark.parametrize("molecules, reused", [
+    ([[1.0, 3, 0]], True), ([[1.0, 1, 0]], True), ([[1.0, 2, 4]], True),
+    ([[2.0, 1, 0]], False), ([[0.75, 1, 0], [0.5, 3, 0]], False)])
+def test_perturb_reuses_the_norm_lp_of_mu(capsys, tmp_path, monkeypatch,
+                                          molecules, reused):
+    space = gallery("branching_tree", n=4)
+    gamma, eps = 2.0, 0.04
+    mu = free_space.element_from_json(metric.gamma_fatten(space, gamma),
+                                      {"molecules": molecules})
+    cold = _cold_solves(monkeypatch)
+    res = _perturb_with_own_norm_lp(space, mu, gamma, eps)
+    own = len(cold)
+    cold.clear()
+    norming = []
+    monkeypatch.setattr(cli, "norming_functional",
+                        lambda nu: norming.append(nu)
+                        or free_space.norming_functional(nu))
+    el = _element_file(tmp_path, {"molecules": molecules})
+    code, out = _run(capsys, ["perturb", "--gallery", "branching_tree",
+                              "--params", "n=4", "--element", el,
+                              "--gamma", "2", "--epsilon", "0.04"])
+    assert res.status == ssd.CERTIFIED and code == 0
+    # one norm LP fewer exactly when the normalized masses are mu's bits
+    assert len(cold) == own - reused
+    assert len(norming) == (not reused)
+    for nu in norming:
+        assert nu.masses.tobytes() != mu.masses.tobytes()
+    # the report is the one built with g from its own norm LP
+    rep = json.loads(out)
+    want = dict(rep, outputs=res.to_json())
+    assert out == _json_dumps(want) + "\n"

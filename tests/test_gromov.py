@@ -376,3 +376,50 @@ def test_spaces_holds_one_space_at_a_time():
     assert made == [3, 1]
     assert [space.n for space, _ in it] == [4, 5]
     assert made == [3, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# family_trend rows without the pair reports
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, lo, hi", [
+    ("rotund_no_gap", 1, 40), ("almost_aligned", 1, 30),
+    ("nonaligned_not_discrete", 2, 40), ("branching_tree_family", 2, 40)])
+def test_family_trend_rows_are_analyze_pair_bits(name, lo, hi):
+    family = gallery(name)
+    rows = family_trend(family, range(lo, hi + 1))
+    assert [r["index"] for r in rows] == list(range(lo, hi + 1))
+    for row in rows:
+        space, (x, y) = family.generate(row["index"])
+        rep = analyze_pair(space, x, y)
+        assert row["eta"].hex() == rep.eta.hex()
+        assert row["delta_rotund"].hex() == rep.delta_rotund.hex()
+
+
+def test_pair_errors_unchanged():
+    space = gallery("line", n=4)
+    for (x, y), text in (((2, 2), "x and y must differ"),
+                         ((1, 9), "pair (1, 9) is out of range for 4 "
+                                  "points"),
+                         ((-1, 2), "pair (-1, 2) is out of range for 4 "
+                                   "points")):
+        with pytest.raises(PairError) as err:
+            analyze_pair(space, x, y)
+        assert str(err.value) == text
+    # a two-point space has no witness: every flag holds, eta is inf
+    rep = analyze_pair(gallery("line", n=2), 0, 1)
+    assert (rep.eta, rep.delta_rotund, rep.concavity_profile) == \
+        (np.inf, np.inf, ())
+    assert rep.has_gromov_gap and rep.extreme_molecule
+
+
+@pytest.mark.parametrize("name, indices, text", [
+    ("rotund_no_gap", [0, 3], "index must be >= 1"),
+    ("nonaligned_not_discrete", [1, 4], "index must be >= 2"),
+    ("almost_aligned", [2, metric.MAX_FAMILY_INDEX + 1],
+     f"family index {metric.MAX_FAMILY_INDEX + 1} is above the cap of "
+     f"{metric.MAX_FAMILY_INDEX}")])
+def test_family_trend_metric_errors_unchanged(name, indices, text):
+    with pytest.raises(MetricError) as err:
+        family_trend(gallery(name), indices)
+    assert str(err.value) == text

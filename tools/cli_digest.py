@@ -8,8 +8,9 @@ Run it in two checkouts and compare the three lines it prints:
 - ``cli_gallery``: the op count and one SHA-1 over the argv (file paths
   cut to basenames), stdout, stderr and exit code of every op of the
   benchmark's ``cli_gallery`` workload, rounds 0 to ``rounds - 1`` of the
-  seed, defect probes included.  The workload's input files live in a
-  temporary directory that is removed afterwards.
+  seed, defect probes included; beside it, how many of their solves ran
+  cold, counted by wrapping ``lp._solve_cold``.  The workload's input
+  files live in a temporary directory that is removed afterwards.
 - ``probe_trees``: one SHA-1 over the entries of every exposedness probe
   of the ``probe_trees`` workload, rounds 0-3 for seeds 1-3, with every
   float as ``float.hex``; beside it, how many face-distance LPs and slab
@@ -68,12 +69,24 @@ def _field(h, data: bytes) -> None:
 
 
 def cli_digest(workloads, seed: int, rounds: int, dump: list):
-    """(op count, SHA-1) over every cli_gallery op of rounds 0..rounds-1;
-    appends each op's fields to dump."""
+    """(op count, SHA-1, cold solves) over every cli_gallery op of rounds
+    0..rounds-1, with cold solves the number of the ops' solves that ran
+    cold; appends each op's fields to dump."""
+    from freegeo import lp
+
     h = hashlib.sha1()
     count = 0
+    cold = 0
+    solve_cold = lp._solve_cold
+
+    def counting_cold(problem, canon, tol):
+        nonlocal cold
+        cold += 1
+        return solve_cold(problem, canon, tol)
+
     workdir = tempfile.mkdtemp(prefix="cli-digest-")
     wl = workloads.CliGallery(seed, workdir)
+    lp._solve_cold = counting_cold
     try:
         wl.setup()
         for r in range(rounds):
@@ -89,9 +102,10 @@ def cli_digest(workloads, seed: int, rounds: int, dump: list):
                                      fields), round=r))
                 count += 1
     finally:
+        lp._solve_cold = solve_cold
         wl.close()
         shutil.rmtree(workdir, ignore_errors=True)
-    return count, h.hexdigest()
+    return count, h.hexdigest(), cold
 
 
 def probe_digest(workloads, dump: list):
@@ -277,10 +291,10 @@ def main(argv=None) -> int:
     import workloads
 
     dump = {"cli_gallery": [], "probe_trees": [], "library": []}
-    count, digest = cli_digest(workloads, args.seed, args.rounds,
-                               dump["cli_gallery"])
+    count, digest, cold = cli_digest(workloads, args.seed, args.rounds,
+                                     dump["cli_gallery"])
     print(f"cli_gallery seed {args.seed} rounds 0-{args.rounds - 1}: "
-          f"{count} ops sha1 {digest}")
+          f"{count} ops sha1 {digest}; {cold} cold solves")
     count, digest, solves = probe_digest(workloads, dump["probe_trees"])
     print(f"probe_trees seeds 1-3 rounds 0-{PROBE_ROUNDS - 1}: "
           f"{count} probes sha1 {digest}; solved {solves['face']} "
