@@ -705,15 +705,11 @@ def test_dumps_is_json_dumps(obj):
     {"x": [1, np.float64(np.nan)], "y": [np.float64(np.inf)]},
     [np.int64(3)], {"x": np.int64(3)}, [1.0, np.int64(3)], [[np.int64(1)]],
     {1: "a"}, {None: 1}, {1.5: [1, 2]}, {True: 0}, {"b": 1, 2: 0},
-    {2: 0, 1: [0.5]}, {"a": {3: 1}},
+    {2: 0, 1: [0.5]}, {"a": {3: 1}}, {"a": {1: "x", "y": 2}},
+    {"a": object()},
 ])
 def test_dumps_fixed_cases(obj):
     assert _outcome(cli._dumps, obj) == _outcome(_json_dumps, obj)
-
-
-def test_dumps_rejects_what_json_rejects():
-    for obj in ([np.int64(3)], {"a": {1: "x", "y": 2}}, {"a": object()}):
-        assert _outcome(cli._dumps, obj).startswith("TypeError: ")
 
 
 # ---------------------------------------------------------------------------
