@@ -27,12 +27,17 @@ directly; one that is dual feasible (only the right-hand side changed)
 runs the dual simplex first.  In the dualized form the two cases swap: a
 new objective is a new right-hand side of the dual, so the lanes of one
 start share B^-1 and differ in their last column.  There is one dual
-simplex and one primal simplex.  The dual phase of any number of lanes
-pivots in lockstep in a (k, m, N+1) stack of tableaux, where every lane is
-priced at once and takes its own pivot by Dantzig's rule with the same
-tie breaks.  Then the lanes are priced in one product, and each that a
-reduced cost still prices out runs primal phase 2 on its own tableau of
-the stack, with the single-tableau kernel of the cold solve, Bland's rule
+simplex and one primal simplex.  The lanes are in revised form: a (k, m,
+m+1) stack of [B^-1 | x_B], priced from the fixed A2 of the standard form
+and never holding B^-1 A2.  The dual phase of any number of lanes pivots
+in lockstep: each step stacks the live lanes' c_B B^-1 and leaving rows
+e_r B^-1 and multiplies them by A2 once, and each lane takes its own pivot
+by Dantzig's rule with the same tie breaks; the entering column is
+B^-1 a_j, and the rank-one update touches only the lane's [B^-1 | x_B].
+The phase ends as soon as every live lane is primal feasible.  Then the
+lanes are priced in one product, and each that a reduced cost still
+prices out builds its tableau B^-1 [A2 | I | b] and runs primal phase 2
+on it with the single-tableau kernel of the cold solve, Bland's rule
 included.  Each lane refines x_B and y with its final B^-1 and one
 correction step against the original B, so a batch makes exactly one
 factorization; and every lane is mapped back to the problem and certified
@@ -45,11 +50,12 @@ simplex finds no entering column or stalls past _STALL_LIMIT, and at the
 end if its primal phase finds it unbounded; a primal phase that stalls
 switches to Bland's rule.  `solve` then solves cold, and so it does a warm
 answer that fails the check, before `LpError` names the failed check and
-its margin.  A lane of `solve_many` that leaves or fails is solved by
-`solve` from the same start, so every answer passes the thresholds of
-`solve`.  A start that seeds no batch (none, another path, or rejected) is
-handed to `solve` with the first objective, whose basis seeds the rest.
-A stack holds at most _BATCH_CELLS cells; more lanes run in blocks.
+its margin.  A lane of `solve_many` that leaves or fails is solved cold
+by `solve` (it would run the same alone), so every answer passes the
+thresholds of `solve`.  A start that seeds no batch (none, another path,
+or rejected) is handed to `solve` with the first objective, whose basis
+seeds the rest.  A stack holds at most _BATCH_CELLS cells, m (m+1) per
+lane; more lanes run in blocks.
 
 A start may also come from an LP with other constraints: its B is
 factored from the problem's data all the same.  A dualized start whose
@@ -216,7 +222,7 @@ def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     colv = T[:, col].copy()
     colv[row] = 0.0
-    T -= np.outer(colv, T[row])
+    T -= colv[:, None] * T[row]
     # kill roundoff in the pivot column
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -240,7 +246,7 @@ def _iterate(T, basis, cvec, blocked, tol):
                 return "optimal"
             j = int(cand[0])
         else:
-            j = int(np.argmin(r))
+            j = int(r.argmin())
             if r[j] >= -tol:
                 return "optimal"
         col = T[:m, j]
@@ -250,9 +256,9 @@ def _iterate(T, basis, cvec, blocked, tol):
         ratios = np.full(m, np.inf)
         ratios[pos] = T[pos, -1] / col[pos]
         best = ratios.min()
-        rows = np.nonzero(ratios <= best + tol * (1.0 + abs(best)))[0]
+        rows = (ratios <= best + tol * (1.0 + abs(best))).nonzero()[0]
         # leaving tie break: lowest basic-variable index (Bland-compatible)
-        row = int(rows[np.argmin(basis[rows])])
+        row = int(rows[basis[rows].argmin()])
         _pivot(T, basis, row, j)
         obj = float(cvec[basis] @ T[:, -1])
         if obj >= prev_obj - tol * (1.0 + abs(obj)):
@@ -266,9 +272,9 @@ def _iterate(T, basis, cvec, blocked, tol):
 
 
 def _start_tableau(A2, R, cols):
-    """(B^-1 A2, B^-1, X0) from one factorization of B, the basic columns
-    `cols` of A2, where row l of X0 is B^-1 of the right-hand side in row
-    l of R.  None when cols is malformed or B singular."""
+    """(B^-1, X0) from one factorization of B, the basic columns `cols` of
+    A2, where row l of X0 is B^-1 of the right-hand side in row l of R.
+    None when cols is malformed or B singular."""
     m, n2 = A2.shape
     cols = np.asarray(cols)
     if cols.shape != (m,) or cols.dtype.kind not in "iu":
@@ -276,16 +282,16 @@ def _start_tableau(A2, R, cols):
     if m and (cols.min() < 0 or cols.max() >= n2
               or len(set(cols.tolist())) != m):
         return None
+    B = A2[:, cols]
     eye = np.eye(m)
     try:
-        T = np.linalg.solve(A2[:, cols], np.hstack([A2, eye, R.T]))
+        T = np.linalg.solve(B, np.hstack([B, eye, R.T]))
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(T).all() or \
-            np.abs(T[:, cols] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
+            np.abs(T[:, :m] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
         return None
-    T[:, cols] = eye
-    return T[:, :n2], T[:, n2:n2 + m], T[:, n2 + m:].T
+    return T[:, m:2 * m], T[:, 2 * m:].T
 
 
 def _two_phase(A2, b, c2, slack_of_row, tol):
@@ -478,6 +484,12 @@ def _paths(canon: _Canonical) -> tuple:
     rows far outnumber the variables."""
     m, n = canon.A.shape
     return (DUALIZED, DIRECT) if m > 2 * n + 20 else (DIRECT,)
+
+
+def first_path(problem: LpProblem) -> str:
+    """The path (DIRECT or DUALIZED) a solve of `problem` tries first; only
+    a start on it seeds warm lanes."""
+    return _paths(_canonical(problem))[0]
 
 
 def _direct_form(canon: _Canonical):
@@ -693,10 +705,11 @@ def solve_many(problem: LpProblem, objectives,
     The lanes share the canonical form, the start's carried-over columns
     and one factorization of their B.  A start that cannot seed the lanes
     (none, another path, or rejected) is handed with the first objective
-    to `solve`, whose basis seeds the others.  A lane
-    that leaves the batch or fails its check, and every lane of a seed that
-    still does not fit, is solved by `solve` from the seed; so every answer
-    passes the thresholds of `solve`.
+    to `solve`, whose basis seeds the others.  A lane that leaves the
+    batch or fails its check, and every lane of a seed that still does not
+    fit, is solved cold by `solve`: a lane runs alone as it runs in a
+    batch, so a warm retry would repeat it.  So every answer passes the
+    thresholds of `solve`.
     """
     C = np.array(objectives, dtype=float)
     if C.shape == (0,):
@@ -717,32 +730,34 @@ def solve_many(problem: LpProblem, objectives,
         start, first = out[0].basis, 1
         batch = _Batch.seed(problem, canon, start, C, tol)
     if batch is not None:
-        m2, cols = batch.body.shape
-        step = max(1, _BATCH_CELLS // (m2 * (cols + m2 + 1)))
+        m2, n2 = batch.lanes.canon.form(batch.lanes.path)[0].A2.shape
+        step = max(1, _BATCH_CELLS // (m2 * (m2 + 1) + _WORK_ROWS * n2))
         for lo in range(first, len(C), step):
             block = slice(lo, min(lo + step, len(C)))
             out[block] = [None if sol is None or _failed_check(sol, tol)
                           else sol for sol in batch.run(block)]
     for lane, c in enumerate(C):
         if out[lane] is None:
-            out[lane] = solve(problem.with_objective(c), tol, start)
+            out[lane] = solve(problem.with_objective(c), tol)
     return out
 
 
-#: Cap on the cells of one stack of lane tableaux in `solve_many`; more
-#: lanes run in blocks of at most this many cells (one lane at least).
+#: Cap on the cells of one block of lanes in `solve_many`; more lanes run
+#: in blocks of at most this many cells (one lane at least).  A lane takes
+#: m (m+1) cells in its stack [B^-1 | x_B] and, while it is priced,
+#: answered and checked, up to _WORK_ROWS rows over the N columns of A2.
 _BATCH_CELLS = 2 ** 20
+_WORK_ROWS = 16
 
 
 @dataclass(eq=False)
 class _Batch:
     """What the lanes of one start share, on the standard form of the path
-    the start took: the start's columns, and B^-1 A2 and B^-1 from one
-    factorization of their B; per lane, B^-1 of its right-hand side."""
+    the start took: the start's columns and B^-1 from one factorization of
+    their B; per lane, B^-1 of its right-hand side."""
 
     lanes: _Lanes
     cols: np.ndarray
-    body: np.ndarray
     binv: np.ndarray
     X0: np.ndarray
     tol: float
@@ -766,21 +781,22 @@ class _Batch:
         lane that left; the caller checks them."""
         L = self.lanes
         std = L.canon.form(L.path)[0]
-        m2, n2 = std.A2.shape
+        A2 = std.A2
+        m2, n2 = A2.shape
         k = len(L.C[lanes])
-        T = np.empty((k, m2, n2 + m2 + 1))
-        T[:, :, :n2] = self.body
-        T[:, :, n2:-1] = self.binv
-        T[:, :, -1] = self.X0[lanes]
+        S = np.empty((k, m2, m2 + 1))
+        S[:, :, :-1] = self.binv
+        S[:, :, -1] = self.X0[lanes]
         basis = self.cols[None].repeat(k, 0)
-        cext = np.zeros((k, n2 + m2))
-        cext[:, :std.n] = L.costs[lanes]
-        ok = _lockstep(T, basis, cext, n2, self.tol)
+        # zero costs past A2's columns, on the B^-1 of a primal tableau
+        costs = np.zeros((k, n2 + m2))
+        costs[:, :std.n] = L.costs[lanes]
+        ok = _lockstep(S, basis, costs, A2, self.tol)
         # one step of refinement against the original B sheds the error
         # B^-1 took on in its pivots
-        binv = T[:, :, n2:-1]
-        B = std.A2[:, basis].transpose(1, 0, 2)
-        cB = cext[np.arange(k)[:, None], basis]
+        binv = S[:, :, :-1]
+        B = A2[:, basis].transpose(1, 0, 2)
+        cB = costs[np.arange(k)[:, None], basis]
         rhs = L.rhs[lanes]
         xB = _apply(binv, rhs)
         xB += _apply(binv, rhs - _apply(B, xB))
@@ -807,50 +823,66 @@ def _apply_t(M, v):
     return np.matmul(v[:, None, :], M)[:, 0, :]
 
 
-def _lockstep(T, basis, cext, n2, tol):
-    """Re-optimize in place the lanes of the tableau stack T (k x m x N+1,
-    with the columns from n2 on blocked), each from its row of `basis`
-    with its row of costs `cext` (N, zero on the blocked columns).  Lanes
-    that start primal infeasible run the dual simplex first, always in
-    lockstep (`_dual_phase`); then every lane that a reduced cost still
-    prices out runs primal phase 2 on its own tableau with `_iterate`, the
-    cold solve's kernel, Bland's rule included.  Returns ok per lane.  A
+def _lockstep(S, basis, costs, A2, tol):
+    """Re-optimize in place the lanes of the stack S (k x m x m+1), lane l
+    holding [B^-1 | x_B] of its basic columns basis[l] of A2, each with its
+    row of `costs` (over A2's columns, then m zeros).  Lanes that start
+    primal infeasible run the dual simplex first, always in lockstep
+    (`_dual_phase`); then every lane that a reduced cost still prices out
+    runs primal phase 2 with `_iterate`, the cold solve's kernel, Bland's
+    rule included, on its tableau B^-1 [A2 | I | b], built for it in
+    chunks of at most _BATCH_CELLS cells.  Returns ok per lane.  A
     lane is not ok if it is not dual feasible where it needs the dual
     simplex, finds no entering column there or stalls past _STALL_LIMIT,
     or ends unbounded; a primal phase past _MAX_ITER raises LpError, as a
     cold solve does."""
-    k = basis.shape[0]
+    k, m = basis.shape
+    n2 = A2.shape[1]
     ok = np.ones(k, dtype=bool)
-    dual = np.min(T[:, :, -1], axis=1, initial=0.0) < -tol
+    dual = S[:, :, -1].min(axis=1) < -tol
     if dual.any():
-        ok &= ~dual | (_least_reduced_cost(T, basis, cext, n2) >= -tol)
-        _dual_phase(T, basis, cext, dual & ok, ok, n2, tol)
-    blocked = np.arange(cext.shape[1]) >= n2
-    for lane in np.flatnonzero(
-            ok & (_least_reduced_cost(T, basis, cext, n2) < -tol)):
-        ok[lane] = _iterate(T[lane], basis[lane], cext[lane], blocked,
-                            tol) == "optimal"
+        ok &= ~dual | (_least_reduced_cost(S, basis, costs, A2) >= -tol)
+        _dual_phase(S, basis, costs, A2, dual & ok, ok, tol)
+    P = np.flatnonzero(ok & (_least_reduced_cost(S, basis, costs, A2) < -tol))
+    blocked = np.arange(n2 + m) >= n2
+    # lanes that made no dual pivot share B^-1, and so B^-1 A2
+    body = S[:1, :, :-1] @ A2 if P.size and not dual.any() else None
+    step = max(1, _BATCH_CELLS // (m * (n2 + m + 1)))
+    for lo in range(0, P.size, step):
+        Q = P[lo:lo + step]
+        lanes = slice(None) if Q.size == k else Q
+        T = np.empty((Q.size, m, n2 + m + 1))
+        T[:, :, :n2] = S[lanes, :, :-1] @ A2 if body is None else body
+        T[:, :, n2:] = S[lanes]
+        for i, lane in enumerate(Q):
+            ok[lane] = _iterate(T[i], basis[lane], costs[lane], blocked,
+                                tol) == "optimal"
+        S[lanes] = T[:, :, n2:]
     return ok
 
 
-def _dual_phase(T, basis, cext, live, ok, n2, tol):
-    """Run `_dual_step` until each live lane is primal feasible (it stops
-    being live) or leaves (it is no longer ok either); see `_lockstep`.
-    Every lane is priced at each step, and only the live ones pivot."""
+def _dual_phase(S, basis, costs, A2, live, ok, tol):
+    """Run dual simplex steps until each live lane is primal feasible (it
+    stops being live) or leaves (it is no longer ok either); see
+    `_lockstep`.  Each step prices the live lanes in one product against
+    A2 (`_dual_step`); none is priced once every live lane is feasible."""
     k = basis.shape[0]
-    lanes = np.arange(k)[:, None]
+    lanes = np.arange(k)
     prev = np.full(k, -np.inf)
     stall = np.zeros(k, dtype=int)
     for _ in range(_MAX_ITER):
-        if not live.any():
+        # the leaving row: the most negative basic value
+        rows = np.argmin(S[:, :, -1], axis=1)
+        live &= S[lanes, rows, -1] < -tol
+        L = np.flatnonzero(live)
+        if not L.size:
             return
-        rows, cols, done, left = _dual_step(T, basis, cext, n2, tol)
-        ok &= ~(live & left)
-        live &= ~(done | left)
-        L = np.nonzero(live)[0]
-        _pivot_lanes(T, basis, L, rows[L], cols[L])
+        cols, left = _dual_step(S[L], basis[L], costs[L], A2, rows[L], tol)
+        ok[L[left]] = live[L[left]] = False
+        L, cols = L[~left], cols[~left]
+        _pivot_lanes(S, basis, A2, L, rows[L], cols)
         # the dual simplex raises the objective; a step that does not is flat
-        obj = _dots(cext[lanes, basis], T[:, :, -1])
+        obj = _dots(costs[lanes[:, None], basis], S[:, :, -1])
         flat = obj <= prev + tol * (1.0 + np.abs(obj))
         stall = np.where(live, np.where(flat, stall + 1, 0), stall)
         prev = np.where(live, obj, prev)
@@ -859,60 +891,55 @@ def _dual_phase(T, basis, cext, live, ok, n2, tol):
     ok &= ~live
 
 
-def _reduced_costs(T, basis, cext):
-    """c - c_B B^-1 A of each lane, over every column but the last."""
-    cB = cext[np.arange(basis.shape[0])[:, None], basis]
-    return cext - np.matmul(cB[:, None, :], T[:, :, :-1])[:, 0, :]
-
-
-def _least_reduced_cost(T, basis, cext, n2):
-    """The least reduced cost of each lane over its nonbasic columns below
-    n2, or 0 if none is less."""
-    r = _reduced_costs(T, basis, cext)[:, :n2]
-    r[np.arange(basis.shape[0])[:, None], basis] = 0.0
-    return r.min(axis=1, initial=0.0)
-
-
-def _dual_step(T, basis, cext, n2, tol):
-    """One dual simplex choice per lane: the leaving row of the most
-    negative basic value, and the entering column by the dual ratio test.
-    Returns (rows, cols, done, left), done for a primal feasible lane, left
-    for one with no entering column."""
+def _priced(S, basis, costs, A2, rows=None):
+    """The reduced costs c - c_B B^-1 A2 of each lane of S, 0 on its basic
+    columns, and with `rows` its row rows[l] of B^-1 A2 (else an empty
+    array): one product of the stacked c_B B^-1 and e_r B^-1 against A2."""
     k = basis.shape[0]
-    lanes = np.arange(k)
-    rows = np.argmin(T[:, :, -1], axis=1)
-    done = T[lanes, rows, -1] >= -tol
-    a = T[lanes, rows, :-1]
+    lanes = np.arange(k)[:, None]
+    binv = S[:, :, :-1]
+    Y = _apply_t(binv, costs[lanes, basis])
+    if rows is not None:
+        Y = np.vstack([Y, binv[lanes[:, 0], rows]])
+    YA = Y @ A2
+    R = costs[:, :A2.shape[1]] - YA[:k]
+    R[lanes, basis] = 0.0
+    return R, YA[k:]
+
+
+def _least_reduced_cost(S, basis, costs, A2):
+    """The least reduced cost of each lane, or 0 if none is less."""
+    return _priced(S, basis, costs, A2)[0].min(axis=1, initial=0.0)
+
+
+def _dual_step(S, basis, costs, A2, rows, tol):
+    """The dual simplex's entering column of each lane, whose leaving row
+    is rows[l], by the dual ratio test.  Returns (cols, left), left for a
+    lane with no entering column."""
+    R, a = _priced(S, basis, costs, A2, rows)
     cand = a < -tol
-    cand[lanes[:, None], basis] = False
-    cand[:, n2:] = False
-    left = ~cand.any(axis=1)
+    cand[np.arange(len(rows))[:, None], basis] = False
     ratios = np.full(a.shape, np.inf)
-    np.divide(np.maximum(_reduced_costs(T, basis, cext), 0.0), -a,
-              out=ratios, where=cand)
+    np.divide(np.maximum(R, 0.0), -a, out=ratios, where=cand)
     best = ratios.min(axis=1, keepdims=True)
     # entering tie break: lowest column index (Bland-compatible)
     cols = np.argmax(cand & (ratios <= best + tol * (1.0 + best)), axis=1)
-    return rows, cols, done, left & ~done
+    return cols, ~cand.any(axis=1)
 
 
-def _pivot_lanes(T, basis, L, rows, cols):
-    """`_pivot` on each lane L[i] of the stack T at (rows[i], cols[i])."""
+def _pivot_lanes(S, basis, A2, L, rows, cols):
+    """Pivot each lane L[i] of S at its row rows[i] on column cols[i] of
+    A2: the rank-one update of [B^-1 | x_B] by the entering column
+    B^-1 a_j."""
     if L.size == 0:
         return
-    every = L.size == T.shape[0]
-    S = T if every else T[L]
     ar = np.arange(L.size)
-    P = S[ar, rows] / S[ar, rows, cols][:, None]
-    colv = S[ar, :, cols]
-    colv[ar, rows] = 0.0
-    S -= colv[:, :, None] * P[:, None, :]
-    S[ar, rows] = P
-    # kill roundoff in the pivot column
-    S[ar, :, cols] = 0.0
-    S[ar, rows, cols] = 1.0
-    if not every:
-        T[L] = S
+    U = S[L]
+    d = _apply(U[:, :, :-1], A2[:, cols].T)
+    P = U[ar, rows] / d[ar, rows][:, None]
+    U -= d[:, :, None] * P[:, None, :]
+    U[ar, rows] = P
+    S[L] = U
     basis[L, rows] = cols
 
 

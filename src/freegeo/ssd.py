@@ -199,14 +199,15 @@ def _lip_distances(space, F, G) -> np.ndarray:
 class _ProbePlan:
     """What `exposedness_probe` derives from mu and tol = lp_tol() alone:
     mu at unit distance scale, its norm certificates, the slab LP at
-    eta = 0 (whose canonical form every depth and sample shares) and the
-    face-distance LP, None where D(mu) is a point face whose g* passed
-    its guards."""
+    eta = 0 (whose canonical form every depth and sample shares), the
+    basis that starts its samples, and the face-distance LP, None where
+    D(mu) is a point face whose g* passed its guards."""
 
     tol: float
     mu: FreeElement
     norm: NormCertificates
     slab: lp.LpProblem
+    start: lp.LpBasis | None
     face: lp.LpProblem | None
 
 
@@ -232,7 +233,16 @@ def _probe_plan(mu: FreeElement) -> _ProbePlan:
         problem = _face_problem(face)
     else:
         _guard_face_point(norm.potential, face)
-    plan = _ProbePlan(tol, unit, norm, _slab_problem(face, 0.0), problem)
+    slab = _slab_problem(face, 0.0)
+    start = norm.basis
+    if start.path != lp.first_path(slab):
+        # the slab LP takes the other path (on 6 points): solved once at
+        # depth 1, <g, mu> >= 0, for the pairing, it ends with the slab row
+        # slack by ||mu||, so the row's dual is nonbasic, with reduced cost
+        # eta ||mu|| >= 0 at every depth: a dual feasible start
+        start = lp.solve(slab.with_rhs(np.append(slab.b[:-1], 0.0))
+                         .with_objective(unit.masses[1:])).basis
+    plan = _ProbePlan(tol, unit, norm, slab, start, problem)
     if frozen:
         object.__setattr__(mu, "_probe_plan", plan)
     else:
@@ -279,21 +289,25 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     distance scale, its norm certificates and its point face decision, whose
     g* is guarded once.  The plan is a pure function of mu and tol: it is
     rebuilt when lp_tol() changes, not kept while mu's masses or distances
-    are writable, and holds nothing that a probe finds (no basis, no face
-    point), so a probe's entries do not depend on earlier probes.  An eta's
-    samples are drawn together, in the order of single draws, and solved as
-    one batch by `lp.solve_many` from `norm.basis`, the norm LP's optimal
-    basis, afresh in every probe.  Each face-distance LP is solved by
-    `lp.solve` from the basis of the previous one, the first from
+    are writable, and holds nothing that a probe finds (no sample's basis,
+    no face point), so a probe's entries do not depend on earlier probes.
+    An eta's samples are drawn together, in the order of single draws, and
+    solved as one batch by `lp.solve_many` from the plan's slab start,
+    afresh in every probe.  That start is `norm.basis`, the norm LP's optimal basis, where
+    the slab LP takes the same path first.  Each face-distance LP is solved
+    by `lp.solve` from the basis of the previous one, the first from
     `norm.basis` too.  Where the norm LP took the dualized path, its basis
     is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
     feasible and the face-distance LP primal feasible, so neither starts
     cold.  Where it took the direct path, the slab row's slack extends it to
-    a primal feasible slab start.  Every sample is checked against the unit
-    ball and the slab, in one batch per eta, and every face point against
-    the unit ball and the pairing with mu, as in `face_distance`,
-    independently of the solver; a failed check raises SsdError with its
-    margin, the worst over a batch.
+    a primal feasible slab start.  Where only the slab LP takes the
+    dualized path (on 6 points), the plan keeps the basis of one cold slab
+    solve at depth 1 for the pairing with mu, whose slab row is slack by
+    ||mu||: a dual feasible start at every depth.  Every sample is checked
+    against the unit ball and the slab, in one batch per eta, and every face
+    point against the unit ball and the pairing with mu, as in
+    `face_distance`, independently of the solver; a failed check raises
+    SsdError with its margin, the worst over a batch.
     """
     if mu.is_zero():
         raise SsdError("cannot probe the zero element")
@@ -328,17 +342,19 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
         # at depth eta only the slab row's right-hand side changes, so the
         # constraints and their canonical form are shared
         depth = slab.with_rhs(np.append(slab.b[:-1], -(norm_mu * (1.0 - eta))))
-        for j, sol in enumerate(lp.solve_many(depth, objectives, norm.basis)):
+        for j, sol in enumerate(lp.solve_many(depth, objectives, plan.start)):
             if sol.status != "optimal":
                 raise SsdError(
                     f"slab sampling LP ended with status {sol.status}")
             F[j, 1:] = sol.x
-        # each guard checks the worst sample of the batch
-        norms = _lip_distances(space, F, np.zeros((1, space.n)))[:, 0]
-        _guard("slab_sample_in_unit_ball", 1.0 + tol - float(norms.max()))
+        # each guard checks the worst sample of the batch; the distances to
+        # 0 and to the face points come from one broadcast
+        dists = _lip_distances(space, F, np.vstack([np.zeros(space.n), faces]))
+        _guard("slab_sample_in_unit_ball",
+               1.0 + tol - float(dists[:, 0].max()))
         _guard("slab_sample_in_slab", float((F @ masses).min())
                - (norm_mu * (1.0 - eta) - tol))
-        bound = _lip_distances(space, F, faces).min(axis=1)
+        bound = dists[:, 1:].min(axis=1)
         if points is None:
             raw.append((eta, float(bound.max())))
             continue

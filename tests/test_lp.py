@@ -216,11 +216,12 @@ def dual_outcomes(monkeypatch):
     seen = []
     original = lp_module._dual_phase
 
-    def recording(T, basis, cext, live, ok, n2, tol):
+    def recording(S, basis, costs, A2, live, ok, tol):
         entered = np.flatnonzero(live)
-        original(T, basis, cext, live, ok, n2, tol)
+        original(S, basis, costs, A2, live, ok, tol)
         # a lane that left with no entering column still has none
-        left = lp_module._dual_step(T, basis, cext, n2, tol)[3]
+        rows = np.argmin(S[:, :, -1], axis=1)
+        left = lp_module._dual_step(S, basis, costs, A2, rows, tol)[1]
         seen.extend("optimal" if ok[i] else "no entering column"
                     if left[i] else "stalled" for i in entered)
 
@@ -1055,23 +1056,25 @@ def test_solve_many_lanes_equal_single_solves(name, stall_limit,
 
 @pytest.mark.parametrize("per_block", [1, 3])
 def test_lanes_run_in_blocks(per_block, lp_solves, monkeypatch):
-    # the cap on the cells of a stack of lane tableaux splits the lanes
-    # into blocks (one lane at least); the answers do not change
+    # the cap on the cells of a block of lanes, each its stack [B^-1 | x_B]
+    # and _WORK_ROWS rows over A2's columns, splits the lanes into blocks
+    # (one lane at least); the answers do not change
     problem, start = _POLYTOPES["branching_tree12-slab"]
     C = np.random.default_rng(5400).normal(size=(10, problem.c.size))
     stacks = []
     original = lp_module._lockstep
 
-    def recording(T, *args):
-        stacks.append(T.shape)
-        return original(T, *args)
+    def recording(S, basis, costs, A2, tol):
+        stacks.append(S.shape + A2.shape[1:])
+        return original(S, basis, costs, A2, tol)
 
     monkeypatch.setattr(lp_module, "_lockstep", recording)
     whole = lp_module.solve_many(problem, C, start)
-    k, m, cols = stacks.pop()
+    k, m, cols, n2 = stacks.pop()
     assert k == 10 and not stacks
     # one cell short of per_block + 1 lanes; a cap of 1 still runs one lane
-    cap = 1 if per_block == 1 else (per_block + 1) * m * cols - 1
+    lane = m * cols + lp_module._WORK_ROWS * n2
+    cap = 1 if per_block == 1 else (per_block + 1) * lane - 1
     monkeypatch.setattr(lp_module, "_BATCH_CELLS", cap)
     got = lp_module.solve_many(problem, C, start)
     assert not lp_solves
@@ -1102,3 +1105,112 @@ def test_solve_many_without_variables_answers_every_objective():
     for q in (p, wide):
         assert lp_module.solve_many(q, []) == []
         assert lp_module.solve_many(q, np.zeros((0, q.c.size))) == []
+
+
+# ---------------------------------------------------------------------------
+# revised lanes: [B^-1 | x_B] per lane, priced from the fixed A2
+# ---------------------------------------------------------------------------
+
+def _degenerate_slabs():
+    """(name, slab LP at depth 0.05, start, distance scale) on degenerate
+    spaces, started from the norm LP's basis as the probe starts its slabs:
+    equilateral spaces, where every pair is tight at once; distances that
+    tie to within 1e-12; and 2-D Euclidean spaces at distance scales 1e-6
+    and 1e6.  Each comes on 5 points (direct path), 6 points (the norm LP
+    direct, the slab dualized) and 13 points (dualized)."""
+    from conftest import random_euclidean_space
+    from freegeo.free_space import DualFace, free_norm, molecule
+    from freegeo.metric import PointedMetricSpace, equilateral
+    from freegeo.ssd import _slab_problem
+    for n in (5, 6, 13):
+        rng = np.random.default_rng(n)
+        d = 1.0 + 1e-12 * rng.uniform(-1.0, 1.0, (n, n))
+        d = (d + d.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        spaces = [(f"equilateral{n}", equilateral(n)),
+                  (f"near_tie{n}", PointedMetricSpace(d))]
+        spaces += [(f"euclidean{n}@{scale:g}", random_euclidean_space(
+            rng, n, dim=2, scale=scale)) for scale in (1e-6, 1e6)]
+        for name, space in spaces:
+            mu = molecule(space, 1, 2)
+            norm = free_norm(mu)
+            yield name, _slab_problem(DualFace(mu, norm.value), 0.05), \
+                norm.basis, space.dist.max()
+
+
+_DEGENERATE = {name: rest for name, *rest in _degenerate_slabs()}
+
+
+@pytest.mark.parametrize("lanes,per_block", [(1, None), (8, None), (8, 3)])
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_revised_lanes_match_the_cold_solve(name, lanes, per_block,
+                                            monkeypatch):
+    # every lane, in a block of its own, of 8 or across the boundaries of
+    # blocks of 3, is certified and ends at the cold solve's optimum, to
+    # within the LP's gap; blocks do not change a lane's answer
+    problem, start, scale = _DEGENERATE[name]
+    C = np.random.default_rng(5800).normal(size=(lanes, problem.c.size))
+    whole = lp_module.solve_many(problem, C, start)
+    if per_block is not None:
+        m, n2 = lp_module._canonical(problem).form(
+            lp_module.first_path(problem))[0].A2.shape
+        monkeypatch.setattr(lp_module, "_BATCH_CELLS", per_block * (
+            m * (m + 1) + lp_module._WORK_ROWS * n2))
+        got = lp_module.solve_many(problem, C, start)
+        for a, b in zip(got, whole):
+            assert np.array_equal(a.x, b.x) and a.value == b.value
+    for c, sol in zip(C, whole):
+        cold = solve(problem.with_objective(c))
+        _assert_certified(sol)
+        assert abs(sol.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+        assert np.max(np.abs(sol.x - cold.x)) <= 1e-7 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("kind", ["wrong_length", "out_of_range", "negative",
+                                  "duplicate", "singular", "wrong_path",
+                                  "not_integers"])
+def test_solve_many_from_a_rejected_start_solves_cold(kind, lp_solves):
+    # a start that seeds no lanes hands the first objective to solve, which
+    # solves it cold, and its basis seeds the others
+    rng = np.random.default_rng(77)
+    c, A, b = _dualized_data(rng)
+    A[1] = A[0]
+    start = _bad_starts(rng, c, A, b)[kind]
+    p = _max_problem(c, A, b)
+    canon = lp_module._canonical(p)
+    assert lp_module._Batch.seed(p, canon, lp_module._carried_over(
+        start, canon), p.c[None], 1e-9) is None
+    C = rng.normal(size=(5, c.size))
+    got = lp_module.solve_many(p, C, start)
+    assert [q.c.tolist() for q in lp_solves] == [C[0].tolist()]
+    for c_l, sol in zip(C, got):
+        cold = solve(p.with_objective(c_l))
+        _assert_certified(sol)
+        assert sol.value == pytest.approx(cold.value, abs=1e-9, rel=1e-9)
+        assert np.allclose(sol.x, cold.x, atol=1e-7)
+
+
+def test_revised_lanes_hold_no_tableaux():
+    # 64 objectives on the slab of a 64-point tree: a lane keeps its
+    # [B^-1 | x_B], 63 x 64 cells (32 KB), and a block of lanes bounds its
+    # rows over A2's 4,033 columns.  Lanes that held full tableaux took
+    # 63 x 4,097 cells each, 8 MB per block, and the solve peaked at 22 MB
+    import tracemalloc
+
+    from freegeo.free_space import DualFace, FreeElement, free_norm
+    from freegeo.metric import branching_tree
+    from freegeo.ssd import _slab_problem
+    space = branching_tree(63)
+    mu = FreeElement(space, np.append(-1.0, np.full(63, 1.0 / 63)))
+    norm = free_norm(mu)
+    slab = _slab_problem(DualFace(mu, norm.value), 0.05)
+    C = np.random.default_rng(5900).normal(size=(64, 63))
+    lp_module.solve_many(slab, C[:1], norm.basis)   # the canonical forms
+    tracemalloc.start()
+    try:
+        sols = lp_module.solve_many(slab, C, norm.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.status for s in sols] == ["optimal"] * 64
+    assert peak < 12 * 2 ** 20

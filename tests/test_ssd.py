@@ -357,10 +357,28 @@ def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
     # norm LP takes the direct path: its basis, with the slack of the slab
     # row, starts the first slab LP, but not the face-distance LP, which
     # takes the dualized path and is solved cold.  On 6 points the slab LP
-    # takes the dualized path too, and is solved cold as well
+    # takes the dualized path too, and the plan solves it cold once
     calls = _count_cold_solves(monkeypatch)
     exposedness_probe(_tree_molecule(n, False), [0.05], 8, seed=11)
     assert len(calls) == cold
+
+
+@pytest.mark.parametrize("fattened", [False, True])
+def test_six_point_probe_solves_nothing_cold_after_its_plan(fattened,
+                                                           monkeypatch):
+    # on 6 points the norm LP takes the direct path and the slab LP the
+    # dualized one; the plan keeps the basis of one cold slab solve at
+    # depth 1, and every slab batch of every depth starts from it
+    mu = _leaf_combination(5, fattened)
+    calls = _count_cold_solves(monkeypatch)
+    exposedness_probe(mu, [0.05], 8, seed=1)
+    assert len(calls) == 2      # the norm LP and the plan's slab solve
+    calls.clear()
+    grid = [0.01, 0.05, 0.2]
+    warm = exposedness_probe(mu, grid, 8, seed=2)
+    assert calls == []
+    got = np.array([entry[1] for entry in warm.entries])
+    assert np.max(np.abs(got - _cold_probe(mu, grid, 8, seed=2))) <= 1e-12
 
 
 def test_face_family_serves_the_whole_eta_grid(monkeypatch):
@@ -543,11 +561,11 @@ def test_probe_skips_samples_within_the_lp_gap(bounds, solved,
         return worst, points(self, vals)[1]
 
     def crafted(space, F, G):
-        if not G.any():     # the Lip norms of the slab guard
-            return lip_distances(space, F, G)
         if face_solves:     # a solved face point bounds nothing more
             return np.full((len(F), len(G)), np.inf)
-        return np.array([[10.0], *([worst + k * gap] for k in bounds)])
+        # against G's first row, 0, the Lip norms of the slab guard
+        return np.hstack([lip_distances(space, F, G[:1]),
+                          [[10.0], *([worst + k * gap] for k in bounds)]])
 
     monkeypatch.setattr(ssd._FacePoints, "__call__", fixed_value)
     monkeypatch.setattr(ssd, "_lip_distances", crafted)

@@ -20,10 +20,12 @@ Run it in two checkouts and compare the three lines it prints:
   that made no ``ssd._FacePoints`` (wrapped), how many norm LPs they
   solved, counted by wrapping ``ssd.free_norm``, how many of their solves
   ran cold, counted by
-  wrapping ``lp._solve_cold``, and how many warm starts factored their B,
-  counted by wrapping ``lp._start_tableau``, so that a change in solve or
-  factorization counts, or one that sends warm solves cold, shows next to
-  the hash.
+  wrapping ``lp._solve_cold``, how many warm starts factored their B,
+  counted by wrapping ``lp._start_tableau``, and how many pivots their
+  lanes made, dual ones counted by wrapping ``lp._pivot_lanes`` and primal
+  ones as the ``lp._pivot`` calls inside ``lp._lockstep``, so that a
+  change in solve, factorization or pivot counts, or one that sends warm
+  solves cold, shows next to the hash.
 - ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
   ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
@@ -112,18 +114,21 @@ def probe_digest(workloads, dump: list):
     """(probe count, SHA-1, solves) over the probe entries of the fixed
     rounds, with solves the numbers of face-distance LPs and slab lanes
     the probes solved, of their entries that the point face answered, of
-    the norm LPs they solved, of their solves that ran cold and of their
-    warm starts that factored B; appends each probe's entries to dump."""
+    the norm LPs they solved, of their solves that ran cold, of their
+    warm starts that factored B and of their lanes' dual and primal
+    pivots; appends each probe's entries to dump."""
     from freegeo import lp, ssd
 
     h = hashlib.sha1()
     count = 0
     solves = {"face": 0, "lanes": 0, "point": 0, "norm": 0, "cold": 0,
-              "factored": 0}
+              "factored": 0, "dual": 0, "primal": 0}
     points = None       # of the probe running; None outside probes
+    in_lanes = False    # inside lp._lockstep
     face_lps = []       # _FacePoints made by the probe running
     solve, solve_many, solve_cold = lp.solve, lp.solve_many, lp._solve_cold
     start_tableau = lp._start_tableau
+    lockstep, pivot_lanes, pivot = lp._lockstep, lp._pivot_lanes, lp._pivot
     face_points, free_norm = ssd._FacePoints, ssd.free_norm
 
     def counting_solve(problem, tol=None, start=None):
@@ -157,8 +162,28 @@ def probe_digest(workloads, dump: list):
         solves["factored"] += points is not None and out is not None
         return out
 
+    def counting_lockstep(*args):
+        nonlocal in_lanes
+        in_lanes = True
+        try:
+            return lockstep(*args)
+        finally:
+            in_lanes = False
+
+    def counting_pivot_lanes(S, basis, A2, L, rows, cols):
+        if points is not None:
+            solves["dual"] += L.size
+        return pivot_lanes(S, basis, A2, L, rows, cols)
+
+    def counting_pivot(T, basis, row, col):
+        # a lane's primal phase pivots by the cold solve's kernel
+        solves["primal"] += in_lanes and points is not None
+        return pivot(T, basis, row, col)
+
     lp.solve, lp.solve_many = counting_solve, counting_many
     lp._solve_cold, lp._start_tableau = counting_cold, counting_tableau
+    lp._lockstep, lp._pivot_lanes = counting_lockstep, counting_pivot_lanes
+    lp._pivot = counting_pivot
     ssd._FacePoints, ssd.free_norm = counting_face_points, counting_norm
     try:
         for seed in PROBE_SEEDS:
@@ -184,6 +209,7 @@ def probe_digest(workloads, dump: list):
     finally:
         lp.solve, lp.solve_many = solve, solve_many
         lp._solve_cold, lp._start_tableau = solve_cold, start_tableau
+        lp._lockstep, lp._pivot_lanes, lp._pivot = lockstep, pivot_lanes, pivot
         ssd._FacePoints, ssd.free_norm = face_points, free_norm
     return count, h.hexdigest(), solves
 
@@ -302,7 +328,8 @@ def main(argv=None) -> int:
           f"point face), {solves['norm']} norm LPs, "
           f"{solves['lanes']} slab lanes, "
           f"{solves['cold']} cold solves, {solves['factored']} warm starts "
-          f"that factored B")
+          f"that factored B, {solves['dual']} dual and {solves['primal']} "
+          f"primal lane pivots")
     count, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
           f"{count} cases sha1 {digest}")
