@@ -19,9 +19,11 @@ basis (`LpSolution.basis`): its path and basic columns.
 matrix and senses, re-optimizes instead of re-solving, and
 `solve_many(problem, objectives, start)` does so for k objectives as k
 such calls would.  There is one warm path: the start runs as the lanes of
-a batch (`_Batch`), and a warm `solve` is a batch of one lane.  A batch
-factors its start's B once from the problem's data, for all its lanes,
-and each lane's last column is B^-1 of its right-hand side.  A lane that
+a batch (`_Batch`), and a warm `solve` is a batch of one lane.  A start's
+B is factored from the problem's data once per constraint matrix and
+start: the constraints' canonical record keeps the B^-1 of the last start
+factored on each path, so a batch from that start factors nothing, and
+each lane's last column is B^-1 of its right-hand side.  A lane that
 is still primal feasible (only the objective changed) runs primal phase 2
 directly; one that is dual feasible (only the right-hand side changed)
 runs the dual simplex first.  In the dualized form the two cases swap: a
@@ -29,26 +31,31 @@ new objective is a new right-hand side of the dual, so the lanes of one
 start share B^-1 and differ in their last column.  There is one dual
 simplex and one primal simplex.  The lanes are in revised form: a (k, m,
 m+1) stack of [B^-1 | x_B], priced from the fixed A2 of the standard form
-and never holding B^-1 A2.  The dual phase of any number of lanes pivots
-in lockstep: each step stacks the live lanes' c_B B^-1 and leaving rows
-e_r B^-1 and multiplies them by A2 once, and each lane takes its own pivot
-by Dantzig's rule with the same tie breaks; the entering column is
-B^-1 a_j, and the rank-one update touches only the lane's [B^-1 | x_B].
-The phase ends as soon as every live lane is primal feasible.  Then the
-lanes are priced in one product, and each that a reduced cost still
-prices out builds its tableau B^-1 [A2 | I | b] and runs primal phase 2
-on it with the single-tableau kernel of the cold solve, Bland's rule
-included.  Each lane refines x_B and y with its final B^-1 and one
-correction step against the original B, so a batch makes exactly one
-factorization; and every lane is mapped back to the problem and certified
-by the same code as a cold answer.
+and never holding B^-1 A2.  The lanes are priced once, in one product of
+their stacked c_B B^-1 against A2, and the dual phase of any number of
+lanes pivots in lockstep and carries those reduced costs: each step
+stacks the live lanes' leaving rows e_r B^-1 and multiplies them by A2
+once, each lane takes its own pivot by Dantzig's rule with the same tie
+breaks, and the pivot updates the lane's reduced costs by rank one (the
+revised simplex of Dantzig & Orchard-Hays, 1954).  The entering column
+is B^-1 a_j, and the rank-one update touches only the lane's [B^-1 | x_B]
+and reduced costs.  The phase ends as soon as every live lane is primal
+feasible.  Then each lane that a carried reduced cost still prices out
+builds its tableau B^-1 [A2 | I | b] and runs primal phase 2 on it with
+the single-tableau kernel of the cold solve, Bland's rule included.  Each
+lane refines x_B and y with its final B^-1 and one correction step
+against the original B, so a batch makes at most one factorization; and
+every lane is mapped back to the problem and certified by the same code
+as a cold answer.
 
 A start seeds no batch if it is of the wrong length or path, has
 out-of-range columns or a singular B.  A lane leaves its batch only in
 the dual phase, if it is neither primal nor dual feasible or its dual
-simplex finds no entering column or stalls past _STALL_LIMIT, and at the
-end if its primal phase finds it unbounded; a primal phase that stalls
-switches to Bland's rule.  `solve` then solves cold, and so it does a warm
+simplex finds no entering column or passes _MAX_ITER, and at the end if
+its primal phase finds it unbounded.  A dual phase that stalls past
+_STALL_LIMIT switches to the dual Bland rule (the leaving row is the
+lowest-index basic variable below -tol), and a primal phase that stalls
+to Bland's rule.  `solve` then solves cold, and so it does a warm
 answer that fails the check, before `LpError` names the failed check and
 its margin.  A lane of `solve_many` that leaves or fails is solved cold
 by `solve` (it would run the same alone), so every answer passes the
@@ -76,8 +83,9 @@ that start is primal feasible too.
 
 Canonical forms.  What a solve derives from the constraints alone (the
 mid-form matrix, the dualized matrix, the slack block, the bound masks of
-the residual check) is one record per constraint matrix (`_canonical`).  A
-problem builds it on its first solve and shares it with the problems that
+the residual check, and the B^-1 of the last start factored on each path)
+is one record per constraint matrix (`_canonical`).  A problem builds it
+on its first solve and shares it with the problems that
 `LpProblem.with_objective` and `LpProblem.with_rhs` make from it.  A basis
 carries the record of its problem, and a solve started from it over the
 same record reuses it.
@@ -271,13 +279,12 @@ def _iterate(T, basis, cvec, blocked, tol):
     raise LpError("simplex iteration limit exceeded")
 
 
-def _start_tableau(A2, R, cols):
-    """(B^-1, X0) from one factorization of B, the basic columns `cols` of
-    A2, where row l of X0 is B^-1 of the right-hand side in row l of R.
-    None when cols is malformed or B singular."""
+def _factor(A2, cols):
+    """B^-1 from one factorization of B, the basic columns `cols` (an
+    integer array) of A2.  None when cols is malformed, B singular or
+    |B^-1 B - I| above _WARM_BASIS_TOL."""
     m, n2 = A2.shape
-    cols = np.asarray(cols)
-    if cols.shape != (m,) or cols.dtype.kind not in "iu":
+    if cols.shape != (m,):
         return None
     if m and (cols.min() < 0 or cols.max() >= n2
               or len(set(cols.tolist())) != m):
@@ -285,13 +292,15 @@ def _start_tableau(A2, R, cols):
     B = A2[:, cols]
     eye = np.eye(m)
     try:
-        T = np.linalg.solve(B, np.hstack([B, eye, R.T]))
+        T = np.linalg.solve(B, np.hstack([B, eye]))
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(T).all() or \
             np.abs(T[:, :m] - eye).max(initial=0.0) > _WARM_BASIS_TOL:
         return None
-    return T[:, m:2 * m], T[:, 2 * m:].T
+    binv = T[:, m:].copy()
+    binv.setflags(write=False)
+    return binv
 
 
 def _two_phase(A2, b, c2, slack_of_row, tol):
@@ -422,8 +431,9 @@ class _Canonical:
     """What a solve derives from the constraints (A, senses, lb, ub) alone:
     the mid form's matrix and variable map (min c.x, each variable either
     free or >= 0, x_orig = sign * x_mid + shift), the standard form of each
-    path, built on first use, and the bound masks of the residual check.
-    Solves over one constraint matrix build it once (see `_canonical`)."""
+    path, built on first use, the bound masks of the residual check, and
+    per path the B^-1 of the last start factored (`inverse`).  Solves over
+    one constraint matrix build it once (see `_canonical`)."""
 
     def __init__(self, p: LpProblem):
         n = p.A.shape[1]
@@ -456,6 +466,7 @@ class _Canonical:
         self.eq_rows = self.codes == 0.0
         self.has_bounds = bool(self.lo_finite.any() or self.hi_finite.any())
         self._forms = {}
+        self._starts = {}
 
     def form(self, path):
         """(standard form, column map) of `path`, built on first use."""
@@ -463,6 +474,18 @@ class _Canonical:
             build = _dualized_form if path == DUALIZED else _direct_form
             self._forms[path] = build(self)
         return self._forms[path]
+
+    def inverse(self, path, cols):
+        """B^-1 of the basic columns `cols` (an integer array) of `path`'s
+        standard form, or None for a rejected start (see `_factor`).  The
+        answer for the last start asked of each path is kept, so a start
+        is factored once however many batches it seeds."""
+        key = cols.tobytes()
+        kept = self._starts.get(path)
+        if kept is None or kept[0] != key:
+            kept = self._starts[path] = (
+                key, _factor(self.form(path)[0].A2, cols))
+        return kept[1]
 
 
 def _canonical(p: LpProblem) -> _Canonical:
@@ -594,11 +617,11 @@ def solve(problem: LpProblem, tol: float | None = None,
     """Solve an LP; optimal solutions carry verified certificates.
 
     `start` is the `basis` of an earlier solution; the solve re-optimizes
-    from it as a batch of one lane (see `solve_many`), from one
-    factorization of the start's B on this problem's data.  The start may
-    come from an LP with other constraints (see `_carried_over`).  A start
-    that does not fit, and a warm answer that fails its certificate check,
-    are solved cold.  `LpError` names the check that still fails, with its
+    from it as a batch of one lane (see `solve_many`), from the start's
+    B^-1, factored from this problem's data once per constraint matrix
+    and start.  The start may come from an LP with other constraints (see
+    `_carried_over`).  A start that does not fit, and a warm answer that
+    fails its certificate check, are solved cold.  `LpError` names the check that still fails, with its
     margin.
     """
     if tol is None:
@@ -703,9 +726,10 @@ def solve_many(problem: LpProblem, objectives,
     `solve(problem.with_objective(c), start=start)` would, in lockstep.
 
     The lanes share the canonical form, the start's carried-over columns
-    and one factorization of their B.  A start that cannot seed the lanes
-    (none, another path, or rejected) is handed with the first objective
-    to `solve`, whose basis seeds the others.  A lane that leaves the
+    and the B^-1 of their B, factored unless the constraints' record
+    holds it already.  A start that cannot seed the lanes (none, another
+    path, or rejected) is handed with the first objective to `solve`,
+    whose basis seeds the others.  A lane that leaves the
     batch or fails its check, and every lane of a seed that still does not
     fit, is solved cold by `solve`: a lane runs alone as it runs in a
     batch, so a warm retry would repeat it.  So every answer passes the
@@ -753,8 +777,8 @@ _WORK_ROWS = 16
 @dataclass(eq=False)
 class _Batch:
     """What the lanes of one start share, on the standard form of the path
-    the start took: the start's columns and B^-1 from one factorization of
-    their B; per lane, B^-1 of its right-hand side."""
+    the start took: the start's columns and the B^-1 of their B that the
+    canonical record keeps; per lane, B^-1 of its right-hand side."""
 
     lanes: _Lanes
     cols: np.ndarray
@@ -770,11 +794,15 @@ class _Batch:
         path = _paths(canon)[0]
         if start is None or start.path != path:
             return None
-        lanes = _Lanes.of(problem, canon, path, C)
-        seeded = _start_tableau(canon.form(path)[0].A2, lanes.rhs, start.cols)
-        if seeded is None:
+        cols = np.array(start.cols)
+        if cols.ndim != 1 or cols.dtype.kind not in "iu":
             return None
-        return _Batch(lanes, np.array(start.cols), *seeded, tol)
+        cols = cols.astype(np.intp, copy=False)
+        binv = canon.inverse(path, cols)
+        if binv is None:
+            return None
+        lanes = _Lanes.of(problem, canon, path, C)
+        return _Batch(lanes, cols, binv, _apply(binv, lanes.rhs), tol)
 
     def run(self, lanes: slice) -> list:
         """The solutions of the lanes in the slice `lanes`, or None for a
@@ -826,24 +854,25 @@ def _apply_t(M, v):
 def _lockstep(S, basis, costs, A2, tol):
     """Re-optimize in place the lanes of the stack S (k x m x m+1), lane l
     holding [B^-1 | x_B] of its basic columns basis[l] of A2, each with its
-    row of `costs` (over A2's columns, then m zeros).  Lanes that start
-    primal infeasible run the dual simplex first, always in lockstep
-    (`_dual_phase`); then every lane that a reduced cost still prices out
-    runs primal phase 2 with `_iterate`, the cold solve's kernel, Bland's
-    rule included, on its tableau B^-1 [A2 | I | b], built for it in
-    chunks of at most _BATCH_CELLS cells.  Returns ok per lane.  A
-    lane is not ok if it is not dual feasible where it needs the dual
-    simplex, finds no entering column there or stalls past _STALL_LIMIT,
-    or ends unbounded; a primal phase past _MAX_ITER raises LpError, as a
-    cold solve does."""
+    row of `costs` (over A2's columns, then m zeros).  Each lane is priced
+    once; lanes that start primal infeasible then run the dual simplex,
+    always in lockstep, carrying their reduced costs (`_dual_phase`); then
+    every lane that a carried reduced cost still prices out runs primal
+    phase 2 with `_iterate`, the cold solve's kernel, Bland's rule
+    included, on its tableau B^-1 [A2 | I | b], built for it in chunks of
+    at most _BATCH_CELLS cells.  Returns ok per lane.  A lane is not ok if
+    it is not dual feasible where it needs the dual simplex, finds no
+    entering column there or passes _MAX_ITER, or ends unbounded; a primal
+    phase past _MAX_ITER raises LpError, as a cold solve does."""
     k, m = basis.shape
     n2 = A2.shape[1]
     ok = np.ones(k, dtype=bool)
+    R = _priced(S, basis, costs, A2)
     dual = S[:, :, -1].min(axis=1) < -tol
     if dual.any():
-        ok &= ~dual | (_least_reduced_cost(S, basis, costs, A2) >= -tol)
-        _dual_phase(S, basis, costs, A2, dual & ok, ok, tol)
-    P = np.flatnonzero(ok & (_least_reduced_cost(S, basis, costs, A2) < -tol))
+        ok &= ~dual | (R.min(axis=1, initial=0.0) >= -tol)
+        _dual_phase(S, basis, costs, R, A2, dual & ok, ok, tol)
+    P = np.flatnonzero(ok & (R.min(axis=1, initial=0.0) < -tol))
     blocked = np.arange(n2 + m) >= n2
     # lanes that made no dual pivot share B^-1, and so B^-1 A2
     body = S[:1, :, :-1] @ A2 if P.size and not dual.any() else None
@@ -861,64 +890,62 @@ def _lockstep(S, basis, costs, A2, tol):
     return ok
 
 
-def _dual_phase(S, basis, costs, A2, live, ok, tol):
+def _dual_phase(S, basis, costs, R, A2, live, ok, tol):
     """Run dual simplex steps until each live lane is primal feasible (it
     stops being live) or leaves (it is no longer ok either); see
-    `_lockstep`.  Each step prices the live lanes in one product against
-    A2 (`_dual_step`); none is priced once every live lane is feasible."""
+    `_lockstep`.  R holds the lanes' reduced costs over A2's columns: a
+    step computes only the live lanes' leaving rows e_r B^-1 A2, in one
+    product against A2, and each pivot updates R by rank one.  The leaving
+    row is the most negative basic value; a lane whose dual objective
+    stalls past _STALL_LIMIT switches for good to the dual Bland rule,
+    leaving from its lowest-index basic variable below -tol."""
     k = basis.shape[0]
     lanes = np.arange(k)
     prev = np.full(k, -np.inf)
     stall = np.zeros(k, dtype=int)
+    bland = np.zeros(k, dtype=bool)
     for _ in range(_MAX_ITER):
-        # the leaving row: the most negative basic value
-        rows = np.argmin(S[:, :, -1], axis=1)
-        live &= S[lanes, rows, -1] < -tol
+        X = S[:, :, -1]
+        rows = np.argmin(X, axis=1)
+        live &= X[lanes, rows] < -tol
         L = np.flatnonzero(live)
         if not L.size:
             return
-        cols, left = _dual_step(S[L], basis[L], costs[L], A2, rows[L], tol)
+        if bland.any():
+            low = np.where(X < -tol, basis, basis.max() + 1).argmin(axis=1)
+            rows = np.where(bland, low, rows)
+        a = S[L, rows[L], :-1] @ A2
+        cols, left = _dual_step(R[L], a, basis[L], tol)
         ok[L[left]] = live[L[left]] = False
-        L, cols = L[~left], cols[~left]
+        L, cols, a = L[~left], cols[~left], a[~left]
+        R[L] -= (R[L, cols] / a[np.arange(L.size), cols])[:, None] * a
         _pivot_lanes(S, basis, A2, L, rows[L], cols)
+        R[L[:, None], basis[L]] = 0.0
         # the dual simplex raises the objective; a step that does not is flat
         obj = _dots(costs[lanes[:, None], basis], S[:, :, -1])
         flat = obj <= prev + tol * (1.0 + np.abs(obj))
         stall = np.where(live, np.where(flat, stall + 1, 0), stall)
         prev = np.where(live, obj, prev)
-        ok &= ~(live & (stall > _STALL_LIMIT))
-        live &= ok
+        bland |= live & (stall > _STALL_LIMIT)
     ok &= ~live
 
 
-def _priced(S, basis, costs, A2, rows=None):
+def _priced(S, basis, costs, A2):
     """The reduced costs c - c_B B^-1 A2 of each lane of S, 0 on its basic
-    columns, and with `rows` its row rows[l] of B^-1 A2 (else an empty
-    array): one product of the stacked c_B B^-1 and e_r B^-1 against A2."""
-    k = basis.shape[0]
-    lanes = np.arange(k)[:, None]
-    binv = S[:, :, :-1]
-    Y = _apply_t(binv, costs[lanes, basis])
-    if rows is not None:
-        Y = np.vstack([Y, binv[lanes[:, 0], rows]])
-    YA = Y @ A2
-    R = costs[:, :A2.shape[1]] - YA[:k]
+    columns: one product of the stacked c_B B^-1 against A2."""
+    lanes = np.arange(basis.shape[0])[:, None]
+    R = costs[:, :A2.shape[1]] - _apply_t(
+        S[:, :, :-1], costs[lanes, basis]) @ A2
     R[lanes, basis] = 0.0
-    return R, YA[k:]
+    return R
 
 
-def _least_reduced_cost(S, basis, costs, A2):
-    """The least reduced cost of each lane, or 0 if none is less."""
-    return _priced(S, basis, costs, A2)[0].min(axis=1, initial=0.0)
-
-
-def _dual_step(S, basis, costs, A2, rows, tol):
-    """The dual simplex's entering column of each lane, whose leaving row
-    is rows[l], by the dual ratio test.  Returns (cols, left), left for a
-    lane with no entering column."""
-    R, a = _priced(S, basis, costs, A2, rows)
+def _dual_step(R, a, basis, tol):
+    """The dual simplex's entering column of each lane, by the dual ratio
+    test over its reduced costs R[l] and leaving row a[l] of B^-1 A2.
+    Returns (cols, left), left for a lane with no entering column."""
     cand = a < -tol
-    cand[np.arange(len(rows))[:, None], basis] = False
+    cand[np.arange(len(a))[:, None], basis] = False
     ratios = np.full(a.shape, np.inf)
     np.divide(np.maximum(R, 0.0), -a, out=ratios, where=cand)
     best = ratios.min(axis=1, keepdims=True)

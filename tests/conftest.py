@@ -27,16 +27,19 @@ def random_zero_sum(rng, n, nonzero=True):
 def record_warm_solves(monkeypatch):
     """A list that gains (A2, b, cols, accepted) per seed of a warm
     `lp.solve`: the standard form, right-hand side and basic columns its
-    one lane starts from (`lp._start_tableau`), and whether the warm solve
-    gave the answer (`lp._solve_warm`) rather than leaving the problem to a
-    cold solve."""
+    one lane starts from (`lp._Batch.seed`, for a start on the path the
+    solve takes first), and whether the warm solve gave the answer
+    (`lp._solve_warm`) rather than leaving the problem to a cold solve."""
     from freegeo import lp
     calls, seeds = [], []
-    tableau, warm = lp._start_tableau, lp._solve_warm
+    seed, warm = lp._Batch.seed, lp._solve_warm
 
-    def seeding(A2, R, cols):
-        seeds.append((A2, R[0], tuple(cols)))
-        return tableau(A2, R, cols)
+    def seeding(problem, canon, start, C, tol):
+        path = lp._paths(canon)[0]
+        if start is not None and start.path == path:
+            rhs = lp._Lanes.of(problem, canon, path, C[:1]).rhs[0]
+            seeds.append((canon.form(path)[0].A2, rhs, tuple(start.cols)))
+        return seed(problem, canon, start, C, tol)
 
     def solving(*args):
         seeds.clear()
@@ -44,6 +47,6 @@ def record_warm_solves(monkeypatch):
         calls.extend(seed + (out is not None,) for seed in seeds)
         return out
 
-    monkeypatch.setattr(lp, "_start_tableau", seeding)
+    monkeypatch.setattr(lp._Batch, "seed", staticmethod(seeding))
     monkeypatch.setattr(lp, "_solve_warm", solving)
     return calls

@@ -212,18 +212,25 @@ def warm_solves(monkeypatch):
 @pytest.fixture
 def dual_outcomes(monkeypatch):
     """The exit of every lane of every dual simplex phase: "optimal", "no
-    entering column" or "stalled" (past _STALL_LIMIT or _MAX_ITER)."""
+    entering column" or "stalled" (past _MAX_ITER; a stall past
+    _STALL_LIMIT switches the lane to the dual Bland rule instead)."""
     seen = []
     original = lp_module._dual_phase
 
-    def recording(S, basis, costs, A2, live, ok, tol):
+    def recording(S, basis, costs, R, A2, live, ok, tol):
         entered = np.flatnonzero(live)
-        original(S, basis, costs, A2, live, ok, tol)
-        # a lane that left with no entering column still has none
-        rows = np.argmin(S[:, :, -1], axis=1)
-        left = lp_module._dual_step(S, basis, costs, A2, rows, tol)[1]
-        seen.extend("optimal" if ok[i] else "no entering column"
-                    if left[i] else "stalled" for i in entered)
+        original(S, basis, costs, R, A2, live, ok, tol)
+        for i in entered:
+            if ok[i]:
+                seen.append("optimal")
+                continue
+            # a lane that left with no entering column still has a
+            # leaving row without one
+            rows = np.flatnonzero(S[i, :, -1] < -tol)
+            a = S[i, rows, :-1] @ A2
+            left = lp_module._dual_step(R[[i] * rows.size], a,
+                                        basis[[i] * rows.size], tol)[1]
+            seen.append("no entering column" if left.any() else "stalled")
 
     monkeypatch.setattr(lp_module, "_dual_phase", recording)
     return seen
@@ -831,13 +838,142 @@ def test_carried_tableau_chain_matches_cold(path, change, warm_solves):
 
 def test_long_chain_refactors_from_the_data(warm_solves, factorizations):
     start, problems = _chain(4700, "dualized", "objective")
+    factored, last = 0, None
     for q in problems:
         count = factorizations[0]
-        start = solve(q, start=start).basis
-        # every warm solve factors its start's B once, from the data
-        assert factorizations[0] - count == 1
+        sol = solve(q, start=start)
+        # a warm solve factors its start's B once, from the data, unless
+        # its start is the one the constraints' record factored last
+        assert factorizations[0] - count == (start.cols != last)
+        factored += start.cols != last
+        last, start = start.cols, sol.basis
     assert len(warm_solves) == len(problems)
     assert all(c[3] for c in warm_solves)
+    assert 1 < factored < len(problems)
+
+
+# ---------------------------------------------------------------------------
+# starts factored once per constraint matrix
+# ---------------------------------------------------------------------------
+
+def _factored(monkeypatch):
+    """A list that gains, per call of `lp._factor`, whether the start was
+    accepted (B^-1 came back)."""
+    return _recorder(monkeypatch, "_factor", lambda out: out is not None)
+
+
+def test_kept_inverse_is_a_fresh_factorization():
+    rng = np.random.default_rng(4800)
+    p = _max_problem(*_dualized_data(rng))
+    start = solve(p).basis
+    q = p.with_objective(rng.normal(size=p.c.size))
+    solve(q, start=start)
+    canon = lp_module._canonical(q)
+    cols = np.array(start.cols)
+    A2 = canon.form(start.path)[0].A2
+    kept = canon.inverse(start.path, cols)
+    assert np.array_equal(kept, lp_module._factor(A2, cols))    # bitwise
+    assert not kept.flags.writeable
+    np.testing.assert_allclose(kept @ A2[:, cols], np.eye(len(cols)),
+                               atol=1e-9)
+    batch = lp_module._Batch.seed(q, canon, start, q.c[None], 1e-9)
+    assert batch.binv is kept
+
+
+@pytest.mark.parametrize("kind", ["wrong_length", "out_of_range", "negative",
+                                  "duplicate", "singular"])
+def test_rejected_start_stays_rejected_without_refactoring(kind,
+                                                           monkeypatch):
+    rng = np.random.default_rng(77)
+    c, A, b = _dualized_data(rng)
+    A[1] = A[0]
+    start = _bad_starts(rng, c, A, b)[kind]
+    p = _max_problem(c, A, b)
+    factored = _factored(monkeypatch)
+    for c_l in rng.normal(size=(3, c.size)):
+        _assert_matches_cold(p.with_objective(c_l), start)
+    assert factored == [False]
+
+
+def test_a_second_start_replaces_the_first(monkeypatch):
+    # the record keeps one start per path: the last one factored
+    rng = np.random.default_rng(4810)
+    c, A, b = _dualized_data(rng)
+    p = _max_problem(c, A, b)
+    first = solve(p).basis
+    second = solve(p.with_objective(-c)).basis
+    assert first.path == second.path == "dualized"
+    assert first.cols != second.cols
+    factored = _factored(monkeypatch)
+    for start in (first, first, second, second, first):
+        _assert_matches_cold(p.with_objective(rng.normal(size=c.size)),
+                             start)
+    assert factored == [True] * 3
+    canon = lp_module._canonical(p)
+    assert list(canon._starts) == ["dualized"]
+    assert np.array_equal(canon._starts["dualized"][1], lp_module._factor(
+        canon.form("dualized")[0].A2, np.array(first.cols)))
+
+
+def test_siblings_share_the_kept_start(monkeypatch):
+    # with_objective and with_rhs share the constraints' record, and with
+    # it the start it factored
+    rng = np.random.default_rng(4820)
+    c, A, b = _dualized_data(rng)
+    p = _max_problem(c, A, b)
+    start = solve(p).basis
+    factored = _factored(monkeypatch)
+    k = b.size - 2 * c.size         # the box rows keep their right-hand side
+    for _ in range(3):
+        q = p.with_objective(rng.normal(size=c.size))
+        r = p.with_rhs(np.concatenate([np.abs(rng.normal(size=k)) + 0.5,
+                                       b[k:]]))
+        for sibling in (q, r, q.with_rhs(r.b)):
+            assert lp_module._canonical(sibling) is lp_module._canonical(p)
+            _assert_matches_cold(sibling, start)
+    assert factored == [True]
+
+
+def test_writable_matrix_factors_on_every_solve(monkeypatch):
+    # the record of a writable matrix is not kept, nor is its start
+    rng = np.random.default_rng(4830)
+    c, A, b = _dualized_data(rng)
+    p = LpProblem(c, A, (LE,) * len(b), b, np.full(c.size, -np.inf),
+                  np.full(c.size, np.inf), True)
+    start = solve(p).basis
+    factored = _factored(monkeypatch)
+    for _ in range(3):
+        _assert_matches_cold(p, start)
+    assert factored == [True] * 3
+
+
+def test_carried_reduced_costs_match_a_fresh_pricing(monkeypatch):
+    # the dual phase carries each lane's reduced costs through its pivots
+    # by rank-one updates; after multi-pivot phases they are those of a
+    # fresh pricing c - c_B B^-1 A2 within tol (1 + |c|)
+    problem, start = _POLYTOPES["equilateral9-face"]
+    C = np.random.default_rng(5600).normal(size=(12, problem.c.size))
+    tol = lp_module.lp_tol()
+    phase, pivot_lanes = lp_module._dual_phase, lp_module._pivot_lanes
+    pivots, checked = np.zeros(len(C), dtype=int), []
+
+    def counting(S, basis, A2, L, rows, cols):
+        pivots[L] += 1
+        return pivot_lanes(S, basis, A2, L, rows, cols)
+
+    def checking(S, basis, costs, R, A2, live, ok, tol):
+        phase(S, basis, costs, R, A2, live, ok, tol)
+        fresh = lp_module._priced(S, basis, costs, A2)
+        scale = 1.0 + np.abs(costs).max(axis=1, keepdims=True)
+        assert np.all(np.abs(R - fresh)[ok] <= (tol * scale)[ok])
+        checked.append(ok.sum())
+
+    monkeypatch.setattr(lp_module, "_pivot_lanes", counting)
+    monkeypatch.setattr(lp_module, "_dual_phase", checking)
+    got = lp_module.solve_many(problem, C, start)
+    assert checked and checked[0] > 0
+    assert (pivots >= 2).sum() >= 3
+    _assert_lanes_match_solve(problem, C, start, got)
 
 
 # ---------------------------------------------------------------------------
@@ -922,16 +1058,34 @@ def test_solve_many_under_blands_rule(name, lp_solves, monkeypatch):
     _assert_lanes_match_solve(problem, C, start, got)
 
 
-def test_lanes_leave_for_blands_rule(lp_solves, monkeypatch):
+def test_stalled_lanes_finish_under_dual_blands_rule(lp_solves, dual_outcomes,
+                                                   monkeypatch):
     # a new objective is a new right-hand side of the dualized face LP, so
-    # its lanes run the dual phase; with no stall allowance those that
-    # stall leave the batch, and `solve` answers them cold under Bland's
-    # rule, while the others stay
+    # its lanes run the dual phase; with no stall allowance a lane switches
+    # to the dual Bland rule at its first flat step, leaving from its
+    # lowest-index basic variable below -tol, and finishes in the batch
+    # with the answer `solve` gives
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
     problem, start = _POLYTOPES["equilateral9-face"]
     C = np.random.default_rng(5000).normal(size=(12, problem.c.size))
-    lp_module.solve_many(problem, C, start)
-    assert 1 <= len(lp_solves) < len(C)
+    tol = lp_module.lp_tol()
+    blands = []
+    original = lp_module._pivot_lanes
+
+    def recording(S, basis, A2, L, rows, cols):
+        X = S[L, :, -1]
+        lowest = np.where(X < -tol, basis[L], basis.max() + 1).argmin(axis=1)
+        # a leaving row that Dantzig's rule (the most negative) would not
+        # take is Bland's
+        blands.extend((rows == lowest) & (rows != X.argmin(axis=1)))
+        return original(S, basis, A2, L, rows, cols)
+
+    monkeypatch.setattr(lp_module, "_pivot_lanes", recording)
+    got = lp_module.solve_many(problem, C, start)
+    assert not lp_solves
+    assert any(blands)
+    assert dual_outcomes and set(dual_outcomes) == {"optimal"}
+    _assert_lanes_match_solve(problem, C, start, got)
 
 
 def test_primal_phase_keeps_blands_rule(lp_solves, monkeypatch):

@@ -459,14 +459,19 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
 @pytest.mark.parametrize("fattened", [False, True])
 @pytest.mark.parametrize("n", [5, 12])
 def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
-    # a warm solve factors its start's B once, and a batch of slab samples
-    # factors B once for all its lanes.  Solves that end cold (a start of
-    # the wrong length, on 6 points the norm basis) refine with two, and
-    # are not counted; a batch does not count the solves it hands to
-    # lp.solve
+    # a start is factored once per constraint matrix: the record of the
+    # slab's constraints keeps its B^-1, so the plan's first batch of slab
+    # samples factors B once for all its lanes and the second eta's batch
+    # (a sibling with another right-hand side) factors nothing.  A warm
+    # face-distance solve factors its start only when it differs from the
+    # start that record factored last, and no start is factored twice in
+    # a row.  Solves that end cold (a start of the wrong length, on 6
+    # points the norm basis) refine with two, and are not counted; a batch
+    # does not count the solves it hands to lp.solve
     count = {"linalg": 0, "cold": 0, "in_solve": 0}
-    per_warm_solve, per_batch = [], []
-    originals = np.linalg.solve, lp._two_phase, lp.solve, lp.solve_many
+    per_warm_solve, per_batch, factored = [], [], []
+    originals = (np.linalg.solve, lp._two_phase, lp.solve, lp.solve_many,
+                 lp._factor)
 
     def counting_linalg(*args, **kwargs):
         count["linalg"] += 1
@@ -492,15 +497,22 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
                          - (count["in_solve"] - before["in_solve"]))
         return sols
 
+    def recording_factor(A2, cols):
+        factored.append((id(A2), cols.tobytes()))
+        return originals[4](A2, cols)
+
     monkeypatch.setattr(np.linalg, "solve", counting_linalg)
     monkeypatch.setattr(lp, "_two_phase", counting_cold)
     monkeypatch.setattr(lp, "solve", counting_lp)
     monkeypatch.setattr(lp, "solve_many", counting_many)
+    monkeypatch.setattr(lp, "_factor", recording_factor)
     exposedness_probe(_tree_molecule(n, fattened), [0.05, 0.2], 16, seed=n)
     # each batch starts from the norm basis or, on 6 points, from the
-    # basis of its first lane, solved cold
-    assert per_batch == [1, 1]
-    assert per_warm_solve and set(per_warm_solve) == {1}
+    # basis of the plan's slab solve
+    assert per_batch == [1, 0]
+    assert per_warm_solve and set(per_warm_solve) <= {0, 1}
+    assert all(a != b for a, b in zip(factored, factored[1:]))
+    assert len(factored) == sum(per_batch) + sum(per_warm_solve)
 
 
 def _count_face_solves(monkeypatch, n):
@@ -674,16 +686,17 @@ def test_rejected_face_seed_falls_back_to_cold(monkeypatch):
     # solves run cold and give the cold answer
     mu = _tree_molecule(12, False)
     rejected = []
-    original = lp._start_tableau
+    original = lp._Batch.seed
 
-    def rejecting(A2, R, cols):
-        if A2.shape[0] == mu.space.n:
+    def rejecting(problem, canon, start, C, tol):
+        # the face-distance LP has a variable per point (g(1..n-1) and t)
+        if start is not None and problem.A.shape[1] == mu.space.n:
             rejected.append(None)
             return None
-        return original(A2, R, cols)
+        return original(problem, canon, start, C, tol)
 
     calls = _count_cold_solves(monkeypatch)
-    monkeypatch.setattr(lp, "_start_tableau", rejecting)
+    monkeypatch.setattr(lp._Batch, "seed", staticmethod(rejecting))
     grid = [0.01, 0.2]
     warm = exposedness_probe(mu, grid, 8, seed=3)
     assert rejected

@@ -19,13 +19,16 @@ Run it in two checkouts and compare the three lines it prints:
   with no face-distance LP, counted per probe as the entries of a probe
   that made no ``ssd._FacePoints`` (wrapped), how many norm LPs they
   solved, counted by wrapping ``ssd.free_norm``, how many of their solves
-  ran cold, counted by
-  wrapping ``lp._solve_cold``, how many warm starts factored their B,
-  counted by wrapping ``lp._start_tableau``, and how many pivots their
-  lanes made, dual ones counted by wrapping ``lp._pivot_lanes`` and primal
-  ones as the ``lp._pivot`` calls inside ``lp._lockstep``, so that a
-  change in solve, factorization or pivot counts, or one that sends warm
-  solves cold, shows next to the hash.
+  ran cold, counted by wrapping ``lp._solve_cold``, how many warm batches
+  they ran (a warm ``lp.solve`` is a batch of one lane), counted as the
+  batches that ``lp._Batch.seed`` (wrapped) seeded, how many B
+  factorizations those batches made, counted by wrapping ``lp._factor``
+  (a start already factored on its constraints is not factored again),
+  and how many pivots their lanes made, dual ones counted by wrapping
+  ``lp._pivot_lanes`` and primal ones as the ``lp._pivot`` calls inside
+  ``lp._lockstep``, so that a change in solve, batch, factorization or
+  pivot counts, or one that sends warm solves cold, shows next to the
+  hash.
 - ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
   ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
@@ -115,19 +118,19 @@ def probe_digest(workloads, dump: list):
     rounds, with solves the numbers of face-distance LPs and slab lanes
     the probes solved, of their entries that the point face answered, of
     the norm LPs they solved, of their solves that ran cold, of their
-    warm starts that factored B and of their lanes' dual and primal
-    pivots; appends each probe's entries to dump."""
+    warm batches, of the B factorizations they made and of their lanes'
+    dual and primal pivots; appends each probe's entries to dump."""
     from freegeo import lp, ssd
 
     h = hashlib.sha1()
     count = 0
     solves = {"face": 0, "lanes": 0, "point": 0, "norm": 0, "cold": 0,
-              "factored": 0, "dual": 0, "primal": 0}
+              "batches": 0, "factored": 0, "dual": 0, "primal": 0}
     points = None       # of the probe running; None outside probes
     in_lanes = False    # inside lp._lockstep
     face_lps = []       # _FacePoints made by the probe running
     solve, solve_many, solve_cold = lp.solve, lp.solve_many, lp._solve_cold
-    start_tableau = lp._start_tableau
+    batch_seed, factor = lp._Batch.seed, lp._factor
     lockstep, pivot_lanes, pivot = lp._lockstep, lp._pivot_lanes, lp._pivot
     face_points, free_norm = ssd._FacePoints, ssd.free_norm
 
@@ -155,10 +158,15 @@ def probe_digest(workloads, dump: list):
         solves["cold"] += points is not None
         return solve_cold(problem, canon, tol)
 
-    def counting_tableau(A2, R, cols):
-        # only a start that yields a tableau counts: a malformed start is
+    def counting_seed(problem, canon, start, C, tol):
+        out = batch_seed(problem, canon, start, C, tol)
+        solves["batches"] += points is not None and out is not None
+        return out
+
+    def counting_factor(A2, cols):
+        # only a start that yields B^-1 counts: a malformed start is
         # rejected before B is factored, and a singular B yields none
-        out = start_tableau(A2, R, cols)
+        out = factor(A2, cols)
         solves["factored"] += points is not None and out is not None
         return out
 
@@ -181,7 +189,8 @@ def probe_digest(workloads, dump: list):
         return pivot(T, basis, row, col)
 
     lp.solve, lp.solve_many = counting_solve, counting_many
-    lp._solve_cold, lp._start_tableau = counting_cold, counting_tableau
+    lp._solve_cold, lp._factor = counting_cold, counting_factor
+    lp._Batch.seed = staticmethod(counting_seed)
     lp._lockstep, lp._pivot_lanes = counting_lockstep, counting_pivot_lanes
     lp._pivot = counting_pivot
     ssd._FacePoints, ssd.free_norm = counting_face_points, counting_norm
@@ -208,7 +217,8 @@ def probe_digest(workloads, dump: list):
                     count += 1
     finally:
         lp.solve, lp.solve_many = solve, solve_many
-        lp._solve_cold, lp._start_tableau = solve_cold, start_tableau
+        lp._solve_cold, lp._factor = solve_cold, factor
+        lp._Batch.seed = staticmethod(batch_seed)
         lp._lockstep, lp._pivot_lanes, lp._pivot = lockstep, pivot_lanes, pivot
         ssd._FacePoints, ssd.free_norm = face_points, free_norm
     return count, h.hexdigest(), solves
@@ -327,9 +337,9 @@ def main(argv=None) -> int:
           f"face-distance LPs ({solves['point']} entries answered by the "
           f"point face), {solves['norm']} norm LPs, "
           f"{solves['lanes']} slab lanes, "
-          f"{solves['cold']} cold solves, {solves['factored']} warm starts "
-          f"that factored B, {solves['dual']} dual and {solves['primal']} "
-          f"primal lane pivots")
+          f"{solves['cold']} cold solves, {solves['batches']} warm batches, "
+          f"{solves['factored']} B factorizations, {solves['dual']} dual "
+          f"and {solves['primal']} primal lane pivots")
     count, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
           f"{count} cases sha1 {digest}")
