@@ -1,9 +1,11 @@
 """Self-contained dense linear-programming solver.
 
-Two-phase primal simplex on a dense tableau.  Dantzig pricing with
-lowest-index tie breaking; permanent switch to Bland's rule after a stall
-threshold, which guarantees termination on the heavily degenerate
-transportation problems produced by equilateral spaces.
+Two-phase primal simplex in revised form, keeping B^-1 and x_B, never
+B^-1 A.  Dantzig pricing with lowest-index tie breaking; permanent switch
+to Bland's rule after a stall threshold, which guarantees termination on
+the heavily degenerate transportation problems produced by equilateral
+spaces.  Every phase, cold or warm, runs on one kernel, the lockstep lanes
+of `_lockstep`; a cold solve is one lane, from the slack/artificial basis.
 
 Problems whose row count dwarfs the variable count (Lipschitz-ball
 constraint systems have O(n^2) rows over O(n) variables) are solved through
@@ -31,22 +33,20 @@ new objective is a new right-hand side of the dual, so the lanes of one
 start share B^-1 and differ in their last column.  There is one dual
 simplex and one primal simplex.  The lanes are in revised form: a (k, m,
 m+1) stack of [B^-1 | x_B], priced from the fixed A2 of the standard form
-and never holding B^-1 A2.  The lanes are priced once, in one product of
-their stacked c_B B^-1 against A2, and the dual phase of any number of
-lanes pivots in lockstep and carries those reduced costs: each step
-stacks the live lanes' leaving rows e_r B^-1 and multiplies them by A2
-once, each lane takes its own pivot by Dantzig's rule with the same tie
-breaks, and the pivot updates the lane's reduced costs by rank one (the
-revised simplex of Dantzig & Orchard-Hays, 1954).  The entering column
-is B^-1 a_j, and the rank-one update touches only the lane's [B^-1 | x_B]
-and reduced costs.  The phase ends as soon as every live lane is primal
-feasible.  Then each lane that a carried reduced cost still prices out
-builds its tableau B^-1 [A2 | I | b] and runs primal phase 2 on it with
-the single-tableau kernel of the cold solve, Bland's rule included.  Each
-lane refines x_B and y with its final B^-1 and one correction step
-against the original B, so a batch makes at most one factorization; and
-every lane is mapped back to the problem and certified by the same code
-as a cold answer.
+and never holding B^-1 A2.  Each phase prices its lanes once, in one
+product of their stacked c_B B^-1 against A2, and then carries their
+reduced costs: each step computes only the live lanes' entering columns
+B^-1 a_j and leaving rows e_r B^-1 A2, each lane takes its own pivot by
+its own rule (Dantzig's, or Bland's after a stall) with the same tie
+breaks, and the pivot updates the lane's [B^-1 | x_B] and reduced costs
+by rank one (the revised simplex of Dantzig & Orchard-Hays, 1954).  The
+dual phase ends as soon as every live lane is primal feasible; then every
+lane that a reduced cost still prices out runs the primal phase, in
+lockstep too.  Each lane refines x_B and y with its final B^-1 and one
+correction step against the original B, so a batch makes at most one
+factorization; and every lane is mapped back to the problem and
+certified by the same code as a cold answer.  A cold answer is refined by
+solving its B from the original data instead.
 
 A start seeds no batch if it is of the wrong length or path, has
 out-of-range columns or a singular B.  A lane leaves its batch only in
@@ -61,8 +61,8 @@ its margin.  A lane of `solve_many` that leaves or fails is solved cold
 by `solve` (it would run the same alone), so every answer passes the
 thresholds of `solve`.  A start that seeds no batch (none, another path,
 or rejected) is handed to `solve` with the first objective, whose basis
-seeds the rest.  A stack holds at most _BATCH_CELLS cells, m (m+1) per
-lane; more lanes run in blocks.
+seeds the rest.  A block of lanes holds at most _BATCH_CELLS cells (see
+`solve_many`); more lanes run in blocks.
 
 A start may also come from an LP with other constraints: its B is
 factored from the problem's data all the same.  A dualized start whose
@@ -226,59 +226,6 @@ class LpSolution:
 # standard-form core: min c.z  s.t.  A z {<=,=,>=} b,  z >= 0
 # ---------------------------------------------------------------------------
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    colv = T[:, col].copy()
-    colv[row] = 0.0
-    T -= colv[:, None] * T[row]
-    # kill roundoff in the pivot column
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-def _iterate(T, basis, cvec, blocked, tol):
-    """Run simplex iterations in place.  Returns 'optimal' or
-    'unbounded'."""
-    m = T.shape[0]
-    bland = False
-    stall = 0
-    prev_obj = np.inf
-    for _ in range(_MAX_ITER):
-        r = cvec - cvec[basis] @ T[:, :-1]
-        r[basis] = 0.0
-        r[blocked] = np.inf
-        if bland or not r.size:     # no columns: optimal at once
-            cand = np.nonzero(r < -tol)[0]
-            if cand.size == 0:
-                return "optimal"
-            j = int(cand[0])
-        else:
-            j = int(r.argmin())
-            if r[j] >= -tol:
-                return "optimal"
-        col = T[:m, j]
-        pos = col > tol
-        if not pos.any():
-            return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[pos, -1] / col[pos]
-        best = ratios.min()
-        rows = (ratios <= best + tol * (1.0 + abs(best))).nonzero()[0]
-        # leaving tie break: lowest basic-variable index (Bland-compatible)
-        row = int(rows[basis[rows].argmin()])
-        _pivot(T, basis, row, j)
-        obj = float(cvec[basis] @ T[:, -1])
-        if obj >= prev_obj - tol * (1.0 + abs(obj)):
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        prev_obj = obj
-    raise LpError("simplex iteration limit exceeded")
-
-
 def _factor(A2, cols):
     """B^-1 from one factorization of B, the basic columns `cols` (an
     integer array) of A2.  None when cols is malformed, B singular or
@@ -303,75 +250,14 @@ def _factor(A2, cols):
     return binv
 
 
-def _two_phase(A2, b, c2, slack_of_row, tol):
-    """Cold solve from a slack/artificial basis, which is the identity:
-    phase 1, then phase 2 with costs c2.  b must be >= 0.  Returns (status,
-    T, basis, first, keep_rows): first is the initial basis and
-    keep_rows the constraint rows phase 1 kept, so that with B the basic
-    columns over those rows, T = B^-1 [A2 | artificials | b] restricted
-    to them and T[:, first[keep_rows]] = B^-1."""
-    m, n2 = A2.shape
-    basis = np.empty(m, dtype=int)
-    art_rows = []
-    for i in range(m):
-        j = slack_of_row[i]
-        if j >= 0 and A2[i, j] > 0:
-            basis[i] = j
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    Aart = np.zeros((m, n_art))
-    for t, i in enumerate(art_rows):
-        Aart[i, t] = 1.0
-        basis[i] = n2 + t
-    first = basis.copy()
-    T = np.hstack([A2, Aart, b[:, None]])
-    total = n2 + n_art
-    keep_rows = np.arange(m)
-
-    blocked = np.zeros(total, dtype=bool)
-    if n_art:
-        c1 = np.zeros(total)
-        c1[n2:] = 1.0
-        _iterate(T, basis, c1, blocked, tol)
-        phase1 = float(c1[basis] @ T[:, -1])
-        if phase1 > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
-            return "infeasible", None, None, None, None
-        # drive remaining artificials out of the basis
-        drop = []
-        for i in range(T.shape[0]):
-            if basis[i] >= n2:
-                cand = np.abs(T[i, :n2]) > tol
-                cand[basis[basis < n2]] = False
-                cand = np.nonzero(cand)[0]
-                if cand.size:
-                    _pivot(T, basis, i, int(cand[0]))
-                else:
-                    drop.append(i)  # redundant row
-        if drop:
-            mask = np.ones(T.shape[0], dtype=bool)
-            mask[drop] = False
-            # row i of T is zero on A2: its row of B^-1 combines the
-            # constraint rows into zero with weight 1 on the row of the
-            # artificial still basic in it, which is the one to drop
-            keep_rows = np.delete(
-                keep_rows, [art_rows[basis[i] - n2] for i in drop])
-            T = T[mask]
-            basis = basis[mask]
-    blocked[n2:] = True
-
-    c2 = np.concatenate([c2, np.zeros(n_art)])
-    status = _iterate(T, basis, c2, blocked, tol)
-    return status, T, basis, first, keep_rows
-
-
 @dataclass(frozen=True)
 class _StdForm:
     """The constraints A z {<=,=,>=} b, z >= 0 of a standard-form problem
-    as [A | slacks], before the rows with b < 0 are negated for a solve."""
+    as [A | slacks]."""
 
     A2: np.ndarray              # read-only
     slack_of_row: np.ndarray    # slack column per row, -1 on '=' rows
+    slack_sign: np.ndarray      # its entry: +1 on '<=', -1 on '>=', 0 on '='
     n: int                      # columns of A
 
 
@@ -386,11 +272,19 @@ def _std_form(A, senses) -> _StdForm:
     slack_of_row[rows] = n + k
     A2 = np.hstack([A, S])
     A2.setflags(write=False)
-    return _StdForm(A2, slack_of_row, n)
+    return _StdForm(A2, slack_of_row, code, n)
 
 
 def _solve_cf(std: _StdForm, c, b, tol):
-    """Cold two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0.
+    """Cold two-phase simplex for min c.z, A z {<=,=,>=} b, z >= 0, as one
+    lane of the revised kernel (`_primal_phase`).
+
+    Row i has the sign s_i of b_i (+1 at 0), and its first basic column is
+    its slack where that column is s_i e_i, else an artificial column
+    s_i e_i: so B^-1 = diag(s) and x_B = s b >= 0.  Phase 1 minimizes the
+    sum of the artificials over [A2 | artificials], then pivots each one
+    still basic (at 0) out on a column of A2, or drops its row where row
+    e_r B^-1 A2 is zero (a redundant row); phase 2 runs over A2.
 
     Returns (status, basis, xB, y): the optimal basic columns of
     [A | slacks] (fewer than the rows if phase 1 dropped redundant ones)
@@ -399,27 +293,64 @@ def _solve_cf(std: _StdForm, c, b, tol):
     """
     A2 = std.A2
     m, n2 = A2.shape
-    c2 = np.zeros(n2)
-    c2[:std.n] = c
-    # phase 1 starts from b >= 0: negate the rows with b < 0
-    row_sign = np.where(b < 0, -1.0, 1.0)
-    A2n, bn = A2 * row_sign[:, None], b * row_sign
-    status, T, basis, first, keep = _two_phase(
-        A2n, bn, c2, std.slack_of_row, tol)
-    if status != "optimal":
-        return status, None, None, None
-    # refine from the original data to shed accumulated tableau error
-    B = A2n[np.ix_(keep, basis)]
-    cB = c2[basis]
+    s = np.where(b < 0, -1.0, 1.0)
+    own = std.slack_sign * s > 0
+    art = (~own).nonzero()[0]
+    basis = np.where(own, std.slack_of_row, n2)[None]
+    basis[0, art] += np.arange(art.size)
+    S = np.zeros((1, m, m + 1))
+    S.reshape(-1)[::m + 2] = s      # the diagonal of B^-1
+    S[0, :, -1] = s * b
+    keep = slice(None)
+    ok = np.ones(1, dtype=bool)
+    if art.size:
+        A1 = np.zeros((m, n2 + art.size))
+        A1[:, :n2] = A2
+        A1[art, n2 + np.arange(art.size)] = s[art]
+        c1 = np.zeros((1, A1.shape[1]))
+        c1[0, n2:] = 1.0
+        _primal_phase(S, basis, c1, A1, ok, ok, tol)
+        if c1[0, basis[0]] @ S[0, :, -1] > 1e-7 * (
+                1.0 + abs(b).max(initial=0.0)):
+            return "infeasible", None, None, None
+        # drive the artificials left at 0 out of the basis
+        drop = []
+        for i in (basis[0] >= n2).nonzero()[0]:
+            cand = np.abs(S[0, i, :-1] @ A1) > tol
+            cand[basis[0]] = False
+            cand = cand[:n2].nonzero()[0][:1]
+            if cand.size:
+                _pivot_lanes(S, basis, i, cand,
+                             _apply(S[:, :, :-1], A2[:, cand].T))
+            else:
+                drop.append(i)  # redundant row
+        if drop:
+            # row i of B^-1 A2 is zero: drop the row of the artificial
+            # basic in it, whose column has no other entry, so B^-1 loses
+            # its row i and that constraint row's column
+            rows = np.arange(m)
+            keep = np.delete(rows, art[basis[0, drop] - n2])
+            S = S[:, np.delete(rows, drop)][:, :, np.append(keep, m)]
+            basis = np.delete(basis, drop, axis=1)
+            A2 = A2[keep]
+    c2 = np.zeros((1, n2))
+    c2[0, :std.n] = c
+    _primal_phase(S, basis, c2, A2, ok, ok, tol)
+    if not ok[0]:
+        return "unbounded", None, None, None
+    basis = basis[0]
+    # refine from the original data, with the rows of b < 0 negated, to
+    # shed the error B^-1 took on in its pivots
+    B = A2[:, basis] * s[keep, None]
+    cB = c2[0, basis]
     try:
-        xB = np.linalg.solve(B, bn[keep])
-        yk = np.linalg.solve(B.T, cB)
+        xB = np.linalg.solve(B, (s * b)[keep])
+        yk = np.linalg.solve(B.T, cB) * s[keep]
     except np.linalg.LinAlgError:
-        # B^-1 of the negated rows, accumulated by the tableau
-        xB = T[:, first[keep]] @ bn[keep]
-        yk = cB @ T[:, first[keep]]
+        xB = S[0, :, :-1] @ b[keep]
+        yk = cB @ S[0, :, :-1]
     y = np.zeros(m)
-    y[keep] = yk * row_sign[keep]
+    y[keep] = yk
     return "optimal", basis, xB, y
 
 
@@ -670,6 +601,13 @@ def _solve_cold(problem, canon, tol) -> LpSolution:
             return LpSolution("infeasible")
 
 
+def carried_over(start: LpBasis, problem: LpProblem) -> LpBasis:
+    """`start` carried over to the constraints of `problem` as `solve`
+    carries it (see `_carried_over`), so that many solves over them can
+    start from it with nothing left to carry."""
+    return _carried_over(start, _canonical(problem))
+
+
 def _carried_over(start: LpBasis, canon: _Canonical) -> LpBasis:
     """`start` as a start over the constraints of `canon`: its columns,
     whose B the warm solve factors from canon's data either way.  A start
@@ -816,8 +754,7 @@ class _Batch:
         S[:, :, :-1] = self.binv
         S[:, :, -1] = self.X0[lanes]
         basis = self.cols[None].repeat(k, 0)
-        # zero costs past A2's columns, on the B^-1 of a primal tableau
-        costs = np.zeros((k, n2 + m2))
+        costs = np.zeros((k, n2))
         costs[:, :std.n] = L.costs[lanes]
         ok = _lockstep(S, basis, costs, A2, self.tol)
         # one step of refinement against the original B sheds the error
@@ -854,39 +791,23 @@ def _apply_t(M, v):
 def _lockstep(S, basis, costs, A2, tol):
     """Re-optimize in place the lanes of the stack S (k x m x m+1), lane l
     holding [B^-1 | x_B] of its basic columns basis[l] of A2, each with its
-    row of `costs` (over A2's columns, then m zeros).  Each lane is priced
-    once; lanes that start primal infeasible then run the dual simplex,
-    always in lockstep, carrying their reduced costs (`_dual_phase`); then
-    every lane that a carried reduced cost still prices out runs primal
-    phase 2 with `_iterate`, the cold solve's kernel, Bland's rule
-    included, on its tableau B^-1 [A2 | I | b], built for it in chunks of
-    at most _BATCH_CELLS cells.  Returns ok per lane.  A lane is not ok if
-    it is not dual feasible where it needs the dual simplex, finds no
-    entering column there or passes _MAX_ITER, or ends unbounded; a primal
-    phase past _MAX_ITER raises LpError, as a cold solve does."""
-    k, m = basis.shape
-    n2 = A2.shape[1]
-    ok = np.ones(k, dtype=bool)
-    R = _priced(S, basis, costs, A2)
+    row of `costs` over A2's columns: the lanes that start primal
+    infeasible run the dual phase, then the lanes still priced out the
+    primal phase.
+    Returns ok per lane.  A lane is not ok if it is not dual feasible
+    where it needs the dual simplex, finds no entering column there or
+    passes _MAX_ITER, or ends unbounded; a primal phase past _MAX_ITER
+    raises LpError."""
+    ok = np.ones(basis.shape[0], dtype=bool)
+    live = ok
     dual = S[:, :, -1].min(axis=1) < -tol
-    if dual.any():
+    if np.count_nonzero(dual):
+        R = _priced(S, basis, costs, A2)
         ok &= ~dual | (R.min(axis=1, initial=0.0) >= -tol)
         _dual_phase(S, basis, costs, R, A2, dual & ok, ok, tol)
-    P = np.flatnonzero(ok & (R.min(axis=1, initial=0.0) < -tol))
-    blocked = np.arange(n2 + m) >= n2
-    # lanes that made no dual pivot share B^-1, and so B^-1 A2
-    body = S[:1, :, :-1] @ A2 if P.size and not dual.any() else None
-    step = max(1, _BATCH_CELLS // (m * (n2 + m + 1)))
-    for lo in range(0, P.size, step):
-        Q = P[lo:lo + step]
-        lanes = slice(None) if Q.size == k else Q
-        T = np.empty((Q.size, m, n2 + m + 1))
-        T[:, :, :n2] = S[lanes, :, :-1] @ A2 if body is None else body
-        T[:, :, n2:] = S[lanes]
-        for i, lane in enumerate(Q):
-            ok[lane] = _iterate(T[i], basis[lane], costs[lane], blocked,
-                                tol) == "optimal"
-        S[lanes] = T[:, :, n2:]
+        # only a lane that its carried reduced costs price out goes on
+        live = ok & (R.min(axis=1, initial=0.0) < -tol)
+    _primal_phase(S, basis, costs, A2, live, ok, tol)
     return ok
 
 
@@ -895,10 +816,11 @@ def _dual_phase(S, basis, costs, R, A2, live, ok, tol):
     stops being live) or leaves (it is no longer ok either); see
     `_lockstep`.  R holds the lanes' reduced costs over A2's columns: a
     step computes only the live lanes' leaving rows e_r B^-1 A2, in one
-    product against A2, and each pivot updates R by rank one.  The leaving
-    row is the most negative basic value; a lane whose dual objective
-    stalls past _STALL_LIMIT switches for good to the dual Bland rule,
-    leaving from its lowest-index basic variable below -tol."""
+    product against A2, and their entering columns B^-1 a_j, and each
+    pivot updates R by rank one.  The leaving row is the most negative
+    basic value; a lane whose dual objective stalls past _STALL_LIMIT
+    switches for good to the dual Bland rule, leaving from its
+    lowest-index basic variable below -tol."""
     k = basis.shape[0]
     lanes = np.arange(k)
     prev = np.full(k, -np.inf)
@@ -919,7 +841,10 @@ def _dual_phase(S, basis, costs, R, A2, live, ok, tol):
         ok[L[left]] = live[L[left]] = False
         L, cols, a = L[~left], cols[~left], a[~left]
         R[L] -= (R[L, cols] / a[np.arange(L.size), cols])[:, None] * a
-        _pivot_lanes(S, basis, A2, L, rows[L], cols)
+        U, BU = S[L], basis[L]
+        _pivot_lanes(U, BU, rows[L], cols,
+                     _apply(U[:, :, :-1], A2[:, cols].T))
+        S[L], basis[L] = U, BU
         R[L[:, None], basis[L]] = 0.0
         # the dual simplex raises the objective; a step that does not is flat
         obj = _dots(costs[lanes[:, None], basis], S[:, :, -1])
@@ -930,12 +855,72 @@ def _dual_phase(S, basis, costs, R, A2, live, ok, tol):
     ok &= ~live
 
 
+def _primal_phase(S, basis, costs, A2, live, ok, tol):
+    """Run primal simplex steps on the live lanes until each is optimal or
+    unbounded (then it is not ok), pricing them once and carrying their
+    reduced costs as `_dual_phase` does.  The entering column has the most
+    negative reduced cost, the lowest index on ties (Dantzig's rule), and
+    the leaving row passes the ratio test, the lowest basic index on ties;
+    a lane whose objective stalls past _STALL_LIMIT switches for good to
+    Bland's rule, entering its lowest-index column below -tol.  The lanes
+    run on a stack of their own, which a lane leaves when it ends, so a
+    step indexes no lane."""
+    L = live.nonzero()[0]
+    if not (L.size and A2.shape[1]):
+        return      # no columns: optimal at once
+    W, B, C = (S, basis, costs) if L.size == len(S) else (
+        S[L], basis[L], costs[L])
+    R = _priced(W, B, C, A2)
+    ar = np.arange(L.size)
+    obj = _dots(C[ar[:, None], B], W[:, :, -1])
+    stall = np.zeros(L.size, dtype=int)
+    bland = np.zeros(L.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # `_ratio_test`
+        for n in range(_MAX_ITER):
+            cols = R.argmin(axis=1)
+            # no lane stalls for more steps than the phase has made
+            if n > _STALL_LIMIT and np.count_nonzero(bland):
+                cols = np.where(bland, np.argmax(R < -tol, axis=1), cols)
+            r = R[ar, cols]
+            end = r >= -tol
+            ended = np.count_nonzero(end)
+            if ended:
+                if W is not S:
+                    S[L[end]], basis[L[end]] = W[end], B[end]
+                if ended == L.size:
+                    return
+                go = ~end
+                L, W, B, R, obj, stall, bland, cols, r = (
+                    v[go] for v in (L, W, B, R, obj, stall, bland, cols, r))
+                ar = ar[:L.size]
+            d = _apply(W[:, :, :-1], A2[:, cols].T)
+            rows, theta = _ratio_test(d, W[:, :, -1], B, tol)
+            left = theta == np.inf
+            if np.count_nonzero(left):
+                # unbounded: the lane ends at the next step
+                ok[L[left]] = False
+                R[left] = 0.0
+                continue
+            P = _pivot_lanes(W, B, rows, cols, d)
+            # P[:-1] = e_r B^-1 / d_r, the leaving row's new row of B^-1
+            R -= r[:, None] * (P[:, :-1] @ A2)
+            R[ar[:, None], B] = 0.0
+            # the step lowers the objective by -r theta; one that lowers it
+            # by no more than tol (1 + |obj|) is flat
+            step = r * theta
+            obj += step
+            stall += 1
+            stall *= step >= -tol * (1.0 + np.abs(obj))
+            if n >= _STALL_LIMIT:
+                bland |= stall > _STALL_LIMIT
+    raise LpError("simplex iteration limit exceeded")
+
+
 def _priced(S, basis, costs, A2):
     """The reduced costs c - c_B B^-1 A2 of each lane of S, 0 on its basic
     columns: one product of the stacked c_B B^-1 against A2."""
     lanes = np.arange(basis.shape[0])[:, None]
-    R = costs[:, :A2.shape[1]] - _apply_t(
-        S[:, :, :-1], costs[lanes, basis]) @ A2
+    R = costs - _apply_t(S[:, :, :-1], costs[lanes, basis]) @ A2
     R[lanes, basis] = 0.0
     return R
 
@@ -954,20 +939,33 @@ def _dual_step(R, a, basis, tol):
     return cols, ~cand.any(axis=1)
 
 
-def _pivot_lanes(S, basis, A2, L, rows, cols):
-    """Pivot each lane L[i] of S at its row rows[i] on column cols[i] of
-    A2: the rank-one update of [B^-1 | x_B] by the entering column
-    B^-1 a_j."""
-    if L.size == 0:
-        return
-    ar = np.arange(L.size)
-    U = S[L]
-    d = _apply(U[:, :, :-1], A2[:, cols].T)
-    P = U[ar, rows] / d[ar, rows][:, None]
-    U -= d[:, :, None] * P[:, None, :]
-    U[ar, rows] = P
-    S[L] = U
-    basis[L, rows] = cols
+def _ratio_test(d, X, basis, tol):
+    """The primal simplex's leaving row of each lane, by the ratio test
+    over its entering column d[l] = B^-1 a_j and basic values X[l]; run it
+    with numpy's divide and invalid warnings off.  Returns (rows, theta):
+    theta[l] is the least ratio, inf for a lane unbounded along d[l]."""
+    ratios = X / d
+    ratios[d <= tol] = np.inf
+    theta = np.minimum.reduce(ratios, axis=1, initial=np.inf)
+    tied = ratios <= (theta + tol * (1.0 + np.abs(theta)))[:, None]
+    # leaving tie break: lowest basic-variable index (Bland-compatible)
+    rows = np.where(tied, basis, np.inf).argmin(axis=1) if d.shape[1] \
+        else np.zeros(len(d), dtype=int)
+    return rows, theta
+
+
+def _pivot_lanes(S, basis, rows, cols, d):
+    """Pivot each lane l of the stack S in place at its row rows[l] on
+    column cols[l], whose entering column B^-1 a_j is d[l]: the rank-one
+    update of [B^-1 | x_B].  Returns the lanes' new pivot rows."""
+    k, m = basis.shape
+    ar = np.arange(k)
+    at = rows + m * ar      # the pivot rows, counted over the whole stack
+    P = S.reshape(k * m, m + 1).take(at, axis=0) / d.take(at)[:, None]
+    S -= d[:, :, None] * P[:, None, :]
+    S[ar, rows] = P
+    basis.put(at, cols)
+    return P
 
 
 @functools.lru_cache(maxsize=64)

@@ -200,8 +200,9 @@ class _ProbePlan:
     """What `exposedness_probe` derives from mu and tol = lp_tol() alone:
     mu at unit distance scale, its norm certificates, the slab LP at
     eta = 0 (whose canonical form every depth and sample shares), the
-    basis that starts its samples, and the face-distance LP, None where
-    D(mu) is a point face whose g* passed its guards."""
+    basis that starts its samples, carried over to the slab's constraints,
+    and the face-distance LP, None where D(mu) is a point face whose g*
+    passed its guards."""
 
     tol: float
     mu: FreeElement
@@ -242,7 +243,10 @@ def _probe_plan(mu: FreeElement) -> _ProbePlan:
         # eta ||mu|| >= 0 at every depth: a dual feasible start
         start = lp.solve(slab.with_rhs(np.append(slab.b[:-1], 0.0))
                          .with_objective(unit.masses[1:])).basis
-    plan = _ProbePlan(tol, unit, norm, slab, start, problem)
+    # every depth shares the slab's constraints, so the start is carried
+    # over to them once, here, not in every batch
+    plan = _ProbePlan(tol, unit, norm, slab, lp.carried_over(start, slab),
+                      problem)
     if frozen:
         object.__setattr__(mu, "_probe_plan", plan)
     else:

@@ -663,3 +663,26 @@ def test_flow_matches_loop_reference(monkeypatch):
         ref = _loop_flow(F[~np.eye(n, dtype=bool)], n, free_space.lp_tol())
         assert _flow_hex(got) == _flow_hex(ref)
         assert all(type(p) is int and type(q) is int for p, q in got)
+
+
+def test_norm_lp_on_96_points_holds_no_tableau():
+    # free_norm over 96 random 2-D Euclidean points, its norm LP built
+    # afresh: the cold solve keeps [B^-1 | x_B] for the 95 rows of the
+    # dualized form, and copies A2 once for phase 1's artificial columns.
+    # It peaks at 37.0 MB under tracemalloc; the full-tableau solve, which
+    # also held a row-negated copy of A2 and the tableau
+    # [A2 | artificials | b], peaked at 44.2 MB
+    rng = np.random.default_rng(96)
+    mu = FreeElement(random_euclidean_space(rng, 96, dim=2),
+                     rng.normal(size=96))
+    free_space._norm_lp.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        norm = free_norm(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        free_space._norm_lp.cache_clear()
+    assert norm.value > 0.0
+    assert peak < 40 * 2 ** 20

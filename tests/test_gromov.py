@@ -423,3 +423,15 @@ def test_family_trend_metric_errors_unchanged(name, indices, text):
     with pytest.raises(MetricError) as err:
         family_trend(gallery(name), indices)
     assert str(err.value) == text
+
+
+@pytest.mark.xfail(strict=True, reason="has_gromov_gap compares eta with "
+                   "TAU_METRIC, an absolute bound in units of distance")
+def test_gromov_gap_is_covariant_in_the_unit_of_distance():
+    # the pair (1, 2) has eta = 1e-5 relative to its distances, a gap in
+    # every unit of distance; at 1e-6 eta = 1e-11 falls below TAU_METRIC
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0 - 1e-5],
+                  [1.0, 2.0 - 1e-5, 0.0]])
+    gaps = [analyze_pair(PointedMetricSpace(s * d), 1, 2).has_gromov_gap
+            for s in (1e-6, 1.0, 1e6)]
+    assert gaps == [True, True, True]

@@ -778,7 +778,7 @@ def test_failed_check_is_named_with_its_margin(check, warm, monkeypatch):
     p = _max_problem(*_dualized_data(rng))
     # a warm start fails, then the cold solve, before the error
     start = solve(p).basis if warm else None
-    seeds, cold = [], _recorder(monkeypatch, "_two_phase", lambda out: None)
+    seeds, cold = [], _recorder(monkeypatch, "_solve_cf", lambda out: None)
     residuals, seed = lp_module._fill_residuals, lp_module._Batch.seed
 
     def seeding(problem, canon, start, C, tol):
@@ -954,21 +954,19 @@ def test_carried_reduced_costs_match_a_fresh_pricing(monkeypatch):
     problem, start = _POLYTOPES["equilateral9-face"]
     C = np.random.default_rng(5600).normal(size=(12, problem.c.size))
     tol = lp_module.lp_tol()
-    phase, pivot_lanes = lp_module._dual_phase, lp_module._pivot_lanes
+    phase = lp_module._dual_phase
     pivots, checked = np.zeros(len(C), dtype=int), []
 
-    def counting(S, basis, A2, L, rows, cols):
-        pivots[L] += 1
-        return pivot_lanes(S, basis, A2, L, rows, cols)
-
     def checking(S, basis, costs, R, A2, live, ok, tol):
+        before = basis.copy()
         phase(S, basis, costs, R, A2, live, ok, tol)
+        # a lane pivots at least once per basic column it replaced
+        pivots[:len(basis)] += (basis != before).sum(axis=1)
         fresh = lp_module._priced(S, basis, costs, A2)
         scale = 1.0 + np.abs(costs).max(axis=1, keepdims=True)
         assert np.all(np.abs(R - fresh)[ok] <= (tol * scale)[ok])
         checked.append(ok.sum())
 
-    monkeypatch.setattr(lp_module, "_pivot_lanes", counting)
     monkeypatch.setattr(lp_module, "_dual_phase", checking)
     got = lp_module.solve_many(problem, C, start)
     assert checked and checked[0] > 0
@@ -1072,13 +1070,14 @@ def test_stalled_lanes_finish_under_dual_blands_rule(lp_solves, dual_outcomes,
     blands = []
     original = lp_module._pivot_lanes
 
-    def recording(S, basis, A2, L, rows, cols):
-        X = S[L, :, -1]
-        lowest = np.where(X < -tol, basis[L], basis.max() + 1).argmin(axis=1)
+    def recording(S, basis, rows, cols, d):
+        X = S[:, :, -1]
+        lowest = np.where(X < -tol, basis, basis.max() + 1).argmin(axis=1)
         # a leaving row that Dantzig's rule (the most negative) would not
-        # take is Bland's
-        blands.extend((rows == lowest) & (rows != X.argmin(axis=1)))
-        return original(S, basis, A2, L, rows, cols)
+        # take is Bland's; only a dual pivot leaves from a row below -tol
+        dual = X[np.arange(len(X)), rows] < -tol
+        blands.extend(dual & (rows == lowest) & (rows != X.argmin(axis=1)))
+        return original(S, basis, rows, cols, d)
 
     monkeypatch.setattr(lp_module, "_pivot_lanes", recording)
     got = lp_module.solve_many(problem, C, start)
@@ -1368,3 +1367,131 @@ def test_revised_lanes_hold_no_tableaux():
         tracemalloc.stop()
     assert [s.status for s in sols] == ["optimal"] * 64
     assert peak < 12 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# one revised kernel for cold, warm and batched phases
+# ---------------------------------------------------------------------------
+
+def _degenerate_cold_problems():
+    """(name, LP) per degenerate cold solve: the norm LP of the equilateral
+    space on 9 points, where every pair is tight at once, for a molecule
+    and for random masses; and the LPs with redundant equality rows that
+    phase 1 drops."""
+    from freegeo.free_space import _ball_rhs, _norm_lp, molecule, unit_scale
+    from freegeo.metric import equilateral
+    space = equilateral(9)
+    q = _norm_lp(9)
+    b = _ball_rhs(unit_scale(space)[0])
+    for name, masses in (("molecule", molecule(space, 1, 2).masses),
+                         ("random", np.random.default_rng(9).normal(
+                             size=9))):
+        yield f"equilateral9-{name}", LpProblem.build(
+            masses[1:], q.A, q.senses, b, maximize=True)
+    for name, data in _REDUNDANT.items():
+        yield f"redundant-{name}", LpProblem.build(*data)
+
+
+_DEGENERATE_COLD = dict(_degenerate_cold_problems())
+
+
+@pytest.mark.parametrize("path", ["dualized", "direct"])
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_COLD))
+def test_cold_solves_match_highs_on_degenerate_inputs(name, path):
+    # a cold solve on either path, from its slack/artificial basis: the
+    # 9-point norm LP is 8 equality rows over 72 columns dualized (phase 1
+    # from all-artificial rows) and 72 rows with their slacks directly
+    # (phase 2 alone); the redundant rows are dropped by phase 1 on the
+    # direct path
+    p = _DEGENERATE_COLD[name]
+    ref = _scipy_solve(p)
+    assert ref.status == 0
+    tol = lp_module.lp_tol()
+    canon = lp_module._canonical(p)
+    lanes = lp_module._Lanes.of(p, canon, path, p.c[None])
+    status, cols, xB, y = lp_module._solve_cf(
+        canon.form(path)[0], lanes.costs[0], lanes.rhs[0], tol)
+    assert status == "optimal"
+    sol = lanes.answers(slice(0, 1), cols[None], xB[None], y[None])[0]
+    _assert_certified(sol)
+    assert sol.value == pytest.approx(-ref.fun if p.maximize else ref.fun,
+                                      abs=1e-9, rel=1e-9)
+
+
+# Beale's LP (Beale, 1955), min c.x over x >= 0 from the slack basis: each
+# of its first pivots is degenerate, and Dantzig's rule with the kernel's
+# tie breaks cycles on it
+_BEALE = LpProblem.build([-0.75, 20.0, -0.5, 6.0],
+                         [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                          [0.0, 0.0, 1.0, 0.0]],
+                         [LE] * 3, [0.0, 0.0, 1.0], lb=np.zeros(4))
+
+
+def _primal_entering_rules(monkeypatch):
+    """Per lane pivoted in a primal phase, the rule its entering column
+    follows, from a fresh pricing c - c_B B^-1 A2 with the costs of the
+    phase's first lane: "dantzig" for the most negative reduced cost,
+    "bland" for a column only Bland's rule takes (the lowest index below
+    -tol), else "other"."""
+    tol = lp_module.lp_tol()
+    phase, pivot = lp_module._primal_phase, lp_module._pivot_lanes
+    inside, rules = [], []
+
+    def in_phase(S, basis, costs, A2, live, ok, tol):
+        inside.append((costs[0], A2))
+        try:
+            return phase(S, basis, costs, A2, live, ok, tol)
+        finally:
+            inside.pop()
+
+    def recording(S, basis, rows, cols, d):
+        if inside:
+            c, A2 = inside[-1]
+            for l in range(len(S)):
+                R = c - (c[basis[l]] @ S[l, :, :-1]) @ A2
+                R[basis[l]] = 0.0
+                dantzig, bland = R.argmin(), np.argmax(R < -tol)
+                rules.append("dantzig" if cols[l] == dantzig else
+                             "bland" if cols[l] == bland else "other")
+        return pivot(S, basis, rows, cols, d)
+
+    monkeypatch.setattr(lp_module, "_primal_phase", in_phase)
+    monkeypatch.setattr(lp_module, "_pivot_lanes", recording)
+    return rules
+
+
+def test_stalled_cold_solve_switches_to_blands_rule(monkeypatch):
+    # the cold solve cycles under Dantzig's rule until its objective has
+    # stalled for _STALL_LIMIT pivots; then Bland's rule leaves the cycle
+    # and the solve ends at the optimum HiGHS finds
+    ref = _scipy_solve(_BEALE)
+    rules = _primal_entering_rules(monkeypatch)
+    sol = solve(_BEALE)
+    _assert_certified(sol)
+    assert sol.value == pytest.approx(ref.fun, abs=1e-12)
+    assert rules.index("bland") > lp_module._STALL_LIMIT
+    assert "other" not in rules
+    # without the switch, Dantzig's rule never leaves the cycle
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 10 ** 9)
+    monkeypatch.setattr(lp_module, "_MAX_ITER", 1000)
+    with pytest.raises(LpError, match="iteration limit"):
+        solve(_BEALE.with_objective(_BEALE.c))
+
+
+def test_stalled_lanes_switch_to_blands_rule_in_their_batch(lp_solves,
+                                                            monkeypatch):
+    # 8 lanes from the slack basis (the optimum of the zero objective), at
+    # positive multiples of Beale's objective, which make the same choices:
+    # each lane's primal phase stalls in the cycle, switches to Bland's
+    # rule and ends in the batch, at the answer of its own solve
+    start = solve(_BEALE.with_objective(np.zeros(4))).basis
+    assert start.cols == (4, 5, 6)
+    C = np.linspace(1.0, 2.0, 8)[:, None] * _BEALE.c
+    rules = _primal_entering_rules(monkeypatch)
+    lp_solves.clear()
+    got = lp_module.solve_many(_BEALE, C, start)
+    assert not lp_solves
+    assert rules.count("bland") == 8 and "other" not in rules
+    assert rules.index("bland") >= 8 * lp_module._STALL_LIMIT
+    monkeypatch.undo()
+    _assert_lanes_match_solve(_BEALE, C, start, got)

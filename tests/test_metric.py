@@ -285,3 +285,14 @@ def test_space_copies_the_callers_matrix():
     assert d.flags.writeable and not space.dist.flags.writeable
     d[0, 1] = 2.0
     assert space.d(0, 1) == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the triangle tolerance "
+                   "TAU_METRIC * max(1, s) is absolute for distances below 1")
+def test_validate_is_covariant_in_the_unit_of_distance():
+    # a triangle that fails by 1e-4 relative fails validation in every unit
+    # of distance; at 1e-6 the tolerance is 1e-9 absolute, which it passes
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0002], [1.0, 2.0002, 0.0]])
+    verdicts = [validate(PointedMetricSpace(s * d)).ok
+                for s in (1e-6, 1.0, 1e6)]
+    assert verdicts == [False, False, False]

@@ -337,15 +337,16 @@ def _without_point_route(monkeypatch):
 
 
 def _count_cold_solves(monkeypatch):
-    """A list that gains one entry per `lp._two_phase` call."""
+    """A list that gains one entry per `lp._solve_cf` call: one per path a
+    cold solve tries."""
     calls = []
-    original = lp._two_phase
+    original = lp._solve_cf
 
     def counting(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(lp, "_two_phase", counting)
+    monkeypatch.setattr(lp, "_solve_cf", counting)
     return calls
 
 
@@ -388,6 +389,31 @@ def test_face_family_serves_the_whole_eta_grid(monkeypatch):
     exposedness_probe(_leaf_combination(12, False), [0.01, 0.05, 0.2], 8,
                       seed=11)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 12])
+def test_plan_start_carries_the_slabs_record(n, monkeypatch):
+    # on 5 points (a direct norm basis and slab), 6 points (the plan's own
+    # slab solve) and 13 (a dualized norm basis), the plan keeps its slab
+    # start carried over to the slab's canonical record, so no batch of
+    # any depth carries it again
+    mu = _tree_molecule(n, False)
+    plan = ssd._probe_plan(mu)
+    slab = lp._canonical(plan.slab)
+    assert plan.start._canonical is slab
+    assert lp.carried_over(plan.start, plan.slab) is plan.start
+    starts = []
+    batch_seed = lp._Batch.seed
+
+    def seeding(problem, canon, start, C, tol):
+        if canon is slab:
+            starts.append(start)
+        return batch_seed(problem, canon, start, C, tol)
+
+    monkeypatch.setattr(lp._Batch, "seed", staticmethod(seeding))
+    exposedness_probe(mu, [0.01, 0.2], 8, seed=n)
+    # one batch per depth, each seeded by the plan's start itself
+    assert len(starts) == 2 and all(s is plan.start for s in starts)
 
 
 def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
@@ -470,7 +496,7 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     # does not count the solves it hands to lp.solve
     count = {"linalg": 0, "cold": 0, "in_solve": 0}
     per_warm_solve, per_batch, factored = [], [], []
-    originals = (np.linalg.solve, lp._two_phase, lp.solve, lp.solve_many,
+    originals = (np.linalg.solve, lp._solve_cf, lp.solve, lp.solve_many,
                  lp._factor)
 
     def counting_linalg(*args, **kwargs):
@@ -502,7 +528,7 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
         return originals[4](A2, cols)
 
     monkeypatch.setattr(np.linalg, "solve", counting_linalg)
-    monkeypatch.setattr(lp, "_two_phase", counting_cold)
+    monkeypatch.setattr(lp, "_solve_cf", counting_cold)
     monkeypatch.setattr(lp, "solve", counting_lp)
     monkeypatch.setattr(lp, "solve_many", counting_many)
     monkeypatch.setattr(lp, "_factor", recording_factor)

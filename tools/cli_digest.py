@@ -24,11 +24,11 @@ Run it in two checkouts and compare the three lines it prints:
   batches that ``lp._Batch.seed`` (wrapped) seeded, how many B
   factorizations those batches made, counted by wrapping ``lp._factor``
   (a start already factored on its constraints is not factored again),
-  and how many pivots their lanes made, dual ones counted by wrapping
-  ``lp._pivot_lanes`` and primal ones as the ``lp._pivot`` calls inside
-  ``lp._lockstep``, so that a change in solve, batch, factorization or
-  pivot counts, or one that sends warm solves cold, shows next to the
-  hash.
+  and how many pivots the simplex kernel made, one per lane pivoted by
+  ``lp._pivot_lanes`` (wrapped; see `kernel_pivots`): in the dual and in
+  the primal phases of warm lanes, and in cold solves, so that a change in
+  solve, batch, factorization or pivot counts, or one that sends warm
+  solves cold, shows next to the hash.
 - ``library``: one SHA-1 over the outputs of ``common_norming_witness``,
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
   ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
@@ -50,6 +50,7 @@ thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -71,6 +72,41 @@ def _field(h, data: bytes) -> None:
     """Hash one field, length-prefixed so that fields cannot run together."""
     h.update(b"%d:" % len(data))
     h.update(data)
+
+
+@contextlib.contextmanager
+def kernel_pivots(lp):
+    """Yields the counts of the pivots that freegeo's one simplex kernel
+    makes while the block runs, one per lane that ``lp._pivot_lanes``
+    (wrapped) pivots: ``cold`` inside ``lp._solve_cold`` (both phases and
+    the artificials driven out), ``dual`` inside ``lp._dual_phase`` and
+    ``primal`` elsewhere, the primal phases of warm lanes."""
+    counts = {"cold": 0, "dual": 0, "primal": 0}
+    inside = []
+    solve_cold, dual_phase, pivot_lanes = (
+        lp._solve_cold, lp._dual_phase, lp._pivot_lanes)
+
+    def within(kind, run):
+        def wrapped(*args):
+            inside.append(kind)
+            try:
+                return run(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counting(S, basis, rows, cols, d):
+        counts[inside[-1] if inside else "primal"] += len(S)
+        return pivot_lanes(S, basis, rows, cols, d)
+
+    lp._solve_cold = within("cold", solve_cold)
+    lp._dual_phase = within("dual", dual_phase)
+    lp._pivot_lanes = counting
+    try:
+        yield counts
+    finally:
+        lp._solve_cold, lp._dual_phase, lp._pivot_lanes = (
+            solve_cold, dual_phase, pivot_lanes)
 
 
 def cli_digest(workloads, seed: int, rounds: int, dump: list):
@@ -118,20 +154,20 @@ def probe_digest(workloads, dump: list):
     rounds, with solves the numbers of face-distance LPs and slab lanes
     the probes solved, of their entries that the point face answered, of
     the norm LPs they solved, of their solves that ran cold, of their
-    warm batches, of the B factorizations they made and of their lanes'
-    dual and primal pivots; appends each probe's entries to dump."""
+    warm batches, of the B factorizations they made and of the kernel's
+    pivots in their dual and primal lane phases and in their cold solves;
+    appends each probe's entries to dump."""
     from freegeo import lp, ssd
 
     h = hashlib.sha1()
     count = 0
     solves = {"face": 0, "lanes": 0, "point": 0, "norm": 0, "cold": 0,
-              "batches": 0, "factored": 0, "dual": 0, "primal": 0}
+              "batches": 0, "factored": 0, "dual": 0, "primal": 0,
+              "cold_pivots": 0}
     points = None       # of the probe running; None outside probes
-    in_lanes = False    # inside lp._lockstep
     face_lps = []       # _FacePoints made by the probe running
     solve, solve_many, solve_cold = lp.solve, lp.solve_many, lp._solve_cold
     batch_seed, factor = lp._Batch.seed, lp._factor
-    lockstep, pivot_lanes, pivot = lp._lockstep, lp._pivot_lanes, lp._pivot
     face_points, free_norm = ssd._FacePoints, ssd.free_norm
 
     def counting_solve(problem, tol=None, start=None):
@@ -170,56 +206,42 @@ def probe_digest(workloads, dump: list):
         solves["factored"] += points is not None and out is not None
         return out
 
-    def counting_lockstep(*args):
-        nonlocal in_lanes
-        in_lanes = True
-        try:
-            return lockstep(*args)
-        finally:
-            in_lanes = False
-
-    def counting_pivot_lanes(S, basis, A2, L, rows, cols):
-        if points is not None:
-            solves["dual"] += L.size
-        return pivot_lanes(S, basis, A2, L, rows, cols)
-
-    def counting_pivot(T, basis, row, col):
-        # a lane's primal phase pivots by the cold solve's kernel
-        solves["primal"] += in_lanes and points is not None
-        return pivot(T, basis, row, col)
-
     lp.solve, lp.solve_many = counting_solve, counting_many
     lp._solve_cold, lp._factor = counting_cold, counting_factor
     lp._Batch.seed = staticmethod(counting_seed)
-    lp._lockstep, lp._pivot_lanes = counting_lockstep, counting_pivot_lanes
-    lp._pivot = counting_pivot
     ssd._FacePoints, ssd.free_norm = counting_face_points, counting_norm
     try:
-        for seed in PROBE_SEEDS:
-            wl = workloads.ProbeTrees(seed)
-            wl.setup()
-            for r in range(PROBE_ROUNDS):
-                for op in wl.round(r):
-                    points = wl.cases[op["n"], op["kind"]][0].space.n
-                    face_lps.clear()
-                    curve = wl.call(op)
-                    points = None
-                    # a probe on the point route answers every sample of
-                    # every entry with no face-distance LP
-                    solves["point"] += len(curve.entries) * (not face_lps)
-                    entries = [f"{eta.hex()} {worst.hex()} {k}"
-                               for eta, worst, k in curve.entries]
-                    for text in entries:
-                        _field(h, text.encode())
-                    dump.append({"seed": seed, "round": r,
-                                 "op": wl.describe(op).decode(),
-                                 "entries": entries})
-                    count += 1
+        with kernel_pivots(lp) as pivots:
+            for seed in PROBE_SEEDS:
+                wl = workloads.ProbeTrees(seed)
+                wl.setup()
+                for r in range(PROBE_ROUNDS):
+                    for op in wl.round(r):
+                        points = wl.cases[op["n"], op["kind"]][0].space.n
+                        face_lps.clear()
+                        before = dict(pivots)
+                        curve = wl.call(op)
+                        points = None
+                        for kind, key in (("dual", "dual"),
+                                          ("primal", "primal"),
+                                          ("cold", "cold_pivots")):
+                            solves[key] += pivots[kind] - before[kind]
+                        # a probe on the point route answers every sample
+                        # of every entry with no face-distance LP
+                        solves["point"] += len(curve.entries) * (
+                            not face_lps)
+                        entries = [f"{eta.hex()} {worst.hex()} {k}"
+                                   for eta, worst, k in curve.entries]
+                        for text in entries:
+                            _field(h, text.encode())
+                        dump.append({"seed": seed, "round": r,
+                                     "op": wl.describe(op).decode(),
+                                     "entries": entries})
+                        count += 1
     finally:
         lp.solve, lp.solve_many = solve, solve_many
         lp._solve_cold, lp._factor = solve_cold, factor
         lp._Batch.seed = staticmethod(batch_seed)
-        lp._lockstep, lp._pivot_lanes, lp._pivot = lockstep, pivot_lanes, pivot
         ssd._FacePoints, ssd.free_norm = face_points, free_norm
     return count, h.hexdigest(), solves
 
@@ -339,7 +361,8 @@ def main(argv=None) -> int:
           f"{solves['lanes']} slab lanes, "
           f"{solves['cold']} cold solves, {solves['batches']} warm batches, "
           f"{solves['factored']} B factorizations, {solves['dual']} dual "
-          f"and {solves['primal']} primal lane pivots")
+          f"and {solves['primal']} primal lane pivots, "
+          f"{solves['cold_pivots']} cold-solve pivots")
     count, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
           f"{count} cases sha1 {digest}")
