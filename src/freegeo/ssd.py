@@ -200,9 +200,9 @@ class _ProbePlan:
     """What `exposedness_probe` derives from mu and tol = lp_tol() alone:
     mu at unit distance scale, its norm certificates, the slab LP at
     eta = 0 (whose canonical form every depth and sample shares), the
-    basis that starts its samples, carried over to the slab's constraints,
-    and the face-distance LP, None where D(mu) is a point face whose g*
-    passed its guards."""
+    basis of the slab's own LP that starts its samples, and the
+    face-distance LP, None where D(mu) is a point face whose g* passed its
+    guards."""
 
     tol: float
     mu: FreeElement
@@ -235,18 +235,15 @@ def _probe_plan(mu: FreeElement) -> _ProbePlan:
     else:
         _guard_face_point(norm.potential, face)
     slab = _slab_problem(face, 0.0)
-    start = norm.basis
-    if start.path != lp.first_path(slab):
-        # the slab LP takes the other path (on 6 points): solved once at
-        # depth 1, <g, mu> >= 0, for the pairing, it ends with the slab row
-        # slack by ||mu||, so the row's dual is nonbasic, with reduced cost
-        # eta ||mu|| >= 0 at every depth: a dual feasible start
-        start = lp.solve(slab.with_rhs(np.append(slab.b[:-1], 0.0))
-                         .with_objective(unit.masses[1:])).basis
-    # every depth shares the slab's constraints, so the start is carried
-    # over to them once, here, not in every batch
-    plan = _ProbePlan(tol, unit, norm, slab, lp.carried_over(start, slab),
-                      problem)
+    # solved at depth 1 (<g, mu> >= 0) for the pairing with mu, the slab LP
+    # ends with its slab row slack by ||mu||: on the dualized path the
+    # row's dual is nonbasic with reduced cost eta ||mu|| >= 0, on the
+    # direct path its slack is basic at eta ||mu|| >= 0, so that basis
+    # starts every depth.  It is on the slab's canonical record, which
+    # every depth shares
+    start = lp.solve(slab.with_rhs(np.append(slab.b[:-1], 0.0))
+                     .with_objective(unit.masses[1:]), start=norm.basis).basis
+    plan = _ProbePlan(tol, unit, norm, slab, start, problem)
     if frozen:
         object.__setattr__(mu, "_probe_plan", plan)
     else:
@@ -297,17 +294,11 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     no face point), so a probe's entries do not depend on earlier probes.
     An eta's samples are drawn together, in the order of single draws, and
     solved as one batch by `lp.solve_many` from the plan's slab start,
-    afresh in every probe.  That start is `norm.basis`, the norm LP's optimal basis, where
-    the slab LP takes the same path first.  Each face-distance LP is solved
-    by `lp.solve` from the basis of the previous one, the first from
-    `norm.basis` too.  Where the norm LP took the dualized path, its basis
-    is a spanning tree of n - 1 ball-row arcs: it leaves the slab LP dual
-    feasible and the face-distance LP primal feasible, so neither starts
-    cold.  Where it took the direct path, the slab row's slack extends it to
-    a primal feasible slab start.  Where only the slab LP takes the
-    dualized path (on 6 points), the plan keeps the basis of one cold slab
-    solve at depth 1 for the pairing with mu, whose slab row is slack by
-    ||mu||: a dual feasible start at every depth.  Every sample is checked
+    afresh in every probe.  That start is the basis of the slab LP at
+    depth 1 for the pairing with mu, solved from `norm.basis`; its slab
+    row is slack by ||mu||, so it starts every depth.  Each face-distance
+    LP is solved by `lp.solve` from the basis of the previous one, the
+    first from `norm.basis`.  Every sample is checked
     against the unit ball and the slab, in one batch per eta, and every face
     point against the unit ball and the pairing with mu, as in
     `face_distance`, independently of the solver; a failed check raises
@@ -329,11 +320,8 @@ def exposedness_probe(mu: FreeElement, eta_grid, samples_per_eta: int,
     rng = np.random.default_rng(seed)
     tol = plan.tol
     raw = []
-    # on the dualized path the slab's dual is the norm's dual plus the slab
-    # row's column, whose reduced cost there is the row's slack
-    # eta ||mu|| >= 0, so the norm basis is a dual feasible slab start; it
-    # is a primal feasible face start: B^-1 b = (0, ..., 0, 1) >= 0 for
-    # every sample (see `lp`)
+    # on the dualized path the norm basis is a primal feasible face start:
+    # B^-1 b = (0, ..., 0, 1) >= 0 for every sample (see `lp`)
     points = None
     if plan.face is not None:
         points = _FacePoints(DualFace(plan.mu, norm_mu), norm.basis,

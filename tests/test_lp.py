@@ -583,12 +583,10 @@ def test_dualized_start_extends_to_new_rows_and_variables(bounded,
 
 @pytest.mark.parametrize("sense", [LE, EQ])
 def test_direct_start_extends_to_new_rows(sense, monkeypatch):
-    # a new row c.x >= c.x* - 1 over the same variables, with slack 1 at
-    # the start's optimum x*: the start's columns carry over, the new row's
-    # slack joins them, and the start is primal feasible for any objective
-    # (the probe's slab row on small spaces).  As c.x = c.x* - 1 the row
-    # has no slack; the start stays a column short and the LP is solved
-    # cold
+    # a new row c.x >= c.x* - 1 (or c.x = c.x* - 1) over the same
+    # variables: a direct start no longer extends to further rows (only a
+    # dualized one does), so it stays a column short and the LP is solved
+    # cold, with or without a slack in the new row
     rng = np.random.default_rng(4600)
     c, A, b = _dualized_data(rng, m=20)
     first = solve(_max_problem(c, A, b))
@@ -597,14 +595,9 @@ def test_direct_start_extends_to_new_rows(sense, monkeypatch):
                         [LE] * len(b) + [sense],
                         np.append(b, 1.0 - first.value), maximize=True)
     seen = record_warm_solves(monkeypatch)
-    warm = _assert_matches_cold(p, first.basis)
+    _assert_matches_cold(p, first.basis)
     _, _, cols, accepted = seen[0]
-    if sense == LE:
-        std, _ = warm.basis._canonical.form("direct")
-        assert cols == first.basis.cols + (std.slack_of_row[-1],)
-        assert accepted
-    else:
-        assert cols == first.basis.cols and not accepted
+    assert cols == first.basis.cols and not accepted
 
 
 def test_build_copies_and_freezes_its_inputs():
@@ -978,9 +971,18 @@ def test_carried_reduced_costs_match_a_fresh_pricing(monkeypatch):
 # batched re-solves
 # ---------------------------------------------------------------------------
 
+def _slab_start(slab, mu, norm):
+    """The probe plan's slab start (`ssd._probe_plan`): the basis of the
+    slab LP at depth 1 for the pairing with mu, solved from the norm LP's
+    basis, on the slab's canonical record."""
+    return solve(slab.with_rhs(np.append(slab.b[:-1], 0.0))
+                 .with_objective(mu.masses[1:]), start=norm.basis).basis
+
+
 def _gallery_polytopes():
     """(name, LP, start) per slab and face polytope of some gallery spaces,
-    each started from its norm LP's basis, as the probe starts its slabs."""
+    each started as the probe starts it: a slab from `_slab_start`, a face
+    from its norm LP's basis."""
     from freegeo.free_space import DualFace, free_norm, molecule
     from freegeo.metric import gallery
     from freegeo.ssd import _slab_problem
@@ -993,7 +995,8 @@ def _gallery_polytopes():
         norm = free_norm(mu)
         label = f"{name}{params.get('n', '')}"
         face = DualFace(mu, norm.value)
-        yield f"{label}-slab", _slab_problem(face, 0.05), norm.basis
+        slab = _slab_problem(face, 0.05)
+        yield f"{label}-slab", slab, _slab_start(slab, mu, norm)
         A_ub, b_ub, prow, prhs = face.constraint_rows()
         yield f"{label}-face", LpProblem.build(
             np.zeros(space.n - 1), np.vstack([A_ub, prow]),
@@ -1035,10 +1038,9 @@ def test_solve_many_matches_solve_on_gallery_polytopes(name, lp_solves):
     C = np.random.default_rng(4900).normal(size=(12, problem.c.size))
     got = lp_module.solve_many(problem, C, start)
     # a start that fits the path of the first solve seeds every lane: a
-    # dualized start, and a direct one on a slab, whose further row takes
-    # its slack.  A direct start on a face LP, whose further row is an
-    # equality, does not: the first lane alone goes to solve, and its
-    # basis seeds the others
+    # dualized start, and a slab's own basis.  A direct norm basis on a
+    # face LP, a column short of its rows, does not: the first lane alone
+    # goes to solve, and its basis seeds the others
     seeds = start.path == "dualized" or name.endswith("-slab")
     assert len(lp_solves) == (0 if seeds else 1)
     _assert_lanes_match_solve(problem, C, start, got)
@@ -1088,10 +1090,10 @@ def test_stalled_lanes_finish_under_dual_blands_rule(lp_solves, dual_outcomes,
 
 
 def test_primal_phase_keeps_blands_rule(lp_solves, monkeypatch):
-    # a slab from a direct start is primal feasible, so its lanes run
-    # primal phase 2 only; with no stall allowance each switches to
-    # Bland's rule at its first degenerate pivot, as a cold solve does,
-    # and none leaves the batch
+    # a direct slab from its own basis at depth 1 is primal feasible, so
+    # its lanes run primal phase 2 only; with no stall allowance each
+    # switches to Bland's rule at its first degenerate pivot, as a cold
+    # solve does, and none leaves the batch
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
     problem, start = _POLYTOPES["equilateral4-slab"]
     assert start.path == "direct"
@@ -1266,7 +1268,7 @@ def test_solve_many_without_variables_answers_every_objective():
 
 def _degenerate_slabs():
     """(name, slab LP at depth 0.05, start, distance scale) on degenerate
-    spaces, started from the norm LP's basis as the probe starts its slabs:
+    spaces, started as the probe starts its slabs (`_slab_start`):
     equilateral spaces, where every pair is tight at once; distances that
     tie to within 1e-12; and 2-D Euclidean spaces at distance scales 1e-6
     and 1e6.  Each comes on 5 points (direct path), 6 points (the norm LP
@@ -1287,8 +1289,8 @@ def _degenerate_slabs():
         for name, space in spaces:
             mu = molecule(space, 1, 2)
             norm = free_norm(mu)
-            yield name, _slab_problem(DualFace(mu, norm.value), 0.05), \
-                norm.basis, space.dist.max()
+            slab = _slab_problem(DualFace(mu, norm.value), 0.05)
+            yield name, slab, _slab_start(slab, mu, norm), space.dist.max()
 
 
 _DEGENERATE = {name: rest for name, *rest in _degenerate_slabs()}
@@ -1305,8 +1307,8 @@ def test_revised_lanes_match_the_cold_solve(name, lanes, per_block,
     C = np.random.default_rng(5800).normal(size=(lanes, problem.c.size))
     whole = lp_module.solve_many(problem, C, start)
     if per_block is not None:
-        m, n2 = lp_module._canonical(problem).form(
-            lp_module.first_path(problem))[0].A2.shape
+        canon = lp_module._canonical(problem)
+        m, n2 = canon.form(lp_module._paths(canon)[0])[0].A2.shape
         monkeypatch.setattr(lp_module, "_BATCH_CELLS", per_block * (
             m * (m + 1) + lp_module._WORK_ROWS * n2))
         got = lp_module.solve_many(problem, C, start)

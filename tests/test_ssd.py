@@ -350,30 +350,33 @@ def _count_cold_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n,cold", [(12, 1), (4, 2), (5, 3)])
+@pytest.mark.parametrize("n,cold", [(12, 1), (4, 3), (5, 3)])
 def test_first_slab_starts_from_the_norm_basis(n, cold, monkeypatch):
     # 13 points take the dualized path, where the norm LP's basis starts the
-    # first slab LP and, with the slack of t's dual row, the first
-    # face-distance LP: the only cold solve is the norm LP.  On 5 points the
-    # norm LP takes the direct path: its basis, with the slack of the slab
-    # row, starts the first slab LP, but not the face-distance LP, which
-    # takes the dualized path and is solved cold.  On 6 points the slab LP
-    # takes the dualized path too, and the plan solves it cold once
+    # plan's slab LP and, with the slack of t's dual row, the first
+    # face-distance LP: the only cold solve is the norm LP.  On 5 and 6
+    # points the norm LP takes the direct path: its basis, a column short
+    # of the slab's rows or on the other path, starts neither the plan's
+    # slab LP nor the face-distance LP, which takes the dualized path, and
+    # each is solved cold once
     calls = _count_cold_solves(monkeypatch)
     exposedness_probe(_tree_molecule(n, False), [0.05], 8, seed=11)
     assert len(calls) == cold
 
 
 @pytest.mark.parametrize("fattened", [False, True])
-def test_six_point_probe_solves_nothing_cold_after_its_plan(fattened,
-                                                           monkeypatch):
-    # on 6 points the norm LP takes the direct path and the slab LP the
-    # dualized one; the plan keeps the basis of one cold slab solve at
-    # depth 1, and every slab batch of every depth starts from it
-    mu = _leaf_combination(5, fattened)
+@pytest.mark.parametrize("points", [5, 6, 7])
+def test_probe_solves_nothing_cold_after_its_plan(points, fattened,
+                                                  monkeypatch):
+    # the plan solves the slab LP at depth 1 from the norm LP's basis, and
+    # every slab batch of every depth starts from its basis.  On 5 and 6
+    # points the norm LP takes the direct path, and the plan's slab solve
+    # is cold (a start a column short, or on the other path); on 7 both
+    # take the dualized path, and only the norm LP is solved cold
+    mu = _leaf_combination(points - 1, fattened)
     calls = _count_cold_solves(monkeypatch)
     exposedness_probe(mu, [0.05], 8, seed=1)
-    assert len(calls) == 2      # the norm LP and the plan's slab solve
+    assert len(calls) == (2 if points < 7 else 1)
     calls.clear()
     grid = [0.01, 0.05, 0.2]
     warm = exposedness_probe(mu, grid, 8, seed=2)
@@ -393,27 +396,35 @@ def test_face_family_serves_the_whole_eta_grid(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 5, 12])
 def test_plan_start_carries_the_slabs_record(n, monkeypatch):
-    # on 5 points (a direct norm basis and slab), 6 points (the plan's own
-    # slab solve) and 13 (a dualized norm basis), the plan keeps its slab
-    # start carried over to the slab's canonical record, so no batch of
-    # any depth carries it again
+    # on 5 points (a direct slab), 6 points (the norm LP direct, the slab
+    # dualized) and 13 (dualized), the plan's slab start is the basis of the
+    # slab's own LP, so it is on the slab's canonical record: no batch of
+    # any depth carries it over, and none factors it again.  On 13 points
+    # the plan's warm slab solve factored it; elsewhere that solve was cold,
+    # and the first batch factors it
     mu = _tree_molecule(n, False)
     plan = ssd._probe_plan(mu)
     slab = lp._canonical(plan.slab)
     assert plan.start._canonical is slab
-    assert lp.carried_over(plan.start, plan.slab) is plan.start
-    starts = []
-    batch_seed = lp._Batch.seed
+    starts, factored = [], []
+    batch_seed, factor = lp._Batch.seed, lp._factor
 
     def seeding(problem, canon, start, C, tol):
         if canon is slab:
             starts.append(start)
         return batch_seed(problem, canon, start, C, tol)
 
+    def recording(A2, cols):
+        factored.append(A2)
+        return factor(A2, cols)
+
     monkeypatch.setattr(lp._Batch, "seed", staticmethod(seeding))
+    monkeypatch.setattr(lp, "_factor", recording)
     exposedness_probe(mu, [0.01, 0.2], 8, seed=n)
     # one batch per depth, each seeded by the plan's start itself
     assert len(starts) == 2 and all(s is plan.start for s in starts)
+    A2 = slab.form(plan.start.path)[0].A2
+    assert sum(a is A2 for a in factored) == (0 if n == 12 else 1)
 
 
 def test_multi_eta_probe_canonicalizes_each_lp_once(monkeypatch):
@@ -486,14 +497,15 @@ def test_extended_start_needs_a_dualized_basis(monkeypatch):
 @pytest.mark.parametrize("n", [5, 12])
 def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     # a start is factored once per constraint matrix: the record of the
-    # slab's constraints keeps its B^-1, so the plan's first batch of slab
-    # samples factors B once for all its lanes and the second eta's batch
-    # (a sibling with another right-hand side) factors nothing.  A warm
-    # face-distance solve factors its start only when it differs from the
-    # start that record factored last, and no start is factored twice in
-    # a row.  Solves that end cold (a start of the wrong length, on 6
-    # points the norm basis) refine with two, and are not counted; a batch
-    # does not count the solves it hands to lp.solve
+    # slab's constraints keeps its B^-1.  On 13 points the plan's warm
+    # slab solve factors it, and no batch of slab samples factors B; on 6
+    # points the plan's slab solve is cold, so the first eta's batch
+    # factors B once for all its lanes and the second's (a sibling with
+    # another right-hand side) factors nothing.  A warm face-distance solve
+    # factors its start only when it differs from the start that record
+    # factored last, and no start is factored twice in a row.  Solves that
+    # end cold (on 6 points the norm basis) refine with two, and are not
+    # counted; a batch does not count the solves it hands to lp.solve
     count = {"linalg": 0, "cold": 0, "in_solve": 0}
     per_warm_solve, per_batch, factored = [], [], []
     originals = (np.linalg.solve, lp._solve_cf, lp.solve, lp.solve_many,
@@ -533,9 +545,8 @@ def test_probe_warm_solves_factor_at_most_once(n, fattened, monkeypatch):
     monkeypatch.setattr(lp, "solve_many", counting_many)
     monkeypatch.setattr(lp, "_factor", recording_factor)
     exposedness_probe(_tree_molecule(n, fattened), [0.05, 0.2], 16, seed=n)
-    # each batch starts from the norm basis or, on 6 points, from the
-    # basis of the plan's slab solve
-    assert per_batch == [1, 0]
+    # each batch starts from the basis of the plan's slab solve
+    assert per_batch == ([1, 0] if n == 5 else [0, 0])
     assert per_warm_solve and set(per_warm_solve) <= {0, 1}
     assert all(a != b for a, b in zip(factored, factored[1:]))
     assert len(factored) == sum(per_batch) + sum(per_warm_solve)

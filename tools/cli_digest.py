@@ -33,8 +33,13 @@ Run it in two checkouts and compare the three lines it prints:
   ``find_common_norming``, ``face_coordinate_ranges``, ``face_distance``,
   ``lip_norm``, ``peaking_check`` and the ``perturb`` command's steps
   (ending in ``perturbation_pipeline``) on seeded random 2-D Euclidean
-  spaces at distance scales 1e-6, 1 and 1e6, inputs that the ops and
-  probes above do not reach; every float as ``float.hex`` (the pipeline's
+  spaces at distance scales 1e-6, 1 and 1e6, and over the entries of
+  ``exposedness_probe`` (depths 0.01, 0.1 and 0.5, 8 samples each) of a
+  molecule, random masses and a combination of two molecules on such
+  spaces of 2 to 9 points at the same scales: inputs that the ops and
+  probes above do not reach, across the sizes where the norm and slab
+  LPs change path (6 and 7 points), with 39 of the 72 probes on the
+  face-distance route; every float as ``float.hex`` (the pipeline's
   result as its sorted JSON, whose floats round-trip) and every error as
   its type and text.
 
@@ -66,6 +71,7 @@ PROBE_SEEDS = (1, 2, 3)
 PROBE_ROUNDS = 4
 LIBRARY_SPACES = 6
 LIBRARY_SCALES = (1e-6, 1.0, 1e6)
+LIBRARY_PROBE_POINTS = range(2, 10)
 
 
 def _field(h, data: bytes) -> None:
@@ -308,28 +314,64 @@ def _library_case(fg, space, rng):
         yield name, text
 
 
+def _probe_elements(fg, space, rng):
+    """(name, element) per probe of one space: a molecule, random masses
+    and a positive combination of two molecules, whose dual face is often
+    not a point, so that the probe solves face-distance LPs."""
+    n = space.n
+    pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False))
+             for _ in range(2)]
+    yield "molecule", fg.molecule(space, *pairs[0])
+    yield "masses", fg.FreeElement(space, rng.normal(size=n))
+    yield "two_molecules", fg.MoleculeCombination(space, tuple(
+        (float(lam), x, y)
+        for lam, (x, y) in zip(rng.uniform(0.2, 1.0, 2), pairs))).element()
+
+
+def _euclidean_space(fg, rng, n, scale):
+    pts = rng.normal(size=(n, 2))
+    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    return fg.PointedMetricSpace(scale * dist)
+
+
 def library_digest(dump: list):
-    """(case count, SHA-1) over the library outputs of every space and
-    scale; appends each output to dump.  Case k draws from a generator
-    seeded with k, the same draws at every scale: only the unit of
-    distance changes."""
+    """(case count, probe count, SHA-1) over the library outputs of every
+    space and scale and the entries of the exposedness probes; appends
+    each output to dump.  Case k draws from a generator seeded with k, the
+    same draws at every scale: only the unit of distance changes.  So do
+    the probes on n points, for n in LIBRARY_PROBE_POINTS, from a
+    generator seeded with 100 + n."""
     import freegeo as fg
 
     h = hashlib.sha1()
-    count = 0
+    count = probes = 0
     for k in range(LIBRARY_SPACES):
         for scale in LIBRARY_SCALES:
             rng = np.random.default_rng(k)
-            n = int(rng.integers(4, 10))
-            pts = rng.normal(size=(n, 2))
-            dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-            space = fg.PointedMetricSpace(scale * dist)
+            space = _euclidean_space(fg, rng, int(rng.integers(4, 10)),
+                                     scale)
             for name, text in _library_case(fg, space, rng):
                 _field(h, f"{k} {scale!r} {name} {text}".encode())
                 dump.append({"case": k, "scale": scale, "name": name,
                              "text": text})
             count += 1
-    return count, h.hexdigest()
+    for n in LIBRARY_PROBE_POINTS:
+        for scale in LIBRARY_SCALES:
+            rng = np.random.default_rng(100 + n)
+            space = _euclidean_space(fg, rng, n, scale)
+            for name, mu in _probe_elements(fg, space, rng):
+                try:
+                    curve = fg.exposedness_probe(mu, (0.01, 0.1, 0.5), 8,
+                                                 seed=n)
+                    text = " ".join(f"{eta.hex()} {worst.hex()}"
+                                    for eta, worst, _ in curve.entries)
+                except (ValueError, fg.lp.LpError) as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                _field(h, f"probe {n} {scale!r} {name} {text}".encode())
+                dump.append({"probe": n, "scale": scale, "name": name,
+                             "text": text})
+                probes += 1
+    return count, probes, h.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -363,9 +405,9 @@ def main(argv=None) -> int:
           f"{solves['factored']} B factorizations, {solves['dual']} dual "
           f"and {solves['primal']} primal lane pivots, "
           f"{solves['cold_pivots']} cold-solve pivots")
-    count, digest = library_digest(dump["library"])
+    count, probes, digest = library_digest(dump["library"])
     print(f"library scales {', '.join(map(repr, LIBRARY_SCALES))}: "
-          f"{count} cases sha1 {digest}")
+          f"{count} cases and {probes} probes sha1 {digest}")
     if args.dump:
         with open(args.dump, "w") as fh:
             json.dump(dump, fh, indent=1)
